@@ -58,7 +58,6 @@ int main(int Argc, char **Argv) {
   // the full run matches the paper's 4 h budget, the default run is a
   // one-minute datapoint, the smoke run just proves the path executes.
   SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, N);
-  Opts.Layered = true;
   Opts.CompressFrontier = true;
   std::string SpillDir = makeSpillDir();
   Opts.SpillDir = SpillDir;

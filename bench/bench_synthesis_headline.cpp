@@ -160,7 +160,6 @@ int main(int argc, char **argv) {
   if (!Args.Smoke) {
     Machine M5(MachineKind::Cmov, 5);
     SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 5);
-    Opts.Layered = true;
     Opts.CompressFrontier = true;
     std::string SpillDir = makeSpillDir();
     Opts.SpillDir = SpillDir;

@@ -172,8 +172,6 @@ protected:
     Opts.Stop = Stop;
     Opts.MaxLength = Req.lengthBound();
     Opts.NumThreads = Req.NumThreads;
-    if (Req.NumThreads > 1)
-      Opts.Layered = true; // Only the layered engine runs parallel.
     // MinLength: the admissible per-assignment bound makes the first
     // best-first goal provably minimal. FirstKernel: the paper's fastest
     // greedy configuration (perm-count heuristic).

@@ -17,8 +17,9 @@
 ///   cmovl/g   : blend of the mov result under the flag bit
 ///   min/max   : field compare + blend of the two fields
 ///
-/// Used by the layered engine's batch-expansion mode (the paper's GPU
-/// target substitute; see DESIGN.md).
+/// Used by the candidate pipeline of both search engines, which applies
+/// each instruction to all rows of a state at once (search/Expansion.h),
+/// and by the section 3.2 action filter (tables/DistanceTable.h).
 ///
 //===----------------------------------------------------------------------===//
 

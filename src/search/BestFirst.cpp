@@ -283,7 +283,8 @@ SearchResult sks::synthesize(const Machine &M, const SearchOptions &Opts,
   }
   if (!NeedsTable)
     DT = nullptr;
-  if (Opts.FindAll || Opts.Layered)
+  if (Opts.FindAll || Opts.Layered || Opts.NumThreads > 1 ||
+      Opts.CompressFrontier)
     return detail::layeredSearch(M, Opts, DT);
   return detail::bestFirstSearch(M, Opts, DT);
 }

@@ -8,29 +8,26 @@
 /// The single candidate pipeline shared by every expansion site: syntactic
 /// prune (lint) -> apply -> viability / erase check (section 3.3) ->
 /// distinct-permutation count (section 3.1) -> cut (section 3.5) ->
-/// canonicalize -> hash. Three sites route through it:
+/// canonicalize -> hash. Both engines expand node by node through
+/// expandNode:
 ///
-///  - the best-first engine's expansion loop (BestFirst.cpp),
-///  - the layered engine's node-major expansion (sequential and thread-pool
-///    parallel), and
-///  - the layered engine's instruction-major batch expansion (the GPU-style
-///    data-parallel substitute),
+///  - the best-first engine's expansion loop (BestFirst.cpp), and
+///  - the layered engine's level expansion (Layered.cpp), one loop over
+///    static worker ranges for any thread count,
 ///
-/// so a future filter — like PR 1's SyntacticPrune, which had to patch all
-/// three copies — is added in exactly one place. Surviving candidates carry
-/// their rows in the batch's flat buffer (no per-candidate allocation), and
-/// arrive pre-hashed so the dedup/merge stage can shard by hash without
-/// touching the rows again.
+/// so a new filter is added in exactly one place. Surviving candidates
+/// carry their rows in the batch's flat buffer (no per-candidate
+/// allocation), and arrive pre-hashed so the dedup/merge stage can shard
+/// by hash without touching the rows again.
 ///
 /// The pipeline is fused, vectorized, and prune-first: apply runs through
-/// the SSE2 applyBatch on every site (not just batch mode), and ALL
-/// verdict stages (viability, perm count, cut) read the RAW transformed
-/// rows — their results are provably order- and duplicate-independent —
-/// so the canonical sort (the sorting-network sortRows primitive,
-/// state/Canonicalize.h) and duplicate compaction run only for the
-/// candidates that survive to be stored. At n = 4 roughly 94% of the 5M
-/// generated candidates are pruned and now exit without ever being
-/// sorted; the PR 2 pipeline took four-plus traversals per candidate.
+/// the SSE2 applyBatch, and ALL verdict stages (viability, perm count,
+/// cut) read the RAW transformed rows — their results are provably order-
+/// and duplicate-independent — so the canonical sort (the sorting-network
+/// sortRows primitive, state/Canonicalize.h) and duplicate compaction run
+/// only for the candidates that survive to be stored. At n = 4 roughly
+/// 94% of the 5M generated candidates are pruned and exit without ever
+/// being sorted.
 ///
 /// Opt-in stage timers (SearchOptions::ProfilePipeline) attribute the work
 /// to SearchStats::{Apply,Canon,Viability}Nanos: Apply is the batched
@@ -297,22 +294,10 @@ public:
     return true;
   }
 
-  /// Copies pre-transformed (but not yet canonical) rows into the batch
-  /// and runs the tail of the pipeline — the instruction-major batch
-  /// expansion path, where applyBatch already produced the raw rows.
-  bool pushTransformed(CandidateBatch &B, const uint32_t *Raw, uint32_t Len,
-                       unsigned ChildG, uint32_t Parent, Instr Via,
-                       const PrefixLint &ParentLint,
-                       SearchStats &Stats) const {
-    size_t RawBegin = B.Rows.size();
-    B.Rows.insert(B.Rows.end(), Raw, Raw + Len);
-    return finish(B, RawBegin, ChildG, Parent, Via, ParentLint, Stats);
-  }
-
   /// Node-major expansion: selects actions (section 3.2), applies each to
   /// \p Rows with the data-parallel applyBatch, and runs the pipeline —
-  /// the best-first and layered node-major path. \p Rows must not alias
-  /// B.Rows (all callers pass arena storage).
+  /// the expansion path of both engines. \p Rows must not alias B.Rows
+  /// (all callers pass arena storage).
   void expandNode(const uint32_t *Rows, uint32_t Len,
                   const PrefixLint &Lint, const OrderState *Order,
                   uint32_t Parent, unsigned ChildG, CandidateBatch &B,

@@ -18,6 +18,18 @@
 // — no kernel is ever enumerated twice the way a plain program-by-program
 // walk would.
 //
+// Expansion is one node-major loop over static worker ranges: worker W
+// expands one contiguous slice of the level into its own candidate batch,
+// so the concatenated batches list candidates in the same order for any
+// thread count. A one-thread pool runs the whole range inline as worker 0;
+// that is the sequential engine, not a separate copy of it.
+//
+// Budgets: one check (overBudget) polls the stop token, the MaxStates cap
+// and the byte budget. The level loop runs it before each level; the
+// workers of the expansion and of merge phase 1 run it at periodic
+// checkpoints (checkpoint), which also publish their progress and let
+// worker 0 emit the Figure 1 trace point.
+//
 // Storage and parallelism (state/StateStore.h): all row data lives in one
 // flat arena per level addressed by (offset, len) handles, and the dedup
 // index is sharded by the high bits of the state hash. Equal canonical rows
@@ -57,7 +69,6 @@
 
 #include "search/Expansion.h"
 
-#include "machine/BatchApply.h"
 #include "support/ThreadPool.h"
 #include "support/Timing.h"
 
@@ -115,6 +126,28 @@ uint32_t refLocal(uint64_t Payload) { return static_cast<uint32_t>(Payload); }
 /// Abort reasons raced into a single atomic flag inside parallel regions.
 enum AbortReason : uint32_t { AbortNone = 0, AbortTime = 1, AbortMemory = 2 };
 
+/// Shared state of one parallel phase (a level expansion or merge phase
+/// 1), polled by LayeredEngine::checkpoint. Workers publish running totals
+/// through relaxed atomics: the budget needs totals, not a consistent
+/// snapshot. The first failed check publishes its reason, and every other
+/// worker stops at its next checkpoint.
+struct Phase {
+  const StopToken &Budget;
+  const std::function<void(size_t)> &Trace;
+  const size_t Work;      ///< Work items: level nodes or candidates.
+  const size_t BaseBytes; ///< Committed state bytes when the phase began.
+  std::atomic<uint32_t> Abort{AbortNone};
+  /// Published totals: uncommitted states (candidates or new nodes), their
+  /// bytes, and work items done.
+  std::atomic<size_t> States{0}, Bytes{0}, Done{0};
+};
+
+/// What one unit of work (a worker's node range, a merge shard) has
+/// published to its Phase so far; each checkpoint adds the difference.
+struct Published {
+  size_t States = 0, Bytes = 0, Done = 0;
+};
+
 /// One shard's output of a level merge (phase 1), committed in phase 2.
 struct ShardMerge {
   std::vector<LNode> Nodes;
@@ -128,6 +161,12 @@ struct ShardMerge {
   uint64_t SolutionDelta = 0;
   unsigned MinPerm = 0; ///< 0 = no new node observed.
   bool FoundSorted = false;
+
+  size_t bytesUsed() const {
+    return Rows.capacity() * sizeof(uint32_t) +
+           Nodes.capacity() * sizeof(LNode) +
+           Orders.capacity() * sizeof(OrderState) + Local.bytesUsed();
+  }
 };
 
 class LayeredEngine {
@@ -186,6 +225,21 @@ private:
     if (Reason == AbortMemory)
       Result.Stats.MemoryLimited = true;
   }
+  /// The one budget check: the stop token (deadline and cancellation), the
+  /// state cap \p StateCap (0 = none) and the byte budget, over \p States
+  /// states holding \p Bytes bytes. \returns the abort reason, or
+  /// AbortNone.
+  AbortReason overBudget(const StopToken &Budget, size_t States,
+                         size_t Bytes, size_t StateCap) const {
+    if (Budget.stopRequested())
+      return AbortTime;
+    if ((StateCap > 0 && States >= StateCap) ||
+        (Opts.MaxStateBytes > 0 && Bytes > Opts.MaxStateBytes))
+      return AbortMemory;
+    return AbortNone;
+  }
+  bool checkpoint(Phase &Ph, Published &Mine, unsigned W, size_t States,
+                  size_t Bytes, size_t Done) const;
 
   const Machine &M;
   const SearchOptions &Opts;
@@ -218,11 +272,43 @@ private:
 
 } // namespace
 
-/// Expands every node of level \p G through the shared pipeline into
-/// per-worker candidate batches. Three modes: instruction-major batch
-/// (directly over the level arena), thread-pool node-major, sequential
-/// node-major. All modes honor the deadline, the MaxStates slack bound,
-/// and the byte budget; worker 0 emits trace points in the parallel mode.
+/// A worker's checkpoint inside a parallel phase. Publishes the running
+/// totals of one unit of work (\p States uncommitted states holding
+/// \p Bytes bytes after \p Done work items), then stops the worker when
+/// another one has aborted or the budget is spent. Uncommitted states
+/// (pre-dedup candidates, or nodes the merge has not committed yet) get
+/// 2x MaxStates slack, so runs the count-only budget lets finish still
+/// finish, but runaway levels abort. Worker 0 also emits the trace point,
+/// counting unconsumed work items plus uncommitted states as open.
+/// \returns false when the worker must stop.
+bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
+                               size_t States, size_t Bytes,
+                               size_t Done) const {
+  constexpr std::memory_order Relaxed = std::memory_order_relaxed;
+  Ph.States.fetch_add(States - Mine.States, Relaxed);
+  Ph.Bytes.fetch_add(Bytes - Mine.Bytes, Relaxed);
+  Ph.Done.fetch_add(Done - Mine.Done, Relaxed);
+  Mine = {States, Bytes, Done};
+  if (Ph.Abort.load(Relaxed) != AbortNone)
+    return false;
+  const size_t Open = Ph.States.load(Relaxed);
+  if (AbortReason Reason =
+          overBudget(Ph.Budget, StoredStates + Open,
+                     Ph.BaseBytes + Ph.Bytes.load(Relaxed),
+                     2 * Opts.MaxStates)) {
+    Ph.Abort.store(Reason, Relaxed);
+    return false;
+  }
+  if (W == 0)
+    Ph.Trace(Ph.Work - std::min(Ph.Work, Ph.Done.load(Relaxed)) + Open);
+  return true;
+}
+
+/// Expands every node of level \p G through the shared pipeline into one
+/// candidate batch per pool worker: node-major over static worker ranges,
+/// with a checkpoint every 64 nodes and at the end of each range. Each
+/// worker counts the nodes it actually expanded, so StatesExpanded stays
+/// exact when the level aborts part-way.
 /// \returns false when the expansion aborted (abort flags recorded).
 bool LayeredEngine::expandLevel(unsigned G,
                                 std::vector<CandidateBatch> &Batches,
@@ -231,165 +317,55 @@ bool LayeredEngine::expandLevel(unsigned G,
   const std::vector<LNode> &Level = Levels[G];
   const std::vector<OrderState> *Orders =
       Opts.SemanticPrune ? &LevelOrders[G] : nullptr;
-  const RowArena &Arena = Store.arena(G);
   const unsigned ChildG = G + 1;
-  const size_t RowsPerState = std::max<size_t>(1, Arena.size() / Level.size());
+  const unsigned Workers = Pool.size();
+  const size_t RowsPerState =
+      std::max<size_t>(1, Store.arena(G).size() / Level.size());
   const double Branch = BranchEstimate > 0
                             ? BranchEstimate
                             : static_cast<double>(M.instructions().size());
   const size_t Expected = static_cast<size_t>(Level.size() * Branch) + 16;
-
-  auto OverBytes = [&](size_t CandidateBytes) {
-    return Opts.MaxStateBytes > 0 &&
-           stateBytes() + CandidateBytes > Opts.MaxStateBytes;
-  };
-
-  if (Opts.BatchExpansion) {
-    // Instruction-major over the level arena: the rows of the whole level
-    // are already one contiguous buffer, so the data-parallel transform
-    // (SSE, see machine/BatchApply.h) runs straight over arena memory and
-    // per-node slices come from the RowSpan handles.
-    Batches.resize(1);
-    CandidateBatch &B = Batches[0];
+  Batches.resize(Workers);
+  for (CandidateBatch &B : Batches) {
     B.clear();
-    B.reserveFor(Expected, RowsPerState);
-    std::vector<uint32_t> Transformed(Arena.size());
-    size_t Checked = 0;
-    for (const Instr &I : M.instructions()) {
-      {
-        ScopedNanoTimer T(Opts.ProfilePipeline, Result.Stats.ApplyNanos);
-        applyBatch(M, I, Arena.data(), Transformed.data(), Arena.size());
-      }
-      for (size_t N = 0; N != Level.size(); ++N) {
-        const LNode &Node = Level[N];
-        if (!Pipeline.admits(Node.Lint, Orders ? &(*Orders)[N] : nullptr, I,
-                             Result.Stats))
-          continue;
-        Pipeline.pushTransformed(B, Transformed.data() + Node.Rows.Offset,
-                                 Node.Rows.Len, ChildG,
-                                 static_cast<uint32_t>(N), I, Node.Lint,
-                                 Result.Stats);
-        if ((++Checked & 1023u) == 0) {
-          Trace(B.List.size());
-          if (Budget.stopRequested()) {
-            recordAbort(Result, AbortTime);
-            return false;
-          }
-          if ((Opts.MaxStates > 0 &&
-               StoredStates + B.List.size() >= 2 * Opts.MaxStates) ||
-              OverBytes(B.bytesUsed())) {
-            recordAbort(Result, AbortMemory);
-            return false;
-          }
-        }
-      }
-    }
-    Result.Stats.StatesExpanded += Level.size();
-    return true;
+    B.reserveFor(Expected / Workers + 16, RowsPerState);
   }
-
-  if (Opts.NumThreads > 1) {
-    const unsigned Workers = Pool.size();
-    Batches.resize(Workers);
-    for (CandidateBatch &B : Batches) {
-      B.clear();
-      B.reserveFor(Expected / Workers + 16, RowsPerState);
+  std::vector<SearchStats> WorkerStats(Workers);
+  Phase Ph{Budget, Trace, Level.size(), stateBytes()};
+  Pool.parallelFor(Level.size(), [&](size_t Begin, size_t End, unsigned W) {
+    CandidateBatch &B = Batches[W];
+    SearchStats &S = WorkerStats[W];
+    std::vector<Instr> Actions;
+    Published Mine;
+    for (size_t I = Begin; I != End; ++I) {
+      const LNode &Node = Level[I];
+      Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
+                          Orders ? &(*Orders)[I] : nullptr,
+                          static_cast<uint32_t>(I), ChildG, B, Actions, S);
+      ++S.StatesExpanded;
+      if ((((I - Begin) & 63u) == 63u || I + 1 == End) &&
+          !checkpoint(Ph, Mine, W, B.List.size(), B.bytesUsed(),
+                      I + 1 - Begin))
+        return;
     }
-    std::vector<SearchStats> WorkerStats(Workers);
-    std::atomic<uint32_t> Abort{AbortNone};
-    std::atomic<size_t> Cands{0}, CandBytes{0}, Done{0};
-    // Static chunking: worker W owns one contiguous node range, so the
-    // concatenated batches list candidates in exactly the sequential
-    // engine's order regardless of thread count.
-    Pool.parallelFor(Level.size(), [&](size_t Begin, size_t End,
-                                       unsigned W) {
-      CandidateBatch &B = Batches[W];
-      SearchStats &S = WorkerStats[W];
-      std::vector<Instr> Actions;
-      size_t LastCands = 0, LastBytes = 0;
-      for (size_t I = Begin; I != End; ++I) {
-        const LNode &Node = Level[I];
-        Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                            Orders ? &(*Orders)[I] : nullptr,
-                            static_cast<uint32_t>(I), ChildG, B, Actions, S);
-        if (((I - Begin) & 63u) == 63u || I + 1 == End) {
-          Cands.fetch_add(B.List.size() - LastCands,
-                          std::memory_order_relaxed);
-          LastCands = B.List.size();
-          size_t Bytes = B.bytesUsed();
-          CandBytes.fetch_add(Bytes - LastBytes, std::memory_order_relaxed);
-          LastBytes = Bytes;
-          Done.fetch_add(64, std::memory_order_relaxed);
-          if (Abort.load(std::memory_order_relaxed) != AbortNone)
-            return;
-          if (Budget.stopRequested()) {
-            Abort.store(AbortTime, std::memory_order_relaxed);
-            return;
-          }
-          if ((Opts.MaxStates > 0 &&
-               StoredStates + Cands.load(std::memory_order_relaxed) >=
-                   2 * Opts.MaxStates) ||
-              OverBytes(CandBytes.load(std::memory_order_relaxed))) {
-            Abort.store(AbortMemory, std::memory_order_relaxed);
-            return;
-          }
-          if (W == 0) {
-            size_t D = Done.load(std::memory_order_relaxed);
-            Trace(Level.size() - std::min(Level.size(), D) +
-                  Cands.load(std::memory_order_relaxed));
-          }
-        }
-      }
-    });
-    for (const SearchStats &S : WorkerStats) {
-      Result.Stats.StatesGenerated += S.StatesGenerated;
-      Result.Stats.ViabilityPruned += S.ViabilityPruned;
-      Result.Stats.CutStates += S.CutStates;
-      Result.Stats.ActionsFiltered += S.ActionsFiltered;
-      Result.Stats.SyntacticPruned += S.SyntacticPruned;
-      Result.Stats.SemanticPruned += S.SemanticPruned;
-      Result.Stats.SymmetryMerged += S.SymmetryMerged;
-      // Stage profile: CPU time summed over workers (see Search.h).
-      Result.Stats.ApplyNanos += S.ApplyNanos;
-      Result.Stats.CanonNanos += S.CanonNanos;
-      Result.Stats.ViabilityNanos += S.ViabilityNanos;
-    }
-    Result.Stats.StatesExpanded += Level.size();
-    if (uint32_t Reason = Abort.load(std::memory_order_relaxed)) {
-      recordAbort(Result, Reason);
-      return false;
-    }
-    return true;
+  });
+  for (const SearchStats &S : WorkerStats) {
+    Result.Stats.StatesExpanded += S.StatesExpanded;
+    Result.Stats.StatesGenerated += S.StatesGenerated;
+    Result.Stats.ViabilityPruned += S.ViabilityPruned;
+    Result.Stats.CutStates += S.CutStates;
+    Result.Stats.ActionsFiltered += S.ActionsFiltered;
+    Result.Stats.SyntacticPruned += S.SyntacticPruned;
+    Result.Stats.SemanticPruned += S.SemanticPruned;
+    Result.Stats.SymmetryMerged += S.SymmetryMerged;
+    // Stage profile: CPU time summed over workers (see Search.h).
+    Result.Stats.ApplyNanos += S.ApplyNanos;
+    Result.Stats.CanonNanos += S.CanonNanos;
+    Result.Stats.ViabilityNanos += S.ViabilityNanos;
   }
-
-  // Sequential node-major.
-  Batches.resize(1);
-  CandidateBatch &B = Batches[0];
-  B.clear();
-  B.reserveFor(Expected, RowsPerState);
-  std::vector<Instr> Actions;
-  for (size_t I = 0; I != Level.size(); ++I) {
-    const LNode &Node = Level[I];
-    Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                        Orders ? &(*Orders)[I] : nullptr,
-                        static_cast<uint32_t>(I), ChildG, B, Actions,
-                        Result.Stats);
-    ++Result.Stats.StatesExpanded;
-    if ((I & 1023u) == 0) {
-      Trace(Level.size() - I + B.List.size());
-      if (Budget.stopRequested()) {
-        recordAbort(Result, AbortTime);
-        return false;
-      }
-      if ((Opts.MaxStates > 0 &&
-           StoredStates + B.List.size() >= 2 * Opts.MaxStates) ||
-          OverBytes(B.bytesUsed())) {
-        // Candidates are pre-dedup and much lighter than nodes; allow
-        // slack but stop runaway levels before they exhaust memory.
-        recordAbort(Result, AbortMemory);
-        return false;
-      }
-    }
+  if (uint32_t Reason = Ph.Abort.load(std::memory_order_relaxed)) {
+    recordAbort(Result, Reason);
+    return false;
   }
   return true;
 }
@@ -440,9 +416,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   const std::vector<OrderState> *PrevOrders =
       Opts.SemanticPrune ? &LevelOrders[ChildG - 1] : nullptr;
   std::vector<ShardMerge> Shards(kNumShards);
-  std::atomic<uint32_t> Abort{AbortNone};
-  std::atomic<size_t> NewStates{0}, NewBytes{0}, Processed{0};
-  const size_t BaseBytes = stateBytes();
+  Phase Ph{Budget, Trace, Total, stateBytes()};
 
   std::array<size_t, kNumShards> ShardCount{};
   for (uint32_t BI = 0; BI != NumBatches; ++BI)
@@ -461,45 +435,15 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
         DecodeCache &Cache = Caches[W];
         ShardMerge &Sh = Shards[S];
         Sh.Nodes.reserve(ShardCount[S] / 2 + 8);
-        size_t Seen = 0, LastStates = 0, LastBytes = 0;
+        size_t Seen = 0;
+        Published Mine;
         for (uint32_t BI = 0; BI != NumBatches; ++BI) {
           const CandidateBatch &B = Batches[BI];
           for (uint32_t CI : Parts[BI][S]) {
-            if ((Seen++ & 511u) == 511u) {
-              NewStates.fetch_add(Sh.Nodes.size() - LastStates,
-                                  std::memory_order_relaxed);
-              LastStates = Sh.Nodes.size();
-              size_t Bytes = Sh.Rows.capacity() * sizeof(uint32_t) +
-                             Sh.Nodes.capacity() * sizeof(LNode) +
-                             Sh.Orders.capacity() * sizeof(OrderState) +
-                             Sh.Local.bytesUsed();
-              NewBytes.fetch_add(Bytes - LastBytes,
-                                 std::memory_order_relaxed);
-              LastBytes = Bytes;
-              Processed.fetch_add(512, std::memory_order_relaxed);
-              if (Abort.load(std::memory_order_relaxed) != AbortNone)
-                return;
-              if (Budget.stopRequested()) {
-                Abort.store(AbortTime, std::memory_order_relaxed);
-                return;
-              }
-              // New nodes here are real stored states; keep the same 2x
-              // slack as expansion so runs the count-only budget let
-              // finish still finish, but runaway levels abort.
-              if ((Opts.MaxStates > 0 &&
-                   StoredStates + NewStates.load(std::memory_order_relaxed) >=
-                       2 * Opts.MaxStates) ||
-                  (Opts.MaxStateBytes > 0 &&
-                   BaseBytes + NewBytes.load(std::memory_order_relaxed) >
-                       Opts.MaxStateBytes)) {
-                Abort.store(AbortMemory, std::memory_order_relaxed);
-                return;
-              }
-              if (W == 0)
-                Trace(Total - std::min(
-                                  Total,
-                                  Processed.load(std::memory_order_relaxed)));
-            }
+            if ((Seen++ & 511u) == 511u &&
+                !checkpoint(Ph, Mine, W, Sh.Nodes.size(), Sh.bytesUsed(),
+                            Seen))
+              return;
             const Candidate &C = B.List[CI];
             const uint32_t *CRows = B.rowsOf(C);
 
@@ -588,7 +532,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
         }
       });
 
-  if (uint32_t Reason = Abort.load(std::memory_order_relaxed)) {
+  if (uint32_t Reason = Ph.Abort.load(std::memory_order_relaxed)) {
     recordAbort(Result, Reason);
     return false;
   }
@@ -736,14 +680,9 @@ SearchResult LayeredEngine::run() {
   for (unsigned G = 0; !Found && G < Opts.MaxLength; ++G) {
     if (Levels[G].empty())
       break;
-    if (Opts.MaxStates > 0 && StoredStates >= Opts.MaxStates) {
-      Result.Stats.TimedOut = true;
-      Result.Stats.MemoryLimited = true;
-      break;
-    }
-    if (Opts.MaxStateBytes > 0 && stateBytes() >= Opts.MaxStateBytes) {
-      Result.Stats.TimedOut = true;
-      Result.Stats.MemoryLimited = true;
+    if (AbortReason Reason =
+            overBudget(Budget, StoredStates, stateBytes(), Opts.MaxStates)) {
+      recordAbort(Result, Reason);
       break;
     }
     unsigned ChildG = G + 1;

@@ -28,9 +28,10 @@
 ///    DAG, from which ALL optimal kernels can be counted (by dynamic
 ///    programming over path counts) and enumerated — this powers the 5602-
 ///    solutions experiment, Figure 2, and the length-19 lower-bound proof
-///    for n = 4. The layered engine optionally runs its expansions on a
-///    thread pool ("parallel" row) or instruction-major over a flat row
-///    buffer ("batch" row, the GPU-style data-parallel substitute).
+///    for n = 4. The layered engine expands each level node-major on a
+///    thread pool of NumThreads workers (one worker is the "single core"
+///    row, several the "parallel" row); the result is identical for any
+///    thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -145,19 +146,19 @@ struct SearchOptions {
   /// exceeds this many bytes (0 = unlimited) — the principled, byte-exact
   /// form of MaxStates, made possible by StateStore::bytesUsed().
   size_t MaxStateBytes = 0;
-  /// Worker threads for the layered engine (1 = sequential).
+  /// Worker threads for the layered engine (1 = sequential). More than one
+  /// selects the layered engine: only it runs in parallel.
   unsigned NumThreads = 1;
-  /// Force the layered engine even when FindAll is off ("dijkstra" rows).
+  /// Force the layered engine even when FindAll is off, NumThreads is 1
+  /// and CompressFrontier is off ("dijkstra" rows).
   bool Layered = false;
-  /// Instruction-major flat-buffer expansion in the layered engine (the
-  /// GPU-style data-parallel substitute).
-  bool BatchExpansion = false;
-  /// Layered engine: delta/varint-compress the row arena of each level as
-  /// it leaves the expansion window (its only remaining readers are dedup
-  /// probes from deeper levels, served through per-worker decode caches).
-  /// Count-preserving for any configuration: compression changes the
-  /// representation of committed rows, never their values. No effect on
-  /// the best-first engine, which keeps one flat arena.
+  /// Delta/varint-compress the row arena of each level as it leaves the
+  /// expansion window (its only remaining readers are dedup probes from
+  /// deeper levels, served through per-worker decode caches). Selects the
+  /// layered engine: the best-first engine keeps one flat arena and has
+  /// no levels to seal. Count-preserving for any configuration:
+  /// compression changes the representation of committed rows, never
+  /// their values.
   bool CompressFrontier = false;
   /// Directory for spilling compressed cold levels to disk (empty = never
   /// spill). Requires CompressFrontier; spill files are unlinked on
@@ -186,6 +187,8 @@ struct TracePoint {
 
 /// Search statistics for the evaluation tables.
 struct SearchStats {
+  /// Nodes whose children were generated; when a layered run aborts
+  /// mid-level, only the nodes of that level expanded before the stop.
   size_t StatesExpanded = 0;
   size_t StatesGenerated = 0;
   size_t DedupHits = 0;
@@ -200,13 +203,13 @@ struct SearchStats {
   /// Candidates SearchOptions::SymmetryReduce rewrote onto a strictly
   /// smaller orbit representative (witness != identity). A per-candidate
   /// property of the canonical rows, counted before dedup, so the total is
-  /// identical for any thread count or expansion mode — unlike "dedup hits
-  /// caused by symmetry", which would depend on arrival order.
+  /// identical for any thread count — unlike "dedup hits caused by
+  /// symmetry", which would depend on arrival order.
   size_t SymmetryMerged = 0;
   /// Layered engine only: number of canonical states committed at each
-  /// level (index = program length). Identical across thread counts and
-  /// expansion modes for a fixed configuration, so the equivalence tests
-  /// compare it level by level. Empty for the best-first engine.
+  /// level (index = program length). Identical across thread counts for a
+  /// fixed configuration, so the equivalence tests compare it level by
+  /// level. Empty for the best-first engine.
   std::vector<size_t> LevelStates;
   /// High-water mark of total state bytes, resident plus spilled. Equals
   /// PeakResidentBytes unless a spill directory was configured.
@@ -260,9 +263,10 @@ struct SearchResult {
 };
 
 /// Synthesizes a sorting kernel for \p M. Dispatches to the layered engine
-/// when Opts.FindAll or Opts.Layered is set, to the best-first engine
-/// otherwise. \p SharedTable optionally reuses a prebuilt distance table
-/// (they are deterministic per machine); pass nullptr to build on demand.
+/// when Opts.FindAll, Opts.Layered or Opts.CompressFrontier is set or
+/// Opts.NumThreads > 1, to the best-first engine otherwise. \p SharedTable
+/// optionally reuses a prebuilt distance table (they are deterministic per
+/// machine); pass nullptr to build on demand.
 SearchResult synthesize(const Machine &M, const SearchOptions &Opts,
                         const DistanceTable *SharedTable = nullptr);
 

@@ -133,9 +133,8 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
 
     // Fused pipeline on the same raw rows.
     B.clear();
-    bool Survived = Pipeline.pushTransformed(
-        B, Raw.data(), static_cast<uint32_t>(Raw.size()), ChildG, 0, Via,
-        Lint, Stats);
+    B.Rows = Raw;
+    bool Survived = Pipeline.finish(B, 0, ChildG, 0, Via, Lint, Stats);
     ASSERT_EQ(Survived, RefViable);
     if (Survived) {
       ASSERT_EQ(B.List.size(), 1u);
@@ -201,10 +200,10 @@ TEST(Canonicalize, SingleRowFastPath) {
 
   uint32_t Row = initialState(M).Rows.front();
   CandidateBatch B;
+  B.Rows = {Row};
   SearchStats Stats;
-  ASSERT_TRUE(Pipeline.pushTransformed(B, &Row, 1, 1, 0,
-                                       M.instructions().front(),
-                                       PrefixLint::entry(), Stats));
+  ASSERT_TRUE(Pipeline.finish(B, 0, 1, 0, M.instructions().front(),
+                              PrefixLint::entry(), Stats));
   ASSERT_EQ(B.List.size(), 1u);
   EXPECT_EQ(B.List[0].RowLen, 1u);
   EXPECT_EQ(B.List[0].Perm, 1u);

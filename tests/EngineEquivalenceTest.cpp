@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The layered engine has three execution modes — sequential node-major,
-// thread-pool parallel, and instruction-major batch — that must be
+// The layered engine expands each level with one node-major loop over
+// static worker ranges, so one thread and four threads must be
 // semantically indistinguishable: the sharded merge (state/StateStore.h)
 // folds per-shard sums and mins, both order-independent, so the solution
 // DAG, the exact solution count, and the reconstructed kernel set are
@@ -32,14 +32,11 @@ namespace {
 struct Mode {
   const char *Name;
   unsigned NumThreads;
-  bool Batch;
 };
 
 constexpr Mode kModes[] = {
-    {"sequential", 1, false},
-    {"threads4", 4, false},
-    {"batch", 1, true},
-    {"batch+threads4", 4, true}, // Batch expansion, parallel merge.
+    {"sequential", 1},
+    {"threads4", 4},
 };
 
 SearchOptions findAllConfig(MachineKind Kind, unsigned N, const Mode &Mo) {
@@ -50,7 +47,6 @@ SearchOptions findAllConfig(MachineKind Kind, unsigned N, const Mode &Mo) {
   Opts.FindAll = true;
   Opts.MaxLength = networkUpperBound(Kind, N);
   Opts.NumThreads = Mo.NumThreads;
-  Opts.BatchExpansion = Mo.Batch;
   return Opts;
 }
 
@@ -132,20 +128,110 @@ TEST(EngineEquivalence, ProfiledRunMatchesAndFillsStageCounters) {
 }
 
 TEST(EngineEquivalence, StatsAgreeAcrossThreadCounts) {
-  // The merge is deterministic, so the dedup/prune counters — not just the
-  // results — must match between one and four threads (batch expansion
-  // generates candidates in a different order, so only the node-major
-  // modes are compared here).
+  // The expansion is one loop over static worker ranges and the merge is
+  // deterministic, so every counter the worker folds carry — not just the
+  // results — must match between one and four threads. Every gate with a
+  // counter is on (action filter, viability, cut, symmetry, a prune), so
+  // no comparison is a vacuous 0 == 0. The two prunes run in separate
+  // configurations: with the action filter on, the order domain refuses
+  // nothing the syntactic prune has not refused already (SemanticPruned
+  // counts only that surplus, measured 0 here), so each prune counter is
+  // non-zero only when its prune runs alone.
   Machine M(MachineKind::Cmov, 3);
-  SearchResult Seq =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[0]));
-  SearchResult Par =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[1]));
-  EXPECT_EQ(Seq.Stats.StatesExpanded, Par.Stats.StatesExpanded);
-  EXPECT_EQ(Seq.Stats.StatesGenerated, Par.Stats.StatesGenerated);
-  EXPECT_EQ(Seq.Stats.DedupHits, Par.Stats.DedupHits);
-  EXPECT_EQ(Seq.Stats.ViabilityPruned, Par.Stats.ViabilityPruned);
-  EXPECT_EQ(Seq.Stats.CutStates, Par.Stats.CutStates);
+  const std::pair<const char *, size_t SearchStats::*> Counters[] = {
+      {"StatesExpanded", &SearchStats::StatesExpanded},
+      {"StatesGenerated", &SearchStats::StatesGenerated},
+      {"DedupHits", &SearchStats::DedupHits},
+      {"ViabilityPruned", &SearchStats::ViabilityPruned},
+      {"CutStates", &SearchStats::CutStates},
+      {"ActionsFiltered", &SearchStats::ActionsFiltered},
+      {"SyntacticPruned", &SearchStats::SyntacticPruned},
+      {"SemanticPruned", &SearchStats::SemanticPruned},
+      {"SymmetryMerged", &SearchStats::SymmetryMerged},
+  };
+  for (bool Semantic : {false, true}) {
+    SCOPED_TRACE(Semantic ? "semantic prune" : "syntactic prune");
+    auto Run = [&](const Mode &Mo) {
+      SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
+      Opts.UseActionFilter = true;
+      Opts.Cut = CutConfig::mult(1.0);
+      Opts.SyntacticPrune = !Semantic;
+      Opts.SemanticPrune = Semantic;
+      Opts.SymmetryReduce = true;
+      return synthesize(M, Opts);
+    };
+    SearchResult Seq = Run(kModes[0]);
+    SearchResult Par = Run(kModes[1]);
+    ASSERT_TRUE(Seq.Found);
+    ASSERT_TRUE(Par.Found);
+    size_t SearchStats::*Idle = Semantic ? &SearchStats::SyntacticPruned
+                                         : &SearchStats::SemanticPruned;
+    for (const auto &[Name, Field] : Counters) {
+      if (Field != Idle)
+        EXPECT_GT(Seq.Stats.*Field, 0u) << Name;
+      EXPECT_EQ(Seq.Stats.*Field, Par.Stats.*Field) << Name;
+    }
+    EXPECT_FALSE(Seq.Stats.LevelStates.empty());
+    EXPECT_EQ(Seq.Stats.LevelStates, Par.Stats.LevelStates);
+  }
+}
+
+/// A layered run that MaxStates stops in the middle of a level expansion.
+/// Every committed level but the last was expanded in full, and the last
+/// one only in part, so StatesExpanded must lie strictly between the
+/// state sums without and with the last level: each worker counts the
+/// nodes it actually expanded.
+void checkMidLevelAbort(unsigned NumThreads) {
+  Machine M(MachineKind::Cmov, 3);
+  SearchOptions Opts =
+      findAllConfig(MachineKind::Cmov, 3, Mode{"abort", NumThreads});
+  // Levels 0..5 hold 7914 states. Level 5's 6432 nodes yield more than
+  // the 2 * 40000 - 7914 candidates the in-level slack allows, so the run
+  // stops part-way through that expansion (after about 4100 nodes), not
+  // before it.
+  Opts.MaxStates = 40000;
+  SearchResult R = synthesize(M, Opts);
+  EXPECT_FALSE(R.Found);
+  EXPECT_TRUE(R.Stats.TimedOut);
+  EXPECT_TRUE(R.Stats.MemoryLimited);
+  ASSERT_GE(R.Stats.LevelStates.size(), 2u);
+  size_t Before = 0;
+  for (size_t L = 0; L + 1 != R.Stats.LevelStates.size(); ++L)
+    Before += R.Stats.LevelStates[L];
+  const size_t All = Before + R.Stats.LevelStates.back();
+  EXPECT_GT(R.Stats.StatesExpanded, Before);
+  EXPECT_LT(R.Stats.StatesExpanded, All);
+}
+
+TEST(EngineEquivalence, MidLevelAbortCountsExpandedNodes) {
+  checkMidLevelAbort(1);
+}
+
+// The tsan_engine_equivalence ctest entry runs this one: an abort while
+// the other workers are still expanding is where a race would hide.
+TEST(EngineEquivalence, MidLevelAbortCountsExpandedNodesUnderThreads) {
+  checkMidLevelAbort(4);
+}
+
+TEST(EngineEquivalence, CmovN3LevelCountsAtBound11) {
+  // sks-synth --all --max-length 11: the paper's 5602 kernels with the
+  // tightest bound, whose per-level state counts are pinned exactly for
+  // one and four threads.
+  Machine M(MachineKind::Cmov, 3);
+  const std::vector<size_t> Levels = {1,     7,      36,     225,
+                                      1213,  6432,   26828,  110995,
+                                      326809, 24745, 755,    18};
+  for (const Mode &Mo : kModes) {
+    SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
+    Opts.Heuristic = HeuristicKind::None;
+    Opts.MaxLength = 11;
+    Opts.MaxSolutionsKept = 0;
+    SearchResult R = synthesize(M, Opts);
+    ASSERT_TRUE(R.Found) << Mo.Name;
+    EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
+    EXPECT_EQ(R.SolutionCount, 5602u) << Mo.Name;
+    EXPECT_EQ(R.Stats.LevelStates, Levels) << Mo.Name;
+  }
 }
 
 TEST(EngineEquivalence, SemanticPrunePreservesThe5602SolutionDag) {
@@ -585,8 +671,8 @@ TEST(EngineEquivalence, GoalSolutionSetsAreModeInvariant) {
   // (minimum) and top-1 (maximum) all-solutions runs at n=3 each have
   // exactly 4 optimal kernels of length 4 (measured; two compare orders
   // times two cmov argument orders), and the reconstructed sets must be
-  // identical across sequential/threaded/batch execution. This is the
-  // non-sort analogue of the 5602-kernel pin above.
+  // identical at one and four threads. This is the non-sort analogue of
+  // the 5602-kernel pin above.
   struct GoalCase {
     GoalSpec Goal;
     const char *Name;

@@ -189,17 +189,28 @@ TEST(Search, ParallelLayeredAgreesWithSequential) {
   EXPECT_EQ(Parallel.SolutionCount, Sequential.SolutionCount);
 }
 
-TEST(Search, BatchExpansionAgreesWithSequential) {
+TEST(Search, ThreadsOrCompressionSelectTheLayeredEngine) {
+  // Only the layered engine runs on threads or seals levels, so either
+  // option alone selects it: callers never set Layered for them.
+  // LevelStates is a layered-engine counter, empty after best-first.
   Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts;
-  Opts.FindAll = true;
-  Opts.MaxLength = 11;
-  Opts.MaxSolutionsKept = 0;
-  SearchResult Plain = synthesize(M, Opts);
-  Opts.BatchExpansion = true;
-  SearchResult Batch = synthesize(M, Opts);
-  ASSERT_TRUE(Plain.Found && Batch.Found);
-  EXPECT_EQ(Batch.SolutionCount, Plain.SolutionCount);
+  SearchOptions Opts = bestConfig(MachineKind::Cmov, 3);
+  SearchResult BestFirst = synthesize(M, Opts);
+  ASSERT_TRUE(BestFirst.Found);
+  EXPECT_TRUE(BestFirst.Stats.LevelStates.empty());
+
+  Opts.NumThreads = 4;
+  SearchResult Threads = synthesize(M, Opts);
+  ASSERT_TRUE(Threads.Found);
+  EXPECT_EQ(Threads.OptimalLength, 11u);
+  EXPECT_FALSE(Threads.Stats.LevelStates.empty());
+
+  Opts.NumThreads = 1;
+  Opts.CompressFrontier = true;
+  SearchResult Compressed = synthesize(M, Opts);
+  ASSERT_TRUE(Compressed.Found);
+  EXPECT_EQ(Compressed.OptimalLength, 11u);
+  EXPECT_FALSE(Compressed.Stats.LevelStates.empty());
 }
 
 TEST(Search, NetworkUpperBoundsMatchKnownNetworks) {

@@ -65,7 +65,6 @@ struct CliOptions {
   double Timeout = 0;
   unsigned MaxLength = 0;
   unsigned Threads = 1;
-  bool Batch = false;
   size_t MaxStateBytes = 0;
   bool CompressFrontier = false;
   std::string SpillDir;
@@ -132,8 +131,8 @@ void usage(const char *Argv0) {
       "                          viability/merge)\n"
       "  --timeout <seconds>     wall-clock budget\n"
       "  --max-length <L>        length bound (default: network size)\n"
-      "  --threads <T>           layered-engine worker threads (with --all)\n"
-      "  --batch                 instruction-major batch expansion\n"
+      "  --threads <T>           worker threads; more than one runs the\n"
+      "                          layered engine\n"
       "  --max-state-bytes <B>   abort when the state store exceeds B bytes\n"
       "                          (resident bytes; spilled levels don't count)\n"
       "  --compress-frontier     delta+varint-compress committed levels once\n"
@@ -256,8 +255,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       if (!V)
         return false;
       Opts.Threads = static_cast<unsigned>(std::atoi(V));
-    } else if (Arg == "--batch") {
-      Opts.Batch = true;
     } else if (Arg == "--max-state-bytes") {
       const char *V = Next();
       if (!V)
@@ -498,16 +495,11 @@ int main(int Argc, char **Argv) {
   Opts.SymmetryReduce = Cli.Symmetry;
   Opts.TimeoutSeconds = Cli.Timeout;
   Opts.NumThreads = Cli.Threads;
-  Opts.BatchExpansion = Cli.Batch;
   Opts.MaxStateBytes = Cli.MaxStateBytes;
   Opts.ProfilePipeline = Cli.Profile;
   Opts.CompressFrontier = Cli.CompressFrontier;
   Opts.SpillDir = Cli.SpillDir;
   Opts.SpillThresholdBytes = Cli.SpillThresholdBytes;
-  // Threads, batch expansion, and frontier compression are layered-engine
-  // modes (the best-first engine has no per-level arenas to seal).
-  if (Cli.Threads > 1 || Cli.Batch || Cli.CompressFrontier)
-    Opts.Layered = true;
 
   Stopwatch Timer;
   SearchResult R = synthesize(M, Opts);
