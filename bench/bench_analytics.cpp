@@ -19,9 +19,8 @@
 //
 // Every configuration is checked against its baseline for agreement before
 // timing, so the smoke ctest entry doubles as an end-to-end correctness
-// test of the pair JIT + sortlib analytics path. JSON rows follow the
-// BenchCommon attribution schema with the "goal" field naming the goal
-// predicate each row exercises.
+// test of the pair JIT + sortlib analytics path. The kernel rows' mix
+// column names the goal predicate each row exercises.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,32 +45,6 @@ struct AnalyticsRow {
   double Millis = 0;
   double BaselineMillis = 0;
 };
-
-bool writeJson(const std::string &Path, const std::vector<AnalyticsRow> &Rows) {
-  if (Path.empty())
-    return true;
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const AnalyticsRow &R = Rows[I];
-    double Speedup = R.Millis > 0 ? R.BaselineMillis / R.Millis : 0;
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"goal\": \"%s\", "
-                 "\"millis\": %.4f, \"baseline\": \"%s\", "
-                 "\"baseline_millis\": %.4f, \"speedup\": %.3f, "
-                 "\"git_sha\": \"%s\", \"compiler\": \"%s\"}%s\n",
-                 jsonEscaped(R.Config).c_str(), jsonEscaped(R.Goal).c_str(),
-                 R.Millis, jsonEscaped(R.Baseline).c_str(), R.BaselineMillis,
-                 Speedup, jsonEscaped(SKS_GIT_SHA).c_str(),
-                 jsonEscaped(compilerVersionString()).c_str(),
-                 I + 1 == Rows.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
 
 } // namespace
 
@@ -260,10 +233,5 @@ int main(int Argc, char **Argv) {
                      Row.BaselineMillis, 0, "-"});
   }
   printRankedTable("analytics workloads", Table);
-
-  if (!writeJson(Args.JsonPath, Rows)) {
-    std::fprintf(stderr, "error: cannot write %s\n", Args.JsonPath.c_str());
-    return 1;
-  }
   return 0;
 }

@@ -16,7 +16,7 @@
 //
 // Also reproduces the all-solutions enumeration and the partial-test-suite
 // (CP-MiniZinc-Filter) failure mode. All single-kernel rows run through
-// the driver's Backend interface (verification gate + uniform JSON).
+// the driver's Backend interface and its verification gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +32,6 @@ int main(int Argc, char **Argv) {
   BenchArgs Args = parseBenchArgs(Argc, Argv);
   banner("bench_cp", "section 5.2 constraint-programming tables");
 
-  BackendJsonWriter Json;
   unsigned N = Args.Smoke ? 2 : 3;
   unsigned Length = Args.Smoke ? 4 : 11;
   double ShortTimeout = isFullRun() ? 1800 : 120;
@@ -46,10 +45,9 @@ int main(int Argc, char **Argv) {
     Req.TimeoutSeconds = Timeout;
     return Req;
   };
-  auto LcgRow = [&](const std::string &Config, SmtOptions Opts) {
+  auto LcgRow = [&](SmtOptions Opts) {
     // The request bound drives the encoding length; Opts.Length is unused.
-    return runBackendRow(*makeSmtBackend(Opts, "cp-lcg"),
-                         Request(N, Length, LcgTimeout), Config, Json);
+    return makeSmtBackend(Opts, "cp-lcg")->run(Request(N, Length, LcgTimeout));
   };
 
   // ------------------------------------------------------------------
@@ -60,8 +58,7 @@ int main(int Argc, char **Argv) {
     CpOptions Opts;
     Opts.NoConsecutiveCmp = true;
     SynthOutcome O =
-        runBackendRow(*makeCpBackend(Opts, "cp-fd"),
-                      Request(N, Length, ShortTimeout), "CP-FD", Json);
+        makeCpBackend(Opts, "cp-fd")->run(Request(N, Length, ShortTimeout));
     Solvers.row()
         .cell("CP-FD (propagate + DFS)")
         .cell(outcomeCell(O))
@@ -74,15 +71,14 @@ int main(int Argc, char **Argv) {
     Opts.NoConsecutiveCmp = true;
     Solvers.row()
         .cell("CP-LCG (chuffed-style)")
-        .cell(outcomeCell(LcgRow("CP-LCG", Opts)))
+        .cell(outcomeCell(LcgRow(Opts)))
         .cell("874 ms (chuffed)")
         .cell("lazy clause generation == CDCL on the same model");
   }
   if (!Args.Smoke) {
     // The ILP route: already hopeless at n = 2 within the short budget.
     SynthOutcome O =
-        runBackendRow(*makeIlpBackend(),
-                      Request(2, 4, isFullRun() ? 600 : 60), "CP-ILP", Json);
+        makeIlpBackend()->run(Request(2, 4, isFullRun() ? 600 : 60));
     char Note[96];
     std::snprintf(Note, sizeof(Note),
                   "big-M encoding, %llu vars x %llu rows at n=2 already",
@@ -97,8 +93,8 @@ int main(int Argc, char **Argv) {
   {
     // CP-MiniZinc-Filter: partial suite generates prohibitively many wrong
     // programs (shown at n = 2 where full enumeration is instant). All-
-    // solutions enumeration has no Backend analogue; record a JSON row by
-    // hand.
+    // solutions enumeration has no Backend analogue, so it calls the
+    // solver directly.
     Machine M2(MachineKind::Cmov, 2);
     CpOptions Opts;
     Opts.Length = 4;
@@ -110,13 +106,6 @@ int main(int Argc, char **Argv) {
     size_t Correct = 0;
     for (const Program &P : R.Solutions)
       Correct += isCorrectKernel(M2, P);
-    SynthOutcome O;
-    O.BackendName = "cp-filter";
-    O.Status = SynthStatus::Exhausted;
-    O.Seconds = R.Seconds;
-    O.Stats.emplace_back("candidates", R.Solutions.size());
-    O.Stats.emplace_back("correct", Correct);
-    Json.add("CP-Filter", O);
     char Note[96];
     std::snprintf(Note, sizeof(Note),
                   "%zu candidates from 1 example, only %zu survive filter",
@@ -170,18 +159,15 @@ int main(int Argc, char **Argv) {
   if (Args.Smoke)
     Rows.resize(1); // One representative row exercises the pipeline.
   Table Goals({"Goal", "Heuristic", "Time (measured)", "Time (paper)"});
-  for (GoalRow &Row : Rows) {
-    std::string Config =
-        std::string("goal ") + Row.Goal + " / " + Row.Heuristic;
+  for (GoalRow &Row : Rows)
     Goals.row()
         .cell(Row.Goal)
         .cell(Row.Heuristic)
-        .cell(outcomeCell(LcgRow(Config, Row.Opts)))
+        .cell(outcomeCell(LcgRow(Row.Opts)))
         .cell(Row.Paper);
-  }
   Goals.print();
   std::printf("note: \"(II) cmp symmetry\" rows widen the alphabet with the\n"
               "symmetric compares the restricted machine omits, matching the\n"
               "paper's with/without-(II) comparison.\n");
-  return Json.write(Args.JsonPath) ? 0 : 1;
+  return 0;
 }

@@ -47,7 +47,6 @@ int main(int argc, char **argv) {
     Opts.Heuristic = H;
     Opts.UseViability = false;
     Opts.UseActionFilter = false;
-    Opts.UseDistanceTable = true;
     Opts.MaxLength = Bound;
     Opts.TimeoutSeconds = Timeout;
     Opts.MaxStates = static_cast<size_t>(envInt("SKS_MAX_STATES", 2500000));
@@ -157,7 +156,6 @@ int main(int argc, char **argv) {
     Rows.push_back({"(III) + semantic prune + symmetry", "-", Opts});
   }
 
-  JsonResultWriter Json;
   Table T({"Approach", "Time (measured)", "Time (paper)", "len",
            "states expanded", "states gen", "syn pruned", "sem pruned",
            "sym merged", "peak MB"});
@@ -186,13 +184,8 @@ int main(int argc, char **argv) {
         .cell(R.Stats.SemanticPruned)
         .cell(R.Stats.SymmetryMerged)
         .cell(PeakMB);
-    Json.add(Config.Name, R);
   }
   T.print();
-  if (!Json.write(Args.JsonPath)) {
-    std::fprintf(stderr, "error: cannot write %s\n", Args.JsonPath.c_str());
-    return 1;
-  }
   std::printf(
       "notes: the paper's GPU row (46 s) has no row here: an instruction-\n"
       "major batch expansion that stood in for it measured no faster than\n"

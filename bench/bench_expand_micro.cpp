@@ -16,8 +16,7 @@
 // The scalar arms run in the same binary, so the reported ratios are
 // SIMD-vs-scalar on one build (the acceptance comparison), not a
 // cross-build artifact. --smoke caps every benchmark at a few iterations
-// for the ctest entry; --json writes the measurements plus the derived
-// speedup rows and build attribution.
+// for the ctest entry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -238,7 +237,6 @@ public:
   struct Timing {
     std::string Name;
     double NsPerOp;
-    double ItemsPerSecond;
   };
   std::vector<Timing> Timings;
 
@@ -248,15 +246,12 @@ public:
         continue;
       double Iters = std::max<double>(1, static_cast<double>(R.iterations));
       double NsPerOp = R.real_accumulated_time * 1e9 / Iters;
-      auto It = R.counters.find("items_per_second");
       // Smoke mode's ->Iterations() appends "/iterations:N" to the name;
       // strip it so the speedup pairing below works in both modes.
       std::string Name = R.benchmark_name();
       if (size_t Pos = Name.find("/iterations:"); Pos != std::string::npos)
         Name.resize(Pos);
-      Timings.push_back(
-          {std::move(Name), NsPerOp,
-           It != R.counters.end() ? static_cast<double>(It->second) : 0});
+      Timings.push_back({std::move(Name), NsPerOp});
     }
     ConsoleReporter::ReportRuns(Reports);
   }
@@ -306,16 +301,10 @@ int main(int argc, char **argv) {
   // Derived speedup rows (equal workloads, so the ns/op ratio is the
   // throughput ratio). The canonicalize acceptance bar is >= 1.5x.
   Table T({"stage", "scalar ns/op", "simd ns/op", "speedup"});
-  struct SpeedRow {
-    std::string Name;
-    double Speedup;
-  };
-  std::vector<SpeedRow> Speedups;
   auto AddRow = [&](const std::string &Label, const std::string &Scalar,
                     const std::string &Simd) {
     double S = nsOf(Reporter, Scalar), V = nsOf(Reporter, Simd);
     double Ratio = V > 0 ? S / V : 0;
-    Speedups.push_back({Label, Ratio});
     char Buf[64];
     std::snprintf(Buf, sizeof(Buf), "%.2fx", Ratio);
     T.row()
@@ -323,23 +312,23 @@ int main(int argc, char **argv) {
         .cell(std::to_string(static_cast<long long>(S)))
         .cell(std::to_string(static_cast<long long>(V)))
         .cell(Buf);
+    return Ratio;
   };
-  for (uint32_t Len : kLens)
-    AddRow("canonicalize/" + std::to_string(Len),
-           "canonicalize/scalar/" + std::to_string(Len),
-           "canonicalize/simd/" + std::to_string(Len));
   // The headline canonicalize claim is the geomean across sizes: small
   // buffers are harness- and fixed-cost-dominated, large ones radix-bound.
+  double LogSum = 0;
+  size_t Count = 0;
+  for (uint32_t Len : kLens) {
+    double Ratio = AddRow("canonicalize/" + std::to_string(Len),
+                          "canonicalize/scalar/" + std::to_string(Len),
+                          "canonicalize/simd/" + std::to_string(Len));
+    if (Ratio > 0) {
+      LogSum += std::log(Ratio);
+      ++Count;
+    }
+  }
   {
-    double LogSum = 0;
-    size_t Count = 0;
-    for (const auto &S : Speedups)
-      if (S.Speedup > 0) {
-        LogSum += std::log(S.Speedup);
-        ++Count;
-      }
     double Geomean = Count ? std::exp(LogSum / static_cast<double>(Count)) : 0;
-    Speedups.push_back({"canonicalize/geomean", Geomean});
     char Buf[64];
     std::snprintf(Buf, sizeof(Buf), "%.2fx", Geomean);
     T.row().cell("canonicalize/geomean").cell("-").cell("-").cell(Buf);
@@ -352,32 +341,5 @@ int main(int argc, char **argv) {
               "*Scalar entry points)\n",
               batchApplyUsesSimd() ? "on" : "off",
               canonicalizeUsesSimd() ? "on" : "off");
-
-  if (!Args.JsonPath.empty()) {
-    std::FILE *F = std::fopen(Args.JsonPath.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write %s\n", Args.JsonPath.c_str());
-      return 1;
-    }
-    std::fprintf(F, "[\n");
-    for (const auto &Timing : Reporter.Timings)
-      std::fprintf(F,
-                   "  {\"name\": \"%s\", \"ns_per_op\": %.1f, "
-                   "\"items_per_second\": %.0f},\n",
-                   Timing.Name.c_str(), Timing.NsPerOp,
-                   Timing.ItemsPerSecond);
-    for (const auto &S : Speedups)
-      std::fprintf(F, "  {\"name\": \"speedup/%s\", \"speedup\": %.3f},\n",
-                   S.Name.c_str(), S.Speedup);
-    std::fprintf(F,
-                 "  {\"name\": \"meta\", \"git_sha\": \"%s\", "
-                 "\"compiler\": \"%s\", \"batch_simd\": %s, "
-                 "\"canon_simd\": %s, \"smoke\": %s}\n]\n",
-                 SKS_GIT_SHA, compilerVersionString().c_str(),
-                 batchApplyUsesSimd() ? "true" : "false",
-                 canonicalizeUsesSimd() ? "true" : "false",
-                 Args.Smoke ? "true" : "false");
-    std::fclose(F);
-  }
   return 0;
 }

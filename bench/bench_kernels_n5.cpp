@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Regenerates the n = 5 table of section 5.3 (enum vs enum_worst vs
-// alphadev) and records the n = 5 synthesis attempt itself. Synthesizing
-// n = 5 took the paper 11 minutes on 16 cores; on this single-core
-// container the attempt runs the layered engine with the compressed,
-// spillable frontier under an explicit time + resident-memory budget and
-// always emits a machine-readable row: a success records the kernel, a
-// failure records WHICH budget bound (timed_out / memory_limited) — the
-// infeasibility certificate BENCH_headline.json tracks. SKS_FULL=1 raises
-// the budget to paper scale; --smoke shrinks it to ctest scale.
+// alphadev) and runs the n = 5 synthesis attempt itself. Synthesizing
+// n = 5 took the paper 11 minutes on 16 cores; here the attempt runs the
+// layered engine with the compressed, spillable frontier under an explicit
+// time + resident-memory budget and prints its outcome: a success times
+// the kernel, a failure names WHICH budget bound (timed out / resident
+// budget exhausted). SKS_FULL=1 raises the budget to paper scale; --smoke
+// shrinks it to ctest scale.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +50,6 @@ int main(int Argc, char **Argv) {
 
   const unsigned N = 5;
   Machine M(MachineKind::Cmov, N);
-  JsonResultWriter Json;
 
   // The synthesis attempt: layered engine, compressed frontier, spill
   // tier, explicit budgets. Every tier must fit the machine it runs on —
@@ -75,9 +73,6 @@ int main(int Argc, char **Argv) {
   }
 
   SearchResult R = synthesize(M, Opts);
-  Json.add(Args.Smoke ? "enum_n5_budget_compressed_smoke"
-                      : "enum_n5_budget_compressed",
-           R);
   std::printf("n=5 attempt: %s in %s — states=%zu peak=%zu resident=%zu "
               "compressed=%zu spilled=%zu decodes=%.1f ms\n",
               R.Found                 ? "FOUND"
@@ -123,10 +118,5 @@ int main(int Argc, char **Argv) {
     Rows.push_back(
         {C.name(), standaloneMillis(C, N, Standalone), 0, C.mixText()});
   printRankedTable("Standalone:", Rows);
-
-  if (!Json.write(Args.JsonPath)) {
-    std::fprintf(stderr, "error: cannot write %s\n", Args.JsonPath.c_str());
-    return 1;
-  }
   return 0;
 }

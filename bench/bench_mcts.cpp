@@ -10,7 +10,7 @@
 // paper's broader point from the other side: without either the domain
 // heuristics of section 3 or a learned value function, tree search alone
 // does not reach n = 3 kernels in a laptop-scale budget. Rows run through
-// the driver's Backend interface (verification gate + uniform JSON).
+// the driver's Backend interface and its verification gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,6 @@ int main(int Argc, char **Argv) {
   BenchArgs Args = parseBenchArgs(Argc, Argv);
   banner("bench_mcts", "AlphaDev-RL stand-in (UCT, no learned network)");
 
-  BackendJsonWriter Json;
   Table T({"Setting", "Outcome (measured)", "AlphaDev-RL (paper [13])"});
   auto Run = [&](unsigned N, unsigned MaxLen, double Timeout,
                  const char *Paper) {
@@ -39,8 +38,7 @@ int main(int Argc, char **Argv) {
     Req.TimeoutSeconds = Timeout;
     char Name[32];
     std::snprintf(Name, sizeof(Name), "n = %u, horizon %u", N, MaxLen);
-    SynthOutcome O =
-        runBackendRow(*makeMctsBackend(Opts, "mcts"), Req, Name, Json);
+    SynthOutcome O = makeMctsBackend(Opts, "mcts")->run(Req);
     std::string Outcome = outcomeCell(O);
     if (O.Kernel.empty()) {
       char Detail[96];
@@ -57,5 +55,5 @@ int main(int Argc, char **Argv) {
   if (!Args.Smoke)
     Run(3, 14, isFullRun() ? 1800 : 120, "6 min on a TPU v3/v4 cluster");
   T.print();
-  return Json.write(Args.JsonPath) ? 0 : 1;
+  return 0;
 }

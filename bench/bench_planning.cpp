@@ -14,7 +14,7 @@
 //
 // and probes n = 4 (paper: no planner scales; our h_add substitute finds a
 // much-longer-than-optimal kernel — see EXPERIMENTS.md). Rows run through
-// the driver's Backend interface (verification gate + uniform JSON).
+// the driver's Backend interface and its verification gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +29,6 @@ int main(int Argc, char **Argv) {
   BenchArgs Args = parseBenchArgs(Argc, Argv);
   banner("bench_planning", "section 5.2 planning table");
 
-  BackendJsonWriter Json;
   double Timeout = isFullRun() ? 1800 : 90;
   Table T({"Approach", "Outcome (measured)", "Paper analogue", "plan len"});
 
@@ -42,8 +41,7 @@ int main(int Argc, char **Argv) {
     Req.N = N;
     Req.Goal = SynthGoal::FirstKernel;
     Req.TimeoutSeconds = Timeout;
-    SynthOutcome O =
-        runBackendRow(*makePlanBackend(Opts, "plan"), Req, Name, Json);
+    SynthOutcome O = makePlanBackend(Opts, "plan")->run(Req);
     T.row()
         .cell(Name)
         .cell(outcomeCell(O))
@@ -70,5 +68,5 @@ int main(int Argc, char **Argv) {
       "note: h_add-guided plans are satisficing, not optimal — the n=4 plan\n"
       "is far above the optimal 20 instructions, consistent with the paper's\n"
       "claim that classical techniques cannot find optimal kernels there.\n");
-  return Json.write(Args.JsonPath) ? 0 : 1;
+  return 0;
 }

@@ -11,7 +11,7 @@
 // budget, and the warm starts do not reach the optimal length — is
 // reproduced with bounded timeouts. n = 2 is included as a sanity row
 // where stochastic search does succeed. All rows run through the driver's
-// Backend interface (verification gate + uniform JSON).
+// Backend interface and its verification gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +27,6 @@ int main(int Argc, char **Argv) {
   BenchArgs Args = parseBenchArgs(Argc, Argv);
   banner("bench_stoke", "section 5.2 stochastic search (Stoke) table");
 
-  BackendJsonWriter Json;
   double Timeout = isFullRun() ? 1800 : 60;
   Table T({"Approach", "Outcome (measured)", "Paper", "Note"});
 
@@ -40,8 +39,7 @@ int main(int Argc, char **Argv) {
     Req.Goal = SynthGoal::FirstKernel;
     Req.MaxLength = Length;
     Req.TimeoutSeconds = Seconds;
-    SynthOutcome O =
-        runBackendRow(*makeStokeBackend(Opts, "stoke"), Req, Name, Json);
+    SynthOutcome O = makeStokeBackend(Opts, "stoke")->run(Req);
     std::string Outcome = outcomeCell(O);
     if (O.Kernel.empty()) {
       char Detail[96];
@@ -88,5 +86,5 @@ int main(int Argc, char **Argv) {
         "engine control row");
   }
   T.print();
-  return Json.write(Args.JsonPath) ? 0 : 1;
+  return 0;
 }

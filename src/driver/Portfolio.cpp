@@ -43,20 +43,20 @@ PortfolioResult sks::runPortfolio(
       std::min<size_t>(Backends.size(), Req.NumThreads > 0 ? Req.NumThreads
                                                            : Backends.size()));
   ThreadPool Pool(RaceThreads);
-  // Grain 1: each worker claims one backend at a time, so a freed worker
-  // picks up the next contender instead of idling behind a static split.
-  Pool.parallelForDynamic(
-      Backends.size(), 1, [&](size_t Begin, size_t End, unsigned) {
-        for (size_t I = Begin; I != End; ++I) {
-          SynthOutcome Outcome = Backends[I]->run(Inner);
-          std::lock_guard<std::mutex> Lock(Mutex);
-          if (Result.WinnerIndex == SIZE_MAX && Wins(Outcome)) {
-            Result.WinnerIndex = I;
-            Race.requestStop(); // First winner cancels the rest.
-          }
-          Result.Outcomes[I] = std::move(Outcome);
-        }
-      });
+  // One task per backend: a freed worker steals the next contender instead
+  // of idling behind a static split.
+  std::vector<uint32_t> Contenders(Backends.size());
+  for (uint32_t I = 0; I != Contenders.size(); ++I)
+    Contenders[I] = I;
+  Pool.parallelForTasks(Contenders, [&](uint32_t I, unsigned) {
+    SynthOutcome Outcome = Backends[I]->run(Inner);
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (Result.WinnerIndex == SIZE_MAX && Wins(Outcome)) {
+      Result.WinnerIndex = I;
+      Race.requestStop(); // First winner cancels the rest.
+    }
+    Result.Outcomes[I] = std::move(Outcome);
+  });
 
   // No certificate winner: fall back to the best verified kernel (shortest
   // program; ties to the earlier backend), else the first participant.

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The best-first engine orders open states by f = g + w*h and returns the
+// The best-first engine orders open states by f = g + h and returns the
 // first sorted state popped. With the None heuristic this is Dijkstra on
 // unit costs and the first solution is provably minimal; with the
 // NeededInstrs heuristic (admissible) optimality is likewise preserved;
@@ -131,10 +131,10 @@ SearchResult detail::bestFirstSearch(const Machine &M,
                         uint16_t CG) -> double {
     switch (Opts.Heuristic) {
     case HeuristicKind::PermCount:
-      return CG + Opts.HeuristicWeight * (C.Perm - 1);
+      return CG + static_cast<double>(C.Perm - 1);
     case HeuristicKind::NeededInstrs:
       if (DT && Opts.UseViability)
-        return CG + Opts.HeuristicWeight * C.Needed;
+        return CG + static_cast<double>(C.Needed);
       break;
     default:
       break;
@@ -148,15 +148,10 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   while (!Open.empty()) {
     if (++PopsSinceCheck >= 512) {
       PopsSinceCheck = 0;
-      if (Budget.stopRequested()) {
-        Result.Stats.TimedOut = true;
-        break;
-      }
       NotePeak();
-      if ((Opts.MaxStates > 0 && Arena.size() >= Opts.MaxStates) ||
-          (Opts.MaxStateBytes > 0 && StateBytes() >= Opts.MaxStateBytes)) {
-        Result.Stats.TimedOut = true;
-        Result.Stats.MemoryLimited = true;
+      if (AbortReason Reason = overBudget(Opts, Budget, Arena.size(),
+                                          StateBytes(), Opts.MaxStates)) {
+        recordAbort(Result, Reason);
         break;
       }
       if (Opts.TraceIntervalSeconds > 0 && Timer.seconds() >= NextTrace) {
@@ -213,7 +208,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       if (Hit != IndexShard::kNotFound) {
         Node &Existing = Arena[Hit];
         if (Existing.G > ChildG) {
-          // Reached more cheaply (possible with weighted heuristics):
+          // Reached more cheaply (possible with inconsistent heuristics):
           // refresh the node in place and requeue. The lint summary
           // follows the represented program; the requeued entry causes a
           // re-expansion, so earlier prune decisions are reconsidered.
@@ -272,9 +267,8 @@ unsigned sks::networkUpperBound(MachineKind Kind, unsigned N) {
 
 SearchResult sks::synthesize(const Machine &M, const SearchOptions &Opts,
                              const DistanceTable *SharedTable) {
-  bool NeedsTable = Opts.UseDistanceTable &&
-                    (Opts.UseViability || Opts.UseActionFilter ||
-                     Opts.Heuristic == HeuristicKind::NeededInstrs);
+  bool NeedsTable = Opts.UseViability || Opts.UseActionFilter ||
+                    Opts.Heuristic == HeuristicKind::NeededInstrs;
   std::unique_ptr<DistanceTable> Owned;
   const DistanceTable *DT = SharedTable;
   if (NeedsTable && !DT) {

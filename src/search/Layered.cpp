@@ -24,11 +24,11 @@
 // thread count. A one-thread pool runs the whole range inline as worker 0;
 // that is the sequential engine, not a separate copy of it.
 //
-// Budgets: one check (overBudget) polls the stop token, the MaxStates cap
-// and the byte budget. The level loop runs it before each level; the
-// workers of the expansion and of merge phase 1 run it at periodic
-// checkpoints (checkpoint), which also publish their progress and let
-// worker 0 emit the Figure 1 trace point.
+// Budgets: one check (overBudget, shared with the best-first engine) polls
+// the stop token, the MaxStates cap and the byte budget. The level loop
+// runs it before each level; the workers of the expansion and of merge
+// phase 1 run it at periodic checkpoints (checkpoint), which also publish
+// their progress and let worker 0 emit the Figure 1 trace point.
 //
 // Storage and parallelism (state/StateStore.h): all row data lives in one
 // flat arena per level addressed by (offset, len) handles, and the dedup
@@ -122,9 +122,6 @@ unsigned refLevel(uint64_t Payload) {
   return static_cast<unsigned>(Payload >> 32);
 }
 uint32_t refLocal(uint64_t Payload) { return static_cast<uint32_t>(Payload); }
-
-/// Abort reasons raced into a single atomic flag inside parallel regions.
-enum AbortReason : uint32_t { AbortNone = 0, AbortTime = 1, AbortMemory = 2 };
 
 /// Shared state of one parallel phase (a level expansion or merge phase
 /// 1), polled by LayeredEngine::checkpoint. Workers publish running totals
@@ -220,24 +217,6 @@ private:
     Result.Stats.PeakStateBytes =
         std::max(Result.Stats.PeakStateBytes, Resident + FC.SpilledBytes);
   }
-  void recordAbort(SearchResult &Result, uint32_t Reason) const {
-    Result.Stats.TimedOut = true;
-    if (Reason == AbortMemory)
-      Result.Stats.MemoryLimited = true;
-  }
-  /// The one budget check: the stop token (deadline and cancellation), the
-  /// state cap \p StateCap (0 = none) and the byte budget, over \p States
-  /// states holding \p Bytes bytes. \returns the abort reason, or
-  /// AbortNone.
-  AbortReason overBudget(const StopToken &Budget, size_t States,
-                         size_t Bytes, size_t StateCap) const {
-    if (Budget.stopRequested())
-      return AbortTime;
-    if ((StateCap > 0 && States >= StateCap) ||
-        (Opts.MaxStateBytes > 0 && Bytes > Opts.MaxStateBytes))
-      return AbortMemory;
-    return AbortNone;
-  }
   bool checkpoint(Phase &Ph, Published &Mine, unsigned W, size_t States,
                   size_t Bytes, size_t Done) const;
 
@@ -293,7 +272,7 @@ bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
     return false;
   const size_t Open = Ph.States.load(Relaxed);
   if (AbortReason Reason =
-          overBudget(Ph.Budget, StoredStates + Open,
+          overBudget(Opts, Ph.Budget, StoredStates + Open,
                      Ph.BaseBytes + Ph.Bytes.load(Relaxed),
                      2 * Opts.MaxStates)) {
     Ph.Abort.store(Reason, Relaxed);
@@ -680,8 +659,8 @@ SearchResult LayeredEngine::run() {
   for (unsigned G = 0; !Found && G < Opts.MaxLength; ++G) {
     if (Levels[G].empty())
       break;
-    if (AbortReason Reason =
-            overBudget(Budget, StoredStates, stateBytes(), Opts.MaxStates)) {
+    if (AbortReason Reason = overBudget(Opts, Budget, StoredStates,
+                                        stateBytes(), Opts.MaxStates)) {
       recordAbort(Result, Reason);
       break;
     }

@@ -21,7 +21,7 @@
 ///
 /// Two engines share these components:
 ///
-///  - a best-first engine (priority queue on f = g + w*h) that finds one
+///  - a best-first engine (priority queue on f = g + h) that finds one
 ///    kernel quickly — the configuration rows of the section 5.2 ablation;
 ///  - a layered engine (all programs of length L before length L+1, the
 ///    "Dijkstra" rows) that additionally records the deduplicated solution
@@ -79,8 +79,6 @@ struct CutConfig {
 /// Configuration of one synthesis run.
 struct SearchOptions {
   HeuristicKind Heuristic = HeuristicKind::PermCount;
-  /// Weight w in f = g + w * h.
-  double HeuristicWeight = 1.0;
   CutConfig Cut = CutConfig::none();
   /// Prune states where some assignment cannot be sorted in the remaining
   /// budget (section 3.3; requires the distance table).
@@ -122,9 +120,6 @@ struct SearchOptions {
   /// on machines whose renaming group is trivial (min/max at m = 1: no
   /// flags, one scratch register).
   bool SymmetryReduce = false;
-  /// Build the distance table (implied by the two options above and the
-  /// NeededInstrs heuristic).
-  bool UseDistanceTable = true;
   /// Hard upper bound on program length (inclusive).
   unsigned MaxLength = 64;
   /// Use the layered engine and enumerate ALL optimal kernels.
@@ -172,7 +167,7 @@ struct SearchOptions {
   double TraceIntervalSeconds = 0;
   /// Collect the per-stage nanosecond counters of the expansion pipeline
   /// (SearchStats::ApplyNanos and friends); printed by sks-synth --profile
-  /// and emitted by the bench --json writers. Off by default: the stage
+  /// and reported by perfbench's profile round. Off by default: the stage
   /// timers are branch-guarded, so a disabled profile costs one predicted
   /// branch per stage and no clock reads.
   bool ProfilePipeline = false;
@@ -264,9 +259,11 @@ struct SearchResult {
 
 /// Synthesizes a sorting kernel for \p M. Dispatches to the layered engine
 /// when Opts.FindAll, Opts.Layered or Opts.CompressFrontier is set or
-/// Opts.NumThreads > 1, to the best-first engine otherwise. \p SharedTable
-/// optionally reuses a prebuilt distance table (they are deterministic per
-/// machine); pass nullptr to build on demand.
+/// Opts.NumThreads > 1, to the best-first engine otherwise. The distance
+/// table is used exactly when Opts.UseViability, Opts.UseActionFilter or
+/// the NeededInstrs heuristic needs it. \p SharedTable optionally reuses a
+/// prebuilt one (they are deterministic per machine); pass nullptr to
+/// build it on demand.
 SearchResult synthesize(const Machine &M, const SearchOptions &Opts,
                         const DistanceTable *SharedTable = nullptr);
 

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Internal helpers shared by the best-first and layered engines: heuristic
-/// evaluation, the section 3.5 cut tracker, and fast distinct-count
-/// utilities on packed row vectors. Not part of the public API.
+/// evaluation, the section 3.5 cut tracker, the budget check, and fast
+/// distinct-count utilities on packed row vectors. Not part of the public
+/// API.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,12 +84,12 @@ inline unsigned countDistinctGoal(const std::vector<uint32_t> &Rows,
   return countDistinctGoal(Rows.data(), Rows.size(), M, Scratch);
 }
 
-/// Evaluates the configured section 3.1 heuristic (already weighted).
+/// Evaluates the configured section 3.1 heuristic.
 class HeuristicEval {
 public:
   HeuristicEval(const Machine &M, const SearchOptions &Opts,
                 const DistanceTable *DT)
-      : M(M), DT(DT), Kind(Opts.Heuristic), Weight(Opts.HeuristicWeight) {}
+      : M(M), DT(DT), Kind(Opts.Heuristic) {}
 
   double operator()(const uint32_t *Rows, size_t Len,
                     std::vector<uint32_t> &Scratch) const {
@@ -96,12 +97,11 @@ public:
     case HeuristicKind::None:
       return 0;
     case HeuristicKind::PermCount:
-      return Weight * (countDistinctGoal(Rows, Len, M, Scratch) - 1);
+      return countDistinctGoal(Rows, Len, M, Scratch) - 1;
     case HeuristicKind::AssignCount:
-      return Weight *
-             (countDistinctMasked(Rows, Len, M.regMask(), Scratch) - 1);
+      return countDistinctMasked(Rows, Len, M.regMask(), Scratch) - 1;
     case HeuristicKind::NeededInstrs:
-      return Weight * DT->maxDist(Rows, Len);
+      return DT->maxDist(Rows, Len);
     }
     return 0;
   }
@@ -114,7 +114,6 @@ private:
   const Machine &M;
   const DistanceTable *DT;
   HeuristicKind Kind;
-  double Weight;
 };
 
 /// Tracks the per-length minimum distinct-permutation count and implements
@@ -222,6 +221,33 @@ inline bool allValuesPresent(const Machine &M, const uint32_t *Rows,
 inline bool allValuesPresent(const Machine &M,
                              const std::vector<uint32_t> &Rows) {
   return allValuesPresent(M, Rows.data(), Rows.size());
+}
+
+/// Why a search stopped early. The layered engine races it into one
+/// atomic flag inside its parallel regions.
+enum AbortReason : uint32_t { AbortNone = 0, AbortTime = 1, AbortMemory = 2 };
+
+/// The one budget check of both engines: the stop token (deadline and
+/// cancellation), the state cap \p StateCap (0 = none) and
+/// Opts.MaxStateBytes, over \p States states holding \p Bytes bytes.
+/// \returns the abort reason, or AbortNone.
+inline AbortReason overBudget(const SearchOptions &Opts,
+                              const StopToken &Budget, size_t States,
+                              size_t Bytes, size_t StateCap) {
+  if (Budget.stopRequested())
+    return AbortTime;
+  if ((StateCap > 0 && States >= StateCap) ||
+      (Opts.MaxStateBytes > 0 && Bytes > Opts.MaxStateBytes))
+    return AbortMemory;
+  return AbortNone;
+}
+
+/// Records a non-None \p Reason in the result's abort flags: every abort
+/// sets TimedOut, a memory abort also MemoryLimited.
+inline void recordAbort(SearchResult &Result, uint32_t Reason) {
+  Result.Stats.TimedOut = true;
+  if (Reason == AbortMemory)
+    Result.Stats.MemoryLimited = true;
 }
 
 SearchResult bestFirstSearch(const Machine &M, const SearchOptions &Opts,

@@ -21,9 +21,8 @@
 /// "goal_pred" names the goal predicate (machine/Goal.h): sort (default),
 /// select-<k>, top-<k>, or partial-sort-<p> with the parameter in 1..n;
 /// an unknown name or out-of-range parameter is an error response, never
-/// a dropped request. The
-/// response mirrors the established bench --json schema (BackendJsonWriter
-/// fields) plus service attribution:
+/// a dropped request. The response carries the SynthOutcome fields plus
+/// service attribution:
 ///
 ///   {"id": 7, "backend": "enum", "status": "optimal", "seconds": 0.42,
 ///    "verified": true, "length": 11, "cached": false,

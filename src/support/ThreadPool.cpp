@@ -38,24 +38,8 @@ static void runChunk(const std::function<void(size_t, size_t, unsigned)> &Body,
     Body(Begin, ChunkEnd, Index);
 }
 
-void ThreadPool::runJob(
-    const std::function<void(size_t, size_t, unsigned)> &Body, size_t End,
-    unsigned Index) {
-  if (!JobDynamic) {
-    runChunk(Body, End, Index, size());
-    return;
-  }
-  for (;;) {
-    size_t Begin = Cursor.fetch_add(JobGrain, std::memory_order_relaxed);
-    if (Begin >= End)
-      return;
-    Body(Begin, std::min(End, Begin + JobGrain), Index);
-  }
-}
-
-void ThreadPool::dispatch(
-    size_t End, size_t Grain, bool Dynamic,
-    const std::function<void(size_t, size_t, unsigned)> &Body) {
+void ThreadPool::parallelFor(
+    size_t End, const std::function<void(size_t, size_t, unsigned)> &Body) {
   if (Workers.empty() || End <= 1) {
     if (End > 0)
       Body(0, End, 0);
@@ -66,29 +50,15 @@ void ThreadPool::dispatch(
     assert(!Job && "parallelFor is not reentrant");
     Job = &Body;
     JobEnd = End;
-    JobGrain = Grain;
-    JobDynamic = Dynamic;
-    Cursor.store(0, std::memory_order_relaxed);
     Remaining = static_cast<unsigned>(Workers.size());
     ++Generation;
   }
   WakeWorkers.notify_all();
   // The caller participates as worker 0.
-  runJob(Body, End, 0);
+  runChunk(Body, End, 0, size());
   std::unique_lock<std::mutex> Lock(Mutex);
   JobDone.wait(Lock, [this] { return Remaining == 0; });
   Job = nullptr;
-}
-
-void ThreadPool::parallelFor(
-    size_t End, const std::function<void(size_t, size_t, unsigned)> &Body) {
-  dispatch(End, 0, /*Dynamic=*/false, Body);
-}
-
-void ThreadPool::parallelForDynamic(
-    size_t End, size_t Grain,
-    const std::function<void(size_t, size_t, unsigned)> &Body) {
-  dispatch(End, std::max<size_t>(1, Grain), /*Dynamic=*/true, Body);
 }
 
 namespace {
@@ -198,7 +168,7 @@ void ThreadPool::workerLoop(unsigned Index) {
       MyJob = Job;
       End = JobEnd;
     }
-    runJob(*MyJob, End, Index);
+    runChunk(*MyJob, End, Index, size());
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (--Remaining == 0)

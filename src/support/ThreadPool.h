@@ -8,8 +8,9 @@
 /// A small fork-join thread pool used by the layered parallel Dijkstra
 /// search (paper section 3.1: "this approach is parallelizable as we can
 /// process all programs of a certain length in parallel"). The pool exposes
-/// a blocking parallelFor over an index range; tasks are distributed in
-/// contiguous chunks.
+/// a blocking parallelFor over an index range, split into one contiguous
+/// chunk per worker, and a blocking work-stealing parallelForTasks over a
+/// list of tasks of uneven cost.
 ///
 /// The pool also carries a persistent task queue (submitTask) for
 /// long-lived consumers — the synthesis service's request executor
@@ -26,7 +27,6 @@
 #ifndef SKS_SUPPORT_THREADPOOL_H
 #define SKS_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -57,26 +57,17 @@ public:
   void parallelFor(size_t End,
                    const std::function<void(size_t, size_t, unsigned)> &Body);
 
-  /// Like parallelFor, but workers claim chunks of \p Grain indices from a
-  /// shared cursor instead of one static split — load-balanced over tasks
-  /// of uneven cost (e.g. the layered engine's per-shard dedup merges,
-  /// whose shard sizes are hash-skewed). Body may be invoked several times
-  /// per worker.
-  void parallelForDynamic(
-      size_t End, size_t Grain,
-      const std::function<void(size_t, size_t, unsigned)> &Body);
-
   /// Runs Body(Tasks[i], WorkerIndex) once per entry of \p Tasks with work
   /// stealing: worker W's deque is seeded with Tasks[W], Tasks[W + P], ...
   /// (P = size()), owners pop from the front of their own deque, and a
   /// worker whose deque runs dry steals single tasks from the BACK of a
   /// victim's. Seed \p Tasks in descending cost order and the result is
   /// LPT scheduling with stealing as the correction term: owners start on
-  /// the expensive tasks, thieves pick up the cheap tail. Unlike
-  /// parallelForDynamic there is no shared cursor to contend on when task
-  /// costs are wildly skewed (the layered merge's hash-skewed shards).
-  /// Blocks until every task has run; Body must not call back into the
-  /// pool.
+  /// the expensive tasks, thieves pick up the cheap tail. Each worker claims
+  /// from its own deque, so there is no shared cursor to contend on when
+  /// task costs are wildly skewed (the layered merge's hash-skewed shards,
+  /// the portfolio race's backends). Blocks until every task has run; Body
+  /// must not call back into the pool.
   void parallelForTasks(const std::vector<uint32_t> &Tasks,
                         const std::function<void(uint32_t, unsigned)> &Body);
 
@@ -94,10 +85,6 @@ public:
 
 private:
   void workerLoop(unsigned Index);
-  void runJob(const std::function<void(size_t, size_t, unsigned)> &Body,
-              size_t End, unsigned Index);
-  void dispatch(size_t End, size_t Grain, bool Dynamic,
-                const std::function<void(size_t, size_t, unsigned)> &Body);
 
   std::vector<std::thread> Workers;
   mutable std::mutex Mutex;
@@ -108,12 +95,9 @@ private:
   // submission order for fairness under admission control.
   std::deque<std::function<void()>> Tasks;
 
-  // Current job state (guarded by Mutex; Cursor is claimed lock-free).
+  // Current job state (guarded by Mutex).
   const std::function<void(size_t, size_t, unsigned)> *Job = nullptr;
   size_t JobEnd = 0;
-  size_t JobGrain = 0;
-  bool JobDynamic = false;
-  std::atomic<size_t> Cursor{0};
   uint64_t Generation = 0;
   unsigned Remaining = 0;
   bool ShuttingDown = false;

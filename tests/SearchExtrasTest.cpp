@@ -46,7 +46,6 @@ TEST(SearchExtras, MaxStatesAbortsGracefully) {
   Opts.Heuristic = HeuristicKind::None;
   Opts.UseViability = false;
   Opts.UseEraseCheck = false;
-  Opts.UseDistanceTable = false;
   Opts.MaxLength = 20;
   Opts.MaxStates = 5000;
   SearchResult R = synthesize(M, Opts);
@@ -58,6 +57,35 @@ TEST(SearchExtras, MaxStatesAbortsGracefully) {
   R = synthesize(M, Opts);
   EXPECT_FALSE(R.Found);
   EXPECT_TRUE(R.Stats.MemoryLimited);
+}
+
+TEST(SearchExtras, BestFirstFitsAByteBudgetEqualToItsPeak) {
+  // MaxStateBytes aborts when the store EXCEEDS the budget, so a run
+  // capped at its own unbounded peak holds every state it needs.
+  Machine M(MachineKind::Cmov, 3);
+  SearchOptions Opts;
+  Opts.Heuristic = HeuristicKind::PermCount;
+  Opts.UseViability = true;
+  Opts.Cut = CutConfig::mult(1.0);
+  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
+  SearchResult Unbounded = synthesize(M, Opts);
+  ASSERT_TRUE(Unbounded.Found);
+  ASSERT_GT(Unbounded.Stats.PeakStateBytes, 0u);
+  ASSERT_TRUE(Unbounded.Stats.LevelStates.empty()) << "best-first engine";
+
+  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes;
+  SearchResult Capped = synthesize(M, Opts);
+  EXPECT_FALSE(Capped.Stats.MemoryLimited);
+  ASSERT_TRUE(Capped.Found);
+  EXPECT_EQ(Capped.OptimalLength, 11u);
+  EXPECT_EQ(Capped.Solutions.front(), Unbounded.Solutions.front());
+  EXPECT_TRUE(isCorrectKernel(M, Capped.Solutions.front()));
+
+  // Half the peak binds.
+  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes / 2;
+  SearchResult Tight = synthesize(M, Opts);
+  EXPECT_FALSE(Tight.Found);
+  EXPECT_TRUE(Tight.Stats.MemoryLimited);
 }
 
 TEST(SearchExtras, TraceIsMonotoneInTime) {
@@ -79,22 +107,6 @@ TEST(SearchExtras, TraceIsMonotoneInTime) {
   // The final trace point carries the final solution count.
   EXPECT_EQ(R.Trace.back().SolutionsFound, R.SolutionCount);
   EXPECT_GT(R.SolutionCount, 0u);
-}
-
-TEST(SearchExtras, HeuristicWeightSteersGreediness) {
-  // Higher weight makes the perm-count search greedier: never more
-  // expansions than weight 1 on this instance.
-  Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.MaxLength = 12;
-  SearchResult Neutral = synthesize(M, Opts);
-  Opts.HeuristicWeight = 4.0;
-  SearchResult Greedy = synthesize(M, Opts);
-  ASSERT_TRUE(Neutral.Found && Greedy.Found);
-  EXPECT_LE(Greedy.Stats.StatesExpanded, Neutral.Stats.StatesExpanded);
-  EXPECT_TRUE(isCorrectKernel(M, Greedy.Solutions.front()));
 }
 
 TEST(SearchExtras, SharedDistanceTableGivesIdenticalResults) {

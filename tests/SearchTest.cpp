@@ -167,7 +167,6 @@ TEST(Search, TimeoutIsReported) {
   Opts.Heuristic = HeuristicKind::None; // Slow on purpose.
   Opts.MaxLength = 20;
   Opts.UseViability = false;
-  Opts.UseDistanceTable = false;
   Opts.TimeoutSeconds = 0.2;
   SearchResult R = synthesize(M, Opts);
   EXPECT_FALSE(R.Found);
@@ -223,18 +222,23 @@ TEST(Search, NetworkUpperBoundsMatchKnownNetworks) {
 }
 
 TEST(Search, EveryHeuristicFindsACorrectKernelN3) {
+  // With the viability check off, NeededInstrs is the only reader of the
+  // distance table, and synthesize() must still build it.
   Machine M(MachineKind::Cmov, 3);
   for (HeuristicKind H :
        {HeuristicKind::PermCount, HeuristicKind::AssignCount,
-        HeuristicKind::NeededInstrs}) {
-    SearchOptions Opts;
-    Opts.Heuristic = H;
-    Opts.MaxLength = 12;
-    SearchResult R = synthesize(M, Opts);
-    ASSERT_TRUE(R.Found) << static_cast<int>(H);
-    EXPECT_TRUE(isCorrectKernel(M, R.Solutions.at(0)));
-    EXPECT_LE(R.OptimalLength, 12u);
-  }
+        HeuristicKind::NeededInstrs})
+    for (bool Viability : {true, false}) {
+      SearchOptions Opts;
+      Opts.Heuristic = H;
+      Opts.UseViability = Viability;
+      Opts.MaxLength = 12;
+      SearchResult R = synthesize(M, Opts);
+      ASSERT_TRUE(R.Found) << static_cast<int>(H) << " viability "
+                           << Viability;
+      EXPECT_TRUE(isCorrectKernel(M, R.Solutions.at(0)));
+      EXPECT_LE(R.OptimalLength, 12u);
+    }
 }
 
 TEST(Search, ActionFilterPreservesOptimumUnderLengthBound) {

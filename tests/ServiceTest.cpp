@@ -421,6 +421,26 @@ TEST(SynthService, WarmHitRunsNoBackend) {
   EXPECT_EQ(Service.stats().CacheHits, 1u);
   EXPECT_EQ(Service.stats().Synthesized, 1u);
 
+  // Concurrent warm hits: several submitting threads probe the cache at
+  // once, and every answer is the stored, re-verified kernel.
+  const unsigned Clients = 4, PerClient = 8;
+  std::atomic<unsigned> Good{0};
+  std::vector<std::thread> Threads;
+  for (unsigned C = 0; C != Clients; ++C)
+    Threads.emplace_back([&] {
+      for (unsigned I = 0; I != PerClient; ++I) {
+        bool Hit = false;
+        SynthOutcome O = Service.synthesize(makeRequest(2), &Hit);
+        if (Hit && O.Verified && O.Kernel == Cold.Kernel)
+          Good.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Good.load(), Clients * PerClient);
+  EXPECT_EQ(BackendRuns.load(), 1u) << "a warm hit must not run a backend";
+  EXPECT_EQ(Service.stats().CacheHits, 1u + Clients * PerClient);
+
   // A distinct request still synthesizes.
   Service.synthesize(makeRequest(3));
   EXPECT_EQ(BackendRuns.load(), 2u);

@@ -14,9 +14,11 @@
 #include "support/Timing.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <set>
+#include <thread>
 
 using namespace sks;
 
@@ -289,6 +291,31 @@ TEST(ThreadPool, SingleThreadRunsInline) {
     Ran = Begin == 0 && End == 10;
   });
   EXPECT_TRUE(Ran);
+}
+
+TEST(ThreadPool, TasksRunExactlyOnceOnValidWorkers) {
+  // A permutation of 0..N-1 (389 is invertible mod the prime 997) with
+  // skewed costs, so owners drain their deques at different rates and
+  // steal.
+  const uint32_t N = 997;
+  std::vector<uint32_t> Tasks(N);
+  for (uint32_t I = 0; I != N; ++I)
+    Tasks[I] = (I * 389 + 11) % N;
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    ThreadPool Pool(Threads);
+    std::vector<std::atomic<int>> Counts(N);
+    std::atomic<unsigned> BadWorkers{0};
+    Pool.parallelForTasks(Tasks, [&](uint32_t Task, unsigned Worker) {
+      if (Task % 7 == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      ++Counts[Task];
+      if (Worker >= Pool.size())
+        ++BadWorkers;
+    });
+    for (uint32_t I = 0; I != N; ++I)
+      EXPECT_EQ(Counts[I].load(), 1) << Threads << " threads, task " << I;
+    EXPECT_EQ(BadWorkers.load(), 0u) << Threads << " threads";
+  }
 }
 
 //===----------------------------------------------------------------------===//

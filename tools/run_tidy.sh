@@ -36,10 +36,10 @@ fi
 # concurrent front end behind sks-serve) and the tools/ CLIs. The bench
 # tree is covered selectively: hot-path microbenchmarks that exercise
 # first-party SIMD, the portfolio race harness that drives the backend
-# interface, the ablation table that reports the prune counters, and the
-# service latency harness, the n=5 budget run that drives the
-# compressed/spillable frontier, and the analytics workloads that drive
-# the pair JIT and the sortlib selection entry points. From the test
+# interface, the ablation table that reports the prune counters, the n=5
+# budget run that drives the compressed/spillable frontier, and the
+# analytics workloads that drive the pair JIT and the sortlib selection
+# entry points. From the test
 # tree, the symmetry property tests, the service tests, the
 # frontier-tier tests, the goal-predicate tests, and the
 # translation-validation tests ride along: they exercise the witness
@@ -50,7 +50,6 @@ FILES=$(find "$ROOT/src" "$ROOT/tools" "$ROOT/examples" -name '*.cpp' | sort)
 FILES="$FILES $ROOT/bench/bench_expand_micro.cpp"
 FILES="$FILES $ROOT/bench/bench_portfolio.cpp"
 FILES="$FILES $ROOT/bench/bench_enum_ablation.cpp"
-FILES="$FILES $ROOT/bench/bench_service.cpp"
 FILES="$FILES $ROOT/bench/bench_kernels_n5.cpp"
 FILES="$FILES $ROOT/bench/bench_analytics.cpp"
 FILES="$FILES $ROOT/tests/SymmetryTest.cpp"
