@@ -101,7 +101,7 @@ int main(int Argc, char **Argv) {
     Opts.PartialExamples = 1;
     Opts.EnumerateAll = true;
     Opts.MaxSolutions = 100000;
-    Opts.TimeoutSeconds = ShortTimeout;
+    Opts.Stop = StopToken().withDeadline(ShortTimeout);
     CpResult R = cpSynthesize(M2, Opts);
     size_t Correct = 0;
     for (const Program &P : R.Solutions)

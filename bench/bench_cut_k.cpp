@@ -43,14 +43,14 @@ int main() {
   for (const KRow &Row : Ks) {
     SearchOptions Best3 = bestEnumConfig(MachineKind::Cmov, 3);
     Best3.Cut = CutConfig::mult(Row.K);
-    Best3.TimeoutSeconds = 120;
+    Best3.Stop = StopToken().withDeadline(120);
     SearchResult R3 = synthesize(M3, Best3, &DT3);
 
     std::string TimeN4 = "(gated)";
     if (Row.K <= 1.5 || isFullRun()) {
       SearchOptions Best4 = bestEnumConfig(MachineKind::Cmov, 4);
       Best4.Cut = CutConfig::mult(Row.K);
-      Best4.TimeoutSeconds = isFullRun() ? 3600 : 300;
+      Best4.Stop = StopToken().withDeadline(isFullRun() ? 3600 : 300);
       SearchResult R4 = synthesize(M4, Best4, &DT4);
       TimeN4 = R4.Found ? formatDuration(R4.Stats.Seconds) : "timeout";
     }
@@ -62,7 +62,7 @@ int main() {
     All3.MaxLength = 11;
     All3.MaxSolutionsKept = 0;
     All3.Cut = CutConfig::mult(Row.K);
-    All3.TimeoutSeconds = 300;
+    All3.Stop = StopToken().withDeadline(300);
     SearchResult A3 = synthesize(M3, All3, &DT3);
 
     T.row()

@@ -18,6 +18,8 @@
 #include "tables/DistanceTable.h"
 #include "verify/Verify.h"
 
+#include <unistd.h>
+
 using namespace sks;
 using namespace sks::bench;
 
@@ -40,7 +42,11 @@ int main(int argc, char **argv) {
   Machine M(MachineKind::Cmov, N);
   DistanceTable DT(M);
   const unsigned Bound = networkUpperBound(MachineKind::Cmov, N);
-  double Timeout = isFullRun() ? 1800 : 180;
+  const double Timeout = isFullRun() ? 1800 : 180;
+  // The unpruned rows outgrow any small machine (the paper used 32 GB):
+  // cap the resident state bytes at half of this host's physical memory.
+  const size_t MemoryCap = static_cast<size_t>(sysconf(_SC_PHYS_PAGES)) *
+                           static_cast<size_t>(sysconf(_SC_PAGE_SIZE)) / 2;
 
   auto Base = [&](HeuristicKind H) {
     SearchOptions Opts;
@@ -48,8 +54,7 @@ int main(int argc, char **argv) {
     Opts.UseViability = false;
     Opts.UseActionFilter = false;
     Opts.MaxLength = Bound;
-    Opts.TimeoutSeconds = Timeout;
-    Opts.MaxStates = static_cast<size_t>(envInt("SKS_MAX_STATES", 2500000));
+    Opts.MaxStateBytes = MemoryCap;
     return Opts;
   };
 
@@ -160,14 +165,16 @@ int main(int argc, char **argv) {
            "states expanded", "states gen", "syn pruned", "sem pruned",
            "sym merged", "peak MB"});
   for (const Row &Config : Rows) {
-    SearchResult R = synthesize(M, Config.Opts, &DT);
+    // Each row's deadline starts when its run does.
+    SearchOptions Opts = Config.Opts;
+    Opts.Stop = StopToken().withDeadline(Timeout);
+    SearchResult R = synthesize(M, Opts, &DT);
     bool Verified =
         R.Found && isCorrectKernel(M, R.Solutions.at(0));
     std::string TimeText = R.Found ? formatDuration(R.Stats.Seconds)
-                                   : (R.Stats.MemoryLimited
-                                          ? "mem-limit"
-                                          : (R.Stats.TimedOut ? "timeout"
-                                                              : "-"));
+                           : R.Stats.Stopped == StopReason::None
+                               ? "-"
+                               : stopReasonName(R.Stats.Stopped);
     if (R.Found && !Verified)
       TimeText += " (VERIFY FAILED)";
     char PeakMB[32];

@@ -30,7 +30,7 @@ int main() {
   Opts.MaxLength = 20;
   Opts.MaxSolutionsKept = 0; // Count only; the DAG carries the rest.
   Opts.TraceIntervalSeconds = 0.05;
-  Opts.TimeoutSeconds = isFullRun() ? 7200 : 900;
+  Opts.Stop = StopToken().withDeadline(isFullRun() ? 7200 : 900);
   SearchResult R = synthesize(M, Opts);
 
   Table T({"seconds", "open_states", "solutions_found"});

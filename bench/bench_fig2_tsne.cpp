@@ -34,7 +34,7 @@ static std::vector<Program> allSolutions(const Machine &M,
   Opts.MaxLength = 11;
   Opts.Cut = Cut;
   Opts.MaxSolutionsKept = 1 << 20;
-  Opts.TimeoutSeconds = 600;
+  Opts.Stop = StopToken().withDeadline(600);
   SearchResult R = synthesize(M, Opts, &DT);
   return R.Solutions;
 }

@@ -42,7 +42,7 @@ int main() {
       // the hybrid search without the (non-optimality-preserving) cut.
       Opts.Cut = CutConfig::none();
     }
-    Opts.TimeoutSeconds = isFullRun() ? 3600 : 600;
+    Opts.Stop = StopToken().withDeadline(isFullRun() ? 3600 : 600);
     SearchResult R = synthesize(M, Opts);
     const char *Name = Kind == MachineKind::Cmov
                            ? "cmov"
@@ -50,7 +50,9 @@ int main() {
                                                           : "hybrid");
     if (!R.Found) {
       T.row().cell(Name).cell(M.instructions().size()).cell("-").cell(
-          R.Stats.TimedOut ? "timeout" : "-");
+          R.Stats.Stopped == StopReason::None
+              ? "-"
+              : stopReasonName(R.Stats.Stopped));
       continue;
     }
     if (!isCorrectKernel(M, R.Solutions.at(0))) {

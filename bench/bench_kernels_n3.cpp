@@ -50,7 +50,7 @@ int main() {
   All.FindAll = true;
   All.MaxLength = 11;
   All.MaxSolutionsKept = 1 << 20;
-  All.TimeoutSeconds = 600;
+  All.Stop = StopToken().withDeadline(600);
   SearchResult R = synthesize(M, All);
   std::printf("enumerated %llu optimal kernels (paper: 5602) in %s\n\n",
               static_cast<unsigned long long>(R.SolutionCount),
@@ -78,9 +78,9 @@ int main() {
   size_t BestIdx = Order.front(), WorstIdx = Order.back();
   size_t SkippedFragile = 0;
   for (size_t I = 0; I != CandidateCount; ++I) {
-    // Only race kernels that are correct for ALL integer inputs (2 of the
-    // 5602 model-optimal kernels covertly rely on the scratch register's
-    // zero initialization; see EXPERIMENTS.md).
+    // Only race kernels that are correct for every input of distinct
+    // integers (2 of the 5602 model-optimal kernels covertly rely on the
+    // scratch register's zero initialization; see EXPERIMENTS.md).
     if (!isRobustKernel(M, R.Solutions[Order[I]])) {
       ++SkippedFragile;
       continue;

@@ -41,7 +41,7 @@ int main() {
   All.Cut = CutConfig::mult(1.0);
   All.MaxLength = 20;
   All.MaxSolutionsKept = isFullRun() ? (1u << 18) : 20000;
-  All.TimeoutSeconds = isFullRun() ? 7200 : 900;
+  All.Stop = StopToken().withDeadline(isFullRun() ? 7200 : 900);
   SearchResult R = synthesize(M, All);
   std::printf("k=1 solution space: %llu length-20 kernels (paper: 2,233,360 "
               "under its enumeration semantics; see EXPERIMENTS.md), "

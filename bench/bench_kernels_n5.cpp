@@ -62,23 +62,23 @@ int main(int Argc, char **Argv) {
   Opts.SpillThresholdBytes = 1u << 20; // Keep 1 MiB compressed resident —
                                        // every budget tier must reach disk.
   if (Args.Smoke) {
-    Opts.TimeoutSeconds = 2.0;
+    Opts.Stop = StopToken().withDeadline(2.0);
     Opts.MaxStateBytes = 256u << 20;
   } else if (isFullRun()) {
-    Opts.TimeoutSeconds = 4 * 3600.0;
+    Opts.Stop = StopToken().withDeadline(4 * 3600.0);
     Opts.MaxStateBytes = 64ull << 30;
   } else {
-    Opts.TimeoutSeconds = 60.0;
+    Opts.Stop = StopToken().withDeadline(60.0);
     Opts.MaxStateBytes = 2ull << 30;
   }
 
   SearchResult R = synthesize(M, Opts);
   std::printf("n=5 attempt: %s in %s — states=%zu peak=%zu resident=%zu "
               "compressed=%zu spilled=%zu decodes=%.1f ms\n",
-              R.Found                 ? "FOUND"
-              : R.Stats.MemoryLimited ? "resident budget exhausted"
-              : R.Stats.TimedOut      ? "timed out"
-                                      : "bound exhausted",
+              R.Found ? "FOUND"
+              : R.Stats.Stopped == StopReason::None
+                  ? "bound exhausted"
+                  : stopReasonName(R.Stats.Stopped),
               formatDuration(R.Stats.Seconds).c_str(), R.Stats.StatesExpanded,
               R.Stats.PeakStateBytes, R.Stats.PeakResidentBytes,
               R.Stats.CompressedBytes, R.Stats.SpilledBytes,

@@ -39,7 +39,7 @@ int main() {
   for (unsigned N = 3; N <= MaxN; ++N) {
     Machine MinMaxM(MachineKind::MinMax, N);
     SearchOptions Opts = bestEnumConfig(MachineKind::MinMax, N);
-    Opts.TimeoutSeconds = isFullRun() ? 4 * 3600.0 : 900;
+    Opts.Stop = StopToken().withDeadline(isFullRun() ? 4 * 3600.0 : 900);
     SearchResult R = synthesize(MinMaxM, Opts);
     if (!R.Found) {
       T.row().cell(static_cast<int>(N)).cell("timeout");
@@ -60,7 +60,7 @@ int main() {
     // Best-effort cmov contestant: the synthesized cmov kernel for n<=4.
     Machine CmovM(MachineKind::Cmov, N);
     SearchOptions CmovOpts = bestEnumConfig(MachineKind::Cmov, N);
-    CmovOpts.TimeoutSeconds = isFullRun() ? 4 * 3600.0 : 900;
+    CmovOpts.Stop = StopToken().withDeadline(isFullRun() ? 4 * 3600.0 : 900);
     SearchResult CmovR = synthesize(CmovM, CmovOpts);
     Program CmovP =
         CmovR.Found ? CmovR.Solutions.at(0) : sortingNetworkCmov(N);
@@ -91,9 +91,11 @@ int main() {
     Machine M(MachineKind::MinMax, 3);
     SmtOptions Opts;
     Opts.Length = 8;
-    Opts.TimeoutSeconds = isFullRun() ? 3600 : 300;
+    const double Budget = isFullRun() ? 3600 : 300;
+    Opts.Stop = StopToken().withDeadline(Budget);
     SmtResult Found = smtSynthesize(M, Opts);
     Opts.Length = 7;
+    Opts.Stop = StopToken().withDeadline(Budget); // A fresh budget per run.
     SmtResult None = smtSynthesize(M, Opts);
     std::printf("SAT route, min/max n=3: length 8 %s (%s; paper SMT 10 s), "
                 "length 7 %s (%s) -> minimality confirmed\n",

@@ -39,7 +39,7 @@ int main() {
     All.FindAll = true;
     All.MaxLength = 11;
     All.MaxSolutionsKept = 1 << 20;
-    All.TimeoutSeconds = 600;
+    All.Stop = StopToken().withDeadline(600);
     SearchResult R = synthesize(M, All, &DT);
     std::printf("n=3: %llu kernels of length 11 (paper: 5602); %zu distinct "
                 "command combinations (paper: 23)\n",
@@ -48,7 +48,8 @@ int main() {
 
     Stopwatch Timer;
     SearchResult Proof;
-    bool NoShorter = proveNoKernelOfLength(M, 10, Proof, &DT, 600);
+    bool NoShorter = proveNoKernelOfLength(M, 10, Proof, &DT,
+                                           StopToken().withDeadline(600));
     std::printf("n=3: length-10 space exhausted in %s -> %s\n",
                 formatDuration(Timer.seconds()).c_str(),
                 NoShorter ? "no shorter kernel exists; 11 is optimal"
@@ -66,7 +67,7 @@ int main() {
     All.Cut = CutConfig::mult(1.0);
     All.MaxLength = 20;
     All.MaxSolutionsKept = 0;
-    All.TimeoutSeconds = isFullRun() ? 7200 : 1200;
+    All.Stop = StopToken().withDeadline(isFullRun() ? 7200 : 1200);
     SearchResult R = synthesize(M, All, &DT);
     if (R.Found)
       std::printf("\nn=4: kernels of length 20 exist; k=1-cut space holds "
@@ -80,9 +81,10 @@ int main() {
     if (isFullRun()) {
       Stopwatch Timer;
       SearchResult Proof;
-      bool NoShorter = proveNoKernelOfLength(M, 19, Proof, &DT,
-                                             envDouble("SKS_PROOF_BUDGET",
-                                                       12 * 3600.0));
+      bool NoShorter = proveNoKernelOfLength(
+          M, 19, Proof, &DT,
+          StopToken().withDeadline(
+              envDouble("SKS_PROOF_BUDGET", 12 * 3600.0)));
       std::printf("n=4: length-19 exhaustion (%s): %s\n",
                   formatDuration(Timer.seconds()).c_str(),
                   NoShorter
@@ -98,7 +100,8 @@ int main() {
       // progress and report how far it got.
       Stopwatch Timer;
       SearchResult Proof;
-      bool Done = proveNoKernelOfLength(M, 19, Proof, &DT, 60);
+      bool Done = proveNoKernelOfLength(M, 19, Proof, &DT,
+                                        StopToken().withDeadline(60));
       std::printf("     60 s probe: %s, %zu states expanded%s\n",
                   Done ? "EXHAUSTED (proof complete)" : "timed out",
                   Proof.Stats.StatesExpanded,

@@ -83,7 +83,7 @@ int main(int argc, char **argv) {
     }
     Machine M(MachineKind::Cmov, N);
     SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, N);
-    Opts.TimeoutSeconds = isFullRun() ? 4 * 3600.0 : 600.0;
+    Opts.Stop = StopToken().withDeadline(isFullRun() ? 4 * 3600.0 : 600.0);
     SearchResult R = synthesize(M, Opts);
     if (R.Found && !isCorrectKernel(M, R.Solutions.at(0))) {
       std::printf("ERROR: synthesized kernel failed verification!\n");
@@ -121,7 +121,7 @@ int main(int argc, char **argv) {
     const GoalSpec Goal = GoalSpec::selectK(2);
     Machine M(MachineKind::Cmov, 3, /*Scratch=*/1, Goal);
     SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
-    Opts.TimeoutSeconds = 600.0;
+    Opts.Stop = StopToken().withDeadline(600.0);
     SearchResult R = synthesize(M, Opts);
     if (!R.Found || !isCorrectKernel(M, R.Solutions.at(0))) {
       std::printf("ERROR: select-2 kernel %s!\n",

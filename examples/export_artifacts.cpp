@@ -63,7 +63,7 @@ int main() {
     Machine M2(MachineKind::Cmov, 2);
     SmtOptions Smt;
     Smt.Length = 4;
-    Smt.TimeoutSeconds = 30;
+    Smt.Stop = StopToken().withDeadline(30);
     SmtResult R = smtSynthesize(M2, Smt); // Warms nothing; just sanity.
     std::printf("SAT route sanity: n=2 length-4 %s\n",
                 R.Found ? "SAT (as expected)" : "unexpectedly UNSAT");

@@ -41,7 +41,8 @@ static void certify(MachineKind Kind, unsigned N, const char *Label) {
 
   Stopwatch Timer;
   SearchResult Proof;
-  bool Minimal = proveNoKernelOfLength(M, Length - 1, Proof, nullptr, 600);
+  bool Minimal = proveNoKernelOfLength(M, Length - 1, Proof, nullptr,
+                                        StopToken().withDeadline(600));
   std::printf("%s: kernel of length %u exists (network: %u); length-%u "
               "space %s in %s -> %s\n",
               Label, Length, networkUpperBound(Kind, N), Length - 1,

@@ -58,24 +58,25 @@ int main() {
   {
     SmtOptions Opts;
     Opts.Length = Length;
-    Opts.TimeoutSeconds = Timeout;
+    Opts.Stop = StopToken().withDeadline(Timeout);
     SmtResult R = smtSynthesize(M, Opts);
     Report("SMT-Perm (CDCL)", R.Found, R.Seconds, R.P);
     Opts.Cegis = true;
+    Opts.Stop = StopToken().withDeadline(Timeout); // Its own budget.
     R = smtSynthesize(M, Opts);
     Report("SMT-CEGIS (CDCL)", R.Found, R.Seconds, R.P);
   }
   {
     CpOptions Opts;
     Opts.Length = Length;
-    Opts.TimeoutSeconds = Timeout;
+    Opts.Stop = StopToken().withDeadline(Timeout);
     CpResult R = cpSynthesize(M, Opts);
     Report("CP (finite-domain)", R.Found, R.Seconds, R.P);
   }
   {
     IlpSynthOptions Opts;
     Opts.Length = Length;
-    Opts.TimeoutSeconds = Timeout;
+    Opts.Stop = StopToken().withDeadline(Timeout);
     IlpSynthResult R = ilpSynthesize(M, Opts);
     Report("ILP (simplex + B&B)", R.Found, R.Seconds, R.P);
   }
@@ -83,14 +84,14 @@ int main() {
     StokeOptions Opts;
     Opts.Length = Length;
     Opts.MaxIterations = UINT64_MAX;
-    Opts.TimeoutSeconds = Timeout;
+    Opts.Stop = StopToken().withDeadline(Timeout);
     StokeResult R = stokeSynthesize(M, Opts);
     Report("Stoke (MCMC)", R.Found, R.Seconds, R.Best);
   }
   {
     PlanOptions Opts;
     Opts.Heuristic = PlanHeuristic::HAdd;
-    Opts.TimeoutSeconds = Timeout;
+    Opts.Stop = StopToken().withDeadline(Timeout);
     PlanSynthResult R = planSynthesize(M, Opts);
     Report("Planning (GBFS h_add)", R.Found, R.Seconds, R.P);
   }
@@ -99,7 +100,7 @@ int main() {
     Opts.MaxLength = 6;
     Opts.RolloutDepth = 6;
     Opts.MaxIterations = UINT64_MAX;
-    Opts.TimeoutSeconds = Timeout;
+    Opts.Stop = StopToken().withDeadline(Timeout);
     MctsResult R = mctsSynthesize(M, Opts);
     Report("MCTS (UCT)", R.Found, R.Seconds, R.P);
   }

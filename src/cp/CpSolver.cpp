@@ -75,8 +75,7 @@ private:
   bool propagateTransition(NodeState &S, unsigned E, unsigned T,
                            bool &ChangedNext, bool &ChangedInstr);
   bool propagateGoal(NodeState &S, unsigned E);
-  void search(NodeState &S, unsigned Depth, CpResult &Result,
-              const StopToken &Budget);
+  void search(NodeState &S, unsigned Depth, CpResult &Result);
   bool finalCheck(const Program &P) const;
 
   /// Image of the next-state register domains under instruction \p I given
@@ -398,15 +397,14 @@ bool CpEngine::finalCheck(const Program &P) const {
   return true;
 }
 
-void CpEngine::search(NodeState &S, unsigned Depth, CpResult &Result,
-                      const StopToken &Budget) {
+void CpEngine::search(NodeState &S, unsigned Depth, CpResult &Result) {
   if (Result.TimedOut ||
       (!Opts.EnumerateAll && Result.Found) ||
       Result.Solutions.size() >= Opts.MaxSolutions)
     return;
   // Poll on nodes, not backtracks: deep propagation-heavy subtrees can run
   // long stretches without failing, and a cancel must still land.
-  if ((++Nodes & 255) == 0 && Budget.stopRequested()) {
+  if ((++Nodes & 255) == 0 && Opts.Stop.stopRequested()) {
     Result.TimedOut = true;
     return;
   }
@@ -448,7 +446,7 @@ void CpEngine::search(NodeState &S, unsigned Depth, CpResult &Result,
     Child.InstrDom[Depth].insert(I);
     Prefix.push_back(Ins);
     if (propagateFixpoint(Child))
-      search(Child, Depth + 1, Result, Budget);
+      search(Child, Depth + 1, Result);
     else
       ++Backtracks;
     Prefix.pop_back();
@@ -460,7 +458,6 @@ void CpEngine::search(NodeState &S, unsigned Depth, CpResult &Result,
 
 CpResult CpEngine::run() {
   Stopwatch Timer;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
   CpResult Result;
 
   NodeState Root;
@@ -484,10 +481,10 @@ CpResult CpEngine::run() {
     Root.FlagDom[flagIdx(E, 0)] = FlagNone;
   }
 
-  if (Budget.stopRequested())
+  if (Opts.Stop.stopRequested())
     Result.TimedOut = true;
   else if (propagateFixpoint(Root))
-    search(Root, 0, Result, Budget);
+    search(Root, 0, Result);
   Result.Backtracks = Backtracks;
   Result.Propagations = Propagations;
   Result.Seconds = Timer.seconds();

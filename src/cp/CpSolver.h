@@ -69,10 +69,8 @@ struct CpOptions {
   /// Enumerate all solutions instead of stopping at the first.
   bool EnumerateAll = false;
   size_t MaxSolutions = 1 << 20;
-  double TimeoutSeconds = 0;
-  /// Cooperative stop token (driver cancellation / outer deadlines),
-  /// polled in the search loop. Any stop is reported as
-  /// CpResult::TimedOut.
+  /// Deadline and cancellation, polled in the search loop. Any stop is
+  /// reported as CpResult::TimedOut.
   StopToken Stop;
 };
 

@@ -13,11 +13,12 @@
 /// verify/Verify.h before the outcome leaves the driver, so no substrate
 /// can report an unverified success.
 ///
-/// Cancellation contract: the driver hands each backend a StopToken
-/// combining the request deadline with any external cancel (the portfolio
-/// race). Substrates report any stop as their native TimedOut flag;
-/// Backend::run disambiguates by asking the token which half fired —
-/// deadline first (TimedOut), then cancel (Cancelled).
+/// Cancellation contract: the driver hands each backend a StopToken, the
+/// only carrier of the request deadline below it, combined with any
+/// external cancel (the portfolio race). Substrates report any stop as
+/// their native TimedOut flag; Backend::run disambiguates by asking the
+/// token which half fired — deadline first (TimedOut), then cancel
+/// (Cancelled).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -167,6 +168,14 @@ void applyJitValidationGate(const SynthRequest &Req, SynthOutcome &Outcome);
 /// \returns the names of the seven registered backends, in portfolio
 /// order: "enum", "smt", "cp", "ilp", "stoke", "mcts", "plan".
 std::vector<std::string> backendNames();
+
+/// \returns true for "portfolio" or a backendNames() entry.
+bool isBackendPolicy(const std::string &Name);
+
+/// Input limits shared by the wire protocol and the CLIs: the largest
+/// length bound (SynthRequest::MaxLength) and thread count one may ask for.
+constexpr unsigned kMaxLengthLimit = 1000;
+constexpr unsigned kMaxThreads = 256;
 
 /// \returns the named backend with its default native configuration, or
 /// nullptr for an unknown name.

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // One adapter per substrate. The adapters translate the request into the
-// substrate's native options (zeroing the native timeout — the deadline
-// travels inside the stop token, so construction phases and nested solvers
+// substrate's native options, hand over the stop token (the only carrier
+// of the request deadline, so construction phases and nested solvers
 // observe it too), run it, and map the native result onto the shared
 // status taxonomy:
 //
@@ -185,11 +185,14 @@ protected:
       Outcome.Kernel = R.Solutions.front();
       Outcome.Status = Req.Goal == SynthGoal::MinLength ? SynthStatus::Optimal
                                                         : SynthStatus::Found;
-    } else if (R.Stats.TimedOut) {
-      Outcome.Status = SynthStatus::TimedOut;
     } else {
-      // Dedup + admissible pruning only: exhaustion is a proof.
-      Outcome.Status = SynthStatus::Infeasible;
+      // Dedup + admissible pruning only: exhaustion is a proof. A byte
+      // budget is an internal budget, which proves nothing.
+      const StopReason Why = R.Stats.Stopped;
+      Outcome.Status = Why == StopReason::None       ? SynthStatus::Infeasible
+                       : Why == StopReason::Deadline  ? SynthStatus::TimedOut
+                       : Why == StopReason::Cancelled ? SynthStatus::Cancelled
+                                                      : SynthStatus::Exhausted;
     }
     Outcome.Stats.emplace_back("states_expanded", R.Stats.StatesExpanded);
     Outcome.Stats.emplace_back("states_generated", R.Stats.StatesGenerated);
@@ -216,7 +219,6 @@ protected:
       return Rejected;
     SmtOptions Opts = Native;
     Opts.Stop = Stop;
-    Opts.TimeoutSeconds = 0;
     SmtResult R;
     if (Req.Goal == SynthGoal::MinLength) {
       Opts.Length = 1;
@@ -268,7 +270,6 @@ protected:
     for (unsigned Length = First; Length <= Req.lengthBound(); ++Length) {
       CpOptions Opts = Native;
       Opts.Stop = Stop;
-      Opts.TimeoutSeconds = 0;
       Opts.Length = Length;
       CpResult R = cpSynthesize(M, Opts);
       Backtracks += R.Backtracks;
@@ -315,7 +316,6 @@ protected:
     IlpSynthOptions Opts;
     Opts.Length = Req.lengthBound();
     Opts.Stop = Stop;
-    Opts.TimeoutSeconds = 0;
     IlpSynthResult R = ilpSynthesize(M, Opts);
 
     if (R.Found) {
@@ -345,7 +345,6 @@ protected:
                        const StopToken &Stop) const override {
     StokeOptions Opts = Native;
     Opts.Stop = Stop;
-    Opts.TimeoutSeconds = 0;
     Opts.Length = Req.lengthBound();
     StokeResult R = stokeSynthesize(M, Opts);
 
@@ -378,7 +377,6 @@ protected:
                        const StopToken &Stop) const override {
     MctsOptions Opts = Native;
     Opts.Stop = Stop;
-    Opts.TimeoutSeconds = 0;
     Opts.MaxLength = Req.lengthBound();
     MctsResult R = mctsSynthesize(M, Opts);
 
@@ -416,7 +414,6 @@ protected:
       return Rejected;
     PlanOptions Opts = Native;
     Opts.Stop = Stop;
-    Opts.TimeoutSeconds = 0;
     PlanSynthResult R = planSynthesize(M, Opts);
 
     SynthOutcome Outcome;
@@ -475,6 +472,15 @@ std::unique_ptr<Backend> sks::makePlanBackend(PlanOptions Native,
 
 std::vector<std::string> sks::backendNames() {
   return {"enum", "smt", "cp", "ilp", "stoke", "mcts", "plan"};
+}
+
+bool sks::isBackendPolicy(const std::string &Name) {
+  if (Name == "portfolio")
+    return true;
+  for (const std::string &Known : backendNames())
+    if (Name == Known)
+      return true;
+  return false;
 }
 
 std::unique_ptr<Backend> sks::createBackend(const std::string &Name) {

@@ -16,26 +16,28 @@ namespace {
 
 struct BnbContext {
   const std::vector<size_t> &IntegerVars;
-  StopToken Budget;
+  const StopToken &Stop;
   IlpResult Result;
   bool HaveIncumbent = false;
-
-  BnbContext(const std::vector<size_t> &IntegerVars, double TimeoutSeconds,
-             const StopToken &Stop)
-      : IntegerVars(IntegerVars), Budget(Stop.withDeadline(TimeoutSeconds)) {}
 };
 
 constexpr double IntEps = 1e-6;
 
 void branch(LinearProgram &LP, BnbContext &Ctx) {
-  if (Ctx.Budget.stopRequested()) {
+  if (Ctx.Stop.stopRequested()) {
     Ctx.Result.Status = IlpStatus::TimedOut;
     return;
   }
   ++Ctx.Result.NodesExplored;
-  LpSolution Relaxed = solveLp(LP, 200000, Ctx.Budget);
-  if (Relaxed.Status != LpStatus::Optimal)
+  LpSolution Relaxed = solveLp(LP, 200000, Ctx.Stop);
+  if (Relaxed.Status != LpStatus::Optimal) {
+    // The simplex reports a stop as IterationLimit; that node was cut
+    // short, not proven infeasible.
+    if (Relaxed.Status == LpStatus::IterationLimit &&
+        Ctx.Stop.stopRequested())
+      Ctx.Result.Status = IlpStatus::TimedOut;
     return; // Infeasible/limit: prune.
+  }
   if (Ctx.HaveIncumbent && Relaxed.Objective <= Ctx.Result.Objective + IntEps)
     return; // Bound.
 
@@ -88,9 +90,9 @@ void branch(LinearProgram &LP, BnbContext &Ctx) {
 
 IlpResult sks::solveIlp(const LinearProgram &LP,
                         const std::vector<size_t> &IntegerVars,
-                        double TimeoutSeconds, const StopToken &Stop) {
+                        const StopToken &Stop) {
   LinearProgram Work = LP;
-  BnbContext Ctx(IntegerVars, TimeoutSeconds, Stop);
+  BnbContext Ctx{IntegerVars, Stop, {}, false};
   branch(Work, Ctx);
   if (Ctx.HaveIncumbent)
     Ctx.Result.Status = IlpStatus::Optimal;

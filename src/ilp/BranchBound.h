@@ -32,12 +32,12 @@ struct IlpResult {
 };
 
 /// Solves \p LP with the variables listed in \p IntegerVars restricted to
-/// integers. \p TimeoutSeconds <= 0 disables the deadline; \p Stop is
-/// polled at every node and inside the simplex relaxation, reporting
-/// TimedOut when it fires.
+/// integers. \p Stop is polled at every node and inside the simplex
+/// relaxation, reporting TimedOut when it fires — never Infeasible, since
+/// a node the stop cut short was not proven empty.
 IlpResult solveIlp(const LinearProgram &LP,
                    const std::vector<size_t> &IntegerVars,
-                   double TimeoutSeconds = 0, const StopToken &Stop = {});
+                   const StopToken &Stop = {});
 
 } // namespace sks
 

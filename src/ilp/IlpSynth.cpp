@@ -264,7 +264,7 @@ IlpSynthResult sks::ilpSynthesize(const Machine &M,
 
   Result.NumVars = LP.NumVars;
   Result.NumRows = LP.Rows.size();
-  IlpResult Ilp = solveIlp(LP, IntegerVars, Opts.TimeoutSeconds, Opts.Stop);
+  IlpResult Ilp = solveIlp(LP, IntegerVars, Opts.Stop);
   Result.Nodes = Ilp.NodesExplored;
   Result.TimedOut = Ilp.Status == IlpStatus::TimedOut;
   if (Ilp.Status == IlpStatus::Optimal) {

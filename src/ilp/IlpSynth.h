@@ -25,10 +25,9 @@ namespace sks {
 
 struct IlpSynthOptions {
   unsigned Length = 0;
-  double TimeoutSeconds = 0;
-  /// Cooperative stop token (driver cancellation / outer deadlines),
-  /// polled while constructing the LP and inside branch-and-bound. Any
-  /// stop is reported as IlpSynthResult::TimedOut.
+  /// Deadline and cancellation, polled while constructing the LP and
+  /// inside branch-and-bound. Any stop is reported as
+  /// IlpSynthResult::TimedOut.
   StopToken Stop;
 };
 

@@ -55,7 +55,6 @@ static double rewardOf(const Machine &M, const std::vector<uint32_t> &Rows,
 
 MctsResult sks::mctsSynthesize(const Machine &M, const MctsOptions &Opts) {
   Stopwatch Timer;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
   Rng R(Opts.RngSeed);
   MctsResult Result;
 
@@ -81,7 +80,7 @@ MctsResult sks::mctsSynthesize(const Machine &M, const MctsOptions &Opts) {
 
   for (uint64_t Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
     ++Result.Iterations;
-    if ((Iter & 511) == 0 && Budget.stopRequested()) {
+    if ((Iter & 511) == 0 && Opts.Stop.stopRequested()) {
       Result.TimedOut = true;
       break;
     }

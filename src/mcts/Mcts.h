@@ -34,10 +34,8 @@ struct MctsOptions {
   unsigned RolloutDepth = 8;
   uint64_t MaxIterations = 1000000;
   uint64_t RngSeed = 1;
-  double TimeoutSeconds = 0;
-  /// Cooperative stop token (driver cancellation / outer deadlines),
-  /// polled in the iteration loop. Any stop is reported as
-  /// MctsResult::TimedOut.
+  /// Deadline and cancellation, polled in the iteration loop. Any stop is
+  /// reported as MctsResult::TimedOut.
   StopToken Stop;
 };
 

@@ -184,7 +184,6 @@ double PlannerImpl::hAdd(const FactSet &S) {
 PlanResult PlannerImpl::run() {
   PlanResult Result;
   Stopwatch Timer;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
 
   std::vector<Node> Arena;
   std::unordered_map<uint64_t, std::vector<uint32_t>> Seen;
@@ -210,7 +209,7 @@ PlanResult PlannerImpl::run() {
     // Poll every expansion: one expansion evaluates h_add on every
     // successor, which costs tens of milliseconds on the n = 4 grounding —
     // any batching interval here would overshoot a short deadline badly.
-    if (Budget.stopRequested()) {
+    if (Opts.Stop.stopRequested()) {
       Result.TimedOut = true;
       break;
     }

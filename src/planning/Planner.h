@@ -56,11 +56,9 @@ struct PlanOptions {
   PlanHeuristic Heuristic = PlanHeuristic::GoalCount;
   /// Greedy best-first (f = h) when true, A* (f = g + h) otherwise.
   bool Greedy = true;
-  double TimeoutSeconds = 0;
   size_t MaxExpansions = SIZE_MAX;
-  /// Cooperative stop token (driver cancellation / outer deadlines),
-  /// polled in the expansion loop. Any stop is reported as
-  /// PlanResult::TimedOut.
+  /// Deadline and cancellation, polled in the expansion loop. Any stop is
+  /// reported as PlanResult::TimedOut.
   StopToken Stop;
 };
 

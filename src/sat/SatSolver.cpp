@@ -361,11 +361,10 @@ static uint64_t lubySequence(uint64_t I) {
   return 1ull << (K - 1);
 }
 
-SatResult SatSolver::solve(double TimeoutSeconds, const StopToken &Stop) {
+SatResult SatSolver::solve(const StopToken &Stop) {
   if (FoundEmptyClause)
     return SatResult::Unsat;
-  StopToken Budget = Stop.withDeadline(TimeoutSeconds);
-  if (Budget.stopRequested())
+  if (Stop.stopRequested())
     return SatResult::Unknown;
   if (propagate() != -1)
     return SatResult::Unsat;
@@ -398,7 +397,7 @@ SatResult SatSolver::solve(double TimeoutSeconds, const StopToken &Stop) {
       }
       VarInc /= 0.95;
       ClauseInc /= 0.999;
-      if ((Conflicts & 255) == 0 && Budget.stopRequested())
+      if ((Conflicts & 255) == 0 && Stop.stopRequested())
         return SatResult::Unknown;
       continue;
     }
@@ -421,7 +420,7 @@ SatResult SatSolver::solve(double TimeoutSeconds, const StopToken &Stop) {
     ++Decisions;
     // Easy instances can run long stretches without conflicting; poll on
     // decisions too so an external cancel lands promptly.
-    if ((Decisions & 1023) == 0 && Budget.stopRequested())
+    if ((Decisions & 1023) == 0 && Stop.stopRequested())
       return SatResult::Unknown;
     TrailLim.push_back(static_cast<int>(Trail.size()));
     enqueue(SavedPhase[Var] ? 2 * Var : 2 * Var + 1, -1);

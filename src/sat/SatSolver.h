@@ -57,10 +57,9 @@ public:
   /// Adds clauses encoding "exactly one of \p Literals" (pairwise).
   void addExactlyOne(const std::vector<Lit> &Literals);
 
-  /// Solves the instance. \p TimeoutSeconds <= 0 disables the deadline;
-  /// \p Stop is polled at the same sites (every 256 conflicts and every
-  /// 1024 decisions), returning Unknown on any stop.
-  SatResult solve(double TimeoutSeconds = 0, const StopToken &Stop = {});
+  /// Solves the instance, polling \p Stop (deadline and cancel) every 256
+  /// conflicts and every 1024 decisions; returns Unknown on any stop.
+  SatResult solve(const StopToken &Stop = {});
 
   /// After Sat: \returns the value of variable \p Var.
   bool valueOf(int Var) const;

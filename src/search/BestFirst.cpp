@@ -76,7 +76,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
                                      const DistanceTable *DT) {
   SearchResult Result;
   Stopwatch Timer;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
   HeuristicEval Heuristic(M, Opts, DT);
   CutTracker Cuts(Opts.Cut, Opts.MaxLength);
   std::unique_ptr<SymmetryTable> Sym = makeSymmetryTable(M, Opts);
@@ -149,11 +148,9 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     if (++PopsSinceCheck >= 512) {
       PopsSinceCheck = 0;
       NotePeak();
-      if (AbortReason Reason = overBudget(Opts, Budget, Arena.size(),
-                                          StateBytes(), Opts.MaxStates)) {
-        recordAbort(Result, Reason);
+      Result.Stats.Stopped = overBudget(Opts, StateBytes());
+      if (Result.Stats.Stopped != StopReason::None)
         break;
-      }
       if (Opts.TraceIntervalSeconds > 0 && Timer.seconds() >= NextTrace) {
         NextTrace += Opts.TraceIntervalSeconds;
         Result.Trace.push_back(
@@ -256,6 +253,12 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   return Result;
 }
 
+const char *sks::stopReasonName(StopReason R) {
+  static const char *const Names[] = {"none", "timeout", "cancelled",
+                                      "state-store budget exhausted"};
+  return Names[static_cast<unsigned>(R)];
+}
+
 unsigned sks::networkUpperBound(MachineKind Kind, unsigned N) {
   // Minimal comparator counts for n = 2..6 (known optimal networks). A
   // pure cmov kernel is also a valid hybrid kernel, so the cmov network
@@ -285,7 +288,7 @@ SearchResult sks::synthesize(const Machine &M, const SearchOptions &Opts,
 
 OptimalSynthesis sks::synthesizeOptimal(const Machine &M,
                                         const SearchOptions &Opts,
-                                        double ProofTimeoutSeconds,
+                                        const StopToken &ProofStop,
                                         const DistanceTable *SharedTable) {
   OptimalSynthesis Result;
   Result.Synthesis = synthesize(M, Opts, SharedTable);
@@ -295,7 +298,7 @@ OptimalSynthesis sks::synthesizeOptimal(const Machine &M,
   SearchResult Proof;
   Result.MinimalityProven =
       proveNoKernelOfLength(M, Result.Synthesis.OptimalLength - 1, Proof,
-                            SharedTable, ProofTimeoutSeconds);
+                            SharedTable, ProofStop);
   Result.ProofSeconds = ProofTimer.seconds();
   return Result;
 }
@@ -303,7 +306,7 @@ OptimalSynthesis sks::synthesizeOptimal(const Machine &M,
 bool sks::proveNoKernelOfLength(const Machine &M, unsigned Length,
                                 SearchResult &Result,
                                 const DistanceTable *SharedTable,
-                                double TimeoutSeconds) {
+                                const StopToken &Stop) {
   SearchOptions Opts;
   Opts.Heuristic = HeuristicKind::None;
   Opts.Cut = CutConfig::none();
@@ -311,7 +314,7 @@ bool sks::proveNoKernelOfLength(const Machine &M, unsigned Length,
   Opts.UseActionFilter = false;
   Opts.MaxLength = Length;
   Opts.Layered = true;
-  Opts.TimeoutSeconds = TimeoutSeconds;
+  Opts.Stop = Stop;
   Result = synthesize(M, Opts, SharedTable);
-  return !Result.Found && !Result.Stats.TimedOut;
+  return !Result.Found && Result.Stats.Stopped == StopReason::None;
 }

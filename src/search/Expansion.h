@@ -179,7 +179,6 @@ public:
     uint8_t Needed = 0;
     bool Viable = true;
     const bool UseDT = Opts.UseViability && DT;
-    const bool UseErase = !UseDT && Opts.UseEraseCheck;
     {
       ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
       for (uint32_t I = 0; I != RawLen; ++I) {
@@ -193,7 +192,7 @@ public:
           }
           if (D > Needed)
             Needed = D;
-        } else if (UseErase && !rowKeepsAllValues(Row)) {
+        } else if (!rowKeepsAllValues(Row)) {
           Viable = false;
           break;
         }
@@ -321,9 +320,9 @@ public:
   }
 
 private:
-  /// Per-row half of the section 3.3 erase check (allValuesPresent): true
-  /// when every goal-required value (all of 1..n for the sort goal) still
-  /// occurs in some register of \p Row.
+  /// The section 3.3 erase check on one row: true when every
+  /// goal-required value (all of 1..n for the sort goal) still occurs in
+  /// some register of \p Row.
   bool rowKeepsAllValues(uint32_t Row) const {
     uint32_t Present = 0;
     for (unsigned Reg = 0; Reg != NumRegs; ++Reg) {

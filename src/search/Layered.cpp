@@ -25,10 +25,12 @@
 // that is the sequential engine, not a separate copy of it.
 //
 // Budgets: one check (overBudget, shared with the best-first engine) polls
-// the stop token, the MaxStates cap and the byte budget. The level loop
-// runs it before each level; the workers of the expansion and of merge
-// phase 1 run it at periodic checkpoints (checkpoint), which also publish
-// their progress and let worker 0 emit the Figure 1 trace point.
+// the stop token and compares residentBytes() — committed levels, node
+// metadata, decode caches and the level in flight — with the byte budget.
+// The level loop runs it before each expansion and each merge; the workers
+// of the expansion and of merge phase 1 run it at periodic checkpoints
+// (checkpoint), which also publish their progress and let worker 0 emit
+// the Figure 1 trace point. No peak falls below a value the check compared.
 //
 // Storage and parallelism (state/StateStore.h): all row data lives in one
 // flat arena per level addressed by (offset, len) handles, and the dedup
@@ -129,13 +131,12 @@ uint32_t refLocal(uint64_t Payload) { return static_cast<uint32_t>(Payload); }
 /// snapshot. The first failed check publishes its reason, and every other
 /// worker stops at its next checkpoint.
 struct Phase {
-  const StopToken &Budget;
   const std::function<void(size_t)> &Trace;
   const size_t Work;      ///< Work items: level nodes or candidates.
-  const size_t BaseBytes; ///< Committed state bytes when the phase began.
-  std::atomic<uint32_t> Abort{AbortNone};
-  /// Published totals: uncommitted states (candidates or new nodes), their
-  /// bytes, and work items done.
+  const size_t BaseBytes; ///< Resident bytes when the phase began.
+  std::atomic<StopReason> Abort{StopReason::None};
+  /// Published totals: uncommitted states (candidates or new nodes), the
+  /// bytes the work units grew by, and work items done.
   std::atomic<size_t> States{0}, Bytes{0}, Done{0};
 };
 
@@ -184,10 +185,10 @@ private:
   static constexpr unsigned kNumShards = StateStore::kNumShards;
 
   bool expandLevel(unsigned G, std::vector<CandidateBatch> &Batches,
-                   SearchResult &Result, const StopToken &Budget,
+                   SearchResult &Result,
                    const std::function<void(size_t)> &Trace);
   bool mergeLevel(std::vector<CandidateBatch> &Batches, unsigned ChildG,
-                  SearchResult &Result, const StopToken &Budget,
+                  SearchResult &Result,
                   const std::function<void(size_t)> &Trace,
                   bool &FoundSorted);
   void reconstruct(uint32_t Level, uint32_t Index, Program &Suffix,
@@ -196,19 +197,19 @@ private:
   const uint32_t *rowsOf(unsigned Level, const LNode &N) const {
     return Store.arena(Level).rows(N.Rows);
   }
-  /// Resident bytes of everything the run keeps: arenas (flat or
-  /// compressed) + index + nodes. Spill-file bytes are NOT here — this is
-  /// what MaxStateBytes budgets, so spilling relieves the budget.
-  size_t stateBytes() const { return Store.bytesUsed() + NodeBytes; }
-  size_t cacheBytes() const {
-    size_t Bytes = 0;
+  /// The one count of resident bytes, read by the budget check and the
+  /// peaks: committed levels (arenas, flat or compressed, and the dedup
+  /// index), node metadata and decode caches, plus \p Live bytes of the
+  /// level in flight (candidate batches, shard partitions, merge shards).
+  /// Spill-file bytes are not resident, so spilling relieves the budget.
+  size_t residentBytes(size_t Live = 0) const {
+    size_t Bytes = Store.bytesUsed() + NodeBytes + Live;
     for (const DecodeCache &C : Caches)
       Bytes += C.bytesUsed();
     return Bytes;
   }
-  /// Updates the resident / total high-water marks after a commit point.
-  void notePeaks(SearchResult &Result) const {
-    const size_t Resident = stateBytes() + cacheBytes();
+  /// Raises the resident / total high-water marks to \p Resident bytes.
+  void notePeaks(SearchResult &Result, size_t Resident) const {
     const FrontierCounters &FC = Store.frontierCounters();
     Result.Stats.PeakResidentBytes =
         std::max(Result.Stats.PeakResidentBytes, Resident);
@@ -216,6 +217,21 @@ private:
         std::max(Result.Stats.SpilledBytes, FC.SpilledBytes);
     Result.Stats.PeakStateBytes =
         std::max(Result.Stats.PeakStateBytes, Resident + FC.SpilledBytes);
+  }
+  /// The level loop's budget check over \p Resident bytes, which become a
+  /// peak candidate. \returns false when the run must stop.
+  bool withinBudget(SearchResult &Result, size_t Resident) const {
+    notePeaks(Result, Resident);
+    Result.Stats.Stopped = overBudget(Opts, Resident);
+    return Result.Stats.Stopped == StopReason::None;
+  }
+  /// Records a phase's peak and stop reason. Work units only grow, so the
+  /// published total bounds every value a checkpoint compared.
+  /// \returns false when a checkpoint stopped the phase.
+  bool endPhase(const Phase &Ph, SearchResult &Result) const {
+    notePeaks(Result, Ph.BaseBytes + Ph.Bytes.load(std::memory_order_relaxed));
+    Result.Stats.Stopped = Ph.Abort.load(std::memory_order_relaxed);
+    return Result.Stats.Stopped == StopReason::None;
   }
   bool checkpoint(Phase &Ph, Published &Mine, unsigned W, size_t States,
                   size_t Bytes, size_t Done) const;
@@ -245,19 +261,16 @@ private:
   /// Per level: the level-global index of each shard's first node.
   std::vector<std::array<uint32_t, kNumShards>> ShardBases;
   size_t NodeBytes = 0;     ///< LNode + Parents storage across levels.
-  size_t StoredStates = 1;  ///< Total nodes (the MaxStates budget).
   double BranchEstimate = 0; ///< Candidates-per-node of the last level.
 };
 
 } // namespace
 
 /// A worker's checkpoint inside a parallel phase. Publishes the running
-/// totals of one unit of work (\p States uncommitted states holding
-/// \p Bytes bytes after \p Done work items), then stops the worker when
-/// another one has aborted or the budget is spent. Uncommitted states
-/// (pre-dedup candidates, or nodes the merge has not committed yet) get
-/// 2x MaxStates slack, so runs the count-only budget lets finish still
-/// finish, but runaway levels abort. Worker 0 also emits the trace point,
+/// totals of one unit of work (\p States uncommitted states, \p Bytes
+/// live bytes, \p Done work items), then stops the worker when another
+/// one has aborted or the budget, checked over the phase's base plus all
+/// published growth, is spent. Worker 0 also emits the trace point,
 /// counting unconsumed work items plus uncommitted states as open.
 /// \returns false when the worker must stop.
 bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
@@ -265,19 +278,18 @@ bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
                                size_t Done) const {
   constexpr std::memory_order Relaxed = std::memory_order_relaxed;
   Ph.States.fetch_add(States - Mine.States, Relaxed);
-  Ph.Bytes.fetch_add(Bytes - Mine.Bytes, Relaxed);
+  const size_t Grown =
+      Ph.Bytes.fetch_add(Bytes - Mine.Bytes, Relaxed) + (Bytes - Mine.Bytes);
   Ph.Done.fetch_add(Done - Mine.Done, Relaxed);
   Mine = {States, Bytes, Done};
-  if (Ph.Abort.load(Relaxed) != AbortNone)
+  if (Ph.Abort.load(Relaxed) != StopReason::None)
     return false;
-  const size_t Open = Ph.States.load(Relaxed);
-  if (AbortReason Reason =
-          overBudget(Opts, Ph.Budget, StoredStates + Open,
-                     Ph.BaseBytes + Ph.Bytes.load(Relaxed),
-                     2 * Opts.MaxStates)) {
+  if (StopReason Reason = overBudget(Opts, Ph.BaseBytes + Grown);
+      Reason != StopReason::None) {
     Ph.Abort.store(Reason, Relaxed);
     return false;
   }
+  const size_t Open = Ph.States.load(Relaxed);
   if (W == 0)
     Ph.Trace(Ph.Work - std::min(Ph.Work, Ph.Done.load(Relaxed)) + Open);
   return true;
@@ -288,10 +300,10 @@ bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
 /// with a checkpoint every 64 nodes and at the end of each range. Each
 /// worker counts the nodes it actually expanded, so StatesExpanded stays
 /// exact when the level aborts part-way.
-/// \returns false when the expansion aborted (abort flags recorded).
+/// \returns false when the expansion aborted (stop reason recorded).
 bool LayeredEngine::expandLevel(unsigned G,
                                 std::vector<CandidateBatch> &Batches,
-                                SearchResult &Result, const StopToken &Budget,
+                                SearchResult &Result,
                                 const std::function<void(size_t)> &Trace) {
   const std::vector<LNode> &Level = Levels[G];
   const std::vector<OrderState> *Orders =
@@ -305,17 +317,20 @@ bool LayeredEngine::expandLevel(unsigned G,
                             : static_cast<double>(M.instructions().size());
   const size_t Expected = static_cast<size_t>(Level.size() * Branch) + 16;
   Batches.resize(Workers);
+  size_t Reserved = 0;
   for (CandidateBatch &B : Batches) {
     B.clear();
     B.reserveFor(Expected / Workers + 16, RowsPerState);
+    Reserved += B.bytesUsed();
   }
   std::vector<SearchStats> WorkerStats(Workers);
-  Phase Ph{Budget, Trace, Level.size(), stateBytes()};
+  Phase Ph{Trace, Level.size(), residentBytes(Reserved)};
   Pool.parallelFor(Level.size(), [&](size_t Begin, size_t End, unsigned W) {
     CandidateBatch &B = Batches[W];
     SearchStats &S = WorkerStats[W];
     std::vector<Instr> Actions;
-    Published Mine;
+    // The reservation is in the phase's base; publish only growth.
+    Published Mine{0, B.bytesUsed(), 0};
     for (size_t I = Begin; I != End; ++I) {
       const LNode &Node = Level[I];
       Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
@@ -342,20 +357,15 @@ bool LayeredEngine::expandLevel(unsigned G,
     Result.Stats.CanonNanos += S.CanonNanos;
     Result.Stats.ViabilityNanos += S.ViabilityNanos;
   }
-  if (uint32_t Reason = Ph.Abort.load(std::memory_order_relaxed)) {
-    recordAbort(Result, Reason);
-    return false;
-  }
-  return true;
+  return endPhase(Ph, Result);
 }
 
 /// Folds expansion candidates into the next level with global dedup: the
 /// three-phase sharded merge described in the file header. \returns false
-/// when the merge aborted before commit (abort flags recorded; the partial
+/// when the merge aborted before commit (stop reason recorded; the partial
 /// level is discarded).
 bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
                                unsigned ChildG, SearchResult &Result,
-                               const StopToken &Budget,
                                const std::function<void(size_t)> &Trace,
                                bool &FoundSorted) {
   // The whole three-phase merge counts as the Merge stage (wall-clock;
@@ -384,6 +394,15 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   });
   BranchEstimate = static_cast<double>(Total) /
                    static_cast<double>(Levels[ChildG - 1].size());
+  // Live until the level commits: the batches and their partitions.
+  size_t Live = 0;
+  for (uint32_t BI = 0; BI != NumBatches; ++BI) {
+    Live += Batches[BI].bytesUsed();
+    for (const std::vector<uint32_t> &V : Parts[BI])
+      Live += V.capacity() * sizeof(uint32_t);
+  }
+  if (!withinBudget(Result, residentBytes(Live)))
+    return false;
 
   // Phase 1: per-shard dedup/DAG-merge. Only shard-local state is written;
   // committed levels and the previous level's Ways are read-only (sealed
@@ -395,7 +414,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   const std::vector<OrderState> *PrevOrders =
       Opts.SemanticPrune ? &LevelOrders[ChildG - 1] : nullptr;
   std::vector<ShardMerge> Shards(kNumShards);
-  Phase Ph{Budget, Trace, Total, stateBytes()};
+  Phase Ph{Trace, Total, residentBytes(Live)};
 
   std::array<size_t, kNumShards> ShardCount{};
   for (uint32_t BI = 0; BI != NumBatches; ++BI)
@@ -511,10 +530,8 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
         }
       });
 
-  if (uint32_t Reason = Ph.Abort.load(std::memory_order_relaxed)) {
-    recordAbort(Result, Reason);
+  if (!endPhase(Ph, Result))
     return false;
-  }
 
   // Phase 2: commit. Prefix-sum the shard sizes into this level's bases,
   // then bulk-move nodes, rows, and index entries — work-stolen per
@@ -573,6 +590,11 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   if (Opts.FindAll)
     for (const LNode &N : Next)
       NodeBytes += N.Parents.capacity() * sizeof(ParentEdge);
+  // The level's high-water mark: the committed level next to the batches,
+  // partitions and shards it was merged from.
+  for (const ShardMerge &Sh : Shards)
+    Live += Sh.bytesUsed();
+  notePeaks(Result, residentBytes(Live));
   return true;
 }
 
@@ -615,7 +637,6 @@ void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
 
 SearchResult LayeredEngine::run() {
   SearchResult Result;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
 
   // No references into Levels/ShardBases survive a level commit, but
   // reserving up front removes the whole outer-reallocation hazard class.
@@ -642,7 +663,7 @@ SearchResult LayeredEngine::run() {
   ShardBases.push_back({});
   NodeBytes += Levels[0].capacity() * sizeof(LNode) +
                LevelOrders[0].capacity() * sizeof(OrderState);
-  notePeaks(Result);
+  notePeaks(Result, residentBytes());
   Result.Stats.LevelStates.push_back(Levels[0].size());
 
   double NextTrace = Opts.TraceIntervalSeconds;
@@ -659,32 +680,23 @@ SearchResult LayeredEngine::run() {
   for (unsigned G = 0; !Found && G < Opts.MaxLength; ++G) {
     if (Levels[G].empty())
       break;
-    if (AbortReason Reason = overBudget(Opts, Budget, StoredStates,
-                                        stateBytes(), Opts.MaxStates)) {
-      recordAbort(Result, Reason);
+    if (!withinBudget(Result, residentBytes()))
       break;
-    }
     unsigned ChildG = G + 1;
     std::vector<CandidateBatch> Batches;
-    if (!expandLevel(G, Batches, Result, Budget, MaybeTrace))
+    if (!expandLevel(G, Batches, Result, MaybeTrace))
       break;
-    if (Budget.stopRequested()) {
-      Result.Stats.TimedOut = true;
-      break;
-    }
     bool FoundSorted = false;
-    if (!mergeLevel(Batches, ChildG, Result, Budget, MaybeTrace, FoundSorted))
+    if (!mergeLevel(Batches, ChildG, Result, MaybeTrace, FoundSorted))
       break;
     Found = FoundSorted;
-    StoredStates += Levels[ChildG].size();
     Result.Stats.LevelStates.push_back(Levels[ChildG].size());
     FinalLevel = ChildG;
-    notePeaks(Result);
     // Level G has left the expansion window: the only reads it will ever
     // see again are dedup probes, which go through the decode layer — so
     // compress (and maybe spill) it. After a solution is found nothing
     // reads retired rows at all (reconstruct walks parent edges), so
-    // skip the final seal. notePeaks above already charged the peak.
+    // skip the final seal. mergeLevel already charged the peak.
     if (!Found)
       Store.retireLevel(G);
     MaybeTrace(Levels[ChildG].size());
@@ -720,7 +732,7 @@ SearchResult LayeredEngine::run() {
     Result.Stats.DecodeNanos += C.DecodeNanos;
     Result.Stats.BlocksDecoded += C.BlocksDecoded;
   }
-  notePeaks(Result);
+  notePeaks(Result, residentBytes());
   Result.Stats.Seconds = Timer.seconds();
   return Result;
 }

@@ -81,13 +81,9 @@ struct SearchOptions {
   HeuristicKind Heuristic = HeuristicKind::PermCount;
   CutConfig Cut = CutConfig::none();
   /// Prune states where some assignment cannot be sorted in the remaining
-  /// budget (section 3.3; requires the distance table).
+  /// budget (section 3.3; requires the distance table). Otherwise section
+  /// 3.3's erase check prunes states that lost a value from every register.
   bool UseViability = true;
-  /// The always-applicable half of section 3.3: prune states in which some
-  /// assignment has lost one of the values 1..n from every register ("a
-  /// program is not viable if it eliminates at least one of the numbers").
-  /// Subsumed by UseViability when the distance table is active.
-  bool UseEraseCheck = true;
   /// Only expand instructions on some assignment's optimal completion
   /// (section 3.2; requires the distance table).
   bool UseActionFilter = false;
@@ -127,19 +123,15 @@ struct SearchOptions {
   /// In FindAll mode, cap on the number of explicitly reconstructed
   /// programs (the path COUNT is always exact); 0 keeps none.
   size_t MaxSolutionsKept = 1 << 20;
-  /// Wall-clock budget in seconds (0 = unlimited).
-  double TimeoutSeconds = 0;
-  /// Cooperative stop token (driver cancellation / outer deadlines); both
-  /// engines poll it at their existing deadline check sites. Any stop is
-  /// reported as SearchStats::TimedOut. A default token never stops.
+  /// The run's only deadline and cancel: StopToken().withDeadline(S), whose
+  /// clock starts when the token is made, or a StopSource's token. Both
+  /// engines poll it at their budget checks and report which half fired
+  /// as SearchStats::Stopped. A default token never stops.
   StopToken Stop;
-  /// Abort when this many states have been stored (0 = unlimited); keeps
-  /// the unpruned Dijkstra configurations from exhausting memory on small
-  /// machines (the paper used 32 GB).
-  size_t MaxStates = 0;
-  /// Abort when the state store (row arenas + dedup index + node metadata)
-  /// exceeds this many bytes (0 = unlimited) — the principled, byte-exact
-  /// form of MaxStates, made possible by StateStore::bytesUsed().
+  /// Stop (StopReason::ByteBudget) when resident bytes exceed this; 0 =
+  /// unlimited. Best-first counts its store and nodes; layered counts its
+  /// committed levels, nodes, decode caches and the level in flight
+  /// (candidate batches, merge shards). Spilled bytes are not resident.
   size_t MaxStateBytes = 0;
   /// Worker threads for the layered engine (1 = sequential). More than one
   /// selects the layered engine: only it runs in parallel.
@@ -172,6 +164,18 @@ struct SearchOptions {
   /// branch per stage and no clock reads.
   bool ProfilePipeline = false;
 };
+
+/// Why a search stopped early; a fired token names its deadline first.
+enum class StopReason {
+  None,       ///< Ran to completion: a kernel found or the bound exhausted.
+  Deadline,   ///< The stop token's deadline expired.
+  Cancelled,  ///< The stop token's source requested a stop.
+  ByteBudget, ///< Resident bytes exceeded SearchOptions::MaxStateBytes.
+};
+
+/// \returns the display name of \p R: "none", "timeout", "cancelled" or
+/// "state-store budget exhausted".
+const char *stopReasonName(StopReason R);
 
 /// One Figure 1 sample.
 struct TracePoint {
@@ -209,10 +213,10 @@ struct SearchStats {
   /// High-water mark of total state bytes, resident plus spilled. Equals
   /// PeakResidentBytes unless a spill directory was configured.
   size_t PeakStateBytes = 0;
-  /// High-water mark of RESIDENT bytes: row arenas (flat or compressed) +
-  /// dedup index + node metadata + decode caches. This is what
-  /// SearchOptions::MaxStateBytes budgets, so spilling relieves the
-  /// budget while PeakStateBytes keeps the honest total.
+  /// High-water mark of the resident bytes SearchOptions::MaxStateBytes
+  /// budgets, never below a value its check compared: a run capped at
+  /// this peak fits. Spilling relieves the budget; PeakStateBytes keeps
+  /// the honest total.
   size_t PeakResidentBytes = 0;
   /// High-water mark of spill-file bytes (CompressFrontier + SpillDir).
   size_t SpilledBytes = 0;
@@ -239,8 +243,8 @@ struct SearchStats {
   uint64_t ViabilityNanos = 0;
   uint64_t MergeNanos = 0;
   double Seconds = 0;
-  bool TimedOut = false;
-  bool MemoryLimited = false;
+  /// Why the run stopped early; None when it ran to completion.
+  StopReason Stopped = StopReason::None;
 };
 
 /// Result of a synthesis run.
@@ -282,21 +286,21 @@ struct OptimalSynthesis {
 
 /// End-to-end driver: synthesize with \p Opts, then certify minimality by
 /// exhausting the space one instruction shorter (with only
-/// optimality-preserving pruning). \p ProofTimeoutSeconds bounds the
-/// certificate search only.
+/// optimality-preserving pruning). \p ProofStop bounds the certificate
+/// search only; a deadline in it runs from when the caller made it.
 OptimalSynthesis synthesizeOptimal(const Machine &M, const SearchOptions &Opts,
-                                   double ProofTimeoutSeconds = 0,
+                                   const StopToken &ProofStop = {},
                                    const DistanceTable *SharedTable = nullptr);
 
 /// Proves that no correct kernel of length <= \p Length exists by
 /// exhaustive layered search with only optimality-preserving pruning
 /// (dedup + admissible viability bound). \returns true when the proof
 /// succeeded (search space exhausted without finding a kernel), false when
-/// a kernel was found or the deadline expired (see Result.Stats.TimedOut).
+/// a kernel was found or \p Stop fired (Result.Stats.Stopped says which).
 bool proveNoKernelOfLength(const Machine &M, unsigned Length,
                            SearchResult &Result,
                            const DistanceTable *SharedTable = nullptr,
-                           double TimeoutSeconds = 0);
+                           const StopToken &Stop = {});
 
 } // namespace sks
 

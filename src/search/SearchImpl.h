@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Internal helpers shared by the best-first and layered engines: heuristic
-/// evaluation, the section 3.5 cut tracker, the budget check, and fast
-/// distinct-count utilities on packed row vectors. Not part of the public
-/// API.
+/// evaluation, the section 3.5 cut tracker, the action filter, the budget
+/// check, and fast distinct-count utilities on packed row vectors. Not
+/// part of the public API.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,11 +39,6 @@ inline unsigned countDistinctMasked(const uint32_t *Rows, size_t Len,
     if (I == 0 || Scratch[I] != Scratch[I - 1])
       ++Count;
   return Count;
-}
-inline unsigned countDistinctMasked(const std::vector<uint32_t> &Rows,
-                                    uint32_t Mask,
-                                    std::vector<uint32_t> &Scratch) {
-  return countDistinctMasked(Rows.data(), Rows.size(), Mask, Scratch);
 }
 
 /// Goal-aware permutation count: distinct data-register projections, with
@@ -189,65 +184,17 @@ inline size_t selectActions(const Machine &M, const DistanceTable *DT,
   }
   return All.size() - Out.size();
 }
-inline size_t selectActions(const Machine &M, const DistanceTable *DT,
-                            bool UseActionFilter, const uint32_t *Rows,
-                            size_t Len, std::vector<Instr> &Out) {
-  std::vector<uint32_t> Applied;
-  return selectActions(M, DT, UseActionFilter, Rows, Len, Out, Applied);
-}
-inline size_t selectActions(const Machine &M, const DistanceTable *DT,
-                            bool UseActionFilter,
-                            const std::vector<uint32_t> &Rows,
-                            std::vector<Instr> &Out) {
-  return selectActions(M, DT, UseActionFilter, Rows.data(), Rows.size(), Out);
-}
 
-/// Section 3.3's basic viability: every goal-required value (all of 1..n
-/// for the sort goal) must survive in every row. \returns false when some
-/// row erased a required value.
-inline bool allValuesPresent(const Machine &M, const uint32_t *Rows,
-                             size_t Len) {
-  const uint32_t FullMask = M.requiredValueMask();
-  const unsigned R = M.numRegs();
-  for (size_t I = 0; I != Len; ++I) {
-    uint32_t Present = 0;
-    for (unsigned Reg = 0; Reg != R; ++Reg)
-      Present |= 1u << getReg(Rows[I], Reg);
-    if ((Present & FullMask) != FullMask)
-      return false;
-  }
-  return true;
-}
-inline bool allValuesPresent(const Machine &M,
-                             const std::vector<uint32_t> &Rows) {
-  return allValuesPresent(M, Rows.data(), Rows.size());
-}
-
-/// Why a search stopped early. The layered engine races it into one
-/// atomic flag inside its parallel regions.
-enum AbortReason : uint32_t { AbortNone = 0, AbortTime = 1, AbortMemory = 2 };
-
-/// The one budget check of both engines: the stop token (deadline and
-/// cancellation), the state cap \p StateCap (0 = none) and
-/// Opts.MaxStateBytes, over \p States states holding \p Bytes bytes.
-/// \returns the abort reason, or AbortNone.
-inline AbortReason overBudget(const SearchOptions &Opts,
-                              const StopToken &Budget, size_t States,
-                              size_t Bytes, size_t StateCap) {
-  if (Budget.stopRequested())
-    return AbortTime;
-  if ((StateCap > 0 && States >= StateCap) ||
-      (Opts.MaxStateBytes > 0 && Bytes > Opts.MaxStateBytes))
-    return AbortMemory;
-  return AbortNone;
-}
-
-/// Records a non-None \p Reason in the result's abort flags: every abort
-/// sets TimedOut, a memory abort also MemoryLimited.
-inline void recordAbort(SearchResult &Result, uint32_t Reason) {
-  Result.Stats.TimedOut = true;
-  if (Reason == AbortMemory)
-    Result.Stats.MemoryLimited = true;
+/// The one budget check of both engines: the stop token (deadline first,
+/// then cancellation), then Opts.MaxStateBytes over \p Bytes resident
+/// bytes. \returns why the run must stop, or StopReason::None.
+inline StopReason overBudget(const SearchOptions &Opts, size_t Bytes) {
+  if (Opts.Stop.stopRequested())
+    return Opts.Stop.deadlineExpired() ? StopReason::Deadline
+                                       : StopReason::Cancelled;
+  if (Opts.MaxStateBytes > 0 && Bytes > Opts.MaxStateBytes)
+    return StopReason::ByteBudget;
+  return StopReason::None;
 }
 
 SearchResult bestFirstSearch(const Machine &M, const SearchOptions &Opts,

@@ -199,12 +199,10 @@ private:
   size_t Pos = 0;
 };
 
-bool parseUnsigned(const Scalar &V, unsigned long &Out) {
-  if (V.IsString || V.Text.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoul(V.Text.c_str(), &End, 10);
-  return End && *End == '\0';
+/// A wire integer: a bare number token obeying parseCount.
+bool parseUnsigned(const Scalar &V, unsigned long long Max,
+                   unsigned long long &Out) {
+  return !V.IsString && parseCount(V.Text, Max, Out);
 }
 
 bool parseDouble(const Scalar &V, double &Out) {
@@ -216,6 +214,27 @@ bool parseDouble(const Scalar &V, double &Out) {
 }
 
 } // namespace
+
+bool sks::parseCount(const std::string &Text, unsigned long long Max,
+                     unsigned long long &Out) {
+  if (Text.empty() || Text.size() > 19)
+    return false; // Any 19-digit number fits in 64 bits.
+  Out = 0;
+  for (char C : Text) {
+    if (!std::isdigit(static_cast<unsigned char>(C)))
+      return false;
+    Out = Out * 10 + static_cast<unsigned>(C - '0');
+  }
+  return Out <= Max;
+}
+
+bool sks::parseNonNegative(const std::string &Text, double &Out) {
+  if (Text.empty() || std::isspace(static_cast<unsigned char>(Text[0])))
+    return false;
+  char *End = nullptr;
+  Out = std::strtod(Text.c_str(), &End);
+  return End && *End == '\0' && std::isfinite(Out) && Out >= 0;
+}
 
 bool sks::parseRequestLine(const std::string &Line, WireRequest &Out,
                            std::string &Error) {
@@ -241,8 +260,8 @@ bool sks::parseRequestLine(const std::string &Line, WireRequest &Out,
         return false;
       }
     } else if (Key == "n") {
-      unsigned long N = 0;
-      if (!parseUnsigned(Value, N) || N < 2 || N > 6) {
+      unsigned long long N = 0;
+      if (!parseUnsigned(Value, 6, N) || N < 2) {
         Error = "\"n\" must be an integer in 2..6";
         return false;
       }
@@ -275,10 +294,7 @@ bool sks::parseRequestLine(const std::string &Line, WireRequest &Out,
         return false;
       }
     } else if (Key == "backend") {
-      bool Known = Value.Text == "portfolio";
-      for (const std::string &Name : backendNames())
-        Known = Known || Value.Text == Name;
-      if (!Known) {
+      if (!isBackendPolicy(Value.Text)) {
         Error = "\"backend\" must be portfolio or one of the registered "
                 "backends";
         return false;
@@ -286,22 +302,24 @@ bool sks::parseRequestLine(const std::string &Line, WireRequest &Out,
       Out.Req.BackendPolicy = Value.Text;
     } else if (Key == "timeout") {
       double Timeout = 0;
-      if (!parseDouble(Value, Timeout) || Timeout < 0) {
+      if (Value.IsString || !parseNonNegative(Value.Text, Timeout)) {
         Error = "\"timeout\" must be a non-negative number of seconds";
         return false;
       }
       Out.Req.TimeoutSeconds = Timeout;
     } else if (Key == "max_length") {
-      unsigned long MaxLength = 0;
-      if (!parseUnsigned(Value, MaxLength) || MaxLength > 1000) {
-        Error = "\"max_length\" must be a small non-negative integer";
+      unsigned long long MaxLength = 0;
+      if (!parseUnsigned(Value, kMaxLengthLimit, MaxLength)) {
+        Error = "\"max_length\" must be an integer in 0.." +
+                std::to_string(kMaxLengthLimit);
         return false;
       }
       Out.Req.MaxLength = static_cast<unsigned>(MaxLength);
     } else if (Key == "threads") {
-      unsigned long Threads = 0;
-      if (!parseUnsigned(Value, Threads) || Threads < 1 || Threads > 256) {
-        Error = "\"threads\" must be an integer in 1..256";
+      unsigned long long Threads = 0;
+      if (!parseUnsigned(Value, kMaxThreads, Threads) || Threads < 1) {
+        Error = "\"threads\" must be an integer in 1.." +
+                std::to_string(kMaxThreads);
         return false;
       }
       Out.Req.NumThreads = static_cast<unsigned>(Threads);

@@ -73,6 +73,15 @@ std::string errorLine(const std::string &Id, const std::string &Message);
 /// (quotes, backslashes, and control characters including newlines).
 std::string jsonEscape(const std::string &S);
 
+/// The number rules of the protocol and the sks-synth / sks-serve flags.
+/// \returns true when all of \p Text is a plain decimal integer (digits
+/// only: no sign, fraction or exponent) of at most \p Max.
+bool parseCount(const std::string &Text, unsigned long long Max,
+                unsigned long long &Out);
+
+/// \returns true when all of \p Text is a finite, non-negative number.
+bool parseNonNegative(const std::string &Text, double &Out);
+
 } // namespace sks
 
 #endif // SKS_SERVICE_PROTOCOL_H

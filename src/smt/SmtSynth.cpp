@@ -345,8 +345,7 @@ void Encoder::encodeGoal() {
 }
 
 static SmtResult solveOnce(const Machine &M, const SmtOptions &Opts,
-                           const std::vector<std::vector<int>> &Examples,
-                           double Remaining) {
+                           const std::vector<std::vector<int>> &Examples) {
   SmtResult Result;
   if (Opts.Stop.stopRequested()) {
     // Building the encoding for n! examples is itself expensive; bail
@@ -357,7 +356,7 @@ static SmtResult solveOnce(const Machine &M, const SmtOptions &Opts,
   Encoder Enc(M, Opts, Examples);
   Result.NumVars = static_cast<size_t>(Enc.solver().numVars());
   Result.NumClauses = Enc.solver().numClauses();
-  SatResult Sat = Enc.solver().solve(Remaining, Opts.Stop);
+  SatResult Sat = Enc.solver().solve(Opts.Stop);
   if (Sat == SatResult::Unknown) {
     Result.TimedOut = true;
     return Result;
@@ -371,19 +370,10 @@ static SmtResult solveOnce(const Machine &M, const SmtOptions &Opts,
 
 SmtResult sks::smtSynthesize(const Machine &M, const SmtOptions &Opts) {
   Stopwatch Timer;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
-  auto Remaining = [&] {
-    if (Opts.TimeoutSeconds <= 0)
-      return 0.0;
-    double Left = Opts.TimeoutSeconds - Timer.seconds();
-    return Left > 0.01 ? Left : 0.01;
-  };
-
   if (!Opts.Cegis) {
     // SMT-Perm: all permutations in one query; the result is correct by
     // construction.
-    SmtResult Result =
-        solveOnce(M, Opts, allPermutations(M.numData()), Remaining());
+    SmtResult Result = solveOnce(M, Opts, allPermutations(M.numData()));
     Result.Seconds = Timer.seconds();
     Result.CegisIterations = 1;
     return Result;
@@ -401,7 +391,7 @@ SmtResult sks::smtSynthesize(const Machine &M, const SmtOptions &Opts) {
   SmtResult Result;
   for (;;) {
     ++Result.CegisIterations;
-    SmtResult Attempt = solveOnce(M, Opts, Examples, Remaining());
+    SmtResult Attempt = solveOnce(M, Opts, Examples);
     Result.NumVars = std::max(Result.NumVars, Attempt.NumVars);
     Result.NumClauses = std::max(Result.NumClauses, Attempt.NumClauses);
     if (Attempt.TimedOut || !Attempt.Found) {
@@ -415,7 +405,7 @@ SmtResult sks::smtSynthesize(const Machine &M, const SmtOptions &Opts) {
       break;
     }
     Examples.push_back(Counterexample);
-    if (Budget.stopRequested()) {
+    if (Opts.Stop.stopRequested()) {
       Result.TimedOut = true;
       break;
     }
@@ -427,15 +417,11 @@ SmtResult sks::smtSynthesize(const Machine &M, const SmtOptions &Opts) {
 SmtResult sks::smtSynthesizeIterative(const Machine &M, SmtOptions Opts,
                                       unsigned MaxLength) {
   Stopwatch Timer;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
-  double TotalBudget = Opts.TimeoutSeconds;
   SmtResult Last;
   for (unsigned Length = Opts.Length; Length <= MaxLength; ++Length) {
     Opts.Length = Length;
-    if (TotalBudget > 0)
-      Opts.TimeoutSeconds = std::max(0.01, TotalBudget - Timer.seconds());
     Last = smtSynthesize(M, Opts);
-    if (Last.Found || Last.TimedOut || Budget.stopRequested())
+    if (Last.Found || Last.TimedOut || Opts.Stop.stopRequested())
       break;
   }
   Last.Seconds = Timer.seconds();

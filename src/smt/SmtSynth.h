@@ -56,10 +56,8 @@ struct SmtOptions {
   bool IncludeSymmetricCmps = false;
   /// Section 5.2 extra heuristic: force the first instruction to be cmp.
   bool FirstInstrCmp = false;
-  double TimeoutSeconds = 0;
-  /// Cooperative stop token (driver cancellation / outer deadlines),
-  /// polled inside the SAT solver and between CEGIS iterations. Any stop
-  /// is reported as SmtResult::TimedOut.
+  /// Deadline and cancellation, polled inside the SAT solver and between
+  /// CEGIS iterations. Any stop is reported as SmtResult::TimedOut.
   StopToken Stop;
 };
 

@@ -41,11 +41,10 @@
 ///    back on demand. Spilled bytes leave the resident footprint, which
 ///    is what lets MaxStateBytes stop binding the frontier.
 ///
-/// bytesUsed() reports the exact resident footprint (arenas + index), which
-/// SearchStats surfaces as PeakResidentBytes and SearchOptions::MaxStateBytes
-/// turns into a principled byte budget (the old MaxStates count remains as
-/// a compatibility knob). Spill-file bytes are counted separately in
-/// FrontierCounters::SpilledBytes.
+/// bytesUsed() reports the exact resident footprint (arenas + index), the
+/// store's share of what SearchOptions::MaxStateBytes budgets and
+/// SearchStats::PeakResidentBytes reports. Spill-file bytes are counted
+/// separately in FrontierCounters::SpilledBytes.
 ///
 //===----------------------------------------------------------------------===//
 

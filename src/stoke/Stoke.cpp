@@ -95,7 +95,6 @@ void mutate(const Machine &M, Program &P, Rng &R) {
 
 StokeResult sks::stokeSynthesize(const Machine &M, const StokeOptions &Opts) {
   Stopwatch Timer;
-  StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
   Rng R(Opts.RngSeed);
   StokeResult Result;
 
@@ -118,7 +117,7 @@ StokeResult sks::stokeSynthesize(const Machine &M, const StokeOptions &Opts) {
 
   for (uint64_t Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
     ++Result.Iterations;
-    if ((Iter & 2047) == 0 && Budget.stopRequested()) {
+    if ((Iter & 2047) == 0 && Opts.Stop.stopRequested()) {
       Result.TimedOut = true;
       break;
     }

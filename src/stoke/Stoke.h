@@ -43,10 +43,8 @@ struct StokeOptions {
   /// Restart from scratch after this many non-improving proposals.
   uint64_t RestartInterval = 100000;
   uint64_t RngSeed = 1;
-  double TimeoutSeconds = 0;
-  /// Cooperative stop token (driver cancellation / outer deadlines),
-  /// polled in the proposal loop. Any stop is reported as
-  /// StokeResult::TimedOut.
+  /// Deadline and cancellation, polled in the proposal loop. Any stop is
+  /// reported as StokeResult::TimedOut.
   StopToken Stop;
 };
 

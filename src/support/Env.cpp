@@ -16,15 +16,6 @@ bool sks::isFullRun() {
   return Value && std::strcmp(Value, "0") != 0 && Value[0] != '\0';
 }
 
-long sks::envInt(const char *Name, long Default) {
-  const char *Value = std::getenv(Name);
-  if (!Value || !*Value)
-    return Default;
-  char *End = nullptr;
-  long Parsed = std::strtol(Value, &End, 10);
-  return (End && *End == '\0') ? Parsed : Default;
-}
-
 double sks::envDouble(const char *Name, double Default) {
   const char *Value = std::getenv(Name);
   if (!Value || !*Value)

@@ -20,10 +20,6 @@ namespace sks {
 /// \returns true when SKS_FULL=1: run the paper-scale experiments.
 bool isFullRun();
 
-/// \returns the integer value of environment variable \p Name, or
-/// \p Default when unset/unparsable.
-long envInt(const char *Name, long Default);
-
 /// \returns the double value of environment variable \p Name, or \p Default.
 double envDouble(const char *Name, double Default);
 

@@ -20,9 +20,11 @@
 /// branch-only (no clock read, no atomic load), so engines pay nothing
 /// when cancellation is unused. Tokens chain: StopSource can be rooted in
 /// a parent token, so a portfolio race nested under an outer deadline
-/// observes both. The engines report any stop as their existing TimedOut
-/// flag; the driver layer disambiguates Cancelled vs TimedOut by asking
-/// the token which half fired (cancelRequested / deadlineExpired).
+/// observes both. The token is the only carrier of a deadline below the
+/// driver, and its clock starts when withDeadline() makes it: a caller
+/// reusing options for several runs makes a fresh token for each. Which
+/// half fired is the token's to say, deadline first (deadlineExpired, then
+/// cancelRequested).
 ///
 //===----------------------------------------------------------------------===//
 

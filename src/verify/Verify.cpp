@@ -120,7 +120,7 @@ bool sks::isRobustKernel(const Machine &M, const Program &P) {
   // even values (tied), 2n+1 (above all). A constants-free kernel's
   // behaviour depends only on comparison outcomes, so covering every
   // order-type of (data, scratch) with every initial flag state covers
-  // every integer input.
+  // every input of distinct integers. Tied data values are not covered.
   std::vector<long long> Sorted(N);
   for (unsigned I = 0; I != N; ++I)
     Sorted[I] = 2 * (I + 1);

@@ -70,16 +70,20 @@ std::vector<long long> runOnValuesWithState(
 bool areEquivalentKernels(const Machine &M, const Program &A,
                           const Program &B, bool FullState = false);
 
-/// Checks correctness for ALL int inputs, including ones the paper's
-/// n!-permutation argument does not cover: a kernel may covertly use the
-/// scratch register's 0 initialization as a constant (0 is below every
-/// value in 1..n but not below negative inputs). This check quantifies
-/// over every order-type of the initial scratch value relative to the data
-/// (below all / tied with any element / strictly between any two / above
-/// all) and over all initial flag states. Only the goal-pinned data
-/// registers are required to match the sorted reference. Empirically,
-/// exactly 2 of the 5602 model-optimal n=3 kernels FAIL this check — see
-/// EXPERIMENTS.md. Requires m = 1 scratch register.
+/// Checks correctness for every input of n pairwise DISTINCT integers,
+/// including ones the paper's 1..n argument does not cover: a kernel may
+/// covertly use the scratch register's 0 initialization as a constant (0
+/// is below every value in 1..n but not below negative inputs). This check
+/// takes every permutation of n distinct data values and quantifies over
+/// every order-type of the initial scratch value relative to them (below
+/// all / tied with any element / strictly between any two / above all)
+/// and over all initial flag states. Only the goal-pinned data registers
+/// are required to match the sorted reference. Inputs with TIED data
+/// values are not covered: of the 5600 n=3 kernels that pass, 3574
+/// mis-sort some input from -2..2 with equal values (perfbench/README.md,
+/// "Findings for later work"). Empirically, exactly 2 of the 5602
+/// model-optimal n=3 kernels FAIL this check — see EXPERIMENTS.md.
+/// Requires m = 1 scratch register.
 bool isRobustKernel(const Machine &M, const Program &P);
 
 } // namespace sks

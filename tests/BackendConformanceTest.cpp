@@ -82,6 +82,21 @@ TEST(BackendConformance, IlpHonorsDeadlineAtN2) {
   EXPECT_LT(O.Seconds, 10.0);
 }
 
+TEST(BackendConformance, IlpStopInsideTheRelaxationIsNoProof) {
+  // Short deadlines land inside an LP relaxation, which the simplex cuts
+  // short; branch-and-bound must not prune that node as infeasible. A
+  // length-4 n=2 kernel exists, so no run may claim Infeasible, and a run
+  // without a kernel timed out.
+  std::unique_ptr<Backend> B = createBackend("ilp");
+  for (double Seconds : {0.005, 0.01, 0.02, 0.05, 0.1}) {
+    SynthOutcome O = B->run(request(2, SynthGoal::FirstKernel, Seconds));
+    EXPECT_NE(O.Status, SynthStatus::Infeasible) << Seconds << " s";
+    if (O.Kernel.empty()) {
+      EXPECT_EQ(O.Status, SynthStatus::TimedOut) << Seconds << " s";
+    }
+  }
+}
+
 TEST(BackendConformance, OptimalCapableBackendsCertifyN2Minimum) {
   // enum, smt, and cp can certify minimality; the optimal cmov kernel for
   // n = 2 has length 4.

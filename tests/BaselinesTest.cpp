@@ -30,7 +30,7 @@ TEST(SmtSynth, PermFindsLength4KernelN2) {
   Machine M(MachineKind::Cmov, 2);
   SmtOptions Opts;
   Opts.Length = 4;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -41,7 +41,7 @@ TEST(SmtSynth, ProvesNoLength3KernelN2) {
   Machine M(MachineKind::Cmov, 2);
   SmtOptions Opts;
   Opts.Length = 3;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   EXPECT_FALSE(R.Found);
   EXPECT_FALSE(R.TimedOut) << "UNSAT, not timeout";
@@ -52,7 +52,7 @@ TEST(SmtSynth, CegisFindsKernelN2) {
   SmtOptions Opts;
   Opts.Length = 4;
   Opts.Cegis = true;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -64,7 +64,7 @@ TEST(SmtSynth, AscendingCountsGoalAgrees) {
   SmtOptions Opts;
   Opts.Length = 4;
   Opts.Goal = SmtGoal::AscendingCounts;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -74,7 +74,7 @@ TEST(SmtSynth, MinMaxMachineKernelN2) {
   Machine M(MachineKind::MinMax, 2);
   SmtOptions Opts;
   Opts.Length = 3;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -84,7 +84,7 @@ TEST(SmtSynth, IterativeDriverStopsAtFirstFeasibleLength) {
   Machine M(MachineKind::Cmov, 2);
   SmtOptions Opts;
   Opts.Length = 2;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesizeIterative(M, Opts, 6);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.P.size(), 4u) << "4 is the minimal length for n=2";
@@ -98,7 +98,7 @@ TEST(CpSynth, FindsKernelN2) {
   Machine M(MachineKind::Cmov, 2);
   CpOptions Opts;
   Opts.Length = 4;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -109,7 +109,7 @@ TEST(CpSynth, ExactGoalAgrees) {
   CpOptions Opts;
   Opts.Length = 4;
   Opts.Goal = CpGoal::Exact;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -119,7 +119,7 @@ TEST(CpSynth, NoLength3KernelN2) {
   Machine M(MachineKind::Cmov, 2);
   CpOptions Opts;
   Opts.Length = 3;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   CpResult R = cpSynthesize(M, Opts);
   EXPECT_FALSE(R.Found);
   EXPECT_FALSE(R.TimedOut);
@@ -130,7 +130,7 @@ TEST(CpSynth, EnumerateAllFindsAllLength4KernelsN2) {
   CpOptions Opts;
   Opts.Length = 4;
   Opts.EnumerateAll = true;
-  Opts.TimeoutSeconds = 120;
+  Opts.Stop = StopToken().withDeadline(120);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   // The layered search counts 8 optimal kernels for n=2 (see SearchTest);
@@ -149,7 +149,7 @@ TEST(CpSynth, PartialSuiteAdmitsWrongPrograms) {
   Opts.PartialExamples = 1;
   Opts.EnumerateAll = true;
   Opts.MaxSolutions = 500;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   bool AnyWrong = false;
@@ -225,7 +225,7 @@ TEST(IlpSynth, TimesOutGracefullyOnTinyBudget) {
   Machine M(MachineKind::Cmov, 2);
   IlpSynthOptions Opts;
   Opts.Length = 4;
-  Opts.TimeoutSeconds = 2;
+  Opts.Stop = StopToken().withDeadline(2);
   IlpSynthResult R = ilpSynthesize(M, Opts);
   EXPECT_TRUE(R.TimedOut || R.Found);
   if (R.Found) {
@@ -244,7 +244,7 @@ TEST(Stoke, ColdStartFindsKernelN2) {
   StokeOptions Opts;
   Opts.Length = 4;
   Opts.MaxIterations = 5000000;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   StokeResult R = stokeSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.Best));
@@ -256,7 +256,7 @@ TEST(Stoke, WarmStartKeepsCorrectSeedCorrect) {
   Opts.Length = 12;
   Opts.Seed = sortingNetworkCmov(3);
   Opts.MaxIterations = 20000;
-  Opts.TimeoutSeconds = 30;
+  Opts.Stop = StopToken().withDeadline(30);
   StokeResult R = stokeSynthesize(M, Opts);
   // The seed is already correct, so the search must report success
   // immediately with cost 0.
@@ -270,7 +270,7 @@ TEST(Stoke, RandomSubsetSuiteStillVerifiesFully) {
   Opts.Length = 4;
   Opts.RandomTests = 1;
   Opts.MaxIterations = 5000000;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   StokeResult R = stokeSynthesize(M, Opts);
   if (R.Found) {
     EXPECT_TRUE(isCorrectKernel(M, R.Best))
@@ -294,7 +294,7 @@ TEST(Planning, GoalCountSolvesN2) {
   Machine M(MachineKind::Cmov, 2);
   PlanOptions Opts;
   Opts.Heuristic = PlanHeuristic::GoalCount;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   PlanSynthResult R = planSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -304,7 +304,7 @@ TEST(Planning, HAddSolvesN3) {
   Machine M(MachineKind::Cmov, 3);
   PlanOptions Opts;
   Opts.Heuristic = PlanHeuristic::HAdd;
-  Opts.TimeoutSeconds = 120;
+  Opts.Stop = StopToken().withDeadline(120);
   PlanSynthResult R = planSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -350,7 +350,7 @@ TEST(Mcts, FindsKernelN2) {
   Opts.MaxLength = 6;
   Opts.RolloutDepth = 6;
   Opts.MaxIterations = 3000000;
-  Opts.TimeoutSeconds = 120;
+  Opts.Stop = StopToken().withDeadline(120);
   MctsResult R = mctsSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));

@@ -24,12 +24,15 @@ TEST(CpSolver, HeuristicsDoNotChangeFeasibility) {
       Opts.Length = 4;
       Opts.NoConsecutiveCmp = NoCC;
       Opts.FirstInstrCmp = FirstCmp;
-      Opts.TimeoutSeconds = 120;
+      Opts.Stop = StopToken().withDeadline(120);
       CpResult R = cpSynthesize(M, Opts);
       ASSERT_TRUE(R.Found) << NoCC << FirstCmp;
       EXPECT_TRUE(isCorrectKernel(M, R.P));
       Opts.Length = 3;
-      EXPECT_FALSE(cpSynthesize(M, Opts).Found);
+      Opts.Stop = StopToken().withDeadline(120); // A fresh budget per run.
+      CpResult Shorter = cpSynthesize(M, Opts);
+      EXPECT_FALSE(Shorter.Found);
+      EXPECT_FALSE(Shorter.TimedOut);
     }
 }
 
@@ -40,7 +43,7 @@ TEST(CpSolver, OnlyReadInitializedStillFindsKernel) {
   CpOptions Opts;
   Opts.Length = 4;
   Opts.OnlyReadInitialized = true;
-  Opts.TimeoutSeconds = 120;
+  Opts.Stop = StopToken().withDeadline(120);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -51,7 +54,7 @@ TEST(CpSolver, CmpSymmetryOffWidensAlphabetButKeepsAnswers) {
   CpOptions Opts;
   Opts.Length = 4;
   Opts.CmpSymmetry = false; // Adds the symmetric compares.
-  Opts.TimeoutSeconds = 120;
+  Opts.Stop = StopToken().withDeadline(120);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -64,8 +67,9 @@ TEST(CpSolver, EraseValueCheckPrunesWithoutLosingSolutions) {
   With.EraseValueCheck = true;
   Without.EraseValueCheck = false;
   With.EnumerateAll = Without.EnumerateAll = true;
-  With.TimeoutSeconds = Without.TimeoutSeconds = 300;
+  With.Stop = StopToken().withDeadline(300);
   CpResult A = cpSynthesize(M, With);
+  Without.Stop = StopToken().withDeadline(300); // Its clock starts here.
   CpResult B = cpSynthesize(M, Without);
   ASSERT_TRUE(A.Found);
   ASSERT_TRUE(B.Found);
@@ -78,20 +82,23 @@ TEST(CpSolver, MinMaxMachineWorks) {
   Machine M(MachineKind::MinMax, 2);
   CpOptions Opts;
   Opts.Length = 3;
-  Opts.TimeoutSeconds = 120;
+  Opts.Stop = StopToken().withDeadline(120);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
   Opts.Length = 2;
-  EXPECT_FALSE(cpSynthesize(M, Opts).Found)
+  Opts.Stop = StopToken().withDeadline(120);
+  CpResult Shorter = cpSynthesize(M, Opts);
+  EXPECT_FALSE(Shorter.Found)
       << "a pair cannot be sorted in 2 min/max instructions";
+  EXPECT_FALSE(Shorter.TimedOut);
 }
 
 TEST(CpSolver, ReportsBacktrackAndPropagationCounts) {
   Machine M(MachineKind::Cmov, 2);
   CpOptions Opts;
   Opts.Length = 4;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   CpResult R = cpSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_GT(R.Propagations, 0u);

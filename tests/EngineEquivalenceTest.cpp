@@ -17,6 +17,7 @@
 
 #include "isa/Instr.h"
 #include "search/Search.h"
+#include "tables/DistanceTable.h"
 #include "verify/Verify.h"
 
 #include <algorithm>
@@ -176,31 +177,38 @@ TEST(EngineEquivalence, StatsAgreeAcrossThreadCounts) {
   }
 }
 
-/// A layered run that MaxStates stops in the middle of a level expansion.
-/// Every committed level but the last was expanded in full, and the last
-/// one only in part, so StatesExpanded must lie strictly between the
-/// state sums without and with the last level: each worker counts the
-/// nodes it actually expanded.
+/// A layered run that the byte budget stops in the middle of a level
+/// expansion. The cap comes from measured runs: a capped run stops at the
+/// first budget check whose resident count exceeds the cap, and its peak
+/// holds that count, so capping the next run at that peak moves the stop
+/// past that check. Walking the cap up this way reaches a stop inside an
+/// expansion: every committed level but the last was then expanded in
+/// full and the last one only in part, so StatesExpanded must lie
+/// strictly between the state sums without and with the last level —
+/// each worker counts the nodes it actually expanded. Every stop on the
+/// way must keep StatesExpanded within those sums.
 void checkMidLevelAbort(unsigned NumThreads) {
   Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
   SearchOptions Opts =
       findAllConfig(MachineKind::Cmov, 3, Mode{"abort", NumThreads});
-  // Levels 0..5 hold 7914 states. Level 5's 6432 nodes yield more than
-  // the 2 * 40000 - 7914 candidates the in-level slack allows, so the run
-  // stops part-way through that expansion (after about 4100 nodes), not
-  // before it.
-  Opts.MaxStates = 40000;
-  SearchResult R = synthesize(M, Opts);
-  EXPECT_FALSE(R.Found);
-  EXPECT_TRUE(R.Stats.TimedOut);
-  EXPECT_TRUE(R.Stats.MemoryLimited);
-  ASSERT_GE(R.Stats.LevelStates.size(), 2u);
-  size_t Before = 0;
-  for (size_t L = 0; L + 1 != R.Stats.LevelStates.size(); ++L)
-    Before += R.Stats.LevelStates[L];
-  const size_t All = Before + R.Stats.LevelStates.back();
-  EXPECT_GT(R.Stats.StatesExpanded, Before);
-  EXPECT_LT(R.Stats.StatesExpanded, All);
+  Opts.MaxStateBytes = 1;
+  for (;;) {
+    SearchResult R = synthesize(M, Opts, &DT);
+    ASSERT_FALSE(R.Found) << "no cap stopped an expansion part-way";
+    ASSERT_EQ(R.Stats.Stopped, StopReason::ByteBudget);
+    ASSERT_GT(R.Stats.PeakResidentBytes, Opts.MaxStateBytes);
+    ASSERT_FALSE(R.Stats.LevelStates.empty());
+    size_t Before = 0;
+    for (size_t L = 0; L + 1 != R.Stats.LevelStates.size(); ++L)
+      Before += R.Stats.LevelStates[L];
+    const size_t All = Before + R.Stats.LevelStates.back();
+    ASSERT_GE(R.Stats.StatesExpanded, Before);
+    ASSERT_LE(R.Stats.StatesExpanded, All);
+    if (R.Stats.StatesExpanded > Before && R.Stats.StatesExpanded < All)
+      return;
+    Opts.MaxStateBytes = R.Stats.PeakResidentBytes;
+  }
 }
 
 TEST(EngineEquivalence, MidLevelAbortCountsExpandedNodes) {
@@ -211,6 +219,25 @@ TEST(EngineEquivalence, MidLevelAbortCountsExpandedNodes) {
 // the other workers are still expanding is where a race would hide.
 TEST(EngineEquivalence, MidLevelAbortCountsExpandedNodesUnderThreads) {
   checkMidLevelAbort(4);
+}
+
+TEST(EngineEquivalence, AllSolutionsFitAByteBudgetEqualToTheirPeak) {
+  // The full n=3 enumeration on two threads, capped at its own peak,
+  // still counts the paper's 5602 kernels.
+  Machine M(MachineKind::Cmov, 3);
+  SearchOptions Opts =
+      findAllConfig(MachineKind::Cmov, 3, Mode{"threads2", 2});
+  Opts.Heuristic = HeuristicKind::None;
+  Opts.MaxLength = 11;
+  Opts.MaxSolutionsKept = 0;
+  SearchResult Unbounded = synthesize(M, Opts);
+  ASSERT_TRUE(Unbounded.Found);
+  Opts.MaxStateBytes = Unbounded.Stats.PeakResidentBytes;
+  SearchResult Capped = synthesize(M, Opts);
+  EXPECT_EQ(Capped.Stats.Stopped, StopReason::None);
+  ASSERT_TRUE(Capped.Found);
+  EXPECT_EQ(Capped.SolutionCount, 5602u);
+  EXPECT_EQ(Capped.Stats.LevelStates, Unbounded.Stats.LevelStates);
 }
 
 TEST(EngineEquivalence, CmovN3LevelCountsAtBound11) {

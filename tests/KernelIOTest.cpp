@@ -178,7 +178,8 @@ TEST(SynthesizeOptimal, ProducesCertificateForN2) {
   SearchOptions Opts;
   Opts.Heuristic = HeuristicKind::PermCount;
   Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 2);
-  OptimalSynthesis R = synthesizeOptimal(M, Opts, 60);
+  OptimalSynthesis R =
+      synthesizeOptimal(M, Opts, StopToken().withDeadline(60));
   ASSERT_TRUE(R.Synthesis.Found);
   EXPECT_EQ(R.Synthesis.OptimalLength, 4u);
   EXPECT_TRUE(R.MinimalityProven);
@@ -190,7 +191,8 @@ TEST(SynthesizeOptimal, ProducesCertificateForMinMax3) {
   Opts.Heuristic = HeuristicKind::PermCount;
   Opts.UseViability = true;
   Opts.MaxLength = networkUpperBound(MachineKind::MinMax, 3);
-  OptimalSynthesis R = synthesizeOptimal(M, Opts, 120);
+  OptimalSynthesis R =
+      synthesizeOptimal(M, Opts, StopToken().withDeadline(120));
   ASSERT_TRUE(R.Synthesis.Found);
   EXPECT_EQ(R.Synthesis.OptimalLength, 8u);
   EXPECT_TRUE(R.MinimalityProven);

@@ -35,7 +35,7 @@ uint64_t countSolutions(const Machine &M, unsigned Length, CutConfig Cut,
   Opts.MaxLength = Length;
   Opts.MaxSolutionsKept = 0;
   Opts.Cut = Cut;
-  Opts.TimeoutSeconds = 600;
+  Opts.Stop = StopToken().withDeadline(600);
   SearchResult R = synthesize(M, Opts, DT);
   return R.Found ? R.SolutionCount : 0;
 }
@@ -103,7 +103,7 @@ TEST(PaperNumbers, ScoreClassesN4) {
   Opts.Cut = CutConfig::mult(1.0);
   Opts.MaxLength = 20;
   Opts.MaxSolutionsKept = 5000;
-  Opts.TimeoutSeconds = 600;
+  Opts.Stop = StopToken().withDeadline(600);
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   for (const Program &P : R.Solutions) {
@@ -124,13 +124,14 @@ TEST(PaperNumbers, HybridOffersNoShorterKernel) {
   Opts.Heuristic = HeuristicKind::PermCount;
   Opts.UseViability = true;
   Opts.MaxLength = 11; // = the pure optimum; a shorter kernel would show up.
-  Opts.TimeoutSeconds = 300;
+  Opts.Stop = StopToken().withDeadline(300);
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 11u);
   // And nothing shorter exists.
   SearchResult Proof;
-  EXPECT_TRUE(proveNoKernelOfLength(M, 10, Proof, nullptr, 600));
+  EXPECT_TRUE(proveNoKernelOfLength(M, 10, Proof, nullptr,
+                                    StopToken().withDeadline(600)));
 }
 
 TEST(PaperNumbers, EnumStatesWithinPaperOrderOfMagnitude) {

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Every kernel shipped under kernels_prebuilt/ must load, prove correct on
-// the n! suite, pass the all-integer-input robustness check, and (where the
+// the n! suite, pass the distinct-integer robustness check, and (where the
 // host supports it) behave identically under the JIT.
 //
 //===----------------------------------------------------------------------===//

@@ -256,12 +256,13 @@ TEST_P(CrossRouteProperty, SatAndEnumAgreeOnOptimalLength) {
   // The SAT route proves the same bound: feasible at L, infeasible at L-1.
   SmtOptions Sat;
   Sat.Length = EnumResult.OptimalLength;
-  Sat.TimeoutSeconds = 120;
+  Sat.Stop = StopToken().withDeadline(120);
   SmtResult AtOptimum = smtSynthesize(M, Sat);
   ASSERT_TRUE(AtOptimum.Found);
   EXPECT_TRUE(isCorrectKernel(M, AtOptimum.P));
 
   Sat.Length = EnumResult.OptimalLength - 1;
+  Sat.Stop = StopToken().withDeadline(120); // A fresh budget for this run.
   SmtResult BelowOptimum = smtSynthesize(M, Sat);
   EXPECT_FALSE(BelowOptimum.Found);
   EXPECT_FALSE(BelowOptimum.TimedOut);
@@ -327,7 +328,7 @@ TEST(IlpProperty, RandomBinaryFeasibilityMatchesBruteForce) {
       }
       BruteFeasible = Ok;
     }
-    IlpResult Result = solveIlp(LP, Integers, 30);
+    IlpResult Result = solveIlp(LP, Integers, StopToken().withDeadline(30));
     ASSERT_EQ(Result.Status == IlpStatus::Optimal, BruteFeasible)
         << "round " << Round;
     if (Result.Status == IlpStatus::Optimal) {
@@ -397,7 +398,7 @@ TEST(SearchProperty, EnumeratedSolutionsAreDistinctAndCorrect) {
 }
 
 //===----------------------------------------------------------------------===//
-// Robustness: the n!-test vs all-integer-inputs distinction.
+// Robustness: the n!-test vs distinct-integer-inputs distinction.
 //===----------------------------------------------------------------------===//
 
 TEST(Robustness, NetworkKernelsAreRobust) {
@@ -442,7 +443,7 @@ TEST(Robustness, SomeModelOptimalKernelsAreNotRobust) {
   // The reproduction's observation on the paper's model: the scratch
   // register's 0 initialization acts as a hidden constant, and exactly 2
   // of the 5602 model-optimal n=3 kernels genuinely depend on it — they
-  // sort every permutation of 1..n but mis-sort some all-integer inputs.
+  // sort every permutation of 1..n but mis-sort some distinct integers.
   // (1366 of the 5602 read the scratch register before writing it, but
   // almost all of those reads are semantically benign.) See
   // EXPERIMENTS.md.

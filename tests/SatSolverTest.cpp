@@ -192,7 +192,7 @@ TEST(SatSolver, TimeoutReturnsUnknown) {
     for (int P1 = 0; P1 != Pigeons; ++P1)
       for (int P2 = P1 + 1; P2 != Pigeons; ++P2)
         S.addBinary(-Var[P1][H], -Var[P2][H]);
-  EXPECT_EQ(S.solve(1e-4), SatResult::Unknown);
+  EXPECT_EQ(S.solve(StopToken().withDeadline(1e-4)), SatResult::Unknown);
 }
 
 } // namespace

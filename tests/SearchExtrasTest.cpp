@@ -6,6 +6,7 @@
 
 #include "search/Search.h"
 
+#include "tables/DistanceTable.h"
 #include "verify/Verify.h"
 
 #include <gtest/gtest.h>
@@ -15,77 +16,129 @@ using namespace sks;
 namespace {
 
 TEST(SearchExtras, EraseCheckPreservesSolutionCounts) {
-  // The value-erasure check (section 3.3's always-on half) prunes only
-  // states that cannot reach a sorted state, so solution counts are
-  // invariant under it. Compared exhaustively at n=2 (a fully unpruned
-  // n=3 walk needs more memory than this container has — exactly why the
-  // check is always on); the n=3 count WITH the check is pinned elsewhere.
+  // Without the distance table the always-applicable half of section 3.3
+  // runs instead: states that erased a value from every register are
+  // pruned. Such states cannot reach a sorted state, so the n=2 count
+  // stays at the 8 kernels SearchTest pins (a fully unpruned n=3 walk
+  // needs more memory than a small host has; the n=3 count WITH the check
+  // is pinned elsewhere).
   Machine M(MachineKind::Cmov, 2);
-  SearchOptions With, Without;
-  With.Heuristic = Without.Heuristic = HeuristicKind::None;
-  With.FindAll = Without.FindAll = true;
-  With.MaxLength = Without.MaxLength = 4;
-  With.MaxSolutionsKept = Without.MaxSolutionsKept = 0;
-  With.UseViability = Without.UseViability = false;
-  With.UseEraseCheck = true;
-  Without.UseEraseCheck = false;
-  SearchResult A = synthesize(M, With);
-  SearchResult B = synthesize(M, Without);
-  ASSERT_TRUE(A.Found && B.Found);
-  EXPECT_EQ(A.SolutionCount, B.SolutionCount);
-  EXPECT_EQ(A.SolutionCount, 8u);
-  EXPECT_LE(A.Stats.StatesGenerated - A.Stats.ViabilityPruned,
-            B.Stats.StatesGenerated)
-      << "the check must actually prune";
-  EXPECT_GT(A.Stats.ViabilityPruned, 0u);
-}
-
-TEST(SearchExtras, MaxStatesAbortsGracefully) {
-  Machine M(MachineKind::Cmov, 4);
   SearchOptions Opts;
   Opts.Heuristic = HeuristicKind::None;
+  Opts.FindAll = true;
+  Opts.MaxLength = 4;
+  Opts.MaxSolutionsKept = 0;
   Opts.UseViability = false;
-  Opts.UseEraseCheck = false;
-  Opts.MaxLength = 20;
-  Opts.MaxStates = 5000;
   SearchResult R = synthesize(M, Opts);
-  EXPECT_FALSE(R.Found);
-  EXPECT_TRUE(R.Stats.TimedOut);
-  EXPECT_TRUE(R.Stats.MemoryLimited);
-
-  Opts.Layered = true;
-  R = synthesize(M, Opts);
-  EXPECT_FALSE(R.Found);
-  EXPECT_TRUE(R.Stats.MemoryLimited);
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(R.SolutionCount, 8u);
+  EXPECT_GT(R.Stats.ViabilityPruned, 0u) << "the check must actually prune";
 }
 
-TEST(SearchExtras, BestFirstFitsAByteBudgetEqualToItsPeak) {
-  // MaxStateBytes aborts when the store EXCEEDS the budget, so a run
-  // capped at its own unbounded peak holds every state it needs.
-  Machine M(MachineKind::Cmov, 3);
+/// Configuration (III) of the section 5.2 ablation: permutation count,
+/// viability and cut 1, bounded by the sorting network.
+SearchOptions configIII(unsigned N) {
   SearchOptions Opts;
   Opts.Heuristic = HeuristicKind::PermCount;
   Opts.UseViability = true;
   Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  SearchResult Unbounded = synthesize(M, Opts);
-  ASSERT_TRUE(Unbounded.Found);
-  ASSERT_GT(Unbounded.Stats.PeakStateBytes, 0u);
-  ASSERT_TRUE(Unbounded.Stats.LevelStates.empty()) << "best-first engine";
+  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, N);
+  return Opts;
+}
 
-  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes;
-  SearchResult Capped = synthesize(M, Opts);
-  EXPECT_FALSE(Capped.Stats.MemoryLimited);
+TEST(SearchExtras, StopReasonNamesWhyEachEngineStopped) {
+  // Configuration (III) at n=3 passes many budget checks before it finds
+  // its kernel on either engine (best-first expands ~16k states, checking
+  // every 512 pops), so each kind of stop lands first and must be named
+  // for what it was.
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  for (bool Layered : {false, true}) {
+    SCOPED_TRACE(Layered ? "layered" : "best-first");
+    SearchOptions Opts = configIII(3);
+    Opts.Layered = Layered;
+
+    SearchResult Done = synthesize(M, Opts, &DT);
+    ASSERT_TRUE(Done.Found);
+    EXPECT_EQ(Done.Stats.Stopped, StopReason::None);
+
+    StopSource Source;
+    Source.requestStop();
+    Opts.Stop = Source.token();
+    SearchResult Cancelled = synthesize(M, Opts, &DT);
+    EXPECT_FALSE(Cancelled.Found);
+    EXPECT_EQ(Cancelled.Stats.Stopped, StopReason::Cancelled);
+
+    Opts.Stop = StopToken().withDeadline(1e-9);
+    SearchResult Late = synthesize(M, Opts, &DT);
+    EXPECT_FALSE(Late.Found);
+    EXPECT_EQ(Late.Stats.Stopped, StopReason::Deadline);
+
+    Opts.Stop = StopToken();
+    Opts.MaxStateBytes = 1;
+    SearchResult Full = synthesize(M, Opts, &DT);
+    EXPECT_FALSE(Full.Found);
+    EXPECT_EQ(Full.Stats.Stopped, StopReason::ByteBudget);
+    EXPECT_GT(Full.Stats.PeakResidentBytes, Opts.MaxStateBytes)
+        << "the peak holds the value the check refused";
+  }
+  EXPECT_STREQ(stopReasonName(StopReason::ByteBudget),
+               "state-store budget exhausted");
+
+  // A stopped proof is no proof; an unstopped one is.
+  SearchResult Proof;
+  StopSource Source;
+  Source.requestStop();
+  EXPECT_FALSE(proveNoKernelOfLength(M, 10, Proof, &DT, Source.token()));
+  EXPECT_EQ(Proof.Stats.Stopped, StopReason::Cancelled);
+  EXPECT_FALSE(proveNoKernelOfLength(M, 10, Proof, &DT,
+                                     StopToken().withDeadline(1e-9)));
+  EXPECT_EQ(Proof.Stats.Stopped, StopReason::Deadline);
+  EXPECT_TRUE(proveNoKernelOfLength(M, 6, Proof, &DT));
+  EXPECT_EQ(Proof.Stats.Stopped, StopReason::None);
+}
+
+/// MaxStateBytes stops a run when its resident count EXCEEDS the budget,
+/// and neither engine's peak falls below a count its check compared — the
+/// layered engine's includes its candidate batches and merge shards. So
+/// configuration (III) capped at its own unbounded peak still finds the
+/// length-11 kernel, and half that cap stops it on the byte budget.
+void checkFitsItsPeak(bool Layered, unsigned NumThreads) {
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  SearchOptions Opts = configIII(3);
+  Opts.Layered = Layered;
+  Opts.NumThreads = NumThreads;
+  SearchResult Unbounded = synthesize(M, Opts, &DT);
+  ASSERT_TRUE(Unbounded.Found);
+  ASSERT_EQ(Unbounded.Stats.LevelStates.empty(), !Layered) << "engine";
+
+  Opts.MaxStateBytes = Unbounded.Stats.PeakResidentBytes;
+  SearchResult Capped = synthesize(M, Opts, &DT);
+  EXPECT_EQ(Capped.Stats.Stopped, StopReason::None);
   ASSERT_TRUE(Capped.Found);
   EXPECT_EQ(Capped.OptimalLength, 11u);
   EXPECT_EQ(Capped.Solutions.front(), Unbounded.Solutions.front());
   EXPECT_TRUE(isCorrectKernel(M, Capped.Solutions.front()));
 
-  // Half the peak binds.
-  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes / 2;
-  SearchResult Tight = synthesize(M, Opts);
+  Opts.MaxStateBytes = Unbounded.Stats.PeakResidentBytes / 2;
+  SearchResult Tight = synthesize(M, Opts, &DT);
   EXPECT_FALSE(Tight.Found);
-  EXPECT_TRUE(Tight.Stats.MemoryLimited);
+  EXPECT_EQ(Tight.Stats.Stopped, StopReason::ByteBudget);
+}
+
+TEST(SearchExtras, BestFirstFitsAByteBudgetEqualToItsPeak) {
+  checkFitsItsPeak(/*Layered=*/false, 1);
+}
+
+TEST(SearchExtras, LayeredFitsAByteBudgetEqualToItsPeak) {
+  checkFitsItsPeak(/*Layered=*/true, 1);
+}
+
+// Run by tsan_engine_equivalence: the budget check races the workers'
+// published byte counts.
+TEST(SearchExtras, LayeredFitsAByteBudgetEqualToItsPeakUnderThreads) {
+  checkFitsItsPeak(/*Layered=*/true, 4);
 }
 
 TEST(SearchExtras, TraceIsMonotoneInTime) {
@@ -98,7 +151,7 @@ TEST(SearchExtras, TraceIsMonotoneInTime) {
   Opts.MaxLength = 20;
   Opts.MaxSolutionsKept = 0;
   Opts.TraceIntervalSeconds = 0.01;
-  Opts.TimeoutSeconds = 300;
+  Opts.Stop = StopToken().withDeadline(300);
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   ASSERT_FALSE(R.Trace.empty());
@@ -112,11 +165,7 @@ TEST(SearchExtras, TraceIsMonotoneInTime) {
 TEST(SearchExtras, SharedDistanceTableGivesIdenticalResults) {
   Machine M(MachineKind::Cmov, 3);
   DistanceTable DT(M);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = 12;
+  SearchOptions Opts = configIII(3);
   SearchResult Shared = synthesize(M, Opts, &DT);
   SearchResult Owned = synthesize(M, Opts);
   ASSERT_TRUE(Shared.Found && Owned.Found);

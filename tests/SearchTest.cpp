@@ -167,10 +167,10 @@ TEST(Search, TimeoutIsReported) {
   Opts.Heuristic = HeuristicKind::None; // Slow on purpose.
   Opts.MaxLength = 20;
   Opts.UseViability = false;
-  Opts.TimeoutSeconds = 0.2;
+  Opts.Stop = StopToken().withDeadline(0.2);
   SearchResult R = synthesize(M, Opts);
   EXPECT_FALSE(R.Found);
-  EXPECT_TRUE(R.Stats.TimedOut);
+  EXPECT_EQ(R.Stats.Stopped, StopReason::Deadline);
 }
 
 TEST(Search, ParallelLayeredAgreesWithSequential) {

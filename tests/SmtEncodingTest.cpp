@@ -19,7 +19,7 @@ TEST(SmtEncoding, NoConsecutiveCmpIsHonored) {
   SmtOptions Opts;
   Opts.Length = 5; // Slack so the constraint actually bites somewhere.
   Opts.NoConsecutiveCmp = true;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -32,7 +32,7 @@ TEST(SmtEncoding, FirstInstrCmpIsHonored) {
   SmtOptions Opts;
   Opts.Length = 5;
   Opts.FirstInstrCmp = true;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.P.front().Op, Opcode::Cmp);
@@ -47,7 +47,7 @@ TEST(SmtEncoding, SymmetricCmpsWidenTheAlphabet) {
   SmtOptions Opts;
   Opts.Length = 4;
   Opts.IncludeSymmetricCmps = true;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -58,7 +58,7 @@ TEST(SmtEncoding, BothGoalIsStillSatisfiableAtOptimum) {
   SmtOptions Opts;
   Opts.Length = 4;
   Opts.Goal = SmtGoal::Both;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -70,7 +70,7 @@ TEST(SmtEncoding, CountZeroOffStillCorrect) {
   Opts.Length = 4;
   Opts.Goal = SmtGoal::AscendingCounts;
   Opts.CountZero = false;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(isCorrectKernel(M, R.P));
@@ -80,7 +80,7 @@ TEST(SmtEncoding, ReportsInstanceSizes) {
   Machine M(MachineKind::Cmov, 2);
   SmtOptions Opts;
   Opts.Length = 4;
-  Opts.TimeoutSeconds = 60;
+  Opts.Stop = StopToken().withDeadline(60);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_GT(R.NumVars, 100u);
@@ -92,7 +92,7 @@ TEST(SmtEncoding, CegisIterationsGrowWithHarderSeeds) {
   SmtOptions Opts;
   Opts.Length = 12;
   Opts.Cegis = true;
-  Opts.TimeoutSeconds = 300;
+  Opts.Stop = StopToken().withDeadline(300);
   SmtResult R = smtSynthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_GE(R.CegisIterations, 2u)

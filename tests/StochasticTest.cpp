@@ -59,7 +59,7 @@ TEST(Stoke, MinMaxMachineSupported) {
   StokeOptions Opts;
   Opts.Length = 3;
   Opts.MaxIterations = 2000000;
-  Opts.TimeoutSeconds = 30;
+  Opts.Stop = StopToken().withDeadline(30);
   StokeResult R = stokeSynthesize(M, Opts);
   EXPECT_TRUE(R.Found) << "a 3-instruction pair sorter is easy to find";
   if (R.Found)
@@ -87,7 +87,7 @@ TEST(Mcts, FoundKernelIsAlwaysVerified) {
     Opts.MaxLength = 6;
     Opts.RolloutDepth = 6;
     Opts.MaxIterations = UINT64_MAX;
-    Opts.TimeoutSeconds = 60;
+    Opts.Stop = StopToken().withDeadline(60);
     Opts.RngSeed = Seed;
     MctsResult R = mctsSynthesize(M, Opts);
     if (R.Found)

@@ -217,15 +217,6 @@ TEST(Table, MissingCellsRenderEmpty) {
 // Env.
 //===----------------------------------------------------------------------===//
 
-TEST(Env, IntParsing) {
-  ::setenv("SKS_TEST_INT", "42", 1);
-  EXPECT_EQ(envInt("SKS_TEST_INT", 7), 42);
-  ::setenv("SKS_TEST_INT", "not-a-number", 1);
-  EXPECT_EQ(envInt("SKS_TEST_INT", 7), 7);
-  ::unsetenv("SKS_TEST_INT");
-  EXPECT_EQ(envInt("SKS_TEST_INT", 7), 7);
-}
-
 TEST(Env, DoubleParsing) {
   ::setenv("SKS_TEST_DOUBLE", "2.5", 1);
   EXPECT_DOUBLE_EQ(envDouble("SKS_TEST_DOUBLE", 1.0), 2.5);

@@ -24,11 +24,13 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <type_traits>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -70,6 +72,16 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
     auto Next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
+    // Numeric values follow the wire protocol's number rules: the whole
+    // value must parse; negative or non-finite values are usage errors.
+    auto Count = [&](unsigned long long Max, auto &Out) {
+      const char *V = Next();
+      unsigned long long Parsed = 0;
+      if (!V || !parseCount(V, Max, Parsed))
+        return false;
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(Parsed);
+      return true;
+    };
     if (Arg == "--cache-dir") {
       const char *V = Next();
       if (!V)
@@ -86,28 +98,20 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
         return false;
       Opts.DefaultBackend = V;
     } else if (Arg == "--workers") {
-      const char *V = Next();
-      if (!V)
+      if (!Count(kMaxThreads, Opts.Workers))
         return false;
-      Opts.Workers = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--queue") {
-      const char *V = Next();
-      if (!V)
+      if (!Count(SIZE_MAX, Opts.MaxQueue))
         return false;
-      Opts.MaxQueue = static_cast<size_t>(std::atoll(V));
     } else if (Arg == "--timeout") {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseNonNegative(V, Opts.DefaultTimeout))
         return false;
-      Opts.DefaultTimeout = std::atof(V);
     } else {
       return false;
     }
   }
-  bool PolicyOk = Opts.DefaultBackend == "portfolio";
-  for (const std::string &Name : backendNames())
-    PolicyOk = PolicyOk || Opts.DefaultBackend == Name;
-  return PolicyOk && Opts.Workers >= 1;
+  return isBackendPolicy(Opts.DefaultBackend) && Opts.Workers >= 1;
 }
 
 /// One request/response stream: serializes response writes (completions

@@ -11,8 +11,9 @@
 //   sks-synth --n 3 --all                    enumerate all optimal kernels
 //   sks-synth --n 3 --prove                  add a minimality certificate
 //   sks-synth --n 3 --asm                    emit x86-64 assembly
-//   sks-synth --n 3 --robust                 require all-integer-input
-//                                            correctness (not just 1..n)
+//   sks-synth --n 3 --robust                 require correctness on any
+//                                            distinct integers (not just
+//                                            1..n; ties are not checked)
 //   sks-synth --n 3 --schedule               list-schedule the kernel
 //   sks-synth --n 3 --export-minizinc m.mzn  write the CP model
 //   sks-synth --n 3 --export-pddl dom.pddl prob.pddl
@@ -30,15 +31,17 @@
 #include "driver/Portfolio.h"
 #include "planning/Pddl.h"
 #include "search/Search.h"
+#include "service/Protocol.h"
 #include "service/SynthService.h"
 #include "support/Timing.h"
 #include "validate/SymbolicExec.h"
 #include "verify/Verify.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -115,7 +118,9 @@ void usage(const char *Argv0) {
       "  --all                   enumerate ALL optimal kernels\n"
       "  --prove                 certify minimality (exhaust length-1)\n"
       "  --asm                   print x86-64 assembly\n"
-      "  --robust                require correctness on ALL int inputs\n"
+      "  --robust                require correctness on every input of\n"
+      "                          distinct ints (inputs with ties are not\n"
+      "                          checked)\n"
       "  --schedule              list-schedule the kernel for ILP\n"
       "  --syntactic-prune       refuse expansions that plant dead code\n"
       "                          (sound; preserves the optimal count)\n"
@@ -155,11 +160,24 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     auto Next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
-    if (Arg == "--n") {
+    // Numeric values follow the wire protocol's number rules: the whole
+    // value must parse, and a negative, non-finite or out-of-range value
+    // is a usage error rather than a silently different budget.
+    auto Count = [&](unsigned long long Max, auto &Out) {
       const char *V = Next();
-      if (!V)
+      unsigned long long Parsed = 0;
+      if (!V || !parseCount(V, Max, Parsed))
         return false;
-      Opts.N = static_cast<unsigned>(std::atoi(V));
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(Parsed);
+      return true;
+    };
+    auto Number = [&](double &Out) {
+      const char *V = Next();
+      return V && parseNonNegative(V, Out);
+    };
+    if (Arg == "--n") {
+      if (!Count(6, Opts.N))
+        return false;
     } else if (Arg == "--isa") {
       const char *V = Next();
       if (!V)
@@ -188,6 +206,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       const char *V = Next();
       if (!V)
         return false;
+      if (!isBackendPolicy(V)) {
+        std::fprintf(stderr, "error: unknown backend '%s'\n", V);
+        return false;
+      }
       Opts.Backend = V;
     } else if (Arg == "--cache-dir") {
       const char *V = Next();
@@ -216,10 +238,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--validate-jit") {
       Opts.ValidateJit = true;
     } else if (Arg == "--cut") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.Cut))
         return false;
-      Opts.Cut = std::atof(V);
     } else if (Arg == "--no-cut") {
       Opts.NoCut = true;
     } else if (Arg == "--all") {
@@ -241,25 +261,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--profile") {
       Opts.Profile = true;
     } else if (Arg == "--timeout") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.Timeout))
         return false;
-      Opts.Timeout = std::atof(V);
     } else if (Arg == "--max-length") {
-      const char *V = Next();
-      if (!V)
+      if (!Count(kMaxLengthLimit, Opts.MaxLength))
         return false;
-      Opts.MaxLength = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--threads") {
-      const char *V = Next();
-      if (!V)
+      if (!Count(kMaxThreads, Opts.Threads))
         return false;
-      Opts.Threads = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--max-state-bytes") {
-      const char *V = Next();
-      if (!V)
+      if (!Count(SIZE_MAX, Opts.MaxStateBytes))
         return false;
-      Opts.MaxStateBytes = static_cast<size_t>(std::atoll(V));
     } else if (Arg == "--compress-frontier") {
       Opts.CompressFrontier = true;
     } else if (Arg == "--spill-dir") {
@@ -269,10 +281,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.SpillDir = V;
       Opts.CompressFrontier = true; // Spilling is a tier of compression.
     } else if (Arg == "--spill-threshold-bytes") {
-      const char *V = Next();
-      if (!V)
+      if (!Count(SIZE_MAX, Opts.SpillThresholdBytes))
         return false;
-      Opts.SpillThresholdBytes = static_cast<size_t>(std::atoll(V));
     } else if (Arg == "--export-minizinc") {
       const char *V = Next();
       if (!V)
@@ -289,7 +299,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return false;
     }
   }
-  return Opts.N >= 2 && Opts.N <= 6;
+  return Opts.N >= 2;
 }
 
 /// Prints one driver outcome as a comment line: backend, status, wall
@@ -323,14 +333,6 @@ int runBackendMode(const CliOptions &Cli) {
     // Cached mode routes through the service layer: a hit is re-verified
     // on load and answered without running any backend; a miss runs the
     // selected policy and stores the verified kernel for next time.
-    bool PolicyOk = Cli.Backend == "portfolio";
-    for (const std::string &Name : backendNames())
-      PolicyOk = PolicyOk || Cli.Backend == Name;
-    if (!PolicyOk) {
-      std::fprintf(stderr, "error: unknown backend '%s'\n",
-                   Cli.Backend.c_str());
-      return 2;
-    }
     ServiceOptions SO;
     SO.CacheDir = Cli.CacheDir;
     SO.Workers = 1;
@@ -360,13 +362,7 @@ int runBackendMode(const CliOptions &Cli) {
         printOutcome(R.Outcomes[I]);
     Winner = R.Winner;
   } else {
-    std::unique_ptr<Backend> B = createBackend(Cli.Backend);
-    if (!B) {
-      std::fprintf(stderr, "error: unknown backend '%s'\n",
-                   Cli.Backend.c_str());
-      return 2;
-    }
-    Winner = B->run(Req);
+    Winner = createBackend(Cli.Backend)->run(Req);
   }
 
   printOutcome(Winner);
@@ -493,7 +489,7 @@ int main(int Argc, char **Argv) {
   Opts.SyntacticPrune = Cli.SyntacticPrune;
   Opts.SemanticPrune = Cli.SemanticPrune;
   Opts.SymmetryReduce = Cli.Symmetry;
-  Opts.TimeoutSeconds = Cli.Timeout;
+  Opts.Stop = StopToken().withDeadline(Cli.Timeout);
   Opts.NumThreads = Cli.Threads;
   Opts.MaxStateBytes = Cli.MaxStateBytes;
   Opts.ProfilePipeline = Cli.Profile;
@@ -505,9 +501,9 @@ int main(int Argc, char **Argv) {
   SearchResult R = synthesize(M, Opts);
   if (!R.Found) {
     std::fprintf(stderr, "no kernel found within the budget (%s)\n",
-                 R.Stats.MemoryLimited ? "state-store budget exhausted"
-                 : R.Stats.TimedOut    ? "timeout"
-                                       : "bound exhausted");
+                 R.Stats.Stopped == StopReason::None
+                     ? "bound exhausted"
+                     : stopReasonName(R.Stats.Stopped));
     return 1;
   }
 
@@ -607,13 +603,16 @@ int main(int Argc, char **Argv) {
 
   if (Cli.Prove) {
     SearchResult Proof;
-    bool Minimal =
-        proveNoKernelOfLength(M, R.OptimalLength - 1, Proof, nullptr,
-                              Cli.Timeout > 0 ? Cli.Timeout : 3600);
-    std::printf("; minimality: %s\n",
-                Minimal ? "PROVEN (length-(L-1) space exhausted)"
-                        : (Proof.Found ? "REFUTED (shorter kernel exists!)"
-                                       : "unproven (budget exhausted)"));
+    bool Minimal = proveNoKernelOfLength(
+        M, R.OptimalLength - 1, Proof, nullptr,
+        StopToken().withDeadline(Cli.Timeout > 0 ? Cli.Timeout : 3600));
+    if (Minimal)
+      std::printf("; minimality: PROVEN (length-(L-1) space exhausted)\n");
+    else if (Proof.Found)
+      std::printf("; minimality: REFUTED (shorter kernel exists!)\n");
+    else
+      std::printf("; minimality: unproven (%s)\n",
+                  stopReasonName(Proof.Stats.Stopped));
   }
   return 0;
 }
