@@ -22,70 +22,71 @@ std::vector<OrderState> sks::interpretProgram(const Program &P,
   return States;
 }
 
+namespace {
+
+/// The rule and message for an instruction the order domain proves
+/// redundant at \p S (OrderState::provablyRedundant). The verdict is the
+/// domain's; this only says which case of it holds.
+Diagnostic redundancyDiagnostic(const OrderState &S, Instr I, unsigned Index,
+                                unsigned NumData) {
+  const std::string Dst = regName(I.Dst, NumData);
+  const std::string Src = regName(I.Src, NumData);
+  auto Make = [&](LintRule Rule, std::string Message) {
+    return Diagnostic{Rule, Index, LintSeverity::Warning, std::move(Message)};
+  };
+  switch (I.Op) {
+  case Opcode::Cmp: {
+    const uint8_t Out = S.cmpOutcomes(I.Dst, I.Src);
+    const char *Verdict = Out == OrderState::kLt   ? "less than "
+                          : Out == OrderState::kGt ? "greater than "
+                                                   : "equal to ";
+    return Make(LintRule::RedundantCmp,
+                "the established order already determines the outcome (" +
+                    Dst + " is always " + Verdict + Src +
+                    "); the cmp and its conditional moves reduce to plain "
+                    "moves");
+  }
+  case Opcode::CMovL:
+  case Opcode::CMovG: {
+    const uint8_t FireBit =
+        I.Op == Opcode::CMovL ? OrderState::kLt : OrderState::kGt;
+    if ((S.flagOutcomes() & FireBit) == 0)
+      return Make(LintRule::NoopCmov,
+                  std::string("the ") +
+                      (FireBit == OrderState::kLt ? "lt" : "gt") +
+                      " flag outcome is impossible here, so the move never "
+                      "fires");
+    return Make(LintRule::NoopCmov,
+                Dst + " and " + Src +
+                    " provably hold equal values; firing changes nothing");
+  }
+  case Opcode::Mov:
+    return Make(LintRule::OrderEstablished,
+                Dst + " already provably equals " + Src +
+                    "; the move is a no-op");
+  case Opcode::Min:
+  case Opcode::Max:
+    break;
+  }
+  // pmin/pmax: the destination already holds the winning value.
+  const bool IsMin = I.Op == Opcode::Min;
+  return Make(LintRule::OrderEstablished,
+              (IsMin ? Dst + " <= " + Src : Src + " <= " + Dst) +
+                  " is established, so the " + (IsMin ? "min" : "max") +
+                  " already sits in the destination");
+}
+
+} // namespace
+
 std::vector<Diagnostic> sks::semanticDiagnostics(const Program &P,
                                                  unsigned NumData) {
   std::vector<Diagnostic> Diags;
   OrderState S = OrderState::entry(NumData);
   for (size_t Index = 0; Index != P.size(); ++Index) {
     const Instr &I = P[Index];
-    auto Emit = [&](LintRule Rule, std::string Message) {
-      Diags.push_back(Diagnostic{Rule, static_cast<unsigned>(Index),
-                                 LintSeverity::Warning, std::move(Message)});
-    };
-    switch (I.Op) {
-    case Opcode::Cmp: {
-      const uint8_t Out = S.cmpOutcomes(I.Dst, I.Src);
-      if ((Out & (Out - 1)) == 0) {
-        const char *Verdict = Out == OrderState::kLt   ? "less"
-                              : Out == OrderState::kGt ? "greater"
-                                                       : "equal";
-        Emit(LintRule::RedundantCmp,
-             std::string("the established order already determines the "
-                         "outcome (") +
-                 regName(I.Dst, NumData) + " is always " + Verdict +
-                 (Out == OrderState::kEq ? " to " : " than ") +
-                 regName(I.Src, NumData) +
-                 "); the cmp and its conditional moves reduce to plain "
-                 "moves");
-      }
-      break;
-    }
-    case Opcode::CMovL:
-    case Opcode::CMovG: {
-      const uint8_t FireBit =
-          I.Op == Opcode::CMovL ? OrderState::kLt : OrderState::kGt;
-      if ((S.flagOutcomes() & FireBit) == 0)
-        Emit(LintRule::NoopCmov,
-             std::string("the ") + (FireBit == OrderState::kLt ? "lt" : "gt") +
-                 " flag outcome is impossible here, so the move never "
-                 "fires");
-      else if (S.provablyEqual(I.Dst, I.Src))
-        Emit(LintRule::NoopCmov,
-             regName(I.Dst, NumData) + " and " + regName(I.Src, NumData) +
-                 " provably hold equal values; firing changes nothing");
-      break;
-    }
-    case Opcode::Mov:
-      if (S.provablyEqual(I.Dst, I.Src))
-        Emit(LintRule::OrderEstablished,
-             regName(I.Dst, NumData) + " already provably equals " +
-                 regName(I.Src, NumData) + "; the move is a no-op");
-      break;
-    case Opcode::Min:
-      if (S.leq(I.Dst, I.Src))
-        Emit(LintRule::OrderEstablished,
-             regName(I.Dst, NumData) + " <= " + regName(I.Src, NumData) +
-                 " is established, so the min already sits in the "
-                 "destination");
-      break;
-    case Opcode::Max:
-      if (S.leq(I.Src, I.Dst))
-        Emit(LintRule::OrderEstablished,
-             regName(I.Src, NumData) + " <= " + regName(I.Dst, NumData) +
-                 " is established, so the max already sits in the "
-                 "destination");
-      break;
-    }
+    if (S.provablyRedundant(I))
+      Diags.push_back(redundancyDiagnostic(S, I, static_cast<unsigned>(Index),
+                                           NumData));
     S = S.extended(I);
   }
   return Diags;

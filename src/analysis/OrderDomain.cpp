@@ -173,42 +173,6 @@ OrderState OrderState::extended(Instr I) const {
   return Next;
 }
 
-OrderState OrderState::renamed(const std::array<uint8_t, kMaxRegs> &Perm,
-                               bool FlagSwap) const {
-  // Slot map: register slots move with the permutation, symbol slots are
-  // fixed (a renaming moves register CONTENTS, not the values themselves).
-  std::array<uint8_t, kNumSlots> Slot;
-  for (unsigned R = 0; R != kMaxRegs; ++R)
-    Slot[R] = Perm[R];
-  for (unsigned S = kSymBase; S != kNumSlots; ++S)
-    Slot[S] = static_cast<uint8_t>(S);
-
-  OrderState Out;
-  for (unsigned I = 0; I != kNumSlots; ++I) {
-    uint16_t Row = 0;
-    for (unsigned J = 0; J != kNumSlots; ++J)
-      if (Leq[I] & (1u << J))
-        Row |= static_cast<uint16_t>(1u << Slot[J]);
-    Out.Leq[Slot[I]] = Row;
-  }
-  for (unsigned R = 0; R != kMaxRegs; ++R)
-    Out.Vals[Perm[R]] = Vals[R];
-
-  // Flags: the renamed rows carry swapped lt/gt bits, which read as the
-  // outcome of comparing the (renamed) operands in the opposite order.
-  Out.FlagOut = FlagOut;
-  if (FlagSwap)
-    Out.FlagOut = static_cast<uint8_t>((FlagOut & kEq) |
-                                       ((FlagOut & kLt) ? kGt : 0) |
-                                       ((FlagOut & kGt) ? kLt : 0));
-  Out.PairValid = PairValid;
-  if (PairValid) {
-    Out.FlagA = Perm[FlagSwap ? FlagB : FlagA];
-    Out.FlagB = Perm[FlagSwap ? FlagA : FlagB];
-  }
-  return Out;
-}
-
 void OrderState::meet(const OrderState &Other) {
   for (unsigned Slot = 0; Slot != kNumSlots; ++Slot)
     Leq[Slot] &= Other.Leq[Slot];

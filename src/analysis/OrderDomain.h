@@ -25,25 +25,18 @@
 /// classic "cmp; cmovl; cmovg" min/max idiom.
 ///
 /// Every fact the state claims is a true statement about the CONCRETE rows
-/// of the canonical search state the prefix reaches (randomized
-/// abstract-vs-concrete agreement is asserted in tests/AnalysisTest.cpp).
-/// Since equal canonical states have equal rows, facts proven along one
-/// prefix hold for every program merged into the node — which is what
-/// makes provablyRedundant() a sound search prune (SearchOptions::
-/// SemanticPrune) and a sound lint oracle (analysis/AbstractInterp.h):
+/// the prefix reaches (randomized abstract-vs-concrete agreement of the
+/// facts and of provablyRedundant() is asserted in tests/AnalysisTest.cpp).
+/// That makes provablyRedundant() a sound oracle for sks-lint's semantic
+/// rules (analysis/AbstractInterp.h), which run it on finished kernels:
 ///
 ///  - a provable no-op (mov/cmov of an equal value, a cmov whose flag
 ///    outcome is impossible, a pmin/pmax whose result is already in the
-///    destination) maps every row to itself, so the child state equals the
-///    parent state and dedup would discard it anyway;
+///    destination) maps every row to itself;
 ///  - a cmp whose outcome is order-determined contributes no information:
 ///    the cmp and every conditional move reading it can be rewritten into
 ///    plain movs and no-ops, strictly shortening the program, so no
 ///    minimal kernel contains one.
-///
-/// Both prune classes therefore preserve the optimal-solution set and the
-/// solution DAG exactly (pinned on the 5602-kernel n=3 enumeration in
-/// tests/EngineEquivalenceTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,25 +69,11 @@ public:
   /// Abstract transfer: the state after executing \p I.
   OrderState extended(Instr I) const;
 
-  /// Conservative merge over all programs reaching one canonical search
-  /// state (or over the branches of a conditional move): may-sets union,
-  /// proven orderings intersect, possible flag outcomes union, and the
-  /// tracked cmp pair survives only when both sides agree on it. Bitwise
-  /// AND/OR throughout, so meets commute and associate — node merges are
-  /// candidate-order-independent across engine execution modes.
+  /// Conservative merge over the two branches of a conditional move:
+  /// may-sets union, proven orderings intersect, possible flag outcomes
+  /// union, and the tracked cmp pair survives only when both sides agree
+  /// on it. Bitwise AND/OR throughout, so meets commute and associate.
   void meet(const OrderState &Other);
-
-  /// The state under an admissible register renaming (analysis/Symmetry.h;
-  /// SearchOptions::SymmetryReduce): register slots move through \p Perm,
-  /// symbol slots stay put (symbols name VALUES, which renaming does not
-  /// touch), and when \p FlagSwap the possible lt/gt outcomes exchange and
-  /// the tracked cmp pair reverses (swapped flags read as if the operands
-  /// had been compared in the opposite order). Every fact of the result is
-  /// a true statement about the renamed concrete rows, so meets of renamed
-  /// states stay bitwise — and thread-count-invariant — like meets of
-  /// plain ones.
-  OrderState renamed(const std::array<uint8_t, kMaxRegs> &Perm,
-                     bool FlagSwap) const;
 
   /// \returns true when val(\p A) <= val(\p B) is proven for every
   /// execution; \p A and \p B are slot indices (registers 0..7, symbols
@@ -120,11 +99,11 @@ public:
   /// symbol s).
   uint8_t valueSet(unsigned Reg) const { return Vals[Reg]; }
 
-  /// The semantic prune / lint oracle: true when appending \p I is a
-  /// provable no-op on every row (mov/cmov of an equal value, cmov whose
-  /// flag outcome is impossible, pmin/pmax with src ⊒/⊑ dst) or a cmp
-  /// whose outcome is fully order-determined. See the file comment for why
-  /// refusing such expansions preserves the optimal-solution DAG. O(1).
+  /// The semantic lint oracle: true when appending \p I is a provable
+  /// no-op on every row (mov/cmov of an equal value, cmov whose flag
+  /// outcome is impossible, pmin/pmax with src ⊒/⊑ dst) or a cmp whose
+  /// outcome is fully order-determined. See the file comment for why
+  /// either makes the instruction removable. O(1).
   bool provablyRedundant(Instr I) const {
     switch (I.Op) {
     case Opcode::Mov:

@@ -1,4 +1,4 @@
-//===- analysis/Symmetry.cpp - Register-renaming symmetry quotient --------===//
+//===- analysis/Symmetry.cpp - Scratch-register renaming -----------------===//
 //
 // Part of the sks project. MIT license.
 //
@@ -6,11 +6,8 @@
 
 #include "analysis/Symmetry.h"
 
-#include "state/Canonicalize.h"
-
 #include <algorithm>
-#include <cassert>
-#include <numeric>
+#include <array>
 
 using namespace sks;
 
@@ -23,15 +20,7 @@ std::array<uint8_t, kMaxRegs> identityPerm() {
   return P;
 }
 
-bool isIdentity(const std::array<uint8_t, kMaxRegs> &P) {
-  for (unsigned R = 0; R != kMaxRegs; ++R)
-    if (P[R] != R)
-      return false;
-  return true;
-}
-
-/// Renames \p P by a register permutation alone — the program-level
-/// restriction of the quotient, where the flag parity is not free but
+/// Renames \p P by a register permutation alone. The flag parity is
 /// forced by cmp normalization: a cmp whose renamed operands come out in
 /// descending index order must be written swapped to stay in the
 /// alphabet, its flags then compute swapped, and every conditional move
@@ -68,8 +57,8 @@ Program renameByPerm(const Program &P,
   return Out;
 }
 
-/// Lexicographic order on the dense instruction encoding; the tie-break
-/// every canonical form in this file uses.
+/// Lexicographic order on the dense instruction encoding; the order the
+/// canonical form minimizes.
 bool encodedLess(const Program &A, const Program &B) {
   return std::lexicographical_compare(
       A.begin(), A.end(), B.begin(), B.end(),
@@ -77,128 +66,6 @@ bool encodedLess(const Program &A, const Program &B) {
 }
 
 } // namespace
-
-SymmetryTable::SymmetryTable(const Machine &M) : NumRegs(M.numRegs()) {
-  // The interchangeable register classes: scratch within each file. Data
-  // registers are never renamed: every goal predicate in the family
-  // (machine/Goal.h) constrains data positions by index, so fixing the
-  // whole data file keeps the group sound for any pinned-position goal,
-  // not just full sortedness. For the hybrid machine the whole vector
-  // file starts at Z and is goal-free, so it is one class.
-  const unsigned N = M.numData();
-  std::vector<std::pair<unsigned, unsigned>> Classes; // [Begin, End)
-  if (M.kind() == MachineKind::Hybrid) {
-    const unsigned Gprs = N + M.numScratch();
-    Classes.push_back({N, Gprs});
-    Classes.push_back({Gprs, M.numRegs()});
-  } else {
-    Classes.push_back({N, M.numRegs()});
-  }
-  const bool HasFlags = M.kind() != MachineKind::MinMax;
-
-  // Enumerate the direct product of the per-class symmetric groups by
-  // iterating next_permutation per class, odometer-style; the all-sorted
-  // start makes element 0 the identity (with flag parity false first).
-  std::vector<std::vector<uint8_t>> ClassPerm;
-  for (const auto &[Begin, End] : Classes) {
-    std::vector<uint8_t> P(End - Begin);
-    std::iota(P.begin(), P.end(), static_cast<uint8_t>(Begin));
-    ClassPerm.push_back(std::move(P));
-  }
-  for (bool More = true; More;) {
-    std::array<uint8_t, kMaxRegs> Perm = identityPerm();
-    for (size_t C = 0; C != Classes.size(); ++C)
-      for (unsigned R = Classes[C].first; R != Classes[C].second; ++R)
-        Perm[R] = ClassPerm[C][R - Classes[C].first];
-    for (unsigned Phi = 0; Phi != (HasFlags ? 2u : 1u); ++Phi)
-      Elems.push_back(SymmetryElem{Perm, Phi != 0, isIdentity(Perm)});
-    More = false;
-    for (size_t C = 0; C != Classes.size() && !More; ++C)
-      More = std::next_permutation(ClassPerm[C].begin(), ClassPerm[C].end());
-  }
-  assert(Elems.size() <= 255 && "witness ids are stored in a uint8_t");
-
-  // Composition / inverse / parity-override tables. Groups are tiny (2 at
-  // m = 1 cmov, 48 for hybrid n = 3), so linear element lookup is fine.
-  auto Find = [&](const std::array<uint8_t, kMaxRegs> &Perm, bool Phi) {
-    for (size_t E = 0; E != Elems.size(); ++E)
-      if (Elems[E].FlagSwap == Phi && Elems[E].Perm == Perm)
-        return static_cast<uint8_t>(E);
-    assert(false && "group not closed under composition");
-    return static_cast<uint8_t>(0);
-  };
-  const size_t Order = Elems.size();
-  Comp.resize(Order * Order);
-  Inv.resize(Order);
-  WithPhi.resize(2 * Order);
-  for (size_t A = 0; A != Order; ++A) {
-    WithPhi[2 * A + 0] = Find(Elems[A].Perm, false);
-    WithPhi[2 * A + 1] =
-        HasFlags ? Find(Elems[A].Perm, true) : WithPhi[2 * A + 0];
-    std::array<uint8_t, kMaxRegs> InvPerm;
-    for (unsigned R = 0; R != kMaxRegs; ++R)
-      InvPerm[Elems[A].Perm[R]] = static_cast<uint8_t>(R);
-    // The flag involution commutes with every register permutation and is
-    // its own inverse, so the inverse element keeps the parity.
-    Inv[A] = Find(InvPerm, Elems[A].FlagSwap);
-    for (size_t B = 0; B != Order; ++B) {
-      // compose(First = B, Then = A): registers through B then A, flag
-      // parities xor.
-      std::array<uint8_t, kMaxRegs> Composed;
-      for (unsigned R = 0; R != kMaxRegs; ++R)
-        Composed[R] = Elems[A].Perm[Elems[B].Perm[R]];
-      Comp[A * Order + B] =
-          Find(Composed, Elems[A].FlagSwap != Elems[B].FlagSwap);
-    }
-  }
-}
-
-uint8_t SymmetryTable::canonicalize(uint32_t *Rows, uint32_t Len,
-                                    std::vector<uint32_t> &Scratch) const {
-  if (Elems.size() <= 1 || Len == 0)
-    return 0;
-  if (Scratch.size() < 2 * static_cast<size_t>(Len))
-    Scratch.resize(2 * static_cast<size_t>(Len));
-  uint32_t *Best = Scratch.data(); // Holds the winner only once BestE != 0.
-  uint32_t *Trial = Scratch.data() + Len;
-  uint8_t BestE = 0;
-  for (unsigned E = 1; E != Elems.size(); ++E) {
-    // Transform the ORIGINAL rows (Rows is untouched until commit), so
-    // trial elements never compose with an earlier winner.
-    for (uint32_t I = 0; I != Len; ++I)
-      Trial[I] = transformRow(Rows[I], E);
-    sortRows(Trial, Len);
-    const uint32_t *Cur = BestE != 0 ? Best : Rows;
-    if (std::lexicographical_compare(Trial, Trial + Len, Cur, Cur + Len)) {
-      std::swap(Best, Trial);
-      BestE = static_cast<uint8_t>(E);
-    }
-  }
-  if (BestE != 0)
-    std::copy(Best, Best + Len, Rows);
-  return BestE;
-}
-
-Program sks::liftProgram(const SymmetryTable &Sym,
-                         const std::vector<Instr> &Vias,
-                         const std::vector<uint8_t> &Witnesses) {
-  assert(Vias.size() == Witnesses.size() && "one witness per edge");
-  Program Out;
-  Out.reserve(Vias.size());
-  unsigned Sigma = 0; // Cumulative witness: lifted state -> canonical state.
-  for (size_t I = 0; I != Vias.size(); ++I) {
-    // The edge instruction acts on the parent's canonical rows; undoing
-    // the cumulative witness expresses it against the lifted state.
-    bool Phi;
-    Out.push_back(Sym.renameInstr(Vias[I], Sym.inverse(Sigma), Phi));
-    // Advance: the renamed instruction's post-parity (its own flag
-    // component for non-cmp, the cmp normalization parity otherwise — cmp
-    // overwrites the flags, so the old parity is dead), then the edge's
-    // canonicalization element on top.
-    Sigma = Sym.compose(Sym.withFlagSwap(Sigma, Phi), Witnesses[I]);
-  }
-  return Out;
-}
 
 Program sks::canonicalProgram(const Program &P, unsigned NumData) {
   bool HasCmovFile = false, HasVecFile = false;

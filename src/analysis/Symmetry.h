@@ -1,183 +1,32 @@
-//===- analysis/Symmetry.h - Register-renaming symmetry quotient -*- C++ -*-===//
+//===- analysis/Symmetry.h - Scratch-register renaming ----------*- C++ -*-===//
 //
 // Part of the sks project. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The value-symmetry static analysis behind SearchOptions::SymmetryReduce
-/// (DESIGN.md section 11): two search states are equivalent when one is the
-/// other under an ADMISSIBLE renaming — a bijection of the machine that
+/// Program-level register renaming, behind the sks-lint rule
+/// non-canonical-registers. Two kernels that differ only by a permutation
+/// of the scratch registers compute the same function: every completion of
+/// one renames instruction by instruction into the other, with identical
+/// length. Data registers are never renamed, because the goal constrains
+/// them by position. Scratch registers never cross register files, because
+/// the alphabet is file-restricted.
 ///
-///  - maps the instruction alphabet onto itself,
-///  - fixes the initial state, and
-///  - preserves the sortedness goal,
-///
-/// because then every completion of one state renames instruction-by-
-/// instruction into a completion of the other, with identical length. The
-/// admissible renamings of the packed row encoding (machine/Machine.h)
-/// form a finite group generated by
-///
-///  - permutations of the scratch registers within each register file
-///    (data registers are position-fixed: the goal "r_i holds value i" is
-///    not invariant under moving them, and scratch registers never cross
-///    files because the alphabet is file-restricted), and
-///  - the lt/gt flag involution (cmov machines only): swapping the two
-///    flag bits of every row maps cmovl <-> cmovg and corresponds to the
-///    section 3.2 cmp operand-order symmetry — "cmp a, b" with swapped
-///    flags behaves exactly like the alphabet-excluded "cmp b, a".
-///
-/// SymmetryTable enumerates the group for a machine and provides the state
-/// transform, the canonicalization (lexicographically-least sorted row
-/// vector over the group orbit), and the WITNESS algebra: the element that
-/// canonicalized a state is stored on the search-DAG edge, and solution
-/// extraction composes witnesses along the path to lift kernels back to
-/// original register names (liftProgram), so emitted kernels verify
-/// unchanged. The same renaming logic, restricted to programs (where the
-/// flag involution is not free — cmp normalization forces it), powers the
-/// sks-lint rule non-canonical-registers via canonicalProgram().
+/// A renamed cmp whose operands come out in descending index order is
+/// written swapped to stay in the alphabet (section 3.2's cmp-operand
+/// symmetry); its flags then read swapped, so every conditional move that
+/// reads them flips direction. The flag parity is therefore forced by the
+/// program text, and the group is the m! scratch permutations alone.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SKS_ANALYSIS_SYMMETRY_H
 #define SKS_ANALYSIS_SYMMETRY_H
 
-#include "machine/Machine.h"
-
-#include <array>
-#include <cstdint>
-#include <vector>
+#include "isa/Instr.h"
 
 namespace sks {
-
-/// One admissible renaming: a register permutation (Perm[r] = where
-/// register r goes) plus whether the lt/gt flag bits swap.
-struct SymmetryElem {
-  std::array<uint8_t, kMaxRegs> Perm;
-  bool FlagSwap;
-  /// True when Perm is the identity (the transform touches only flags).
-  bool PermIsIdentity;
-};
-
-/// The admissible-renaming group of one machine, with precomputed
-/// composition/inverse tables. Element 0 is always the identity. Group
-/// orders stay tiny: 2 for the cmov machine at m = 1 (identity +
-/// flag swap), 1 for min/max at m = 1 (no flags, one scratch register —
-/// the quotient is trivial and SymmetryReduce is a no-op), 2 * m! * v!
-/// for the hybrid machine (v = vector-file size; every vector register
-/// starts at Z and is goal-free, so the whole file is interchangeable).
-class SymmetryTable {
-public:
-  explicit SymmetryTable(const Machine &M);
-
-  /// Group order (>= 1; element 0 is the identity).
-  size_t size() const { return Elems.size(); }
-  /// True when only the identity is admissible (SymmetryReduce merges
-  /// nothing; sks-synth rejects --symmetry for such machines).
-  bool trivial() const { return Elems.size() <= 1; }
-  const SymmetryElem &elem(unsigned E) const { return Elems[E]; }
-
-  /// Applies element \p E to one packed row: permutes the 3-bit register
-  /// fields and swaps the flag bits when the element does.
-  uint32_t transformRow(uint32_t Row, unsigned E) const {
-    const SymmetryElem &El = Elems[E];
-    uint32_t Out;
-    if (El.PermIsIdentity) {
-      Out = Row & ~FlagMask;
-    } else {
-      Out = 0;
-      for (unsigned R = 0; R != NumRegs; ++R)
-        Out |= getReg(Row, R) << (3 * El.Perm[R]);
-    }
-    if (El.FlagSwap)
-      return Out | ((Row & FlagLT) << 1) | ((Row & FlagGT) >> 1);
-    return Out | (Row & FlagMask);
-  }
-
-  /// Canonicalizes a SORTED, duplicate-free row buffer in place: replaces
-  /// it by the lexicographically-least sorted row vector over the group
-  /// orbit (ties broken toward the identity, then the lowest element
-  /// index, so the result is deterministic for any thread count).
-  /// \returns the witness element mapping the input rows to the canonical
-  /// rows (0 = the input was already canonical, rows untouched).
-  uint8_t canonicalize(uint32_t *Rows, uint32_t Len,
-                       std::vector<uint32_t> &Scratch) const;
-
-  /// Renames one instruction by element \p E: registers through the
-  /// permutation, cmovl <-> cmovg when the element swaps flags, and cmp
-  /// operands normalized back into the alphabet's Dst < Src order.
-  /// \p PhiOut receives the flag parity AFTER the instruction relative to
-  /// the renamed execution: for cmp, whether normalization swapped the
-  /// operands (the renamed cmp then computes swapped flags); for every
-  /// other opcode, the element's own FlagSwap (flags pass through).
-  Instr renameInstr(Instr I, unsigned E, bool &PhiOut) const {
-    const SymmetryElem &El = Elems[E];
-    Instr Out = I;
-    Out.Dst = El.Perm[I.Dst];
-    Out.Src = El.Perm[I.Src];
-    PhiOut = El.FlagSwap;
-    switch (I.Op) {
-    case Opcode::Cmp:
-      PhiOut = Out.Dst > Out.Src;
-      if (PhiOut)
-        std::swap(Out.Dst, Out.Src);
-      break;
-    case Opcode::CMovL:
-      if (El.FlagSwap)
-        Out.Op = Opcode::CMovG;
-      break;
-    case Opcode::CMovG:
-      if (El.FlagSwap)
-        Out.Op = Opcode::CMovL;
-      break;
-    default:
-      break;
-    }
-    return Out;
-  }
-
-  /// \returns the element undoing \p E (same flag parity, inverse
-  /// permutation: the flag involution is its own inverse and commutes
-  /// with every register permutation).
-  unsigned inverse(unsigned E) const { return Inv[E]; }
-
-  /// \returns the element applying \p First, then \p Then (composition
-  /// T_Then after T_First; permutations compose, flag parities xor).
-  unsigned compose(unsigned First, unsigned Then) const {
-    return Comp[Then * Elems.size() + First];
-  }
-
-  /// \returns the element with \p E's permutation and flag parity \p Phi
-  /// (used to rebuild the cumulative witness after a cmp resets the flag
-  /// correspondence to its normalization parity).
-  unsigned withFlagSwap(unsigned E, bool Phi) const {
-    return WithPhi[2 * E + (Phi ? 1 : 0)];
-  }
-
-  bool flagSwap(unsigned E) const { return Elems[E].FlagSwap; }
-
-private:
-  std::vector<SymmetryElem> Elems;
-  std::vector<uint8_t> Inv;
-  std::vector<uint8_t> Comp;    ///< Comp[Then * size + First].
-  std::vector<uint8_t> WithPhi; ///< WithPhi[2E + phi].
-  unsigned NumRegs;
-};
-
-/// Lifts a solution path from canonical register names back to the
-/// original namespace. \p Vias are the DAG edge instructions from the ROOT
-/// to the solution (each expressed against its parent node's canonical
-/// state), \p Witnesses the per-edge canonicalization elements. Walking
-/// the path maintains the cumulative witness S mapping the lifted
-/// execution to the canonical one: the emitted instruction is the
-/// S^-1-renaming of the edge instruction, and S advances by the edge
-/// witness composed over the post-instruction parity (a cmp overwrites
-/// the flags, so its normalization parity REPLACES the flag component of
-/// S). The lifted program reaches, at every step, a state in the same
-/// orbit as the stored canonical state — so it sorts exactly when the
-/// canonical path does, with identical length.
-Program liftProgram(const SymmetryTable &Sym, const std::vector<Instr> &Vias,
-                    const std::vector<uint8_t> &Witnesses);
 
 /// Program-level canonical renaming (the sks-lint rule
 /// non-canonical-registers). Considers permutations of the scratch
@@ -185,11 +34,9 @@ Program liftProgram(const SymmetryTable &Sym, const std::vector<Instr> &Vias,
 /// register the program touches — renames the whole program by each
 /// (cmp operands re-normalized, conditional moves flipped through the
 /// forced parity), and picks the encoded-lexicographically-least result.
-/// Unlike the state quotient, programs have NO free flag involution: the
-/// parity is forced by cmp normalization, so the group here is m! alone
-/// and every m = 1 kernel is trivially canonical. Mixed-file (hybrid)
-/// programs are skipped (returned unchanged): the file split is not
-/// recoverable from the text alone.
+/// Every m = 1 kernel is trivially canonical. Mixed-file (hybrid) programs
+/// are skipped (returned unchanged): the file split is not recoverable
+/// from the text alone.
 /// \returns the canonical program (== \p P when already canonical).
 Program canonicalProgram(const Program &P, unsigned NumData);
 

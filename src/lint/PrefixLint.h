@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The O(1)-amortized incremental half of the linter: a tiny dataflow
-/// summary of a program PREFIX that the enumerative engines thread through
-/// the search (SearchOptions::SyntacticPrune). killsPrefix(I) decides, from
-/// the summary alone, that appending I provably plants a dead instruction
-/// in EVERY completion of the prefix — and a minimal kernel can never
-/// contain a dead instruction (removing it would yield an equally correct,
-/// strictly shorter kernel). Pruning such expansions is therefore sound
-/// for both engines and exactly preserves the optimal-solution count
-/// (asserted against the 5602-solution n=3 enumeration in LintTest.cpp).
+/// summary of a program PREFIX that both enumerative engines carry on
+/// every node. killsPrefix(I) decides, from the summary alone, that
+/// appending I provably plants a dead instruction in EVERY completion of
+/// the prefix — and a minimal kernel can never contain a dead instruction
+/// (removing it would yield an equally correct, strictly shorter kernel).
+/// The engines' one expansion gate (search/Expansion.h) therefore refuses
+/// such expansions before applying them; the optimal-solution counts it
+/// must keep are pinned in LintTest.cpp.
 ///
 /// The facts tracked are suffix-independent:
 ///
@@ -42,9 +42,6 @@
 #define SKS_LINT_PREFIXLINT_H
 
 #include "lint/Dataflow.h"
-
-#include <array>
-#include <utility>
 
 namespace sks {
 
@@ -78,43 +75,6 @@ public:
     AnyCmp |= Other.AnyCmp;
     if (LastInstr != Other.LastInstr)
       LastInstr = kNoInstr;
-  }
-
-  /// The summary under an admissible register renaming (analysis/
-  /// Symmetry.h; SearchOptions::SymmetryReduce canonicalizes a state and
-  /// renames the node's prefix facts along with it). Pending-write bits
-  /// move with the permutation; PendingCmp/AnyCmp are register-free and
-  /// carry over; the last instruction renames like any other instruction
-  /// (registers permuted, cmovl <-> cmovg under a flag swap — sound
-  /// because a conditional move leaves the flags alone, so the state's
-  /// flag parity IS the parity at the point the move executed — and cmp
-  /// operands normalized into ascending order, which killsPrefix never
-  /// compares against a non-cmp anyway: repeated cmps are caught by
-  /// PendingCmp before LastInstr is consulted).
-  PrefixLint renamed(const std::array<uint8_t, kMaxRegs> &Perm,
-                     bool FlagSwap) const {
-    PrefixLint Out = *this;
-    Out.PendingWrites = 0;
-    for (unsigned R = 0; R != kMaxRegs; ++R)
-      if (PendingWrites & lintRegBit(R))
-        Out.PendingWrites |= lintRegBit(Perm[R]);
-    Out.PendingWrites |=
-        static_cast<uint16_t>(PendingWrites & ~((1u << kMaxRegs) - 1u));
-    if (LastInstr != kNoInstr) {
-      Instr Last{static_cast<Opcode>(LastInstr >> 6),
-                 static_cast<uint8_t>((LastInstr >> 3) & 7u),
-                 static_cast<uint8_t>(LastInstr & 7u)};
-      Last.Dst = Perm[Last.Dst];
-      Last.Src = Perm[Last.Src];
-      if (FlagSwap && Last.Op == Opcode::CMovL)
-        Last.Op = Opcode::CMovG;
-      else if (FlagSwap && Last.Op == Opcode::CMovG)
-        Last.Op = Opcode::CMovL;
-      else if (Last.Op == Opcode::Cmp && Last.Dst > Last.Src)
-        std::swap(Last.Dst, Last.Src);
-      Out.LastInstr = Last.encode();
-    }
-    return Out;
   }
 
   /// \returns true when appending \p I provably makes some instruction of

@@ -17,6 +17,7 @@
 
 #include "support/Timing.h"
 
+#include <memory>
 #include <queue>
 
 using namespace sks;
@@ -31,12 +32,9 @@ struct Node {
   uint32_t Parent; ///< Index into the node arena; UINT32_MAX at the root.
   Instr Via;
   uint16_t G;
-  /// Syntactic-prune summary of the represented program (the Parent/Via
+  /// Dead-instruction summary of the represented program (the Parent/Via
   /// chain); refreshed together with it on a cheaper rediscovery.
   PrefixLint Lint = PrefixLint::entry();
-  /// Symmetry witness of the Via edge (analysis/Symmetry.h; 0 without
-  /// SymmetryReduce); refreshed with Parent/Via on a cheaper rediscovery.
-  uint8_t Witness = 0;
 };
 
 /// Priority-queue entry: min-f, then max-g (depth-first tie break toward
@@ -55,19 +53,13 @@ struct OpenEntry {
 
 } // namespace
 
-static Program reconstruct(const std::vector<Node> &Arena, uint32_t Index,
-                           const SymmetryTable *Sym) {
+static Program reconstruct(const std::vector<Node> &Arena, uint32_t Index) {
   Program P;
-  std::vector<uint8_t> Witnesses;
   while (Arena[Index].Parent != UINT32_MAX) {
     P.push_back(Arena[Index].Via);
-    Witnesses.push_back(Arena[Index].Witness);
     Index = Arena[Index].Parent;
   }
   std::reverse(P.begin(), P.end());
-  std::reverse(Witnesses.begin(), Witnesses.end());
-  if (Sym)
-    P = liftProgram(*Sym, P, Witnesses);
   return P;
 }
 
@@ -78,16 +70,9 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   Stopwatch Timer;
   HeuristicEval Heuristic(M, Opts, DT);
   CutTracker Cuts(Opts.Cut, Opts.MaxLength);
-  std::unique_ptr<SymmetryTable> Sym = makeSymmetryTable(M, Opts);
-  CandidatePipeline Pipeline(M, Opts, DT, Cuts, Sym.get());
+  CandidatePipeline Pipeline(M, Opts, DT, Cuts);
 
   std::vector<Node> Arena;
-  // Parallel to Arena: per-node order-domain states, allocated only with
-  // SemanticPrune (kept out of Node so the option costs nothing when off).
-  // Refreshed together with Lint on a cheaper rediscovery, since both
-  // summarize the represented Parent/Via program.
-  std::vector<OrderState> Orders;
-  const bool TrackOrders = Opts.SemanticPrune;
   // Rows in the level-0 arena; dedup through the sharded index (payload:
   // node index, collisions resolved by row comparison).
   StateStore Store;
@@ -102,16 +87,13 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       RowStore.append(Init.Rows.data(),
                       static_cast<uint32_t>(Init.Rows.size())),
       UINT32_MAX, Instr{Opcode::Mov, 0, 0}, 0});
-  if (TrackOrders)
-    Orders.push_back(OrderState::entry(M.numData()));
   uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
   Store.shard(StateStore::shardOf(RootHash)).insert(RootHash, 0);
   Open.push(OpenEntry{Heuristic(Init.Rows, Scratch), 0, 0});
   Cuts.observe(0, countDistinctGoal(Init.Rows, M, Scratch));
 
   auto StateBytes = [&] {
-    return Store.bytesUsed() + Arena.capacity() * sizeof(Node) +
-           Orders.capacity() * sizeof(OrderState);
+    return Store.bytesUsed() + Arena.capacity() * sizeof(Node);
   };
   auto NotePeak = [&] {
     // One flat level, nothing sealed or spilled: resident == total.
@@ -166,9 +148,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       continue; // Stale entry for a state later reached more cheaply.
     const RowSpan Span = Arena[Index].Rows;
     const PrefixLint Lint = Arena[Index].Lint;
-    // Copied by value: Orders grows in the commit loop below, so a
-    // reference would dangle across reallocation.
-    const OrderState Order = TrackOrders ? Orders[Index] : OrderState{};
     // The arena only grows at the commit loop below; this pointer is
     // stable through the sorted check and the expansion.
     const uint32_t *Rows = RowStore.rows(Span);
@@ -183,7 +162,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       Result.Found = true;
       Result.OptimalLength = G;
       Result.SolutionCount = 1;
-      Result.Solutions.push_back(reconstruct(Arena, Index, Sym.get()));
+      Result.Solutions.push_back(reconstruct(Arena, Index));
       break;
     }
     if (G >= Opts.MaxLength)
@@ -192,8 +171,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     ++Result.Stats.StatesExpanded;
     const uint16_t ChildG = G + 1;
     Batch.clear();
-    Pipeline.expandNode(Rows, Span.Len, Lint, TrackOrders ? &Order : nullptr,
-                        Index, ChildG, Batch, Actions, Result.Stats);
+    Pipeline.expandNode(Rows, Span.Len, Lint, Index, ChildG, Batch, Actions,
+                        Result.Stats);
 
     ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);
     for (const Candidate &C : Batch.List) {
@@ -213,15 +192,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
           Existing.Parent = Index;
           Existing.Via = C.Via;
           Existing.Lint = C.Lint;
-          Existing.Witness = C.Witness;
-          if (TrackOrders) {
-            OrderState NewOrder = Order.extended(C.Via);
-            if (C.Witness != 0) {
-              const SymmetryElem &El = Sym->elem(C.Witness);
-              NewOrder = NewOrder.renamed(El.Perm, El.FlagSwap);
-            }
-            Orders[Hit] = NewOrder;
-          }
           Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG,
                               static_cast<uint32_t>(Hit)});
         }
@@ -231,18 +201,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
 
       Cuts.observe(ChildG, C.Perm);
       uint32_t NewIndex = static_cast<uint32_t>(Arena.size());
-      Arena.push_back(
-          Node{RowStore.append(CRows, C.RowLen), Index, C.Via, ChildG,
-               C.Lint, C.Witness});
-      if (TrackOrders) {
-        // The stored rows are witness-renamed; the order facts follow.
-        OrderState NewOrder = Order.extended(C.Via);
-        if (C.Witness != 0) {
-          const SymmetryElem &El = Sym->elem(C.Witness);
-          NewOrder = NewOrder.renamed(El.Perm, El.FlagSwap);
-        }
-        Orders.push_back(NewOrder);
-      }
+      Arena.push_back(Node{RowStore.append(CRows, C.RowLen), Index, C.Via,
+                           ChildG, C.Lint});
       Shard.insert(C.Hash, NewIndex);
       Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG, NewIndex});
     }

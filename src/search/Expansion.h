@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single candidate pipeline shared by every expansion site: syntactic
-/// prune (lint) -> apply -> viability / erase check (section 3.3) ->
-/// distinct-permutation count (section 3.1) -> cut (section 3.5) ->
-/// canonicalize -> hash. Both engines expand node by node through
-/// expandNode:
+/// The single candidate pipeline shared by every expansion site: the
+/// dead-instruction gate (lint/PrefixLint.h) -> apply -> viability / erase
+/// check (section 3.3) -> distinct-permutation count (section 3.1) -> cut
+/// (section 3.5) -> canonicalize -> hash. Both engines expand node by node
+/// through expandNode:
 ///
 ///  - the best-first engine's expansion loop (BestFirst.cpp), and
 ///  - the layered engine's level expansion (Layered.cpp), one loop over
@@ -26,8 +26,8 @@
 /// and duplicate-independent — so the canonical sort (the sorting-network
 /// sortRows primitive, state/Canonicalize.h) and duplicate compaction run
 /// only for the candidates that survive to be stored. At n = 4 roughly
-/// 94% of the 5M generated candidates are pruned and exit without ever
-/// being sorted.
+/// 95% of the 4M generated candidates are pruned and exit without ever
+/// being sorted; the gate has already refused another 1M before apply.
 ///
 /// Opt-in stage timers (SearchOptions::ProfilePipeline) attribute the work
 /// to SearchStats::{Apply,Canon,Viability}Nanos: Apply is the batched
@@ -39,8 +39,6 @@
 #ifndef SKS_SEARCH_EXPANSION_H
 #define SKS_SEARCH_EXPANSION_H
 
-#include "analysis/OrderDomain.h"
-#include "analysis/Symmetry.h"
 #include "lint/PrefixLint.h"
 #include "machine/BatchApply.h"
 #include "search/SearchImpl.h"
@@ -49,24 +47,8 @@
 #include "support/Hashing.h"
 #include "support/Timing.h"
 
-#include <memory>
-
 namespace sks {
 namespace detail {
-
-/// Builds the renaming table both engines hand to their pipelines: non-null
-/// exactly when SearchOptions::SymmetryReduce is on AND the machine's
-/// admissible group is non-trivial (min/max at one scratch register has no
-/// flags and nothing to permute, so the option is a documented no-op there).
-inline std::unique_ptr<SymmetryTable>
-makeSymmetryTable(const Machine &M, const SearchOptions &Opts) {
-  if (!Opts.SymmetryReduce)
-    return nullptr;
-  auto Sym = std::make_unique<SymmetryTable>(M);
-  if (Sym->trivial())
-    return nullptr;
-  return Sym;
-}
 
 /// A child candidate that survived the filter pipeline, before dedup. Rows
 /// live in the producing CandidateBatch's flat buffer.
@@ -83,11 +65,6 @@ struct Candidate {
   /// active. Lets the best-first engine price surviving candidates without
   /// a second row traversal.
   uint8_t Needed = 0;
-  /// SymmetryTable element mapping the raw child rows onto the stored
-  /// canonical rows (0 = identity; always 0 without SymmetryReduce).
-  /// Stored on the DAG edge so solution extraction can lift programs back
-  /// to original register names (analysis/Symmetry.h liftProgram).
-  uint8_t Witness = 0;
 };
 
 /// One expansion worker's output: candidates plus their flat row storage.
@@ -123,36 +100,22 @@ struct CandidateBatch {
 /// CutTracker is only read here; observe() happens at merge/insert time).
 class CandidatePipeline {
 public:
-  /// \p Sym is non-null exactly when SearchOptions::SymmetryReduce is on;
-  /// the pipeline then canonicalizes every surviving candidate onto its
-  /// orbit representative before hashing.
   CandidatePipeline(const Machine &M, const SearchOptions &Opts,
-                    const DistanceTable *DT, const CutTracker &Cuts,
-                    const SymmetryTable *Sym = nullptr)
-      : M(M), Opts(Opts), DT(DT), Cuts(Cuts), Sym(Sym),
+                    const DistanceTable *DT, const CutTracker &Cuts)
+      : M(M), Opts(Opts), DT(DT), Cuts(Cuts),
         Profile(Opts.ProfilePipeline), DataMask(M.dataMask()),
         NumRegs(M.numRegs()), FullValueMask(M.requiredValueMask()),
         GoalCollapse(!M.goal().isSort()) {}
 
-  /// The pre-apply gate: refuses instructions the lint summary proves
-  /// would plant a dead instruction (SearchOptions::SyntacticPrune) or the
-  /// order-domain state proves redundant (SearchOptions::SemanticPrune;
-  /// \p Order is non-null exactly when that option is on — soundness in
-  /// DESIGN.md section 10). The semantic layer subsumes the syntactic
-  /// dead-instruction facts: the lint summary is maintained
-  /// unconditionally, so the semantic gate consults it too and a
-  /// semantic-only run refuses a superset of what a syntactic-only run
-  /// refuses. With both options on, the syntactic check runs first and
-  /// SemanticPruned counts only the order-domain surplus.
-  bool admits(const PrefixLint &ParentLint, const OrderState *Order, Instr I,
+  /// The one pre-apply gate: refuses \p I when the parent's prefix summary
+  /// proves that appending it plants a dead instruction. Sound in both
+  /// engines: deleting the dead instruction leaves a strictly shorter
+  /// program reaching the same child state, so no minimal kernel is ever
+  /// refused and an exhausted search is still a proof.
+  bool admits(const PrefixLint &ParentLint, Instr I,
               SearchStats &Stats) const {
-    if (Opts.SyntacticPrune && ParentLint.killsPrefix(I)) {
+    if (ParentLint.killsPrefix(I)) {
       ++Stats.SyntacticPruned;
-      return false;
-    }
-    if (Order &&
-        (Order->provablyRedundant(I) || ParentLint.killsPrefix(I))) {
-      ++Stats.SemanticPruned;
       return false;
     }
     return true;
@@ -261,20 +224,6 @@ public:
     C.Via = Via;
     C.Perm = Perm;
     C.Needed = Needed;
-
-    // Symmetry quotient (SearchOptions::SymmetryReduce): replace the rows
-    // by the least member of their renaming orbit, remembering the witness
-    // for lift-back. Runs AFTER viability/perm-count/cut — all three are
-    // orbit-invariant (renamings preserve per-row distance, the value
-    // multiset, and the data projection's distinct count) — and BEFORE the
-    // hash, so symmetric states collide in dedup and merge into one node.
-    C.Witness = 0;
-    if (Sym) {
-      ScopedNanoTimer T(Profile, Stats.CanonNanos);
-      C.Witness = Sym->canonicalize(Rows, Len, B.Scratch);
-      if (C.Witness != 0)
-        ++Stats.SymmetryMerged;
-    }
     {
       ScopedNanoTimer T(Profile, Stats.CanonNanos);
       uint64_t H = kHashWordsSeed;
@@ -283,12 +232,6 @@ public:
       C.Hash = hashWordsFinish(H, Len);
     }
     C.Lint = ParentLint.extended(Via);
-    if (C.Witness != 0) {
-      // The node's prefix facts must describe the CANONICAL namespace the
-      // suffix will be enumerated in; rename them along with the rows.
-      const SymmetryElem &El = Sym->elem(C.Witness);
-      C.Lint = C.Lint.renamed(El.Perm, El.FlagSwap);
-    }
     B.List.push_back(C);
     return true;
   }
@@ -297,8 +240,7 @@ public:
   /// \p Rows with the data-parallel applyBatch, and runs the pipeline —
   /// the expansion path of both engines. \p Rows must not alias B.Rows
   /// (all callers pass arena storage).
-  void expandNode(const uint32_t *Rows, uint32_t Len,
-                  const PrefixLint &Lint, const OrderState *Order,
+  void expandNode(const uint32_t *Rows, uint32_t Len, const PrefixLint &Lint,
                   uint32_t Parent, unsigned ChildG, CandidateBatch &B,
                   std::vector<Instr> &Actions, SearchStats &Stats) const {
     {
@@ -307,7 +249,7 @@ public:
                                              Rows, Len, Actions, B.Scratch);
     }
     for (const Instr &I : Actions) {
-      if (!admits(Lint, Order, I, Stats))
+      if (!admits(Lint, I, Stats))
         continue;
       size_t RawBegin = B.Rows.size();
       {
@@ -336,7 +278,6 @@ private:
   const SearchOptions &Opts;
   const DistanceTable *DT;
   const CutTracker &Cuts;
-  const SymmetryTable *Sym;
   const bool Profile;
   const uint32_t DataMask;
   const unsigned NumRegs;

@@ -78,7 +78,6 @@
 #include <array>
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <numeric>
 
 using namespace sks;
@@ -86,30 +85,26 @@ using namespace sks::detail;
 
 namespace {
 
-/// One incoming DAG edge: parent index in the previous level, the
-/// instruction (expressed against the parent's canonical rows), and the
-/// symmetry witness that canonicalized the resulting child rows (0 without
-/// SymmetryReduce; see analysis/Symmetry.h liftProgram).
+/// One incoming DAG edge: parent index in the previous level and the
+/// instruction applied to the parent's rows.
 struct ParentEdge {
   uint32_t Parent;
   Instr Via;
-  uint8_t Witness;
 };
 
 /// One node of the solution DAG. Rows live in the owning level's arena.
 struct LNode {
   RowSpan Rows;
   /// All incoming edges; populated only in FindAll mode.
-  /// FirstParent/FirstVia/FirstWitness always hold one edge.
+  /// FirstParent/FirstVia always hold one edge.
   std::vector<ParentEdge> Parents;
   uint32_t FirstParent = UINT32_MAX;
   Instr FirstVia{Opcode::Mov, 0, 0};
-  uint8_t FirstWitness = 0;
   /// Number of distinct programs of length <level> reaching this state.
   uint64_t Ways = 0;
   bool Sorted = false;
-  /// Meet of the syntactic-prune summaries of every program merged into
-  /// this node (only maintained with SearchOptions::SyntacticPrune).
+  /// Meet of the dead-instruction summaries of every program merged into
+  /// this node: the expansion gate refuses only what all of them refuse.
   PrefixLint Lint = PrefixLint::entry();
 };
 
@@ -149,10 +144,6 @@ struct Published {
 /// One shard's output of a level merge (phase 1), committed in phase 2.
 struct ShardMerge {
   std::vector<LNode> Nodes;
-  /// Parallel to Nodes: meet of the order-domain states of every program
-  /// merged into the node (only with SearchOptions::SemanticPrune). Kept
-  /// out of LNode so the option costs nothing when off.
-  std::vector<OrderState> Orders;
   std::vector<uint32_t> Rows; ///< New row data, shard-local offsets.
   IndexShard Local;           ///< Hash -> packRef(ChildG, local index).
   size_t DedupHits = 0;
@@ -162,8 +153,7 @@ struct ShardMerge {
 
   size_t bytesUsed() const {
     return Rows.capacity() * sizeof(uint32_t) +
-           Nodes.capacity() * sizeof(LNode) +
-           Orders.capacity() * sizeof(OrderState) + Local.bytesUsed();
+           Nodes.capacity() * sizeof(LNode) + Local.bytesUsed();
   }
 };
 
@@ -172,9 +162,8 @@ public:
   LayeredEngine(const Machine &M, const SearchOptions &Opts,
                 const DistanceTable *DT)
       : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut, Opts.MaxLength),
-        Sym(makeSymmetryTable(M, Opts)), Pipeline(M, Opts, DT, Cuts, Sym.get()),
-        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1),
-        Caches(Pool.size()) {
+        Pipeline(M, Opts, DT, Cuts),
+        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1), Caches(Pool.size()) {
     Store.configureFrontier(
         {Opts.CompressFrontier, Opts.SpillDir, Opts.SpillThresholdBytes});
   }
@@ -192,7 +181,7 @@ private:
                   const std::function<void(size_t)> &Trace,
                   bool &FoundSorted);
   void reconstruct(uint32_t Level, uint32_t Index, Program &Suffix,
-                   std::vector<uint8_t> &WSuffix, SearchResult &Result) const;
+                   SearchResult &Result) const;
 
   const uint32_t *rowsOf(unsigned Level, const LNode &N) const {
     return Store.arena(Level).rows(N.Rows);
@@ -240,9 +229,6 @@ private:
   const SearchOptions &Opts;
   const DistanceTable *DT;
   CutTracker Cuts;
-  /// Non-null exactly when SymmetryReduce is on and the group is
-  /// non-trivial; declared before Pipeline, which captures Sym.get().
-  std::unique_ptr<SymmetryTable> Sym;
   CandidatePipeline Pipeline;
   ThreadPool Pool;
   /// One decode cache per pool worker (indexed by worker id): sealed-level
@@ -252,12 +238,6 @@ private:
   Stopwatch Timer;
   StateStore Store;
   std::vector<std::vector<LNode>> Levels;
-  /// Parallel to Levels: per-node order-domain states, maintained (and
-  /// allocated) only with SearchOptions::SemanticPrune; every vector stays
-  /// empty otherwise. The meet over merged programs is bitwise, hence
-  /// candidate-order-independent, so the states — and the prune decisions
-  /// they drive — are identical for any thread count or expansion mode.
-  std::vector<std::vector<OrderState>> LevelOrders;
   /// Per level: the level-global index of each shard's first node.
   std::vector<std::array<uint32_t, kNumShards>> ShardBases;
   size_t NodeBytes = 0;     ///< LNode + Parents storage across levels.
@@ -306,8 +286,6 @@ bool LayeredEngine::expandLevel(unsigned G,
                                 SearchResult &Result,
                                 const std::function<void(size_t)> &Trace) {
   const std::vector<LNode> &Level = Levels[G];
-  const std::vector<OrderState> *Orders =
-      Opts.SemanticPrune ? &LevelOrders[G] : nullptr;
   const unsigned ChildG = G + 1;
   const unsigned Workers = Pool.size();
   const size_t RowsPerState =
@@ -334,7 +312,6 @@ bool LayeredEngine::expandLevel(unsigned G,
     for (size_t I = Begin; I != End; ++I) {
       const LNode &Node = Level[I];
       Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                          Orders ? &(*Orders)[I] : nullptr,
                           static_cast<uint32_t>(I), ChildG, B, Actions, S);
       ++S.StatesExpanded;
       if ((((I - Begin) & 63u) == 63u || I + 1 == End) &&
@@ -350,8 +327,6 @@ bool LayeredEngine::expandLevel(unsigned G,
     Result.Stats.CutStates += S.CutStates;
     Result.Stats.ActionsFiltered += S.ActionsFiltered;
     Result.Stats.SyntacticPruned += S.SyntacticPruned;
-    Result.Stats.SemanticPruned += S.SemanticPruned;
-    Result.Stats.SymmetryMerged += S.SymmetryMerged;
     // Stage profile: CPU time summed over workers (see Search.h).
     Result.Stats.ApplyNanos += S.ApplyNanos;
     Result.Stats.CanonNanos += S.CanonNanos;
@@ -411,8 +386,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   // scheduling with stealing as the correction, replacing the shared
   // dynamic cursor that hash-skewed shard sizes used to contend on.
   const std::vector<LNode> &Prev = Levels[ChildG - 1];
-  const std::vector<OrderState> *PrevOrders =
-      Opts.SemanticPrune ? &LevelOrders[ChildG - 1] : nullptr;
   std::vector<ShardMerge> Shards(kNumShards);
   Phase Ph{Trace, Total, residentBytes(Live)};
 
@@ -460,20 +433,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
               continue;
             }
 
-            // The child's order-domain state: facts about the canonical
-            // rows, so merging it (by meet, below) over every program
-            // reaching the node keeps only program-independent facts.
-            // Under SymmetryReduce the stored rows are the WITNESS-renamed
-            // rows, so the order facts rename along with them.
-            OrderState ChildOrder;
-            if (PrevOrders) {
-              ChildOrder = (*PrevOrders)[C.Parent].extended(C.Via);
-              if (C.Witness != 0) {
-                const SymmetryElem &El = Sym->elem(C.Witness);
-                ChildOrder = ChildOrder.renamed(El.Perm, El.FlagSwap);
-              }
-            }
-
             // Same-level probe: merge into the DAG node.
             uint64_t LocalHit = Sh.Local.find(C.Hash, [&](uint64_t P) {
               const LNode &N = Sh.Nodes[refLocal(P)];
@@ -485,12 +444,10 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
               LNode &Node = Sh.Nodes[refLocal(LocalHit)];
               Node.Ways += Prev[C.Parent].Ways;
               Node.Lint.meet(C.Lint);
-              if (PrevOrders)
-                Sh.Orders[refLocal(LocalHit)].meet(ChildOrder);
               if (Node.Sorted)
                 Sh.SolutionDelta += Prev[C.Parent].Ways;
               if (Opts.FindAll)
-                Node.Parents.push_back({C.Parent, C.Via, C.Witness});
+                Node.Parents.push_back({C.Parent, C.Via});
               ++Sh.DedupHits;
               continue;
             }
@@ -502,11 +459,10 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
             Sh.Rows.insert(Sh.Rows.end(), CRows, CRows + C.RowLen);
             Node.FirstParent = C.Parent;
             Node.FirstVia = C.Via;
-            Node.FirstWitness = C.Witness;
             Node.Lint = C.Lint;
             Node.Ways = Prev[C.Parent].Ways;
             if (Opts.FindAll)
-              Node.Parents.push_back({C.Parent, C.Via, C.Witness});
+              Node.Parents.push_back({C.Parent, C.Via});
             Node.Sorted = true;
             for (uint32_t R = 0; R != C.RowLen; ++R)
               if (!M.accepts(CRows[R])) {
@@ -524,8 +480,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
             Sh.Local.insert(C.Hash, packRef(ChildG, static_cast<uint32_t>(
                                                         Sh.Nodes.size())));
             Sh.Nodes.push_back(std::move(Node));
-            if (PrevOrders)
-              Sh.Orders.push_back(ChildOrder);
           }
         }
       });
@@ -548,9 +502,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   ShardBases.push_back(Bases);
   std::vector<LNode> &Next = Levels.emplace_back();
   Next.resize(NodeTotal);
-  std::vector<OrderState> &NextOrders = LevelOrders.emplace_back();
-  if (Opts.SemanticPrune)
-    NextOrders.resize(NodeTotal);
   RowArena &Arena = Store.arena(ChildG);
   Arena.resize(RowTotal);
   std::vector<uint32_t> CommitOrder(kNumShards);
@@ -570,8 +521,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
       N.Rows.Offset += RowBases[S];
       Next[Bases[S] + I] = std::move(N);
     }
-    for (size_t I = 0; I != Sh.Orders.size(); ++I)
-      NextOrders[Bases[S] + I] = Sh.Orders[I];
     IndexShard &Global = Store.shard(S);
     Sh.Local.forEach(
         [&](uint64_t H, uint64_t P) { Global.insert(H, P); });
@@ -585,8 +534,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
       Cuts.observe(ChildG, Sh.MinPerm);
     FoundSorted |= Sh.FoundSorted;
   }
-  NodeBytes += Next.capacity() * sizeof(LNode) +
-               NextOrders.capacity() * sizeof(OrderState);
+  NodeBytes += Next.capacity() * sizeof(LNode);
   if (Opts.FindAll)
     for (const LNode &N : Next)
       NodeBytes += N.Parents.capacity() * sizeof(ParentEdge);
@@ -599,40 +547,27 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
 }
 
 void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
-                                Program &Suffix, std::vector<uint8_t> &WSuffix,
-                                SearchResult &Result) const {
+                                Program &Suffix, SearchResult &Result) const {
   if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
     return;
   if (Level == 0) {
-    Program P(Suffix.rbegin(), Suffix.rend());
-    if (Sym) {
-      // Lift the canonical-namespace path back to original register names
-      // (analysis/Symmetry.h). The root state is fixed by the whole group,
-      // so the walk starts at the identity witness.
-      std::vector<uint8_t> W(WSuffix.rbegin(), WSuffix.rend());
-      P = liftProgram(*Sym, P, W);
-    }
-    Result.Solutions.push_back(std::move(P));
+    Result.Solutions.emplace_back(Suffix.rbegin(), Suffix.rend());
     return;
   }
   const LNode &Node = Levels[Level][Index];
   if (Opts.FindAll && !Node.Parents.empty()) {
     for (const ParentEdge &E : Node.Parents) {
       Suffix.push_back(E.Via);
-      WSuffix.push_back(E.Witness);
-      reconstruct(Level - 1, E.Parent, Suffix, WSuffix, Result);
+      reconstruct(Level - 1, E.Parent, Suffix, Result);
       Suffix.pop_back();
-      WSuffix.pop_back();
       if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
         return;
     }
     return;
   }
   Suffix.push_back(Node.FirstVia);
-  WSuffix.push_back(Node.FirstWitness);
-  reconstruct(Level - 1, Node.FirstParent, Suffix, WSuffix, Result);
+  reconstruct(Level - 1, Node.FirstParent, Suffix, Result);
   Suffix.pop_back();
-  WSuffix.pop_back();
 }
 
 SearchResult LayeredEngine::run() {
@@ -641,7 +576,6 @@ SearchResult LayeredEngine::run() {
   // No references into Levels/ShardBases survive a level commit, but
   // reserving up front removes the whole outer-reallocation hazard class.
   Levels.reserve(Opts.MaxLength + 2);
-  LevelOrders.reserve(Opts.MaxLength + 2);
   ShardBases.reserve(Opts.MaxLength + 2);
 
   SearchState Init = initialState(M);
@@ -657,12 +591,8 @@ SearchResult LayeredEngine::run() {
   uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
   Store.shard(StateStore::shardOf(RootHash)).insert(RootHash, packRef(0, 0));
   Levels.emplace_back().push_back(std::move(Root));
-  LevelOrders.emplace_back();
-  if (Opts.SemanticPrune)
-    LevelOrders[0].push_back(OrderState::entry(M.numData()));
   ShardBases.push_back({});
-  NodeBytes += Levels[0].capacity() * sizeof(LNode) +
-               LevelOrders[0].capacity() * sizeof(OrderState);
+  NodeBytes += Levels[0].capacity() * sizeof(LNode);
   notePeaks(Result, residentBytes());
   Result.Stats.LevelStates.push_back(Levels[0].size());
 
@@ -714,8 +644,7 @@ SearchResult LayeredEngine::run() {
       if (Opts.MaxSolutionsKept > 0 &&
           (Opts.FindAll || Result.Solutions.empty())) {
         Program Suffix;
-        std::vector<uint8_t> WSuffix;
-        reconstruct(FinalLevel, I, Suffix, WSuffix, Result);
+        reconstruct(FinalLevel, I, Suffix, Result);
       }
     }
     if (Opts.TraceIntervalSeconds > 0)

@@ -17,7 +17,11 @@
 ///  - the non-optimality-preserving cut on the distinct-permutation count
 ///    (section 3.5), multiplicative (factor k) or additive (+c);
 ///  - deduplication of equivalent programs via canonical state hashing
-///    (section 3.6).
+///    (section 3.6);
+///  - beyond the paper, one always-on expansion gate: an instruction that
+///    would make part of the program provably dead is refused before it is
+///    applied (lint/PrefixLint.h; no minimal kernel contains a dead
+///    instruction).
 ///
 /// Two engines share these components:
 ///
@@ -87,35 +91,6 @@ struct SearchOptions {
   /// Only expand instructions on some assignment's optimal completion
   /// (section 3.2; requires the distance table).
   bool UseActionFilter = false;
-  /// Refuse expansions that provably plant a dead instruction in the
-  /// prefix (lint/PrefixLint.h): a clobbered-unread cmp, an overwritten
-  /// unread move, a conditional move before any cmp, an idempotent repeat.
-  /// Sound and optimal-count-preserving: a minimal kernel never contains a
-  /// dead instruction. Composes with the section 3.2/3.3 semantic filters.
-  bool SyntacticPrune = false;
-  /// Refuse expansions the order-domain abstract interpreter
-  /// (analysis/OrderDomain.h) proves redundant: a cmp whose outcome the
-  /// established partial order already determines, a conditional move that
-  /// provably never fires or moves an equal value, a mov/pmin/pmax whose
-  /// result the destination already holds. Sound and solution-preserving
-  /// (DESIGN.md section 10): a proven no-op reproduces the parent's
-  /// canonical state, which dedup would discard at a shallower level, and
-  /// a determined cmp rewrites with its dependent cmovs to strictly fewer
-  /// plain moves, so no minimal kernel contains either. Composes with
-  /// SyntacticPrune.
-  bool SemanticPrune = false;
-  /// Quotient the search space by the machine's admissible register
-  /// renamings (analysis/Symmetry.h; DESIGN.md section 11): every
-  /// candidate state is replaced by the lexicographically-least member of
-  /// its orbit under scratch-register permutations and the lt/gt flag
-  /// involution, with the witness element stored on the DAG edge so
-  /// solution extraction lifts kernels back to original register names.
-  /// Sound and solution-preserving: renamings are machine automorphisms
-  /// fixing the initial state and the goal, so orbits share completion
-  /// lengths, and the lift-back restores the exact solution set. A no-op
-  /// on machines whose renaming group is trivial (min/max at m = 1: no
-  /// flags, one scratch register).
-  bool SymmetryReduce = false;
   /// Hard upper bound on program length (inclusive).
   unsigned MaxLength = 64;
   /// Use the layered engine and enumerate ALL optimal kernels.
@@ -194,17 +169,10 @@ struct SearchStats {
   size_t CutStates = 0;
   size_t ViabilityPruned = 0;
   size_t ActionsFiltered = 0;
-  /// Expansions refused by SearchOptions::SyntacticPrune.
+  /// Expansions the dead-instruction gate refused before apply (the
+  /// expansion gate in search/Expansion.h; lint/PrefixLint.h). Refused
+  /// candidates are not counted in StatesGenerated.
   size_t SyntacticPruned = 0;
-  /// Expansions refused by SearchOptions::SemanticPrune (the order-domain
-  /// abstract interpreter's provably-redundant gate).
-  size_t SemanticPruned = 0;
-  /// Candidates SearchOptions::SymmetryReduce rewrote onto a strictly
-  /// smaller orbit representative (witness != identity). A per-candidate
-  /// property of the canonical rows, counted before dedup, so the total is
-  /// identical for any thread count — unlike "dedup hits caused by
-  /// symmetry", which would depend on arrival order.
-  size_t SymmetryMerged = 0;
   /// Layered engine only: number of canonical states committed at each
   /// level (index = program length). Identical across thread counts for a
   /// fixed configuration, so the equivalence tests compare it level by

@@ -1,4 +1,4 @@
-//===- tests/LintTest.cpp - Dataflow linter + syntactic prune tests --------===//
+//===- tests/LintTest.cpp - Dataflow linter + dead-instruction gate tests -===//
 //
 // Part of the sks project. MIT license.
 //
@@ -202,59 +202,61 @@ SearchOptions enumerateAll(unsigned MaxLength) {
   return Opts;
 }
 
-TEST(SyntacticPrune, PreservesAllSolutionsN2) {
-  Machine M(MachineKind::Cmov, 2);
-  SearchOptions Opts = enumerateAll(4);
-  SearchResult Plain = synthesize(M, Opts);
-  Opts.SyntacticPrune = true;
-  SearchResult Pruned = synthesize(M, Opts);
-  ASSERT_TRUE(Plain.Found && Pruned.Found);
-  EXPECT_EQ(Plain.SolutionCount, 8u);
-  EXPECT_EQ(Pruned.SolutionCount, 8u);
-  EXPECT_GT(Pruned.Stats.SyntacticPruned, 0u);
-  EXPECT_LT(Pruned.Stats.StatesGenerated, Plain.Stats.StatesGenerated);
+/// What the engines' always-on dead-instruction gate must keep on a
+/// layered run, at one and at four threads. The gate refuses a candidate
+/// before it is applied, and on these runs it leaves the set of expanded
+/// nodes unchanged: the refused candidates plus the generated ones add up
+/// exactly to \p GateOffGenerated, the StatesGenerated of the same run
+/// measured with the gate switched off. A gate that changed which nodes
+/// get expanded, or refused nothing, fails here.
+void expectGateKeeps(const Machine &M, SearchOptions Opts, uint64_t Solutions,
+                     size_t GateOffGenerated) {
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(Threads == 1 ? "1 thread" : "4 threads");
+    Opts.NumThreads = Threads;
+    SearchResult R = synthesize(M, Opts);
+    ASSERT_TRUE(R.Found);
+    EXPECT_EQ(R.SolutionCount, Solutions);
+    EXPECT_GT(R.Stats.SyntacticPruned, 0u);
+    EXPECT_EQ(R.Stats.StatesGenerated + R.Stats.SyntacticPruned,
+              GateOffGenerated);
+  }
 }
 
-TEST(SyntacticPrune, Preserves5602SolutionsN3) {
-  // The tentpole soundness assertion: with the syntactic prune on, the
-  // layered engine still counts exactly the paper's 5602 optimal n=3
-  // kernels — every pruned program had an equal-length lint-clean
-  // equivalent — while generating measurably fewer candidate states.
-  Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts = enumerateAll(11);
-  SearchResult Plain = synthesize(M, Opts);
-  Opts.SyntacticPrune = true;
-  SearchResult Pruned = synthesize(M, Opts);
-  ASSERT_TRUE(Plain.Found && Pruned.Found);
-  EXPECT_EQ(Plain.SolutionCount, 5602u);
-  EXPECT_EQ(Pruned.SolutionCount, 5602u);
-  EXPECT_EQ(Pruned.OptimalLength, 11u);
-  EXPECT_GT(Pruned.Stats.SyntacticPruned, 0u);
-  EXPECT_LT(Pruned.Stats.StatesGenerated, Plain.Stats.StatesGenerated);
+TEST(DeadInstrGate, PreservesAllSolutionsN2) {
+  expectGateKeeps(Machine(MachineKind::Cmov, 2), enumerateAll(4), 8, 441);
 }
 
-TEST(SyntacticPrune, PreservesMinMaxSolutionCounts) {
+TEST(DeadInstrGate, Preserves5602SolutionsN3) {
+  // The paper's 5602 optimal n=3 kernels: every refused program had an
+  // equal-length lint-clean equivalent.
+  expectGateKeeps(Machine(MachineKind::Cmov, 3), enumerateAll(11), 5602,
+                  20917932);
+}
+
+TEST(DeadInstrGate, PreservesMinMaxSolutionCounts) {
   // No cmp/flags in this machine model: exercises the pending-write and
   // idempotent-repeat rules on the min/max alphabet.
-  Machine M(MachineKind::MinMax, 3);
-  SearchOptions Opts = enumerateAll(8);
-  SearchResult Plain = synthesize(M, Opts);
-  Opts.SyntacticPrune = true;
-  SearchResult Pruned = synthesize(M, Opts);
-  ASSERT_TRUE(Plain.Found && Pruned.Found);
-  EXPECT_EQ(Pruned.OptimalLength, Plain.OptimalLength);
-  EXPECT_EQ(Pruned.SolutionCount, Plain.SolutionCount);
-  EXPECT_GT(Pruned.Stats.SyntacticPruned, 0u);
+  expectGateKeeps(Machine(MachineKind::MinMax, 3), enumerateAll(8), 604,
+                  18612);
 }
 
-TEST(SyntacticPrune, BestFirstStillFindsMinimalKernels) {
+TEST(DeadInstrGate, PreservesTheCut1RunN3) {
+  // The section 3.5 cut reads the per-level minimum permutation count of
+  // the stored states, so a gate that dropped a stored state could move
+  // the cut; the 234 kernels and the sum pin that it does not.
+  SearchOptions Opts = enumerateAll(11);
+  Opts.Cut = CutConfig::mult(1.0);
+  expectGateKeeps(Machine(MachineKind::Cmov, 3), Opts, 234, 574476);
+}
+
+TEST(DeadInstrGate, BestFirstStillFindsMinimalKernels) {
   Machine M(MachineKind::Cmov, 3);
   SearchOptions Opts;
   Opts.Heuristic = HeuristicKind::PermCount;
   Opts.UseViability = true;
   Opts.Cut = CutConfig::mult(1.0);
   Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  Opts.SyntacticPrune = true;
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 11u);
@@ -263,9 +265,9 @@ TEST(SyntacticPrune, BestFirstStillFindsMinimalKernels) {
   EXPECT_TRUE(isLintClean(R.Solutions.at(0), 3));
 }
 
-TEST(SyntacticPrune, ComposesWithSemanticFilters) {
-  // The section 3.2 action filter + 3.3 viability + the cut + the lint
-  // prune together still find the optimal length.
+TEST(DeadInstrGate, ComposesWithSemanticFilters) {
+  // The section 3.2 action filter + 3.3 viability + the cut + the gate
+  // together still find the optimal length.
   Machine M(MachineKind::Cmov, 3);
   SearchOptions Opts;
   Opts.Heuristic = HeuristicKind::PermCount;
@@ -273,13 +275,12 @@ TEST(SyntacticPrune, ComposesWithSemanticFilters) {
   Opts.UseActionFilter = true;
   Opts.Cut = CutConfig::mult(1.0);
   Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  Opts.SyntacticPrune = true;
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 11u);
 }
 
-TEST(SyntacticPrune, AllOptimalN3KernelsAreLintClean) {
+TEST(DeadInstrGate, AllOptimalN3KernelsAreLintClean) {
   // The converse direction of soundness, on the full solution set: no
   // optimal kernel trips a Warning-level rule, and the Note-level scratch
   // rule reproduces the repo's established count — 1366 of the 5602 read
@@ -289,7 +290,6 @@ TEST(SyntacticPrune, AllOptimalN3KernelsAreLintClean) {
   Opts.FindAll = true;
   Opts.UseViability = true;
   Opts.MaxLength = 11;
-  Opts.SyntacticPrune = true;
   SearchResult R = synthesize(M, Opts);
   ASSERT_EQ(R.Solutions.size(), 5602u);
   size_t ScratchReaders = 0;

@@ -1,246 +1,24 @@
-//===- tests/SymmetryTest.cpp - Register-renaming symmetry analysis --------===//
+//===- tests/SymmetryTest.cpp - Scratch-register renaming of kernels ------===//
 //
 // Part of the sks project. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Unit and randomized property tests for analysis/Symmetry.h:
-//
-//  - group structure: orders for each machine kind, identity at element 0,
-//    inverse/composition/parity-override table identities;
-//  - the action: transformRow is a group action (homomorphism against
-//    compose), and renameInstr commutes with concrete execution — the
-//    semantic soundness fact the whole quotient rests on;
-//  - canonicalize: orbit invariance (every member of an orbit maps to the
-//    same canonical buffer) and witness correctness, on random instruction
-//    walks from the real initial state;
-//  - canonicalProgram: the program-level restriction behind the sks-lint
-//    rule non-canonical-registers, including cmp re-normalization and the
-//    forced cmov direction flips, on verified sort kernels.
+// Tests for analysis/Symmetry.h's canonicalProgram: the program-level
+// scratch-register renaming behind the sks-lint rule
+// non-canonical-registers, including cmp re-normalization and the forced
+// cmov direction flips, on verified sort kernels.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Symmetry.h"
-#include "state/Canonicalize.h"
-#include "state/SearchState.h"
-#include "support/Rng.h"
 #include "verify/Verify.h"
 
-#include <algorithm>
 #include <gtest/gtest.h>
 
 using namespace sks;
 
 namespace {
-
-/// A random packed row of \p M: register fields uniform in [0, n], flags
-/// one of clear / lt / gt (cmp never sets both).
-uint32_t randomRow(const Machine &M, Rng &R) {
-  uint32_t Row = 0;
-  for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg)
-    Row = setReg(Row, Reg, static_cast<uint32_t>(R.below(M.numValues())));
-  switch (R.below(3)) {
-  case 1:
-    return Row | FlagLT;
-  case 2:
-    return Row | FlagGT;
-  default:
-    return Row;
-  }
-}
-
-TEST(Symmetry, GroupOrders) {
-  // Cmov m=1: no scratch pair to permute, but the flag involution remains.
-  SymmetryTable Cmov1(Machine(MachineKind::Cmov, 3));
-  EXPECT_EQ(Cmov1.size(), 2u);
-  EXPECT_FALSE(Cmov1.trivial());
-
-  // Min/max m=1: no flags either — the quotient collapses to the identity.
-  SymmetryTable MinMax1(Machine(MachineKind::MinMax, 3));
-  EXPECT_EQ(MinMax1.size(), 1u);
-  EXPECT_TRUE(MinMax1.trivial());
-
-  // Cmov m=2: 2! scratch permutations x flag involution.
-  SymmetryTable Cmov2(Machine(MachineKind::Cmov, 3, 2));
-  EXPECT_EQ(Cmov2.size(), 4u);
-
-  // Hybrid n=3: one GP scratch (1!) x the whole goal-free vector file
-  // (4 registers, 4!) x flag involution = 48.
-  SymmetryTable Hyb(Machine(MachineKind::Hybrid, 3));
-  EXPECT_EQ(Hyb.size(), 48u);
-}
-
-TEST(Symmetry, ElementZeroIsTheIdentity) {
-  for (MachineKind Kind :
-       {MachineKind::Cmov, MachineKind::MinMax, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    const SymmetryElem &Id = Sym.elem(0);
-    EXPECT_TRUE(Id.PermIsIdentity);
-    EXPECT_FALSE(Id.FlagSwap);
-    Rng R(11);
-    for (int Round = 0; Round != 50; ++Round) {
-      uint32_t Row = randomRow(M, R);
-      EXPECT_EQ(Sym.transformRow(Row, 0), Row);
-    }
-  }
-}
-
-TEST(Symmetry, InverseComposeAndParityTables) {
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    for (unsigned E = 0; E != Sym.size(); ++E) {
-      EXPECT_EQ(Sym.compose(E, Sym.inverse(E)), 0u);
-      EXPECT_EQ(Sym.compose(Sym.inverse(E), E), 0u);
-      EXPECT_EQ(Sym.compose(0, E), E);
-      EXPECT_EQ(Sym.compose(E, 0), E);
-      // The inverse keeps the parity (the involution is self-inverse and
-      // central); the parity override changes only the flag component.
-      EXPECT_EQ(Sym.flagSwap(Sym.inverse(E)), Sym.flagSwap(E));
-      for (bool Phi : {false, true}) {
-        unsigned P = Sym.withFlagSwap(E, Phi);
-        EXPECT_EQ(Sym.flagSwap(P), Phi);
-        EXPECT_EQ(Sym.elem(P).Perm, Sym.elem(E).Perm);
-      }
-    }
-  }
-}
-
-TEST(Symmetry, TransformRowIsAGroupAction) {
-  // transformRow(., compose(E1, E2)) == transformRow(transformRow(., E1),
-  // E2): compose(First, Then) applies First, then Then.
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    Rng R(42 + static_cast<uint64_t>(Kind));
-    for (int Round = 0; Round != 40; ++Round) {
-      uint32_t Row = randomRow(M, R);
-      for (unsigned E1 = 0; E1 != Sym.size(); ++E1)
-        for (unsigned E2 = 0; E2 != Sym.size(); ++E2)
-          ASSERT_EQ(Sym.transformRow(Sym.transformRow(Row, E1), E2),
-                    Sym.transformRow(Row, Sym.compose(E1, E2)))
-              << "E1=" << E1 << " E2=" << E2;
-      for (unsigned E = 0; E != Sym.size(); ++E)
-        ASSERT_EQ(Sym.transformRow(Sym.transformRow(Row, E), Sym.inverse(E)),
-                  Row)
-            << "E=" << E;
-    }
-  }
-}
-
-TEST(Symmetry, RenameInstrCommutesWithExecution) {
-  // The soundness core: renaming a state and executing the renamed
-  // instruction lands on the renamed result — with the flag component of
-  // the correspondence rebuilt from renameInstr's parity (a cmp overwrites
-  // the flags, so its normalization parity replaces the old one; every
-  // other opcode passes the element's own parity through):
-  //
-  //   apply(T_E(Row), rename_E(I)) == T_{withFlagSwap(E, Phi)}(apply(Row, I))
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    Rng R(77 + static_cast<uint64_t>(Kind));
-    for (int Round = 0; Round != 60; ++Round) {
-      uint32_t Row = randomRow(M, R);
-      for (const Instr &I : M.instructions()) {
-        for (unsigned E = 0; E != Sym.size(); ++E) {
-          bool Phi;
-          Instr Renamed = Sym.renameInstr(I, E, Phi);
-          ASSERT_EQ(M.apply(Sym.transformRow(Row, E), Renamed),
-                    Sym.transformRow(M.apply(Row, I),
-                                     Sym.withFlagSwap(E, Phi)))
-              << toString(I, M.numData()) << " E=" << E;
-        }
-      }
-    }
-  }
-}
-
-TEST(Symmetry, RenamedInstructionsStayInTheAlphabet) {
-  // The quotient only works if every renamed edge is itself a legal
-  // instruction (cmp operands ascending, no self-moves).
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    const std::vector<Instr> &Alphabet = M.instructions();
-    for (const Instr &I : Alphabet)
-      for (unsigned E = 0; E != Sym.size(); ++E) {
-        bool Phi;
-        Instr Renamed = Sym.renameInstr(I, E, Phi);
-        EXPECT_NE(std::find(Alphabet.begin(), Alphabet.end(), Renamed),
-                  Alphabet.end())
-            << toString(I, M.numData()) << " renamed by " << E << " to "
-            << toString(Renamed, M.numData());
-      }
-  }
-}
-
-/// Sorts + dedups a copy of \p Rows — the canonical-form precondition of
-/// SymmetryTable::canonicalize.
-std::vector<uint32_t> sortedUnique(std::vector<uint32_t> Rows) {
-  std::sort(Rows.begin(), Rows.end());
-  Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
-  return Rows;
-}
-
-TEST(Symmetry, CanonicalizeIsOrbitInvariantOnRandomWalks) {
-  // Random instruction walks from the real initial state; at every step,
-  // every member of the state's orbit must canonicalize to the same buffer,
-  // and the returned witness must actually map the input onto it.
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    const std::vector<Instr> &Instrs = M.instructions();
-    Rng R(9001 + static_cast<uint64_t>(Kind));
-    std::vector<uint32_t> Scratch;
-
-    std::vector<uint32_t> Rows = initialState(M).Rows;
-    for (int Step = 0; Step != 120; ++Step) {
-      Instr Via = Instrs[R.below(Instrs.size())];
-      for (uint32_t &Row : Rows)
-        Row = M.apply(Row, Via);
-      Rows = sortedUnique(Rows);
-
-      std::vector<uint32_t> Canon = Rows;
-      uint8_t W = Sym.canonicalize(Canon.data(),
-                                   static_cast<uint32_t>(Canon.size()),
-                                   Scratch);
-      ASSERT_LT(W, Sym.size());
-      // Witness correctness: transforming the input by W reproduces the
-      // canonical buffer (W == 0 means the input already was canonical).
-      std::vector<uint32_t> Mapped(Rows.size());
-      for (size_t I = 0; I != Rows.size(); ++I)
-        Mapped[I] = Sym.transformRow(Rows[I], W);
-      std::sort(Mapped.begin(), Mapped.end());
-      ASSERT_EQ(Mapped, Canon);
-      if (W == 0) {
-        ASSERT_EQ(Canon, Rows);
-      }
-
-      // Orbit invariance: every transform of the state canonicalizes to
-      // the identical buffer, and canonicalize is idempotent.
-      for (unsigned E = 0; E != Sym.size(); ++E) {
-        std::vector<uint32_t> Other(Rows.size());
-        for (size_t I = 0; I != Rows.size(); ++I)
-          Other[I] = Sym.transformRow(Rows[I], E);
-        sortRows(Other.data(), static_cast<uint32_t>(Other.size()));
-        uint8_t WO = Sym.canonicalize(Other.data(),
-                                      static_cast<uint32_t>(Other.size()),
-                                      Scratch);
-        ASSERT_EQ(Other, Canon) << "E=" << E << " step " << Step;
-        if (E == 0) {
-          ASSERT_EQ(WO, W);
-        }
-      }
-
-      // Walk on from the canonical representative, as the engine does.
-      Rows = std::move(Canon);
-      if (Rows.size() <= 1) // Dead end; restart to keep states wide.
-        Rows = initialState(M).Rows;
-    }
-  }
-}
 
 TEST(Symmetry, CanonicalProgramRenamesScratchAndFlipsCmovs) {
   // Two behaviorally identical sort-2 kernels over scratch registers

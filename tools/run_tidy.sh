@@ -30,20 +30,20 @@ fi
 
 # First-party translation units only: the compile database also contains
 # GTest/benchmark glue we do not own. find covers src/ wholesale (including
-# src/driver, src/state, and src/analysis — the abstract-interpretation
-# layer behind --semantic-prune and the symmetry quotient behind
-# --symmetry, plus src/cache and src/service — the kernel store and the
-# concurrent front end behind sks-serve) and the tools/ CLIs. The bench
-# tree is covered selectively: hot-path microbenchmarks that exercise
-# first-party SIMD, the portfolio race harness that drives the backend
-# interface, the ablation table that reports the prune counters, the n=5
-# budget run that drives the compressed/spillable frontier, and the
-# analytics workloads that drive the pair JIT and the sortlib selection
-# entry points. From the test
-# tree, the symmetry property tests, the service tests, the
+# src/driver, src/state, and src/analysis — the abstract interpreter and
+# the register renaming behind sks-lint's semantic and
+# non-canonical-registers rules, plus src/cache and src/service — the
+# kernel store and the concurrent front end behind sks-serve) and the
+# tools/ CLIs. The bench tree is covered selectively: hot-path
+# microbenchmarks that exercise first-party SIMD, the portfolio race
+# harness that drives the backend interface, the ablation table that
+# reports the dead-instruction gate's counter, the n=5 budget run that
+# drives the compressed/spillable frontier, and the analytics workloads
+# that drive the pair JIT and the sortlib selection entry points. From
+# the test tree, the register-renaming tests, the service tests, the
 # frontier-tier tests, the goal-predicate tests, and the
-# translation-validation tests ride along: they exercise the witness
-# algebra, the concurrency contract, the storage-tier codec, the goal
+# translation-validation tests ride along: they exercise the program
+# renaming, the concurrency contract, the storage-tier codec, the goal
 # layer, and the decoder/symbolic-executor proof stack the JIT's safety
 # now rests on, so their idioms are held to the same bar.
 FILES=$(find "$ROOT/src" "$ROOT/tools" "$ROOT/examples" -name '*.cpp' | sort)

@@ -61,9 +61,6 @@ struct CliOptions {
   bool EmitAsm = false;
   bool RequireRobust = false;
   bool Schedule = false;
-  bool SyntacticPrune = false;
-  bool SemanticPrune = false;
-  bool Symmetry = false;
   bool Profile = false;
   double Timeout = 0;
   unsigned MaxLength = 0;
@@ -122,15 +119,6 @@ void usage(const char *Argv0) {
       "                          distinct ints (inputs with ties are not\n"
       "                          checked)\n"
       "  --schedule              list-schedule the kernel for ILP\n"
-      "  --syntactic-prune       refuse expansions that plant dead code\n"
-      "                          (sound; preserves the optimal count)\n"
-      "  --semantic-prune        refuse expansions the order-domain\n"
-      "                          abstract interpreter proves redundant\n"
-      "                          (sound; preserves the optimal count)\n"
-      "  --symmetry              quotient states by scratch-register\n"
-      "                          renaming and the lt/gt flag involution\n"
-      "                          (sound; solutions lifted back to original\n"
-      "                          names; cmov/hybrid only)\n"
       "  --profile               print the per-stage expansion-pipeline\n"
       "                          time breakdown (apply/canonicalize/\n"
       "                          viability/merge)\n"
@@ -252,12 +240,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.RequireRobust = true;
     } else if (Arg == "--schedule") {
       Opts.Schedule = true;
-    } else if (Arg == "--syntactic-prune") {
-      Opts.SyntacticPrune = true;
-    } else if (Arg == "--semantic-prune") {
-      Opts.SemanticPrune = true;
-    } else if (Arg == "--symmetry") {
-      Opts.Symmetry = true;
     } else if (Arg == "--profile") {
       Opts.Profile = true;
     } else if (Arg == "--timeout") {
@@ -414,21 +396,6 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // Reject --symmetry where the quotient is unimplemented or trivial
-  // instead of silently ignoring the flag.
-  if (Cli.Symmetry && !Cli.Backend.empty()) {
-    std::fprintf(stderr,
-                 "error: --symmetry is only implemented for the enumerative "
-                 "engines; it cannot be combined with --backend\n");
-    return 2;
-  }
-  if (Cli.Symmetry && Cli.Kind == MachineKind::MinMax) {
-    std::fprintf(stderr,
-                 "error: --symmetry has no effect for --isa minmax: the "
-                 "machine has no flags and a single scratch register, so "
-                 "the renaming group is trivial\n");
-    return 2;
-  }
   if (Cli.CompressFrontier && !Cli.Backend.empty()) {
     std::fprintf(stderr,
                  "error: --compress-frontier/--spill-dir are only "
@@ -486,9 +453,6 @@ int main(int Argc, char **Argv) {
     Opts.Cut = CutConfig::mult(Cli.Cut);
   Opts.MaxLength = Bound;
   Opts.FindAll = Cli.All;
-  Opts.SyntacticPrune = Cli.SyntacticPrune;
-  Opts.SemanticPrune = Cli.SemanticPrune;
-  Opts.SymmetryReduce = Cli.Symmetry;
   Opts.Stop = StopToken().withDeadline(Cli.Timeout);
   Opts.NumThreads = Cli.Threads;
   Opts.MaxStateBytes = Cli.MaxStateBytes;
@@ -500,10 +464,19 @@ int main(int Argc, char **Argv) {
   Stopwatch Timer;
   SearchResult R = synthesize(M, Opts);
   if (!R.Found) {
-    std::fprintf(stderr, "no kernel found within the budget (%s)\n",
+    // Say how far the run got. The layered engine also names the deepest
+    // level (program length) it committed in full.
+    std::string Level;
+    if (!R.Stats.LevelStates.empty())
+      Level = " level=" + std::to_string(R.Stats.LevelStates.size() - 1);
+    std::fprintf(stderr,
+                 "no kernel found within the budget (%s): states=%zu "
+                 "peak-resident-bytes=%zu time=%s%s\n",
                  R.Stats.Stopped == StopReason::None
                      ? "bound exhausted"
-                     : stopReasonName(R.Stats.Stopped));
+                     : stopReasonName(R.Stats.Stopped),
+                 R.Stats.StatesExpanded, R.Stats.PeakResidentBytes,
+                 formatDuration(Timer.seconds()).c_str(), Level.c_str());
     return 1;
   }
 
@@ -513,16 +486,6 @@ int main(int Argc, char **Argv) {
               R.OptimalLength, R.Stats.StatesExpanded,
               R.Stats.PeakStateBytes,
               formatDuration(Timer.seconds()).c_str());
-  if (Cli.SyntacticPrune)
-    std::printf("; syntactic prune: %zu expansions refused\n",
-                R.Stats.SyntacticPruned);
-  if (Cli.SemanticPrune)
-    std::printf("; semantic prune: %zu expansions refused\n",
-                R.Stats.SemanticPruned);
-  if (Cli.Symmetry)
-    std::printf("; symmetry quotient: %zu candidates merged onto canonical "
-                "representatives\n",
-                R.Stats.SymmetryMerged);
   if (Cli.CompressFrontier) {
     const double Ratio =
         R.Stats.CompressedRawBytes
