@@ -6,12 +6,12 @@
 ///
 /// \file
 /// Helpers shared by the per-table benchmark binaries: the paper's best
-/// enumerative configuration, kernel-workload generators, the rank column
-/// of the section 5.3 tables, and uniform headers. Every binary prints
-/// which paper table or figure it regenerates and writes CSVs next to the
-/// binary where the paper has a figure. The repository's recorded
-/// performance runs are perfbench's (perfbench/README.md), not these
-/// tables.
+/// enumerative configuration (re-exported from search/), kernel-workload
+/// generators, the rank column of the section 5.3 tables, and uniform
+/// headers. Every binary prints which paper table or figure it regenerates
+/// and writes CSVs next to the binary where the paper has a figure. The
+/// repository's recorded performance runs are perfbench's
+/// (perfbench/README.md), not these tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,17 +34,8 @@
 namespace sks {
 namespace bench {
 
-/// The paper's configuration (III): permutation-count heuristic +
-/// assignment viability check + cut k=1, bounded by the sorting-network
-/// length (section 3.3's "initially given length bound").
-inline SearchOptions bestEnumConfig(MachineKind Kind, unsigned N) {
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(Kind, N);
-  return Opts;
-}
+/// The paper's configuration (III), defined in search/Search.h.
+using sks::bestEnumConfig;
 
 /// Prints the standard banner tying a binary to its paper artifact.
 inline void banner(const char *Binary, const char *Reproduces) {

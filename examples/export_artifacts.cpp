@@ -78,12 +78,7 @@ int main() {
   }
 
   // 4. A synthesized, verified kernel in the exchange format.
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  SearchResult R = synthesize(M, Opts);
+  SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, 3));
   if (!R.Found || !isCorrectKernel(M, R.Solutions.front()))
     return 1;
   SavedKernel Kernel{MachineKind::Cmov, 3, R.Solutions.front()};

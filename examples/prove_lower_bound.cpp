@@ -27,12 +27,7 @@ using namespace sks;
 
 static void certify(MachineKind Kind, unsigned N, const char *Label) {
   Machine M(Kind, N);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(Kind, N);
-  SearchResult Found = synthesize(M, Opts);
+  SearchResult Found = synthesize(M, bestEnumConfig(Kind, N));
   if (!Found.Found || !isCorrectKernel(M, Found.Solutions.front())) {
     std::printf("%s: synthesis failed\n", Label);
     return;

@@ -33,12 +33,7 @@ int main() {
   // 2. Synthesize with the paper's best configuration: A* on the
   //    distinct-permutation heuristic, viability pruning, cut k=1, bounded
   //    by the sorting-network length.
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  SearchResult R = synthesize(M, Opts);
+  SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, 3));
   if (!R.Found) {
     std::printf("synthesis failed!?\n");
     return 1;

@@ -32,12 +32,7 @@ int main() {
   BaseCase Base(4);
   for (unsigned N = 2; N <= 4; ++N) {
     Machine M(MachineKind::Cmov, N);
-    SearchOptions Opts;
-    Opts.Heuristic = HeuristicKind::PermCount;
-    Opts.UseViability = true;
-    Opts.Cut = CutConfig::mult(1.0);
-    Opts.MaxLength = networkUpperBound(MachineKind::Cmov, N);
-    SearchResult R = synthesize(M, Opts);
+    SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, N));
     if (!R.Found || !isCorrectKernel(M, R.Solutions.front())) {
       std::printf("synthesis failed for n=%u\n", N);
       return 1;

@@ -47,9 +47,7 @@ int main() {
   };
 
   {
-    SearchOptions Opts;
-    Opts.Heuristic = HeuristicKind::PermCount;
-    Opts.UseViability = true;
+    SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 2);
     Opts.MaxLength = Length;
     SearchResult R = synthesize(M, Opts);
     Report("Enumerative (this paper)", R.Found, R.Stats.Seconds,

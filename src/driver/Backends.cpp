@@ -168,17 +168,26 @@ public:
 protected:
   SynthOutcome runImpl(const Machine &M, const SynthRequest &Req,
                        const StopToken &Stop) const override {
-    SearchOptions Opts;
+    // FirstKernel: the paper's configuration (III). MinLength: the
+    // admissible per-assignment bound, uncut, makes the first best-first
+    // goal provably minimal.
+    SearchOptions Opts = bestEnumConfig(Req.Kind, Req.N);
+    if (Req.Goal == SynthGoal::MinLength) {
+      Opts.Heuristic = HeuristicKind::NeededInstrs;
+      Opts.Cut = CutConfig::none();
+    }
     Opts.Stop = Stop;
     Opts.MaxLength = Req.lengthBound();
     Opts.NumThreads = Req.NumThreads;
-    // MinLength: the admissible per-assignment bound makes the first
-    // best-first goal provably minimal. FirstKernel: the paper's fastest
-    // greedy configuration (perm-count heuristic).
-    Opts.Heuristic = Req.Goal == SynthGoal::MinLength
-                         ? HeuristicKind::NeededInstrs
-                         : HeuristicKind::PermCount;
-    SearchResult R = synthesize(M, Opts);
+    DistanceTable Table(M);
+    SearchResult R = synthesize(M, Opts, &Table);
+    // A bound the cut exhausted after discarding states is no proof: the
+    // uncut rerun decides, and its counters describe the outcome.
+    const size_t CutStates = R.Stats.CutStates;
+    if (!R.Found && R.Stats.Stopped == StopReason::None && CutStates > 0) {
+      Opts.Cut = CutConfig::none();
+      R = synthesize(M, Opts, &Table);
+    }
 
     SynthOutcome Outcome;
     if (R.Found && !R.Solutions.empty()) {
@@ -186,7 +195,8 @@ protected:
       Outcome.Status = Req.Goal == SynthGoal::MinLength ? SynthStatus::Optimal
                                                         : SynthStatus::Found;
     } else {
-      // Dedup + admissible pruning only: exhaustion is a proof. A byte
+      // The deciding run cut nothing, so it pruned by dedup and the
+      // admissible viability bound only: exhaustion is a proof. A byte
       // budget is an internal budget, which proves nothing.
       const StopReason Why = R.Stats.Stopped;
       Outcome.Status = Why == StopReason::None       ? SynthStatus::Infeasible
@@ -198,6 +208,7 @@ protected:
     Outcome.Stats.emplace_back("states_generated", R.Stats.StatesGenerated);
     Outcome.Stats.emplace_back("dedup_hits", R.Stats.DedupHits);
     Outcome.Stats.emplace_back("peak_state_bytes", R.Stats.PeakStateBytes);
+    Outcome.Stats.emplace_back("cut_states", CutStates);
     return Outcome;
   }
 };

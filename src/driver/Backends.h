@@ -31,7 +31,9 @@
 namespace sks {
 
 /// Layered/best-first enumerative search (sections 3, 5.2). Optimal-capable:
-/// MinLength requests run with an admissible configuration.
+/// MinLength requests run with an admissible configuration. FirstKernel
+/// requests run bestEnumConfig, and an uncut rerun decides any bound the
+/// cut exhausted after discarding states.
 std::unique_ptr<Backend> makeEnumBackend();
 
 /// Bit-blasted SMT synthesis (section 4.1). Optimal-capable: iterates

@@ -228,6 +228,15 @@ unsigned sks::networkUpperBound(MachineKind Kind, unsigned N) {
   return (Kind == MachineKind::MinMax ? 3 : 4) * Comparators[N];
 }
 
+SearchOptions sks::bestEnumConfig(MachineKind Kind, unsigned N) {
+  SearchOptions Opts;
+  Opts.Heuristic = HeuristicKind::PermCount;
+  Opts.UseViability = true;
+  Opts.Cut = CutConfig::mult(1.0);
+  Opts.MaxLength = networkUpperBound(Kind, N);
+  return Opts;
+}
+
 SearchResult sks::synthesize(const Machine &M, const SearchOptions &Opts,
                              const DistanceTable *SharedTable) {
   bool NeedsTable = Opts.UseViability || Opts.UseActionFilter ||

@@ -245,6 +245,13 @@ SearchResult synthesize(const Machine &M, const SearchOptions &Opts,
 /// machine, 3 for min/max — which is always a correct kernel.
 unsigned networkUpperBound(MachineKind Kind, unsigned N);
 
+/// \returns the paper's fastest enumerative configuration, (III) of the
+/// section 5.2 ablation: permutation-count heuristic + viability check +
+/// cut k=1, bounded by networkUpperBound(Kind, N). The cut does not
+/// preserve optimality, so an exhausted bound with CutStates > 0 proves
+/// nothing; rerun with CutConfig::none() to decide.
+SearchOptions bestEnumConfig(MachineKind Kind, unsigned N);
+
 /// Result of synthesizeOptimal: the kernel plus its certificate.
 struct OptimalSynthesis {
   SearchResult Synthesis;      ///< The synthesis run (Found, kernel, stats).

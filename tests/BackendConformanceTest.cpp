@@ -26,6 +26,7 @@
 #include "driver/Backends.h"
 #include "driver/Portfolio.h"
 #include "machine/Machine.h"
+#include "search/Search.h"
 #include "verify/Verify.h"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,16 @@ SynthRequest request(unsigned N, SynthGoal Goal, double TimeoutSeconds) {
   Req.Goal = Goal;
   Req.TimeoutSeconds = TimeoutSeconds;
   return Req;
+}
+
+/// \returns the outcome stat named \p Key; fails the test when it is
+/// missing.
+uint64_t stat(const SynthOutcome &O, const char *Key) {
+  for (const auto &[Name, Value] : O.Stats)
+    if (Name == Key)
+      return Value;
+  ADD_FAILURE() << "no stat " << Key;
+  return 0;
 }
 
 TEST(BackendRegistry, ResolvesEveryName) {
@@ -129,6 +140,59 @@ TEST(BackendConformance, ViableRoutesSynthesizeN3) {
     EXPECT_TRUE(O.Verified);
     EXPECT_TRUE(isCorrectKernel(M, O.Kernel));
   }
+}
+
+TEST(BackendConformance, EnumFirstRunsConfigurationIII) {
+  // `first` is the paper's configuration (III), the cut included: the n=4
+  // kernel with exactly the expansions of a direct run.
+  Machine M(MachineKind::Cmov, 4);
+  SearchResult Direct = synthesize(M, bestEnumConfig(MachineKind::Cmov, 4));
+  ASSERT_TRUE(Direct.Found);
+  SynthOutcome O =
+      createBackend("enum")->run(request(4, SynthGoal::FirstKernel, 60));
+  EXPECT_EQ(O.Status, SynthStatus::Found);
+  EXPECT_TRUE(O.Verified);
+  EXPECT_EQ(O.Kernel.size(), 20u);
+  EXPECT_TRUE(isCorrectKernel(M, O.Kernel));
+  EXPECT_EQ(stat(O, "states_expanded"), Direct.Stats.StatesExpanded);
+}
+
+TEST(BackendConformance, EnumFirstRerunsUncutWhenTheCutExhaustsTheBound) {
+  // The cut exhausts partial-sort-2's bound 15 at n=4 although a length-15
+  // kernel exists. The uncut rerun finds it; without the rerun the backend
+  // would claim a false Infeasible.
+  SynthRequest Req = request(4, SynthGoal::FirstKernel, 300);
+  Req.GoalPred = GoalSpec::partialSort(2);
+  Req.MaxLength = 15;
+  SynthOutcome O = createBackend("enum")->run(Req);
+  EXPECT_EQ(O.Status, SynthStatus::Found);
+  EXPECT_TRUE(O.Verified);
+  EXPECT_LE(O.Kernel.size(), 15u);
+  EXPECT_TRUE(isCorrectKernel(Machine(MachineKind::Cmov, 4, 1, Req.GoalPred),
+                              O.Kernel));
+  EXPECT_GT(stat(O, "cut_states"), 0u);
+}
+
+TEST(BackendConformance, EnumFirstInfeasibleUnderTheCutIsProvedUncut) {
+  // Min/max n=3 needs 8 instructions. The cut run exhausts bound 7 after
+  // discarding states, so the uncut rerun must prove Infeasible.
+  SynthRequest Req = request(3, SynthGoal::FirstKernel, 300);
+  Req.Kind = MachineKind::MinMax;
+  Req.MaxLength = 7;
+  SynthOutcome O = createBackend("enum")->run(Req);
+  EXPECT_EQ(O.Status, SynthStatus::Infeasible);
+  EXPECT_TRUE(O.Kernel.empty());
+  EXPECT_GT(stat(O, "cut_states"), 0u);
+}
+
+TEST(BackendConformance, EnumFirstWithNothingCutIsItsOwnProof) {
+  // The shape of a service miss: n=2 below its optimum 4. The cut
+  // discards nothing, so the cut run's exhaustion is already the proof.
+  SynthRequest Req = request(2, SynthGoal::FirstKernel, 60);
+  Req.MaxLength = 3;
+  SynthOutcome O = createBackend("enum")->run(Req);
+  EXPECT_EQ(O.Status, SynthStatus::Infeasible);
+  EXPECT_EQ(stat(O, "cut_states"), 0u);
 }
 
 TEST(BackendConformance, PreCancelledRequestReportsCancelled) {
@@ -240,6 +304,24 @@ TEST(PortfolioDriver, NThreeReturnsVerifiedWinnerAndCancelsLosers) {
     }
   }
   EXPECT_GE(Cancelled, 4u);
+}
+
+TEST(PortfolioDriver, FirstKernelRaceAtN4EndsOnAVerifiedKernel) {
+  // Under FirstKernel the first verified kernel cancels the race. The enum
+  // racer runs configuration (III), the cut included, so an n = 4 race
+  // ends within seconds even instrumented (the tsan_portfolio entry).
+  std::vector<std::unique_ptr<Backend>> Backends;
+  for (const std::string &Name : backendNames())
+    Backends.push_back(createBackend(Name));
+  SynthRequest Req = request(4, SynthGoal::FirstKernel, 300);
+  Req.NumThreads = 2;
+
+  PortfolioResult R = runPortfolio(Backends, Req);
+  ASSERT_NE(R.WinnerIndex, SIZE_MAX);
+  EXPECT_EQ(R.Outcomes.size(), Backends.size());
+  EXPECT_TRUE(R.Winner.Verified);
+  EXPECT_EQ(R.Winner.Status, SynthStatus::Found);
+  EXPECT_TRUE(isCorrectKernel(Machine(MachineKind::Cmov, 4), R.Winner.Kernel));
 }
 
 } // namespace

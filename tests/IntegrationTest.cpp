@@ -32,12 +32,7 @@ protected:
     Base = new BaseCase(4);
     for (unsigned N = 2; N <= 4; ++N) {
       Machine M(MachineKind::Cmov, N);
-      SearchOptions Opts;
-      Opts.Heuristic = HeuristicKind::PermCount;
-      Opts.UseViability = true;
-      Opts.Cut = CutConfig::mult(1.0);
-      Opts.MaxLength = networkUpperBound(MachineKind::Cmov, N);
-      SearchResult R = synthesize(M, Opts);
+      SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, N));
       ASSERT_TRUE(R.Found);
       ASSERT_TRUE(isCorrectKernel(M, R.Solutions.front()));
       ASSERT_TRUE(isRobustKernel(M, R.Solutions.front()))
@@ -118,12 +113,7 @@ TEST_F(SynthesizedPipeline, MinMaxKernelSortsThroughJit) {
   if (!jitSupported(MachineKind::MinMax))
     GTEST_SKIP() << "no SSE4.1";
   Machine M(MachineKind::MinMax, 4);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(MachineKind::MinMax, 4);
-  SearchResult R = synthesize(M, Opts);
+  SearchResult R = synthesize(M, bestEnumConfig(MachineKind::MinMax, 4));
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 15u);
   auto Jit = JitKernel::compile(MachineKind::MinMax, 4, R.Solutions.front());

@@ -252,12 +252,7 @@ TEST(DeadInstrGate, PreservesTheCut1RunN3) {
 
 TEST(DeadInstrGate, BestFirstStillFindsMinimalKernels) {
   Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  SearchResult R = synthesize(M, Opts);
+  SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, 3));
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 11u);
   EXPECT_GT(R.Stats.SyntacticPruned, 0u);
@@ -269,12 +264,8 @@ TEST(DeadInstrGate, ComposesWithSemanticFilters) {
   // The section 3.2 action filter + 3.3 viability + the cut + the gate
   // together still find the optimal length.
   Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
   Opts.UseActionFilter = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 11u);

@@ -65,12 +65,7 @@ TEST(PaperNumbers, OptimalLengthsAllMachines) {
                         {MachineKind::MinMax, 4, 15}};
   for (const Case &C : Cases) {
     Machine M(C.Kind, C.N);
-    SearchOptions Opts;
-    Opts.Heuristic = HeuristicKind::PermCount;
-    Opts.UseViability = true;
-    Opts.Cut = CutConfig::mult(1.0);
-    Opts.MaxLength = networkUpperBound(C.Kind, C.N);
-    SearchResult R = synthesize(M, Opts);
+    SearchResult R = synthesize(M, bestEnumConfig(C.Kind, C.N));
     ASSERT_TRUE(R.Found) << "n=" << C.N;
     EXPECT_EQ(R.OptimalLength, C.Expected)
         << "kind=" << static_cast<int>(C.Kind) << " n=" << C.N;
@@ -139,12 +134,7 @@ TEST(PaperNumbers, EnumStatesWithinPaperOrderOfMagnitude) {
   // land within a small constant factor on the same configuration.
   for (auto [N, PaperStates] : {std::pair{3u, 7000u}, {4u, 70000u}}) {
     Machine M(MachineKind::Cmov, N);
-    SearchOptions Opts;
-    Opts.Heuristic = HeuristicKind::PermCount;
-    Opts.UseViability = true;
-    Opts.Cut = CutConfig::mult(1.0);
-    Opts.MaxLength = networkUpperBound(MachineKind::Cmov, N);
-    SearchResult R = synthesize(M, Opts);
+    SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, N));
     ASSERT_TRUE(R.Found);
     EXPECT_LT(R.Stats.StatesExpanded, 10u * PaperStates) << "n=" << N;
   }

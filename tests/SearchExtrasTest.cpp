@@ -35,17 +35,6 @@ TEST(SearchExtras, EraseCheckPreservesSolutionCounts) {
   EXPECT_GT(R.Stats.ViabilityPruned, 0u) << "the check must actually prune";
 }
 
-/// Configuration (III) of the section 5.2 ablation: permutation count,
-/// viability and cut 1, bounded by the sorting network.
-SearchOptions configIII(unsigned N) {
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, N);
-  return Opts;
-}
-
 TEST(SearchExtras, StopReasonNamesWhyEachEngineStopped) {
   // Configuration (III) at n=3 passes many budget checks before it finds
   // its kernel on either engine (best-first expands ~16k states, checking
@@ -55,7 +44,7 @@ TEST(SearchExtras, StopReasonNamesWhyEachEngineStopped) {
   DistanceTable DT(M);
   for (bool Layered : {false, true}) {
     SCOPED_TRACE(Layered ? "layered" : "best-first");
-    SearchOptions Opts = configIII(3);
+    SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
     Opts.Layered = Layered;
 
     SearchResult Done = synthesize(M, Opts, &DT);
@@ -106,7 +95,7 @@ TEST(SearchExtras, StopReasonNamesWhyEachEngineStopped) {
 void checkFitsItsPeak(bool Layered, unsigned NumThreads) {
   Machine M(MachineKind::Cmov, 3);
   DistanceTable DT(M);
-  SearchOptions Opts = configIII(3);
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
   Opts.Layered = Layered;
   Opts.NumThreads = NumThreads;
   SearchResult Unbounded = synthesize(M, Opts, &DT);
@@ -165,7 +154,7 @@ TEST(SearchExtras, TraceIsMonotoneInTime) {
 TEST(SearchExtras, SharedDistanceTableGivesIdenticalResults) {
   Machine M(MachineKind::Cmov, 3);
   DistanceTable DT(M);
-  SearchOptions Opts = configIII(3);
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
   SearchResult Shared = synthesize(M, Opts, &DT);
   SearchResult Owned = synthesize(M, Opts);
   ASSERT_TRUE(Shared.Found && Owned.Found);

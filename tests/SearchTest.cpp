@@ -14,18 +14,9 @@ using namespace sks;
 
 namespace {
 
-SearchOptions bestConfig(MachineKind Kind, unsigned N) {
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = networkUpperBound(Kind, N);
-  return Opts;
-}
-
 TEST(Search, FindsOptimalKernelForN2) {
   Machine M(MachineKind::Cmov, 2);
-  SearchOptions Opts = bestConfig(MachineKind::Cmov, 2);
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 2);
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 4u) << "section 2.2's n=2 kernel has length 4";
@@ -34,7 +25,7 @@ TEST(Search, FindsOptimalKernelForN2) {
 
 TEST(Search, FindsLength11KernelForN3) {
   Machine M(MachineKind::Cmov, 3);
-  SearchResult R = synthesize(M, bestConfig(MachineKind::Cmov, 3));
+  SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, 3));
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 11u) << "paper: optimal size 11 for n=3";
   EXPECT_TRUE(isCorrectKernel(M, R.Solutions.at(0)));
@@ -42,7 +33,7 @@ TEST(Search, FindsLength11KernelForN3) {
 
 TEST(Search, FindsLength20KernelForN4) {
   Machine M(MachineKind::Cmov, 4);
-  SearchResult R = synthesize(M, bestConfig(MachineKind::Cmov, 4));
+  SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, 4));
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.OptimalLength, 20u) << "paper: optimal size 20 for n=4";
   EXPECT_TRUE(isCorrectKernel(M, R.Solutions.at(0)));
@@ -53,7 +44,7 @@ TEST(Search, MinMaxOptimalSizes) {
   // n = 3 / 4 (vs 9 / 15 for the network).
   for (auto [N, Expected] : {std::pair{3u, 8u}, {4u, 15u}}) {
     Machine M(MachineKind::MinMax, N);
-    SearchResult R = synthesize(M, bestConfig(MachineKind::MinMax, N));
+    SearchResult R = synthesize(M, bestEnumConfig(MachineKind::MinMax, N));
     ASSERT_TRUE(R.Found) << "n=" << N;
     EXPECT_EQ(R.OptimalLength, Expected) << "n=" << N;
     EXPECT_TRUE(isCorrectKernel(M, R.Solutions.at(0)));
@@ -193,7 +184,7 @@ TEST(Search, ThreadsOrCompressionSelectTheLayeredEngine) {
   // option alone selects it: callers never set Layered for them.
   // LevelStates is a layered-engine counter, empty after best-first.
   Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts = bestConfig(MachineKind::Cmov, 3);
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
   SearchResult BestFirst = synthesize(M, Opts);
   ASSERT_TRUE(BestFirst.Found);
   EXPECT_TRUE(BestFirst.Stats.LevelStates.empty());
@@ -243,7 +234,7 @@ TEST(Search, EveryHeuristicFindsACorrectKernelN3) {
 
 TEST(Search, ActionFilterPreservesOptimumUnderLengthBound) {
   Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts = bestConfig(MachineKind::Cmov, 3);
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
   Opts.UseActionFilter = true;
   SearchResult R = synthesize(M, Opts);
   ASSERT_TRUE(R.Found);

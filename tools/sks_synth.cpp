@@ -40,8 +40,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -54,7 +56,8 @@ struct CliOptions {
   unsigned N = 3;
   MachineKind Kind = MachineKind::Cmov;
   HeuristicKind Heuristic = HeuristicKind::PermCount;
-  double Cut = 1.0;
+  /// An explicit --cut factor; unset keeps the run's default cut.
+  std::optional<double> Cut;
   bool NoCut = false;
   bool All = false;
   bool Prove = false;
@@ -85,7 +88,47 @@ struct CliOptions {
   /// kernel's function (validate/SymbolicExec.h) — both the scalar and the
   /// packed key-payload path. With --backend it gates the outcome.
   bool ValidateJit = false;
+  /// Every flag given, in order, for the path rule (kOnePathFlags).
+  std::vector<std::string> Flags;
 };
+
+/// The path rule. A --backend run goes through the driver; any other run
+/// calls the search directly. Each flag listed here configures only one
+/// of the two paths, and every other flag configures both. A flag on the
+/// wrong path is a usage error rather than a silently ignored option.
+struct OnePathFlag {
+  const char *Name;
+  bool BackendPath;
+};
+const OnePathFlag kOnePathFlags[] = {
+    {"--cache-dir", true},
+    {"--goal", true},
+    {"--heuristic", false},
+    {"--cut", false},
+    {"--no-cut", false},
+    {"--all", false},
+    {"--prove", false},
+    {"--robust", false},
+    {"--schedule", false},
+    {"--profile", false},
+    {"--max-state-bytes", false},
+    {"--compress-frontier", false},
+    {"--spill-dir", false},
+    {"--spill-threshold-bytes", false},
+    {"--export-minizinc", false},
+    {"--export-pddl", false},
+};
+
+/// \returns the first flag of \p Cli that its path would ignore, or
+/// nullptr.
+const OnePathFlag *flagOffPath(const CliOptions &Cli) {
+  const bool BackendPath = !Cli.Backend.empty();
+  for (const std::string &Flag : Cli.Flags)
+    for (const OnePathFlag &Rule : kOnePathFlags)
+      if (Flag == Rule.Name && Rule.BackendPath != BackendPath)
+        return &Rule;
+  return nullptr;
+}
 
 void usage(const char *Argv0) {
   std::printf(
@@ -110,7 +153,8 @@ void usage(const char *Argv0) {
       "                          with --backend a validation failure\n"
       "                          demotes the outcome\n"
       "  --heuristic perm|assign|needed|none\n"
-      "  --cut <k>               permutation-count cut factor (default 1)\n"
+      "  --cut <k>               permutation-count cut factor (default 1;\n"
+      "                          --all runs uncut unless --cut is given)\n"
       "  --no-cut                disable the cut (optimality-preserving)\n"
       "  --all                   enumerate ALL optimal kernels\n"
       "  --prove                 certify minimality (exhaust length-1)\n"
@@ -140,11 +184,26 @@ void usage(const char *Argv0) {
       "  --export-minizinc <path>\n"
       "  --export-pddl <domain> <problem>\n",
       Argv0);
+  for (bool BackendPath : {true, false}) {
+    std::printf("only %s --backend:\n ", BackendPath ? "with" : "without");
+    size_t Column = 1;
+    for (const OnePathFlag &Rule : kOnePathFlags) {
+      if (Rule.BackendPath != BackendPath)
+        continue;
+      if (Column + 1 + std::strlen(Rule.Name) > 78) {
+        std::printf("\n ");
+        Column = 1;
+      }
+      Column += std::printf(" %s", Rule.Name);
+    }
+    std::printf("\n");
+  }
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    Opts.Flags.push_back(Arg);
     auto Next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
@@ -226,8 +285,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--validate-jit") {
       Opts.ValidateJit = true;
     } else if (Arg == "--cut") {
-      if (!Number(Opts.Cut))
+      double K = 0;
+      if (!Number(K))
         return false;
+      Opts.Cut = K;
     } else if (Arg == "--no-cut") {
       Opts.NoCut = true;
     } else if (Arg == "--all") {
@@ -388,19 +449,9 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  if (!Cli.CacheDir.empty() && Cli.Backend.empty()) {
-    std::fprintf(stderr,
-                 "error: --cache-dir requires --backend (the cache key is "
-                 "a driver request; the legacy enumerative flow does not "
-                 "go through the driver)\n");
-    return 2;
-  }
-
-  if (Cli.CompressFrontier && !Cli.Backend.empty()) {
-    std::fprintf(stderr,
-                 "error: --compress-frontier/--spill-dir are only "
-                 "implemented for the enumerative engines; they cannot be "
-                 "combined with --backend\n");
+  if (const OnePathFlag *Rule = flagOffPath(Cli)) {
+    std::fprintf(stderr, "error: %s applies only %s --backend\n", Rule->Name,
+                 Rule->BackendPath ? "with" : "without");
     return 2;
   }
   if (!Cli.SpillDir.empty()) {
@@ -446,11 +497,15 @@ int main(int Argc, char **Argv) {
                 Cli.PddlProblemPath.c_str());
   }
 
-  SearchOptions Opts;
+  // The paper's configuration (III), with the heuristic, cut and bound the
+  // flags name. --all counts the whole optimal set, so it runs uncut
+  // unless --cut asks for the cut's subset.
+  SearchOptions Opts = bestEnumConfig(Cli.Kind, Cli.N);
   Opts.Heuristic = Cli.All ? HeuristicKind::None : Cli.Heuristic;
-  Opts.UseViability = true;
-  if (!Cli.NoCut && !Cli.All)
-    Opts.Cut = CutConfig::mult(Cli.Cut);
+  if (Cli.NoCut || (Cli.All && !Cli.Cut))
+    Opts.Cut = CutConfig::none();
+  else if (Cli.Cut)
+    Opts.Cut = CutConfig::mult(*Cli.Cut);
   Opts.MaxLength = Bound;
   Opts.FindAll = Cli.All;
   Opts.Stop = StopToken().withDeadline(Cli.Timeout);
@@ -464,18 +519,22 @@ int main(int Argc, char **Argv) {
   Stopwatch Timer;
   SearchResult R = synthesize(M, Opts);
   if (!R.Found) {
-    // Say how far the run got. The layered engine also names the deepest
-    // level (program length) it committed in full.
+    // Say why and how far the run got. The layered engine also names the
+    // deepest level (program length) it committed in full. An exhausted
+    // bound proves nothing once the cut has discarded states.
     std::string Level;
     if (!R.Stats.LevelStates.empty())
       Level = " level=" + std::to_string(R.Stats.LevelStates.size() - 1);
+    const char *Why = R.Stats.Stopped != StopReason::None
+                          ? stopReasonName(R.Stats.Stopped)
+                      : R.Stats.CutStates > 0
+                          ? "the cut discarded the rest of the bound; "
+                            "--no-cut decides"
+                          : "bound exhausted";
     std::fprintf(stderr,
                  "no kernel found within the budget (%s): states=%zu "
                  "peak-resident-bytes=%zu time=%s%s\n",
-                 R.Stats.Stopped == StopReason::None
-                     ? "bound exhausted"
-                     : stopReasonName(R.Stats.Stopped),
-                 R.Stats.StatesExpanded, R.Stats.PeakResidentBytes,
+                 Why, R.Stats.StatesExpanded, R.Stats.PeakResidentBytes,
                  formatDuration(Timer.seconds()).c_str(), Level.c_str());
     return 1;
   }
