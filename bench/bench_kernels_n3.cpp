@@ -17,7 +17,7 @@
 //   branchless / default / swap / std   handwritten C++
 //
 // By default the enum candidates are the 10 lowest-(score, critical-path)
-// programs plus the 2 highest; SKS_FULL=1 measures all 5602 standalone,
+// programs plus the 4 highest; SKS_FULL=1 measures all 5602 standalone,
 // as the paper does.
 //
 //===----------------------------------------------------------------------===//

@@ -76,21 +76,6 @@ std::string sks::commandCombination(const Program &P) {
   return Key;
 }
 
-std::string sks::instructionMultiset(const Program &P) {
-  std::vector<uint16_t> Encoded;
-  Encoded.reserve(P.size());
-  for (const Instr &I : P)
-    Encoded.push_back(I.encode());
-  std::sort(Encoded.begin(), Encoded.end());
-  std::string Key;
-  Key.reserve(Encoded.size() * 2);
-  for (uint16_t Code : Encoded) {
-    Key.push_back(static_cast<char>(Code & 0xff));
-    Key.push_back(static_cast<char>(Code >> 8));
-  }
-  return Key;
-}
-
 size_t sks::countDistinctCombinations(const std::vector<Program> &Programs) {
   std::vector<std::string> Keys;
   Keys.reserve(Programs.size());

@@ -26,7 +26,6 @@
 #include "isa/Instr.h"
 #include "lint/Lint.h"
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,10 +43,6 @@ unsigned criticalPathLength(const Program &P);
 /// collapses to exactly the paper's 23 distinct combinations (and
 /// instruction order / register naming is factored out entirely).
 std::string commandCombination(const Program &P);
-
-/// Finer key: the sorted multiset of full (opcode, dst, src) instructions —
-/// programs equivalent modulo instruction reordering only.
-std::string instructionMultiset(const Program &P);
 
 /// \returns the number of distinct commandCombination keys in \p Programs.
 size_t countDistinctCombinations(const std::vector<Program> &Programs);

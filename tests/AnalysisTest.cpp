@@ -60,14 +60,11 @@ TEST(Analysis, CommandCombinationIsTheOpcodeMultiset) {
   Program C = {Instr{Opcode::Cmp, 0, 2}, Instr{Opcode::Mov, 1, 0}};
   Program D = {Instr{Opcode::CMovL, 1, 0}, Instr{Opcode::Cmp, 0, 1}};
   // Order-insensitive and operand-insensitive (the paper's notion under
-  // which n=3 has exactly 23 combinations)...
+  // which n=3 has exactly 23 combinations).
   EXPECT_EQ(commandCombination(A), commandCombination(B));
   EXPECT_EQ(commandCombination(A), commandCombination(C));
   EXPECT_NE(commandCombination(A), commandCombination(D));
   EXPECT_EQ(countDistinctCombinations({A, B, C, D}), 2u);
-  // ... while the finer key distinguishes operands but not order.
-  EXPECT_EQ(instructionMultiset(A), instructionMultiset(B));
-  EXPECT_NE(instructionMultiset(A), instructionMultiset(C));
 }
 
 TEST(Analysis, CommandCombinationCountMatchesPaperN3) {

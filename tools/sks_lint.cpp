@@ -84,6 +84,9 @@ std::vector<unsigned> instrLines(const std::string &Path) {
   return Lines;
 }
 
+/// Appends \p S as a JSON string literal. Paths come from the command line
+/// and may hold any byte; JSON forbids raw control characters, so every
+/// byte below 0x20 is written as a \u00XX escape.
 void appendJsonString(std::string &Out, const std::string &S) {
   Out += '"';
   for (char Ch : S) {
@@ -94,11 +97,15 @@ void appendJsonString(std::string &Out, const std::string &S) {
     case '\\':
       Out += "\\\\";
       break;
-    case '\n':
-      Out += "\\n";
-      break;
     default:
-      Out += Ch;
+      if (static_cast<unsigned char>(Ch) < 0x20) {
+        char Escape[8];
+        std::snprintf(Escape, sizeof(Escape), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(Ch)));
+        Out += Escape;
+      } else {
+        Out += Ch;
+      }
     }
   }
   Out += '"';

@@ -14,7 +14,6 @@
 //   sks-synth --n 3 --robust                 require correctness on any
 //                                            distinct integers (not just
 //                                            1..n; ties are not checked)
-//   sks-synth --n 3 --schedule               list-schedule the kernel
 //   sks-synth --n 3 --export-minizinc m.mzn  write the CP model
 //   sks-synth --n 3 --export-pddl dom.pddl prob.pddl
 //
@@ -24,7 +23,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analysis.h"
-#include "analysis/Pipeline.h"
 #include "codegen/AsmEmitter.h"
 #include "cp/MiniZincExport.h"
 #include "driver/Backend.h"
@@ -63,7 +61,6 @@ struct CliOptions {
   bool Prove = false;
   bool EmitAsm = false;
   bool RequireRobust = false;
-  bool Schedule = false;
   bool Profile = false;
   double Timeout = 0;
   unsigned MaxLength = 0;
@@ -109,7 +106,6 @@ const OnePathFlag kOnePathFlags[] = {
     {"--all", false},
     {"--prove", false},
     {"--robust", false},
-    {"--schedule", false},
     {"--profile", false},
     {"--max-state-bytes", false},
     {"--compress-frontier", false},
@@ -162,7 +158,6 @@ void usage(const char *Argv0) {
       "  --robust                require correctness on every input of\n"
       "                          distinct ints (inputs with ties are not\n"
       "                          checked)\n"
-      "  --schedule              list-schedule the kernel for ILP\n"
       "  --profile               print the per-stage expansion-pipeline\n"
       "                          time breakdown (apply/canonicalize/\n"
       "                          viability/merge)\n"
@@ -299,8 +294,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.EmitAsm = true;
     } else if (Arg == "--robust") {
       Opts.RequireRobust = true;
-    } else if (Arg == "--schedule") {
-      Opts.Schedule = true;
     } else if (Arg == "--profile") {
       Opts.Profile = true;
     } else if (Arg == "--timeout") {
@@ -586,13 +579,7 @@ int main(int Argc, char **Argv) {
                  Cli.RequireRobust ? "robust " : "");
     return 1;
   }
-  Program Final = *Chosen;
-  if (Cli.Schedule) {
-    Final = scheduleProgram(Final);
-    std::printf("; scheduled: latency bound %.0f -> %.0f cycles\n",
-                estimateThroughput(*Chosen).LatencyBound,
-                estimateThroughput(Final).LatencyBound);
-  }
+  const Program &Final = *Chosen;
   if (!isCorrectKernel(M, Final)) {
     std::fprintf(stderr, "internal error: kernel failed verification\n");
     return 1;
@@ -614,9 +601,8 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  std::printf("; score=%u critical-path=%u est-cycles=%.2f robust=%s\n",
+  std::printf("; score=%u critical-path=%u robust=%s\n",
               kernelScore(Final), criticalPathLength(Final),
-              estimateThroughput(Final).Cycles,
               isRobustKernel(M, Final) ? "yes" : "NO");
   if (Cli.EmitAsm)
     std::printf("%s", emitAsmText(Cli.Kind, Cli.N, Final).c_str());
