@@ -7,11 +7,10 @@
 // Regenerates the n = 5 table of section 5.3 (enum vs enum_worst vs
 // alphadev) and runs the n = 5 synthesis attempt itself. Synthesizing
 // n = 5 took the paper 11 minutes on 16 cores; here the attempt runs the
-// layered engine with the compressed, spillable frontier under an explicit
-// time + resident-memory budget and prints its outcome: a success times
-// the kernel, a failure names WHICH budget bound (timed out / resident
-// budget exhausted). SKS_FULL=1 raises the budget to paper scale; --smoke
-// shrinks it to ctest scale.
+// layered engine under an explicit time + resident-memory budget and
+// prints its outcome: a success times the kernel, a failure names WHICH
+// budget bound (timed out / resident budget exhausted). SKS_FULL=1 raises
+// the budget to paper scale; --smoke shrinks it to ctest scale.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,29 +19,8 @@
 #include "kernels/ReferenceKernels.h"
 #include "verify/Verify.h"
 
-#include <cstdlib>
-#include <unistd.h>
-
 using namespace sks;
 using namespace sks::bench;
-
-namespace {
-
-/// Creates a throwaway spill directory under TMPDIR (default /tmp).
-/// \returns the path, or "" when the filesystem is read-only — the
-/// attempt then runs compressed but fully resident.
-std::string makeSpillDir() {
-  const char *Base = std::getenv("TMPDIR");
-  std::string Template =
-      std::string(Base && *Base ? Base : "/tmp") + "/sks-n5-spill-XXXXXX";
-  std::vector<char> Buf(Template.begin(), Template.end());
-  Buf.push_back('\0');
-  if (!mkdtemp(Buf.data()))
-    return "";
-  return std::string(Buf.data());
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   BenchArgs Args = parseBenchArgs(Argc, Argv);
@@ -51,16 +29,12 @@ int main(int Argc, char **Argv) {
   const unsigned N = 5;
   Machine M(MachineKind::Cmov, N);
 
-  // The synthesis attempt: layered engine, compressed frontier, spill
-  // tier, explicit budgets. Every tier must fit the machine it runs on —
-  // the full run matches the paper's 4 h budget, the default run is a
-  // one-minute datapoint, the smoke run just proves the path executes.
+  // The synthesis attempt: layered engine, explicit budgets. Every tier
+  // must fit the machine it runs on — the full run matches the paper's
+  // 4 h budget, the default run is a one-minute datapoint, the smoke run
+  // just proves the path executes.
   SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, N);
-  Opts.CompressFrontier = true;
-  std::string SpillDir = makeSpillDir();
-  Opts.SpillDir = SpillDir;
-  Opts.SpillThresholdBytes = 1u << 20; // Keep 1 MiB compressed resident —
-                                       // every budget tier must reach disk.
+  Opts.Layered = true;
   if (Args.Smoke) {
     Opts.Stop = StopToken().withDeadline(2.0);
     Opts.MaxStateBytes = 256u << 20;
@@ -73,18 +47,13 @@ int main(int Argc, char **Argv) {
   }
 
   SearchResult R = synthesize(M, Opts);
-  std::printf("n=5 attempt: %s in %s — states=%zu peak=%zu resident=%zu "
-              "compressed=%zu spilled=%zu decodes=%.1f ms\n",
+  std::printf("n=5 attempt: %s in %s — states=%zu peak=%zu\n",
               R.Found ? "FOUND"
               : R.Stats.Stopped == StopReason::None
                   ? "bound exhausted"
                   : stopReasonName(R.Stats.Stopped),
               formatDuration(R.Stats.Seconds).c_str(), R.Stats.StatesExpanded,
-              R.Stats.PeakStateBytes, R.Stats.PeakResidentBytes,
-              R.Stats.CompressedBytes, R.Stats.SpilledBytes,
-              R.Stats.DecodeNanos / 1e6);
-  if (!SpillDir.empty())
-    ::rmdir(SpillDir.c_str()); // Spill files are unlinked at creation.
+              R.Stats.PeakStateBytes);
 
   Program EnumKernel = sortingNetworkCmov(N);
   std::string EnumLabel = "enum (budget; network stand-in)";

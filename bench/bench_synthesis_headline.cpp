@@ -14,9 +14,9 @@
 // Our Enum rows are measured on this machine; the AlphaDev rows are quoted
 // from Mankowitz et al. [13] exactly as the paper does (their code is not
 // public). n = 5 is gated behind SKS_FULL (the paper used 16 cores);
-// bench_kernels_n5 runs a budgeted n = 5 attempt with the compressed,
-// spillable frontier. The repository's timing record is perfbench's synth
-// workload, not this table.
+// bench_kernels_n5 runs a budgeted n = 5 attempt on the layered engine.
+// The repository's timing record is perfbench's synth workload, not this
+// table.
 //
 //===----------------------------------------------------------------------===//
 

@@ -86,9 +86,9 @@ struct SynthRequest {
   unsigned MaxLength = 0;
   /// Wall-clock budget in seconds (0 = unlimited).
   double TimeoutSeconds = 0;
-  /// Worker threads granted to the backend; only the enumerative engine
-  /// uses more than one, and the portfolio driver spends them on the race
-  /// instead.
+  /// Worker threads granted to the request. Every backend runs on one
+  /// thread (both enum configurations are best-first); the portfolio
+  /// driver spends the threads on the race, one racer each.
   unsigned NumThreads = 1;
   /// Also run the JIT translation validator (validate/SymbolicExec.h) on
   /// any verified kernel: statically prove the emitted x86-64 bytes of

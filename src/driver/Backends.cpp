@@ -178,7 +178,6 @@ protected:
     }
     Opts.Stop = Stop;
     Opts.MaxLength = Req.lengthBound();
-    Opts.NumThreads = Req.NumThreads;
     DistanceTable Table(M);
     SearchResult R = synthesize(M, Opts, &Table);
     // A bound the cut exhausted after discarding states is no proof: the

@@ -96,10 +96,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     return Store.bytesUsed() + Arena.capacity() * sizeof(Node);
   };
   auto NotePeak = [&] {
-    // One flat level, nothing sealed or spilled: resident == total.
     Result.Stats.PeakStateBytes =
         std::max(Result.Stats.PeakStateBytes, StateBytes());
-    Result.Stats.PeakResidentBytes = Result.Stats.PeakStateBytes;
   };
   NotePeak();
 
@@ -249,8 +247,7 @@ SearchResult sks::synthesize(const Machine &M, const SearchOptions &Opts,
   }
   if (!NeedsTable)
     DT = nullptr;
-  if (Opts.FindAll || Opts.Layered || Opts.NumThreads > 1 ||
-      Opts.CompressFrontier)
+  if (Opts.FindAll || Opts.Layered || Opts.NumThreads > 1)
     return detail::layeredSearch(M, Opts, DT);
   return detail::bestFirstSearch(M, Opts, DT);
 }

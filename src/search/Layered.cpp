@@ -26,11 +26,12 @@
 //
 // Budgets: one check (overBudget, shared with the best-first engine) polls
 // the stop token and compares residentBytes() — committed levels, node
-// metadata, decode caches and the level in flight — with the byte budget.
-// The level loop runs it before each expansion and each merge; the workers
-// of the expansion and of merge phase 1 run it at periodic checkpoints
+// metadata and the level in flight — with the byte budget. The level loop
+// runs it before each expansion and each merge; the workers of the
+// expansion and of merge phase 1 run it at periodic checkpoints
 // (checkpoint), which also publish their progress and let worker 0 emit
-// the Figure 1 trace point. No peak falls below a value the check compared.
+// the Figure 1 trace point. The peak never falls below a value the check
+// compared.
 //
 // Storage and parallelism (state/StateStore.h): all row data lives in one
 // flat arena per level addressed by (offset, len) handles, and the dedup
@@ -57,15 +58,6 @@
 // when, cannot show up in the result. The merged DAG and the exact
 // solution count are bit-identical to the sequential engine's for any
 // thread count.
-//
-// Frontier lifecycle (SearchOptions::CompressFrontier): once level G has
-// been expanded and level G+1 committed, G's rows are only ever read
-// again by the committed-level dedup probe below (reconstruct() walks
-// parent edges, never rows) — so the run loop retires it:
-// StateStore::retireLevel seals the arena into delta/varint blocks and
-// optionally spills the oldest sealed blobs to disk. Probes then go
-// through StateStore::rowsEqual with one DecodeCache per worker, keeping
-// phase 1 synchronization-free.
 //
 //===----------------------------------------------------------------------===//
 
@@ -163,10 +155,7 @@ public:
                 const DistanceTable *DT)
       : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut, Opts.MaxLength),
         Pipeline(M, Opts, DT, Cuts),
-        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1), Caches(Pool.size()) {
-    Store.configureFrontier(
-        {Opts.CompressFrontier, Opts.SpillDir, Opts.SpillThresholdBytes});
-  }
+        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1) {}
 
   SearchResult run();
 
@@ -187,30 +176,21 @@ private:
     return Store.arena(Level).rows(N.Rows);
   }
   /// The one count of resident bytes, read by the budget check and the
-  /// peaks: committed levels (arenas, flat or compressed, and the dedup
-  /// index), node metadata and decode caches, plus \p Live bytes of the
-  /// level in flight (candidate batches, shard partitions, merge shards).
-  /// Spill-file bytes are not resident, so spilling relieves the budget.
+  /// peak: committed levels (arenas and the dedup index) and node
+  /// metadata, plus \p Live bytes of the level in flight (candidate
+  /// batches, shard partitions, merge shards).
   size_t residentBytes(size_t Live = 0) const {
-    size_t Bytes = Store.bytesUsed() + NodeBytes + Live;
-    for (const DecodeCache &C : Caches)
-      Bytes += C.bytesUsed();
-    return Bytes;
+    return Store.bytesUsed() + NodeBytes + Live;
   }
-  /// Raises the resident / total high-water marks to \p Resident bytes.
-  void notePeaks(SearchResult &Result, size_t Resident) const {
-    const FrontierCounters &FC = Store.frontierCounters();
-    Result.Stats.PeakResidentBytes =
-        std::max(Result.Stats.PeakResidentBytes, Resident);
-    Result.Stats.SpilledBytes =
-        std::max(Result.Stats.SpilledBytes, FC.SpilledBytes);
+  /// Raises the high-water mark to \p Resident bytes.
+  static void notePeak(SearchResult &Result, size_t Resident) {
     Result.Stats.PeakStateBytes =
-        std::max(Result.Stats.PeakStateBytes, Resident + FC.SpilledBytes);
+        std::max(Result.Stats.PeakStateBytes, Resident);
   }
   /// The level loop's budget check over \p Resident bytes, which become a
   /// peak candidate. \returns false when the run must stop.
   bool withinBudget(SearchResult &Result, size_t Resident) const {
-    notePeaks(Result, Resident);
+    notePeak(Result, Resident);
     Result.Stats.Stopped = overBudget(Opts, Resident);
     return Result.Stats.Stopped == StopReason::None;
   }
@@ -218,7 +198,7 @@ private:
   /// published total bounds every value a checkpoint compared.
   /// \returns false when a checkpoint stopped the phase.
   bool endPhase(const Phase &Ph, SearchResult &Result) const {
-    notePeaks(Result, Ph.BaseBytes + Ph.Bytes.load(std::memory_order_relaxed));
+    notePeak(Result, Ph.BaseBytes + Ph.Bytes.load(std::memory_order_relaxed));
     Result.Stats.Stopped = Ph.Abort.load(std::memory_order_relaxed);
     return Result.Stats.Stopped == StopReason::None;
   }
@@ -231,10 +211,6 @@ private:
   CutTracker Cuts;
   CandidatePipeline Pipeline;
   ThreadPool Pool;
-  /// One decode cache per pool worker (indexed by worker id): sealed-level
-  /// dedup probes decode compressed blocks through these, so phase 1 stays
-  /// synchronization-free and the decode stats sum across workers.
-  std::vector<DecodeCache> Caches;
   Stopwatch Timer;
   StateStore Store;
   std::vector<std::vector<LNode>> Levels;
@@ -380,11 +356,10 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
     return false;
 
   // Phase 1: per-shard dedup/DAG-merge. Only shard-local state is written;
-  // committed levels and the previous level's Ways are read-only (sealed
-  // arenas decode through the worker's own cache). Shards are seeded to
-  // the work-stealing deques in descending candidate-count order — LPT
-  // scheduling with stealing as the correction, replacing the shared
-  // dynamic cursor that hash-skewed shard sizes used to contend on.
+  // committed levels and the previous level's Ways are read-only. Shards
+  // are seeded to the work-stealing deques in descending candidate-count
+  // order — LPT scheduling with stealing as the correction, replacing the
+  // shared dynamic cursor that hash-skewed shard sizes used to contend on.
   const std::vector<LNode> &Prev = Levels[ChildG - 1];
   std::vector<ShardMerge> Shards(kNumShards);
   Phase Ph{Trace, Total, residentBytes(Live)};
@@ -403,7 +378,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   Pool.parallelForTasks(
       MergeOrder, [&](uint32_t Shard, unsigned W) {
         const unsigned S = Shard;
-        DecodeCache &Cache = Caches[W];
         ShardMerge &Sh = Shards[S];
         Sh.Nodes.reserve(ShardCount[S] / 2 + 8);
         size_t Seen = 0;
@@ -420,13 +394,12 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
 
             // Committed-level probe: any hit is a strictly shallower
             // rediscovery (this level is not committed yet) — never on a
-            // minimal kernel, so only count it. Retired levels decode
-            // through this worker's cache (StateStore::rowsEqual).
+            // minimal kernel, so only count it.
             uint64_t Hit =
                 Store.shard(S).find(C.Hash, [&](uint64_t P) {
                   unsigned L = refLevel(P);
                   const LNode &N = Levels[L][ShardBases[L][S] + refLocal(P)];
-                  return Store.rowsEqual(L, N.Rows, CRows, C.RowLen, Cache);
+                  return Store.arena(L).equals(N.Rows, CRows, C.RowLen);
                 });
             if (Hit != IndexShard::kNotFound) {
               ++Sh.DedupHits;
@@ -542,7 +515,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   // partitions and shards it was merged from.
   for (const ShardMerge &Sh : Shards)
     Live += Sh.bytesUsed();
-  notePeaks(Result, residentBytes(Live));
+  notePeak(Result, residentBytes(Live));
   return true;
 }
 
@@ -593,7 +566,7 @@ SearchResult LayeredEngine::run() {
   Levels.emplace_back().push_back(std::move(Root));
   ShardBases.push_back({});
   NodeBytes += Levels[0].capacity() * sizeof(LNode);
-  notePeaks(Result, residentBytes());
+  notePeak(Result, residentBytes());
   Result.Stats.LevelStates.push_back(Levels[0].size());
 
   double NextTrace = Opts.TraceIntervalSeconds;
@@ -622,13 +595,6 @@ SearchResult LayeredEngine::run() {
     Found = FoundSorted;
     Result.Stats.LevelStates.push_back(Levels[ChildG].size());
     FinalLevel = ChildG;
-    // Level G has left the expansion window: the only reads it will ever
-    // see again are dedup probes, which go through the decode layer — so
-    // compress (and maybe spill) it. After a solution is found nothing
-    // reads retired rows at all (reconstruct walks parent edges), so
-    // skip the final seal. mergeLevel already charged the peak.
-    if (!Found)
-      Store.retireLevel(G);
     MaybeTrace(Levels[ChildG].size());
   }
 
@@ -652,16 +618,7 @@ SearchResult LayeredEngine::run() {
                                         Levels[FinalLevel].size(),
                                         Result.SolutionCount});
   }
-  // Frontier lifecycle counters: compression totals from the store, decode
-  // work summed over the per-worker caches.
-  const FrontierCounters &FC = Store.frontierCounters();
-  Result.Stats.CompressedBytes = FC.CompressedBytes;
-  Result.Stats.CompressedRawBytes = FC.CompressedRawBytes;
-  for (const DecodeCache &C : Caches) {
-    Result.Stats.DecodeNanos += C.DecodeNanos;
-    Result.Stats.BlocksDecoded += C.BlocksDecoded;
-  }
-  notePeaks(Result, residentBytes());
+  notePeak(Result, residentBytes());
   Result.Stats.Seconds = Timer.seconds();
   return Result;
 }

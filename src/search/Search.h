@@ -105,31 +105,15 @@ struct SearchOptions {
   StopToken Stop;
   /// Stop (StopReason::ByteBudget) when resident bytes exceed this; 0 =
   /// unlimited. Best-first counts its store and nodes; layered counts its
-  /// committed levels, nodes, decode caches and the level in flight
-  /// (candidate batches, merge shards). Spilled bytes are not resident.
+  /// committed levels, nodes and the level in flight (candidate batches,
+  /// merge shards).
   size_t MaxStateBytes = 0;
   /// Worker threads for the layered engine (1 = sequential). More than one
   /// selects the layered engine: only it runs in parallel.
   unsigned NumThreads = 1;
-  /// Force the layered engine even when FindAll is off, NumThreads is 1
-  /// and CompressFrontier is off ("dijkstra" rows).
+  /// Force the layered engine even when FindAll is off and NumThreads is
+  /// 1 ("dijkstra" rows).
   bool Layered = false;
-  /// Delta/varint-compress the row arena of each level as it leaves the
-  /// expansion window (its only remaining readers are dedup probes from
-  /// deeper levels, served through per-worker decode caches). Selects the
-  /// layered engine: the best-first engine keeps one flat arena and has
-  /// no levels to seal. Count-preserving for any configuration:
-  /// compression changes the representation of committed rows, never
-  /// their values.
-  bool CompressFrontier = false;
-  /// Directory for spilling compressed cold levels to disk (empty = never
-  /// spill). Requires CompressFrontier; spill files are unlinked on
-  /// creation, so they vanish on exit or crash.
-  std::string SpillDir;
-  /// With SpillDir set, spill oldest sealed levels while their resident
-  /// compressed bytes exceed this; 0 spills every sealed level
-  /// immediately.
-  size_t SpillThresholdBytes = 0;
   /// Emit a trace point every so many seconds (0 = off); for Figure 1.
   double TraceIntervalSeconds = 0;
   /// Collect the per-stage nanosecond counters of the expansion pipeline
@@ -178,27 +162,10 @@ struct SearchStats {
   /// fixed configuration, so the equivalence tests compare it level by
   /// level. Empty for the best-first engine.
   std::vector<size_t> LevelStates;
-  /// High-water mark of total state bytes, resident plus spilled. Equals
-  /// PeakResidentBytes unless a spill directory was configured.
-  size_t PeakStateBytes = 0;
   /// High-water mark of the resident bytes SearchOptions::MaxStateBytes
   /// budgets, never below a value its check compared: a run capped at
-  /// this peak fits. Spilling relieves the budget; PeakStateBytes keeps
-  /// the honest total.
-  size_t PeakResidentBytes = 0;
-  /// High-water mark of spill-file bytes (CompressFrontier + SpillDir).
-  size_t SpilledBytes = 0;
-  /// Compressed vs. flat bytes summed over every level the frontier
-  /// sealed; CompressedRawBytes / CompressedBytes is the compression
-  /// ratio. Zero when CompressFrontier is off.
-  size_t CompressedBytes = 0;
-  size_t CompressedRawBytes = 0;
-  /// Block-decode work done by sealed-level dedup probes, summed across
-  /// workers. Collected whenever CompressFrontier is on (decodes are
-  /// microsecond-scale, so the timing is not branch-guarded like the
-  /// ProfilePipeline counters).
-  uint64_t DecodeNanos = 0;
-  size_t BlocksDecoded = 0;
+  /// this peak fits.
+  size_t PeakStateBytes = 0;
   /// Per-stage wall-clock of the expansion pipeline, in nanoseconds; only
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
   /// Apply covers the batched row transforms; Canon the sort + perm-count
@@ -230,12 +197,11 @@ struct SearchResult {
 };
 
 /// Synthesizes a sorting kernel for \p M. Dispatches to the layered engine
-/// when Opts.FindAll, Opts.Layered or Opts.CompressFrontier is set or
-/// Opts.NumThreads > 1, to the best-first engine otherwise. The distance
-/// table is used exactly when Opts.UseViability, Opts.UseActionFilter or
-/// the NeededInstrs heuristic needs it. \p SharedTable optionally reuses a
-/// prebuilt one (they are deterministic per machine); pass nullptr to
-/// build it on demand.
+/// when Opts.FindAll or Opts.Layered is set or Opts.NumThreads > 1, to the
+/// best-first engine otherwise. The distance table is used exactly when
+/// Opts.UseViability, Opts.UseActionFilter or the NeededInstrs heuristic
+/// needs it. \p SharedTable optionally reuses a prebuilt one (they are
+/// deterministic per machine); pass nullptr to build it on demand.
 SearchResult synthesize(const Machine &M, const SearchOptions &Opts,
                         const DistanceTable *SharedTable = nullptr);
 

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A hostile-input-safe decoder for the exact x86-64 subset the JIT
-/// emitter (codegen/Jit.cpp) produces — and nothing more. Like
-/// state/RowCodec's stream decoder, every fetch is bounds-checked and
-/// every malformation is a typed rejection, never undefined behaviour:
+/// emitter (codegen/Jit.cpp) produces — and nothing more. Every fetch is
+/// bounds-checked and every malformation is a typed rejection, never
+/// undefined behaviour:
 /// truncated instructions, trailing bytes after ret, a missing ret,
 /// non-canonical prefixes (a redundant 0x40 REX), and any opcode, ModRM
 /// mode, addressing form, or prefix combination outside the emitted

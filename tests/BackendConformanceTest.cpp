@@ -154,7 +154,17 @@ TEST(BackendConformance, EnumFirstRunsConfigurationIII) {
   EXPECT_TRUE(O.Verified);
   EXPECT_EQ(O.Kernel.size(), 20u);
   EXPECT_TRUE(isCorrectKernel(M, O.Kernel));
+  EXPECT_EQ(O.Kernel, Direct.Solutions.front());
   EXPECT_EQ(stat(O, "states_expanded"), Direct.Stats.StatesExpanded);
+
+  // The thread count is a hint the cache key leaves out, so it must not
+  // swap the configuration: four threads run the same best-first search.
+  SynthRequest Threaded = request(4, SynthGoal::FirstKernel, 60);
+  Threaded.NumThreads = 4;
+  SynthOutcome T = createBackend("enum")->run(Threaded);
+  EXPECT_EQ(T.Status, SynthStatus::Found);
+  EXPECT_EQ(T.Kernel, Direct.Solutions.front());
+  EXPECT_EQ(stat(T, "states_expanded"), Direct.Stats.StatesExpanded);
 }
 
 TEST(BackendConformance, EnumFirstRerunsUncutWhenTheCutExhaustsTheBound) {

@@ -68,7 +68,7 @@ TEST(SearchExtras, StopReasonNamesWhyEachEngineStopped) {
     SearchResult Full = synthesize(M, Opts, &DT);
     EXPECT_FALSE(Full.Found);
     EXPECT_EQ(Full.Stats.Stopped, StopReason::ByteBudget);
-    EXPECT_GT(Full.Stats.PeakResidentBytes, Opts.MaxStateBytes)
+    EXPECT_GT(Full.Stats.PeakStateBytes, Opts.MaxStateBytes)
         << "the peak holds the value the check refused";
   }
   EXPECT_STREQ(stopReasonName(StopReason::ByteBudget),
@@ -102,7 +102,7 @@ void checkFitsItsPeak(bool Layered, unsigned NumThreads) {
   ASSERT_TRUE(Unbounded.Found);
   ASSERT_EQ(Unbounded.Stats.LevelStates.empty(), !Layered) << "engine";
 
-  Opts.MaxStateBytes = Unbounded.Stats.PeakResidentBytes;
+  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes;
   SearchResult Capped = synthesize(M, Opts, &DT);
   EXPECT_EQ(Capped.Stats.Stopped, StopReason::None);
   ASSERT_TRUE(Capped.Found);
@@ -110,7 +110,7 @@ void checkFitsItsPeak(bool Layered, unsigned NumThreads) {
   EXPECT_EQ(Capped.Solutions.front(), Unbounded.Solutions.front());
   EXPECT_TRUE(isCorrectKernel(M, Capped.Solutions.front()));
 
-  Opts.MaxStateBytes = Unbounded.Stats.PeakResidentBytes / 2;
+  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes / 2;
   SearchResult Tight = synthesize(M, Opts, &DT);
   EXPECT_FALSE(Tight.Found);
   EXPECT_EQ(Tight.Stats.Stopped, StopReason::ByteBudget);

@@ -179,10 +179,10 @@ TEST(Search, ParallelLayeredAgreesWithSequential) {
   EXPECT_EQ(Parallel.SolutionCount, Sequential.SolutionCount);
 }
 
-TEST(Search, ThreadsOrCompressionSelectTheLayeredEngine) {
-  // Only the layered engine runs on threads or seals levels, so either
-  // option alone selects it: callers never set Layered for them.
-  // LevelStates is a layered-engine counter, empty after best-first.
+TEST(Search, ThreadsSelectTheLayeredEngine) {
+  // Only the layered engine runs on threads, so NumThreads > 1 alone
+  // selects it: callers never set Layered for it. LevelStates is a
+  // layered-engine counter, empty after best-first.
   Machine M(MachineKind::Cmov, 3);
   SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
   SearchResult BestFirst = synthesize(M, Opts);
@@ -194,13 +194,6 @@ TEST(Search, ThreadsOrCompressionSelectTheLayeredEngine) {
   ASSERT_TRUE(Threads.Found);
   EXPECT_EQ(Threads.OptimalLength, 11u);
   EXPECT_FALSE(Threads.Stats.LevelStates.empty());
-
-  Opts.NumThreads = 1;
-  Opts.CompressFrontier = true;
-  SearchResult Compressed = synthesize(M, Opts);
-  ASSERT_TRUE(Compressed.Found);
-  EXPECT_EQ(Compressed.OptimalLength, 11u);
-  EXPECT_FALSE(Compressed.Stats.LevelStates.empty());
 }
 
 TEST(Search, NetworkUpperBoundsMatchKnownNetworks) {

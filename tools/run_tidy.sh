@@ -38,14 +38,14 @@ fi
 # microbenchmarks that exercise first-party SIMD, the portfolio race
 # harness that drives the backend interface, the ablation table that
 # reports the dead-instruction gate's counter, the n=5 budget run that
-# drives the compressed/spillable frontier, and the analytics workloads
-# that drive the pair JIT and the sortlib selection entry points. From
-# the test tree, the register-renaming tests, the service tests, the
-# frontier-tier tests, the goal-predicate tests, and the
-# translation-validation tests ride along: they exercise the program
-# renaming, the concurrency contract, the storage-tier codec, the goal
-# layer, and the decoder/symbolic-executor proof stack the JIT's safety
-# now rests on, so their idioms are held to the same bar.
+# drives the layered engine under a byte budget, and the analytics
+# workloads that drive the pair JIT and the sortlib selection entry
+# points. From the test tree, the register-renaming tests, the service
+# tests, the goal-predicate tests, and the translation-validation tests
+# ride along: they exercise the program renaming, the concurrency
+# contract, the goal layer, and the decoder/symbolic-executor proof stack
+# the JIT's safety now rests on, so their idioms are held to the same
+# bar.
 FILES=$(find "$ROOT/src" "$ROOT/tools" "$ROOT/examples" -name '*.cpp' | sort)
 FILES="$FILES $ROOT/bench/bench_expand_micro.cpp"
 FILES="$FILES $ROOT/bench/bench_portfolio.cpp"
@@ -54,7 +54,6 @@ FILES="$FILES $ROOT/bench/bench_kernels_n5.cpp"
 FILES="$FILES $ROOT/bench/bench_analytics.cpp"
 FILES="$FILES $ROOT/tests/SymmetryTest.cpp"
 FILES="$FILES $ROOT/tests/ServiceTest.cpp"
-FILES="$FILES $ROOT/tests/FrontierTest.cpp"
 FILES="$FILES $ROOT/tests/GoalTest.cpp"
 FILES="$FILES $ROOT/tests/ValidateTest.cpp"
 

@@ -43,9 +43,6 @@
 #include <type_traits>
 #include <vector>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 using namespace sks;
 
 namespace {
@@ -66,9 +63,6 @@ struct CliOptions {
   unsigned MaxLength = 0;
   unsigned Threads = 1;
   size_t MaxStateBytes = 0;
-  bool CompressFrontier = false;
-  std::string SpillDir;
-  size_t SpillThresholdBytes = 0;
   std::string MiniZincPath;
   std::string PddlDomainPath, PddlProblemPath;
   /// Backend-interface mode: a name from backendNames(), or "portfolio".
@@ -108,9 +102,6 @@ const OnePathFlag kOnePathFlags[] = {
     {"--robust", false},
     {"--profile", false},
     {"--max-state-bytes", false},
-    {"--compress-frontier", false},
-    {"--spill-dir", false},
-    {"--spill-threshold-bytes", false},
     {"--export-minizinc", false},
     {"--export-pddl", false},
 };
@@ -166,16 +157,6 @@ void usage(const char *Argv0) {
       "  --threads <T>           worker threads; more than one runs the\n"
       "                          layered engine\n"
       "  --max-state-bytes <B>   abort when the state store exceeds B bytes\n"
-      "                          (resident bytes; spilled levels don't count)\n"
-      "  --compress-frontier     delta+varint-compress committed levels once\n"
-      "                          they leave the frontier (layered engines;\n"
-      "                          preserves counts and the solution set)\n"
-      "  --spill-dir <dir>       spill compressed levels to temp files in\n"
-      "                          <dir> once they exceed the threshold\n"
-      "                          (implies --compress-frontier)\n"
-      "  --spill-threshold-bytes <B>\n"
-      "                          keep at most B compressed bytes resident\n"
-      "                          before spilling (default 0: spill all)\n"
       "  --export-minizinc <path>\n"
       "  --export-pddl <domain> <problem>\n",
       Argv0);
@@ -308,17 +289,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--max-state-bytes") {
       if (!Count(SIZE_MAX, Opts.MaxStateBytes))
         return false;
-    } else if (Arg == "--compress-frontier") {
-      Opts.CompressFrontier = true;
-    } else if (Arg == "--spill-dir") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.SpillDir = V;
-      Opts.CompressFrontier = true; // Spilling is a tier of compression.
-    } else if (Arg == "--spill-threshold-bytes") {
-      if (!Count(SIZE_MAX, Opts.SpillThresholdBytes))
-        return false;
     } else if (Arg == "--export-minizinc") {
       const char *V = Next();
       if (!V)
@@ -447,22 +417,6 @@ int main(int Argc, char **Argv) {
                  Rule->BackendPath ? "with" : "without");
     return 2;
   }
-  if (!Cli.SpillDir.empty()) {
-    // Fail fast on a bad spill directory instead of silently running
-    // resident: probe it with a create+unlink before any search starts.
-    std::string Probe = Cli.SpillDir + "/sks-spill-probe-" +
-                        std::to_string(::getpid());
-    int Fd = ::open(Probe.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
-                    0600);
-    if (Fd < 0) {
-      std::fprintf(stderr,
-                   "error: --spill-dir '%s' is not a writable directory\n",
-                   Cli.SpillDir.c_str());
-      return 2;
-    }
-    ::close(Fd);
-    ::unlink(Probe.c_str());
-  }
 
   if (!Cli.Backend.empty())
     return runBackendMode(Cli);
@@ -505,9 +459,6 @@ int main(int Argc, char **Argv) {
   Opts.NumThreads = Cli.Threads;
   Opts.MaxStateBytes = Cli.MaxStateBytes;
   Opts.ProfilePipeline = Cli.Profile;
-  Opts.CompressFrontier = Cli.CompressFrontier;
-  Opts.SpillDir = Cli.SpillDir;
-  Opts.SpillThresholdBytes = Cli.SpillThresholdBytes;
 
   Stopwatch Timer;
   SearchResult R = synthesize(M, Opts);
@@ -526,8 +477,8 @@ int main(int Argc, char **Argv) {
                           : "bound exhausted";
     std::fprintf(stderr,
                  "no kernel found within the budget (%s): states=%zu "
-                 "peak-resident-bytes=%zu time=%s%s\n",
-                 Why, R.Stats.StatesExpanded, R.Stats.PeakResidentBytes,
+                 "peak-state-bytes=%zu time=%s%s\n",
+                 Why, R.Stats.StatesExpanded, R.Stats.PeakStateBytes,
                  formatDuration(Timer.seconds()).c_str(), Level.c_str());
     return 1;
   }
@@ -538,21 +489,6 @@ int main(int Argc, char **Argv) {
               R.OptimalLength, R.Stats.StatesExpanded,
               R.Stats.PeakStateBytes,
               formatDuration(Timer.seconds()).c_str());
-  if (Cli.CompressFrontier) {
-    const double Ratio =
-        R.Stats.CompressedRawBytes
-            ? static_cast<double>(R.Stats.CompressedBytes) /
-                  static_cast<double>(R.Stats.CompressedRawBytes)
-            : 0.0;
-    std::printf("; frontier compression: %zu -> %zu bytes (%.1f%%), peak "
-                "resident %zu bytes, %zu block decodes (%.1f ms)\n",
-                R.Stats.CompressedRawBytes, R.Stats.CompressedBytes,
-                100.0 * Ratio, R.Stats.PeakResidentBytes,
-                R.Stats.BlocksDecoded, R.Stats.DecodeNanos / 1e6);
-    if (!Cli.SpillDir.empty())
-      std::printf("; spill: %zu bytes on disk at peak (dir %s)\n",
-                  R.Stats.SpilledBytes, Cli.SpillDir.c_str());
-  }
   if (Cli.Profile) {
     auto Ms = [](uint64_t Nanos) { return Nanos / 1e6; };
     std::printf("; pipeline profile: apply %.1f ms, canonicalize %.1f ms, "
