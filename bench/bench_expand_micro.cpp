@@ -10,8 +10,14 @@
 //   canonicalize/{scalar,simd}/<rows>   sortRows networks + radix vs
 //                                       std::sort + std::unique
 //   apply/{scalar,simd}                 Machine::apply loop vs applyBatch
-//   finish/{multipass,fused}            the PR 2 four-traversal finish()
-//                                       vs the fused CandidatePipeline
+//   verdict/{apply,fold}                every instruction's child maxDist
+//                                       by applyBatch + maxDist vs one
+//                                       DistanceTable::foldSuccessors
+//   finish/{multipass,fused}            separate sort+unique, perm-count
+//                                       and hash traversals vs the fused
+//                                       CandidatePipeline::finish, on
+//                                       viable children (the verdict runs
+//                                       before apply)
 //
 // The scalar arms run in the same binary, so the reported ratios are
 // SIMD-vs-scalar on one build (the acceptance comparison), not a
@@ -115,16 +121,19 @@ void benchApply(benchmark::State &State, bool Simd) {
                           static_cast<int64_t>(Instrs.size() * kRows));
 }
 
-/// Everything the finish() benchmarks share: a real n = 4 machine with its
-/// distance table and a corpus of raw (applied, not yet canonical)
-/// candidate row buffers drawn from random walks off the initial state.
+/// Everything the verdict and finish() benchmarks share: a real n = 4
+/// machine with its distance table, the canonical parent states of random
+/// walks off the initial state, and a corpus of raw (applied, not yet
+/// canonical) viable candidate row buffers drawn from them.
 struct FinishFixture {
   Machine M{MachineKind::Cmov, 4};
   DistanceTable DT{M};
   SearchOptions Opts;
   CutTracker Cuts;
   CandidatePipeline Pipeline;
+  std::vector<std::vector<uint32_t>> Parents; ///< kBuffers states.
   std::vector<uint32_t> Corpus; ///< kBuffers raw buffers of Len rows each.
+  std::vector<uint8_t> Needed;  ///< Each corpus buffer's maxDist.
   uint32_t Len;
 
   FinishFixture()
@@ -135,9 +144,11 @@ struct FinishFixture {
     Rng R(11);
     const std::vector<Instr> &Instrs = M.instructions();
     std::vector<uint32_t> Parent;
-    for (size_t B = 0; B != kBuffers; ++B) {
+    while (Needed.size() != kBuffers) {
       // Random-depth walk from the initial state, then one more apply
-      // producing the raw (uncanonical) child buffer finish() sees.
+      // producing the raw (uncanonical) child buffer finish() sees; a
+      // child that fails the viability verdict (ChildG = 1) never gets
+      // there, so it is drawn again.
       Parent = Init.Rows;
       unsigned Depth = static_cast<unsigned>(R.below(6));
       for (unsigned D = 0; D != Depth; ++D) {
@@ -147,14 +158,21 @@ struct FinishFixture {
         Parent.resize(canonicalizeRows(
             Parent.data(), static_cast<uint32_t>(Parent.size())));
       }
+      if (Parents.size() != kBuffers)
+        Parents.push_back(Parent);
       Instr Via = Instrs[R.below(Instrs.size())];
+      std::vector<uint32_t> Child;
       for (uint32_t Row : Parent)
-        Corpus.push_back(M.apply(Row, Via));
+        Child.push_back(M.apply(Row, Via));
+      uint8_t D = DT.maxDist(Child);
+      if (D == DistanceTable::Unreachable || 1u + D > Opts.MaxLength)
+        continue;
       // Pad walks that shrank below Len back up by repeating rows, so
       // every corpus buffer is a uniform Len (duplicates are realistic:
       // raw buffers repeat rows all the time).
-      for (size_t Have = Parent.size(); Have != Len; ++Have)
-        Corpus.push_back(Corpus[B * Len]);
+      Child.resize(Len, Child.front());
+      Corpus.insert(Corpus.end(), Child.begin(), Child.end());
+      Needed.push_back(D);
     }
   }
 
@@ -172,21 +190,15 @@ FinishFixture &finishFixture() {
   return F;
 }
 
-/// The PR 2 finish(): separate sort+unique, maxDist, always-masked perm
-/// count, and hash traversals. Kept as the multipass baseline.
+/// The multipass finish(): separate sort+unique, always-masked perm count,
+/// and hash traversals. Kept as the baseline.
 bool finishMultipass(const FinishFixture &F, CandidateBatch &B,
-                     size_t RawBegin, unsigned ChildG) {
+                     size_t RawBegin, uint8_t Needed) {
   auto Begin = B.Rows.begin() + static_cast<ptrdiff_t>(RawBegin);
   std::sort(Begin, B.Rows.end());
   B.Rows.erase(std::unique(Begin, B.Rows.end()), B.Rows.end());
   const uint32_t *Rows = B.Rows.data() + RawBegin;
   const uint32_t Len = static_cast<uint32_t>(B.Rows.size() - RawBegin);
-  uint8_t Needed = F.DT.maxDist(Rows, Len);
-  if (Needed == DistanceTable::Unreachable ||
-      ChildG + Needed > F.Opts.MaxLength) {
-    B.Rows.resize(RawBegin);
-    return false;
-  }
   uint32_t Perm = countDistinctMasked(Rows, Len, F.M.dataMask(), B.Scratch);
   Candidate C;
   C.RowOffset = static_cast<uint32_t>(RawBegin);
@@ -194,6 +206,7 @@ bool finishMultipass(const FinishFixture &F, CandidateBatch &B,
   C.Parent = 0;
   C.Via = F.M.instructions()[0];
   C.Perm = Perm;
+  C.Needed = Needed;
   C.Hash = hashWords(Rows, Len);
   C.Lint = PrefixLint::entry();
   B.List.push_back(C);
@@ -214,11 +227,11 @@ void benchFinish(benchmark::State &State, bool Fused) {
       size_t RawBegin = B.Rows.size();
       B.Rows.insert(B.Rows.end(), F.Corpus.data() + Buf * F.Len,
                     F.Corpus.data() + (Buf + 1) * F.Len);
-      // ChildG = 1 keeps the remaining budget realistic for shallow
-      // levels; the corpus mixes depths so some buffers still prune.
-      bool Survived =
-          Fused ? F.Pipeline.finish(B, RawBegin, 1, 0, Via, Lint, Stats)
-                : finishMultipass(F, B, RawBegin, 1);
+      // ChildG = 1, the depth at which every corpus buffer is viable.
+      const uint8_t Needed = F.Needed[Buf];
+      bool Survived = Fused ? F.Pipeline.finish(B, RawBegin, 1, 0, Via, Lint,
+                                                Needed, Stats)
+                            : finishMultipass(F, B, RawBegin, Needed);
       Survivors += Survived;
     }
     benchmark::DoNotOptimize(B.Rows.data());
@@ -229,6 +242,36 @@ void benchFinish(benchmark::State &State, bool Fused) {
   State.counters["survivors"] =
       static_cast<double>(Survivors) /
       static_cast<double>(std::max<int64_t>(1, State.iterations()));
+}
+
+/// Every instruction's child maxDist for each parent of the corpus: apply
+/// each instruction and read the child's distances (stopping at the first
+/// unreachable row), or fold the parent's successor rows once.
+void benchVerdict(benchmark::State &State, bool Fold) {
+  FinishFixture &F = finishFixture();
+  const std::vector<Instr> &Instrs = F.M.instructions();
+  SuccessorFold Out;
+  Out.Needed.resize(Instrs.size());
+  std::vector<uint32_t> Child;
+  size_t Rows = 0;
+  for (const std::vector<uint32_t> &P : F.Parents)
+    Rows += P.size();
+  for (auto _ : State) {
+    for (const std::vector<uint32_t> &P : F.Parents) {
+      if (Fold) {
+        F.DT.foldSuccessors(P.data(), P.size(), false, Out);
+      } else {
+        Child.resize(P.size());
+        for (size_t K = 0; K != Instrs.size(); ++K) {
+          applyBatch(F.M, Instrs[K], P.data(), Child.data(), P.size());
+          Out.Needed[K] = F.DT.maxDist(Child);
+        }
+      }
+      benchmark::DoNotOptimize(Out.Needed.data());
+    }
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Rows * Instrs.size()));
 }
 
 /// Captures per-benchmark timings while still printing the console table.
@@ -288,6 +331,9 @@ int main(int argc, char **argv) {
   Register("apply/scalar",
            [](benchmark::State &S) { benchApply(S, false); });
   Register("apply/simd", [](benchmark::State &S) { benchApply(S, true); });
+  Register("verdict/apply",
+           [](benchmark::State &S) { benchVerdict(S, false); });
+  Register("verdict/fold", [](benchmark::State &S) { benchVerdict(S, true); });
   Register("finish/multipass",
            [](benchmark::State &S) { benchFinish(S, false); });
   Register("finish/fused",
@@ -300,7 +346,7 @@ int main(int argc, char **argv) {
 
   // Derived speedup rows (equal workloads, so the ns/op ratio is the
   // throughput ratio). The canonicalize acceptance bar is >= 1.5x.
-  Table T({"stage", "scalar ns/op", "simd ns/op", "speedup"});
+  Table T({"stage", "baseline ns/op", "fast ns/op", "speedup"});
   auto AddRow = [&](const std::string &Label, const std::string &Scalar,
                     const std::string &Simd) {
     double S = nsOf(Reporter, Scalar), V = nsOf(Reporter, Simd);
@@ -334,6 +380,7 @@ int main(int argc, char **argv) {
     T.row().cell("canonicalize/geomean").cell("-").cell("-").cell(Buf);
   }
   AddRow("apply", "apply/scalar", "apply/simd");
+  AddRow("verdict", "verdict/apply", "verdict/fold");
   AddRow("finish", "finish/multipass", "finish/fused");
   std::printf("\n");
   T.print();

@@ -66,10 +66,10 @@ std::string sks::pddlDomain(const Machine &M) {
               continue;
             std::string Cond = valAtom(Ex, Ins.Src, VS) + " " +
                                valAtom(Ex, Ins.Dst, VD);
-            if (Ins.Op == Opcode::CMovL)
-              Cond += " " + flagAtom("lt", Ex);
-            if (Ins.Op == Opcode::CMovG)
-              Cond += " " + flagAtom("gt", Ex);
+            if (Ins.Op != Opcode::Mov) {
+              Cond += ' ';
+              Cond += flagAtom(Ins.Op == Opcode::CMovL ? "lt" : "gt", Ex);
+            }
             Out += "      (when (and " + Cond + ") (and " +
                    valAtom(Ex, Ins.Dst, VS) + " (not " +
                    valAtom(Ex, Ins.Dst, VD) + ")))\n";

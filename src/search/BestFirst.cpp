@@ -79,7 +79,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   RowArena &RowStore = Store.arena(0);
   std::priority_queue<OpenEntry> Open;
   std::vector<uint32_t> Scratch;
-  std::vector<Instr> Actions;
   CandidateBatch Batch;
 
   SearchState Init = initialState(M);
@@ -103,8 +102,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
 
   // Price a surviving candidate without re-traversing its rows: the
   // pipeline already computed C.Perm (exactly the PermCount projection
-  // count) and C.Needed (the max per-row distance, gathered when the
-  // viability pass had the distance table). The remaining kinds re-read
+  // count) and C.Needed (the max per-row distance, read off the successor
+  // fold when the viability check is on). The remaining kinds re-read
   // the rows as before — AssignCount projects by a different mask.
   auto CandidateF = [&](const Candidate &C, const uint32_t *CRows,
                         uint16_t CG) -> double {
@@ -169,7 +168,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     ++Result.Stats.StatesExpanded;
     const uint16_t ChildG = G + 1;
     Batch.clear();
-    Pipeline.expandNode(Rows, Span.Len, Lint, Index, ChildG, Batch, Actions,
+    Pipeline.expandNode(Rows, Span.Len, Lint, Index, ChildG, Batch,
                         Result.Stats);
 
     ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);

@@ -5,11 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single candidate pipeline shared by every expansion site: the
-/// dead-instruction gate (lint/PrefixLint.h) -> apply -> viability / erase
-/// check (section 3.3) -> distinct-permutation count (section 3.1) -> cut
-/// (section 3.5) -> canonicalize -> hash. Both engines expand node by node
-/// through expandNode:
+/// The single candidate pipeline shared by every expansion site. Per node:
+/// one distance-table pass over the parent's rows (the successor fold,
+/// tables/DistanceTable.h) -> action filter (section 3.2) -> per
+/// instruction: the dead-instruction gate (lint/PrefixLint.h) -> the
+/// viability verdict (section 3.3), read off the fold -> apply ->
+/// distinct-permutation count (section 3.1) -> cut (section 3.5) ->
+/// canonicalize -> hash. Both engines expand node by node through
+/// expandNode:
 ///
 ///  - the best-first engine's expansion loop (BestFirst.cpp), and
 ///  - the layered engine's level expansion (Layered.cpp), one loop over
@@ -20,19 +23,22 @@
 /// allocation), and arrive pre-hashed so the dedup/merge stage can shard
 /// by hash without touching the rows again.
 ///
-/// The pipeline is fused, vectorized, and prune-first: apply runs through
-/// the SSE2 applyBatch, and ALL verdict stages (viability, perm count,
-/// cut) read the RAW transformed rows — their results are provably order-
-/// and duplicate-independent — so the canonical sort (the sorting-network
-/// sortRows primitive, state/Canonicalize.h) and duplicate compaction run
-/// only for the candidates that survive to be stored. At n = 4 roughly
-/// 95% of the 4M generated candidates are pruned and exit without ever
-/// being sorted; the gate has already refused another 1M before apply.
+/// The pipeline is prune-first. The fold gives every instruction's child
+/// maxDist from one SSE2 pass over the parent, so a non-viable candidate
+/// exits before apply: of the candidates past the gate, 71% exit there in
+/// a perfbench `synth` round and 90% in the layered n = 3 enumeration, and
+/// they never touch a row. Only viable ones are applied (SSE2 applyBatch);
+/// the perm count and the cut read the RAW transformed rows — their
+/// results are provably order- and duplicate-independent — so the
+/// canonical sort (the sorting-network sortRows primitive,
+/// state/Canonicalize.h) and duplicate compaction run only for the
+/// candidates that survive to be stored.
 ///
 /// Opt-in stage timers (SearchOptions::ProfilePipeline) attribute the work
-/// to SearchStats::{Apply,Canon,Viability}Nanos: Apply is the batched
-/// transform, Canon the sort + perm count + hash, Viability the fused
-/// compact-and-distance pass (its distance-table loads dominate).
+/// to SearchStats::{Apply,Canon,Viability}Nanos: Viability the fold, the
+/// action filter and finish()'s row pass (the table-less erase check),
+/// Apply the batched transform of viable candidates, Canon the sort +
+/// perm count + hash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +67,9 @@ struct Candidate {
   uint64_t Hash; ///< hashWords of the canonical rows (shard selector).
   PrefixLint Lint;
   /// Max per-row distance-table value (the section 3.1 admissible bound),
-  /// gathered for free by the viability pass; 0 when no distance table is
-  /// active. Lets the best-first engine price surviving candidates without
-  /// a second row traversal.
+  /// read off the successor fold; 0 when the viability check is off. Lets
+  /// the best-first engine price surviving candidates without a second
+  /// row traversal.
   uint8_t Needed = 0;
 };
 
@@ -72,6 +78,9 @@ struct CandidateBatch {
   std::vector<uint32_t> Rows;
   std::vector<Candidate> List;
   std::vector<uint32_t> Scratch; ///< For the masked distinct-count sort.
+  /// Per-node scratch of the distance-table pass; a few hundred bytes per
+  /// worker, outside bytesUsed().
+  SuccessorFold Fold;
 
   const uint32_t *rowsOf(const Candidate &C) const {
     return Rows.data() + C.RowOffset;
@@ -103,7 +112,8 @@ public:
   CandidatePipeline(const Machine &M, const SearchOptions &Opts,
                     const DistanceTable *DT, const CutTracker &Cuts)
       : M(M), Opts(Opts), DT(DT), Cuts(Cuts),
-        Profile(Opts.ProfilePipeline), DataMask(M.dataMask()),
+        Profile(Opts.ProfilePipeline), UseDT(Opts.UseViability && DT),
+        Filter(Opts.UseActionFilter && DT), DataMask(M.dataMask()),
         NumRegs(M.numRegs()), FullValueMask(M.requiredValueMask()),
         GoalCollapse(!M.goal().isSort()) {}
 
@@ -121,47 +131,40 @@ public:
     return true;
   }
 
+  /// The section 3.3 viability verdict on a child whose maxDist is
+  /// \p Needed: false when some row cannot reach the goal within the
+  /// remaining budget.
+  bool viable(unsigned ChildG, uint8_t Needed) const {
+    return Needed != DistanceTable::Unreachable &&
+           ChildG + Needed <= Opts.MaxLength;
+  }
+
   /// Canonicalizes the raw transformed rows the caller appended at
-  /// B.Rows[RawBegin..] and runs viability/erase, perm-count, and cut.
-  /// Records a Candidate on survival; truncates the tail otherwise.
-  /// \returns true when the candidate survived.
+  /// B.Rows[RawBegin..] of a candidate that passed the viability verdict
+  /// (maxDist \p Needed), and runs the table-less erase check, perm
+  /// count and cut. Records a Candidate on survival; truncates the tail
+  /// otherwise. \returns true when the candidate survived.
   bool finish(CandidateBatch &B, size_t RawBegin, unsigned ChildG,
               uint32_t Parent, Instr Via, const PrefixLint &ParentLint,
-              SearchStats &Stats) const {
+              uint8_t Needed, SearchStats &Stats) const {
     uint32_t *Rows = B.Rows.data() + RawBegin;
     const uint32_t RawLen = static_cast<uint32_t>(B.Rows.size() - RawBegin);
-    ++Stats.StatesGenerated;
 
-    // Viability / erase check FIRST, over the raw unsorted rows (section
-    // 3.3). The verdict only reads per-row facts (distance-table loads,
-    // value erasure), so it is blind to row order and duplicates — and at
-    // n = 4 it prunes ~70% of all generated candidates, which therefore
-    // never pay the canonical sort below. The OR of all row bits rides
-    // along to decide whether the perm count needs a masked projection.
+    // Without the distance table, section 3.3's erase check over the raw
+    // unsorted rows: it only reads per-row facts, so it is blind to row
+    // order and duplicates. The OR of all row bits rides along to decide
+    // whether the perm count needs a masked projection.
     uint32_t OrAll = 0;
-    uint8_t Needed = 0;
     bool Viable = true;
-    const bool UseDT = Opts.UseViability && DT;
     {
       ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
       for (uint32_t I = 0; I != RawLen; ++I) {
-        const uint32_t Row = Rows[I];
-        OrAll |= Row;
-        if (UseDT) {
-          uint8_t D = DT->dist(Row);
-          if (D == DistanceTable::Unreachable) {
-            Viable = false;
-            break;
-          }
-          if (D > Needed)
-            Needed = D;
-        } else if (!rowKeepsAllValues(Row)) {
+        OrAll |= Rows[I];
+        if (!UseDT && !rowKeepsAllValues(Rows[I])) {
           Viable = false;
           break;
         }
       }
-      if (Viable && UseDT && ChildG + Needed > Opts.MaxLength)
-        Viable = false;
     }
     if (!Viable) {
       ++Stats.ViabilityPruned;
@@ -236,28 +239,43 @@ public:
     return true;
   }
 
-  /// Node-major expansion: selects actions (section 3.2), applies each to
-  /// \p Rows with the data-parallel applyBatch, and runs the pipeline —
-  /// the expansion path of both engines. \p Rows must not alias B.Rows
-  /// (all callers pass arena storage).
+  /// Node-major expansion: folds the parent's successor rows, selects
+  /// actions (section 3.2), refuses non-viable instructions before apply,
+  /// and runs the rest through applyBatch and finish() — the expansion
+  /// path of both engines. A refused candidate still counts as generated
+  /// and viability-pruned. \p Rows must not alias B.Rows (all callers pass
+  /// arena storage).
   void expandNode(const uint32_t *Rows, uint32_t Len, const PrefixLint &Lint,
                   uint32_t Parent, unsigned ChildG, CandidateBatch &B,
-                  std::vector<Instr> &Actions, SearchStats &Stats) const {
+                  SearchStats &Stats) const {
     {
-      ScopedNanoTimer T(Profile, Stats.ApplyNanos);
-      Stats.ActionsFiltered += selectActions(M, DT, Opts.UseActionFilter,
-                                             Rows, Len, Actions, B.Scratch);
+      ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
+      if (UseDT || Filter)
+        DT->foldSuccessors(Rows, Len, Filter, B.Fold);
+      if (Filter)
+        Stats.ActionsFiltered +=
+            selectActions(M, Rows, Len, B.Fold.Optimal.data());
     }
-    for (const Instr &I : Actions) {
+    const std::vector<Instr> &All = M.instructions();
+    for (size_t K = 0; K != All.size(); ++K) {
+      const Instr I = All[K];
+      if (Filter && !B.Fold.Optimal[K])
+        continue;
       if (!admits(Lint, I, Stats))
         continue;
+      ++Stats.StatesGenerated;
+      const uint8_t Needed = UseDT ? B.Fold.Needed[K] : 0;
+      if (UseDT && !viable(ChildG, Needed)) {
+        ++Stats.ViabilityPruned;
+        continue;
+      }
       size_t RawBegin = B.Rows.size();
       {
         ScopedNanoTimer T(Profile, Stats.ApplyNanos);
         B.Rows.resize(RawBegin + Len);
         applyBatch(M, I, Rows, B.Rows.data() + RawBegin, Len);
       }
-      finish(B, RawBegin, ChildG, Parent, I, Lint, Stats);
+      finish(B, RawBegin, ChildG, Parent, I, Lint, Needed, Stats);
     }
   }
 
@@ -279,6 +297,10 @@ private:
   const DistanceTable *DT;
   const CutTracker &Cuts;
   const bool Profile;
+  /// The viability verdict reads the distance table (else finish() runs
+  /// the erase check); the action filter is on.
+  const bool UseDT;
+  const bool Filter;
   const uint32_t DataMask;
   const unsigned NumRegs;
   const uint32_t FullValueMask;

@@ -282,13 +282,12 @@ bool LayeredEngine::expandLevel(unsigned G,
   Pool.parallelFor(Level.size(), [&](size_t Begin, size_t End, unsigned W) {
     CandidateBatch &B = Batches[W];
     SearchStats &S = WorkerStats[W];
-    std::vector<Instr> Actions;
     // The reservation is in the phase's base; publish only growth.
     Published Mine{0, B.bytesUsed(), 0};
     for (size_t I = Begin; I != End; ++I) {
       const LNode &Node = Level[I];
       Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                          static_cast<uint32_t>(I), ChildG, B, Actions, S);
+                          static_cast<uint32_t>(I), ChildG, B, S);
       ++S.StatesExpanded;
       if ((((I - Begin) & 63u) == 63u || I + 1 == End) &&
           !checkpoint(Ph, Mine, W, B.List.size(), B.bytesUsed(),

@@ -89,7 +89,8 @@ struct SearchOptions {
   /// 3.3's erase check prunes states that lost a value from every register.
   bool UseViability = true;
   /// Only expand instructions on some assignment's optimal completion
-  /// (section 3.2; requires the distance table).
+  /// (section 3.2; requires the distance table, whose successor fold
+  /// marks them).
   bool UseActionFilter = false;
   /// Hard upper bound on program length (inclusive).
   unsigned MaxLength = 64;
@@ -151,6 +152,9 @@ struct SearchStats {
   size_t StatesGenerated = 0;
   size_t DedupHits = 0;
   size_t CutStates = 0;
+  /// Children refused by the section 3.3 check: before apply when the
+  /// distance table is in use, else by finish()'s erase check. Each one
+  /// counts in StatesGenerated too.
   size_t ViabilityPruned = 0;
   size_t ActionsFiltered = 0;
   /// Expansions the dead-instruction gate refused before apply (the
@@ -168,11 +172,12 @@ struct SearchStats {
   size_t PeakStateBytes = 0;
   /// Per-stage wall-clock of the expansion pipeline, in nanoseconds; only
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
-  /// Apply covers the batched row transforms; Canon the sort + perm-count
-  /// + hash over canonical rows; Viability the fused dedup-compact +
-  /// distance pass (its distance loads dominate); Merge the dedup/DAG
-  /// commit sections. With worker threads the first three sum CPU time
-  /// across workers, so they can exceed wall-clock.
+  /// Viability covers the once-per-node successor fold and action filter
+  /// (which decide every child's verdict before apply) plus finish()'s
+  /// row pass; Apply the batched row transforms of viable candidates;
+  /// Canon the sort + perm-count + hash over canonical rows; Merge the
+  /// dedup/DAG commit sections. With worker threads the first three sum
+  /// CPU time across workers, so they can exceed wall-clock.
   uint64_t ApplyNanos = 0;
   uint64_t CanonNanos = 0;
   uint64_t ViabilityNanos = 0;

@@ -145,27 +145,24 @@ private:
   std::vector<unsigned> MinPerm;
 };
 
-/// Builds the (possibly filtered) list of instructions to expand from a
-/// state (section 3.2 "optimal instructions"). Moves and conditional moves
-/// are kept when they make optimal per-assignment progress on at least one
-/// row. Comparisons never lie on a shortest single-assignment program (an
+/// The section 3.2 "optimal instructions" filter, on the marks of
+/// DistanceTable::foldSuccessors: \p Optimal[K] arrives nonzero when
+/// instruction K of M.instructions() makes optimal per-assignment progress
+/// on at least one row it fires on, and leaves nonzero exactly for the
+/// instructions to expand. Moves and conditional moves keep their mark.
+/// Comparisons never lie on a shortest single-assignment program (an
 /// individual assignment is always sorted fastest by unconditional moves),
 /// so the literal per-assignment rule would discard every cmp and dead-end
 /// the search; we keep a cmp exactly when the compared register pair is
 /// still unresolved — both orders occur among the rows — which is the only
 /// situation in which its flags can discriminate inputs. \returns the
 /// number of instructions filtered out.
-inline size_t selectActions(const Machine &M, const DistanceTable *DT,
-                            bool UseActionFilter, const uint32_t *Rows,
-                            size_t Len, std::vector<Instr> &Out,
-                            std::vector<uint32_t> &Applied) {
+inline size_t selectActions(const Machine &M, const uint32_t *Rows,
+                            size_t Len, uint8_t *Optimal) {
   const std::vector<Instr> &All = M.instructions();
-  Out.clear();
-  if (!UseActionFilter || !DT) {
-    Out = All;
-    return 0;
-  }
-  for (const Instr &I : All) {
+  size_t Filtered = 0;
+  for (size_t K = 0; K != All.size(); ++K) {
+    const Instr &I = All[K];
     if (I.Op == Opcode::Cmp) {
       bool SeenLess = false, SeenGreater = false;
       for (size_t R = 0; R != Len; ++R) {
@@ -175,14 +172,11 @@ inline size_t selectActions(const Machine &M, const DistanceTable *DT,
         if (SeenLess && SeenGreater)
           break;
       }
-      if (SeenLess && SeenGreater)
-        Out.push_back(I);
-      continue;
+      Optimal[K] = SeenLess && SeenGreater;
     }
-    if (DT->isOptimalAction(Rows, Len, I, Applied))
-      Out.push_back(I);
+    Filtered += !Optimal[K];
   }
-  return All.size() - Out.size();
+  return Filtered;
 }
 
 /// The one budget check of both engines: the stop token (deadline first,

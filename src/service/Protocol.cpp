@@ -371,8 +371,10 @@ std::string sks::responseLine(const std::string &Id, const SynthOutcome &O,
   for (size_t I = 0; I != O.Stats.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "\"" + jsonEscape(O.Stats[I].first) +
-           "\": " + std::to_string(O.Stats[I].second);
+    Out += '"';
+    Out += jsonEscape(O.Stats[I].first);
+    Out += "\": ";
+    Out += std::to_string(O.Stats[I].second);
   }
   Out += "}}";
   return Out;

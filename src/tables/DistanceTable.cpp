@@ -21,11 +21,86 @@
 //
 // Self-loops never improve a BFS distance and are skipped.
 //
+// The successor block is filled from the finished table, one row per
+// reachable flag-free assignment. Every forward edge appears reversed in
+// the predecessor rules above, so a child of an unreachable assignment is
+// unreachable too, and all unreachable assignments share row 0 (all
+// Unreachable). The fold reads the block with SSE2, sixteen instructions
+// per load, with a portable byte loop elsewhere.
+//
 //===----------------------------------------------------------------------===//
 
 #include "tables/DistanceTable.h"
 
+#include "machine/BatchApply.h"
+
+#include <algorithm>
+#include <cassert>
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#define SKS_FOLD_SIMD 1
+#else
+#define SKS_FOLD_SIMD 0
+#endif
+
 using namespace sks;
+
+namespace {
+
+/// Flag class of a row: 0 no flag, 1 lt, 2 gt (a cmp sets at most one).
+constexpr unsigned kClasses = 3;
+inline unsigned flagClass(uint32_t Row) { return (Row >> 28) & 3u; }
+
+/// The flags under which \p Op fires; a cmov entry is its mov child's.
+inline uint32_t firingFlags(Opcode Op) {
+  return Op == Opcode::CMovL ? FlagLT : Op == Opcode::CMovG ? FlagGT : 0u;
+}
+
+#if SKS_FOLD_SIMD
+inline __m128i load(const uint8_t *P) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i *>(P));
+}
+inline void store(uint8_t *P, __m128i V) {
+  _mm_storeu_si128(reinterpret_cast<__m128i *>(P), V);
+}
+/// Lane-wise Mask ? A : B.
+inline __m128i select(__m128i Mask, __m128i A, __m128i B) {
+  return _mm_or_si128(_mm_and_si128(Mask, A), _mm_andnot_si128(Mask, B));
+}
+#endif
+
+/// Acc[0..Stride) = max(Acc, Src), lane-wise.
+inline void maxInto(uint8_t *Acc, const uint8_t *Src, size_t Stride) {
+#if SKS_FOLD_SIMD
+  for (size_t B = 0; B != Stride; B += 16)
+    store(Acc + B, _mm_max_epu8(load(Acc + B), load(Src + B)));
+#else
+  for (size_t B = 0; B != Stride; ++B)
+    Acc[B] = std::max(Acc[B], Src[B]);
+#endif
+}
+
+/// Marks in \p Acc every entry of \p Src one below \p Own. The add
+/// saturates, so an Unreachable entry never wraps around to match.
+inline void markDrops(uint8_t *Acc, const uint8_t *Src, uint8_t Own,
+                      size_t Stride) {
+#if SKS_FOLD_SIMD
+  const __m128i One = _mm_set1_epi8(1);
+  const __m128i Target = _mm_set1_epi8(static_cast<char>(Own));
+  for (size_t B = 0; B != Stride; B += 16)
+    store(Acc + B,
+          _mm_or_si128(load(Acc + B),
+                       _mm_cmpeq_epi8(_mm_adds_epu8(load(Src + B), One),
+                                      Target)));
+#else
+  for (size_t B = 0; B != Stride; ++B)
+    if (Src[B] != DistanceTable::Unreachable && Src[B] + 1 == Own)
+      Acc[B] = 0xff;
+#endif
+}
+
+} // namespace
 
 DistanceTable::DistanceTable(const Machine &M)
     : M(M), HasFlags(M.kind() != MachineKind::MinMax) {
@@ -146,5 +221,138 @@ DistanceTable::DistanceTable(const Machine &M)
       }
     }
     Frontier.swap(Next);
+  }
+  buildSuccessors();
+}
+
+void DistanceTable::buildSuccessors() {
+  const std::vector<Instr> &Instrs = M.instructions();
+  OwnSlot = Instrs.size();
+  Stride = (OwnSlot + 16) / 16 * 16;
+  Fires.assign(kClasses * Stride, 0);
+  for (size_t K = 0; K != Instrs.size(); ++K)
+    for (unsigned C = 0; C != kClasses; ++C) {
+      uint32_t Need = firingFlags(Instrs[K].Op);
+      uint32_t Has = C == 1 ? FlagLT : C == 2 ? FlagGT : 0u;
+      Fires[C * Stride + K] = (Need & ~Has) == 0 ? 0xff : 0;
+    }
+
+  const unsigned NumValues = M.numValues();
+  size_t Ranks = 1;
+  for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg)
+    Ranks *= NumValues;
+  auto Unrank = [&](size_t Rank) {
+    uint32_t Regs = 0;
+    for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg, Rank /= NumValues)
+      Regs = setReg(Regs, Reg, static_cast<uint32_t>(Rank % NumValues));
+    return Regs;
+  };
+  size_t BlockRows = 1;
+  for (size_t Rank = 0; Rank != Ranks; ++Rank)
+    BlockRows += dist(Unrank(Rank)) != Unreachable;
+  if (BlockRows > 0x10000 ||
+      BlockRows * Stride + Ranks * sizeof(uint16_t) > Dist.size())
+    return;
+
+  SuccIndex.assign(Ranks, 0);
+  Succ.assign(BlockRows * Stride, 0);
+  std::fill_n(Succ.begin(), OwnSlot + 1, Unreachable);
+  uint16_t Next = 1;
+  for (size_t Rank = 0; Rank != Ranks; ++Rank) {
+    const uint32_t Regs = Unrank(Rank);
+    const uint8_t Own = dist(Regs);
+    if (Own == Unreachable)
+      continue;
+    // Flags never change a distance, so the flag-free row serves all.
+    assert(!HasFlags ||
+           (dist(Regs | FlagLT) == Own && dist(Regs | FlagGT) == Own));
+    SuccIndex[Rank] = Next;
+    uint8_t *Row = Succ.data() + size_t(Next++) * Stride;
+    for (size_t K = 0; K != Instrs.size(); ++K)
+      Row[K] = dist(M.apply(Regs | firingFlags(Instrs[K].Op), Instrs[K]));
+    Row[OwnSlot] = Own;
+  }
+}
+
+void DistanceTable::foldSuccessors(const uint32_t *Rows, size_t Len,
+                                   bool WantOptimal, SuccessorFold &F) const {
+  F.Needed.resize(Stride);
+  if (WantOptimal)
+    F.Optimal.resize(Stride);
+  if (Succ.empty()) {
+    foldByApply(Rows, Len, WantOptimal, F);
+    return;
+  }
+  // Maxima per flag class, then (on request) optimal-progress marks.
+  F.Acc.assign((WantOptimal ? 2 : 1) * kClasses * Stride, 0);
+  uint8_t *Max = F.Acc.data();
+  uint8_t *Marks = Max + kClasses * Stride;
+  for (size_t I = 0; I != Len; ++I) {
+    const unsigned C = flagClass(Rows[I]);
+    assert(C < kClasses && "a row carries at most one flag");
+    const uint8_t *Src = Succ.data() + SuccIndex[rankOf(Rows[I])] * Stride;
+    maxInto(Max + C * Stride, Src, Stride);
+    const uint8_t Own = Src[OwnSlot];
+    if (WantOptimal && Own != 0 && Own != Unreachable)
+      markDrops(Marks + C * Stride, Src, Own, Stride);
+  }
+
+  // Per instruction, a class the instruction fires on contributes its
+  // fired maximum, any other class its own distance (the row is left as
+  // it was): a cmovl takes the lt maximum and the other classes' own.
+  const uint8_t *Fire = Fires.data();
+#if SKS_FOLD_SIMD
+  __m128i Own[kClasses];
+  for (unsigned C = 0; C != kClasses; ++C)
+    Own[C] = _mm_set1_epi8(static_cast<char>(Max[C * Stride + OwnSlot]));
+  for (size_t B = 0; B != Stride; B += 16) {
+    __m128i Need = _mm_setzero_si128(), Opt = _mm_setzero_si128();
+    for (unsigned C = 0; C != kClasses; ++C) {
+      const size_t At = C * Stride + B;
+      const __m128i Fired = load(Fire + At);
+      Need = _mm_max_epu8(Need, select(Fired, load(Max + At), Own[C]));
+      if (WantOptimal)
+        Opt = _mm_or_si128(Opt, _mm_and_si128(Fired, load(Marks + At)));
+    }
+    store(F.Needed.data() + B, Need);
+    if (WantOptimal)
+      store(F.Optimal.data() + B, Opt);
+  }
+#else
+  for (size_t B = 0; B != Stride; ++B) {
+    uint8_t Need = 0, Opt = 0;
+    for (unsigned C = 0; C != kClasses; ++C) {
+      const size_t At = C * Stride + B;
+      Need = std::max<uint8_t>(Need, Fire[At] ? Max[At]
+                                              : Max[C * Stride + OwnSlot]);
+      if (WantOptimal)
+        Opt |= Fire[At] & Marks[At];
+    }
+    F.Needed[B] = Need;
+    if (WantOptimal)
+      F.Optimal[B] = Opt;
+  }
+#endif
+}
+
+void DistanceTable::foldByApply(const uint32_t *Rows, size_t Len,
+                                bool WantOptimal, SuccessorFold &F) const {
+  const std::vector<Instr> &Instrs = M.instructions();
+  F.Applied.resize(Len);
+  for (size_t K = 0; K != Instrs.size(); ++K) {
+    applyBatch(M, Instrs[K], Rows, F.Applied.data(), Len);
+    uint8_t Need = 0, Opt = 0;
+    for (size_t I = 0; I != Len; ++I) {
+      const uint8_t D = dist(F.Applied[I]);
+      Need = std::max(Need, D);
+      if (WantOptimal) {
+        const uint8_t Own = dist(Rows[I]);
+        if (Own != 0 && Own != Unreachable && D + 1 == Own)
+          Opt = 0xff;
+      }
+    }
+    F.Needed[K] = Need;
+    if (WantOptimal)
+      F.Optimal[K] = Opt;
   }
 }

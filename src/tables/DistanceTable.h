@@ -26,19 +26,59 @@
 /// registers, times the three flag states for the cmov machine). It is
 /// directly indexed by the packed-row bits, so lookups are a single load.
 ///
+/// The successor block answers the last two questions for a whole state
+/// before any child is built. For every reachable register assignment and
+/// every instruction of Machine::instructions() it stores the distance
+/// after the instruction *fires*: a cmov entry holds its mov child's
+/// distance, a cmp entry the row's own distance. A single row is sorted
+/// fastest by plain moves, so distances do not depend on the flags and the
+/// block needs no flag dimension; foldSuccessors() reduces a state's rows
+/// into one max per flag class (none / lt / gt) and folds the classes per
+/// instruction, giving every child's maxDist from one pass over the parent.
+/// The block is indexed through a mixed-radix rank over the values 0..n
+/// (a uint16 row number per assignment, row 0 shared by the unreachable
+/// ones). Block plus index, against the distance array:
+///
+///   machine       block + index   distance array
+///   cmov n=3           3.4 KB          12 KB
+///   cmov n=4            35 KB          98 KB
+///   cmov n=5           376 KB         786 KB
+///   cmov n=6           4.9 MB         6.3 MB
+///   min/max n=4         29 KB          33 KB
+///   hybrid n=3         4.7 MB          50 MB
+///
+/// A machine whose block would outgrow its distance array (min/max at
+/// n >= 5, some partial goals from n = 4) builds none; foldSuccessors()
+/// then applies each instruction to the rows and reads the distances,
+/// with the same answers.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SKS_TABLES_DISTANCETABLE_H
 #define SKS_TABLES_DISTANCETABLE_H
 
-#include "machine/BatchApply.h"
 #include "machine/Machine.h"
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace sks {
+
+/// Per-worker output and scratch of DistanceTable::foldSuccessors, reused
+/// from node to node so the expansion loop does not allocate.
+struct SuccessorFold {
+  /// Needed[K]: max over the rows of dist(apply(Row, instructions()[K])),
+  /// Unreachable when some child row is.
+  std::vector<uint8_t> Needed;
+  /// Optimal[K]: nonzero when instruction K is optimal on some row; only
+  /// filled on request.
+  std::vector<uint8_t> Optimal;
+  /// Per-flag-class accumulators: maxima, then optimal-progress marks.
+  std::vector<uint8_t> Acc;
+  /// Rows transformed by foldByApply on machines without a block.
+  std::vector<uint32_t> Applied;
+};
 
 /// Exact distance-to-accepting for every single register assignment.
 class DistanceTable {
@@ -76,52 +116,27 @@ public:
     return maxDist(Rows.data(), Rows.size());
   }
 
-  /// \returns true if instruction \p I makes optimal progress on at least
-  /// one row of \p Rows, i.e. dist(apply(Row, I)) == dist(Row) - 1 (the
-  /// section 3.2 action filter).
-  bool isOptimalAction(const uint32_t *Rows, size_t Len, Instr I) const {
-    for (size_t R = 0; R != Len; ++R) {
-      uint8_t Before = dist(Rows[R]);
-      if (Before == 0 || Before == Unreachable)
-        continue;
-      if (dist(M.apply(Rows[R], I)) + 1 == Before)
-        return true;
-    }
-    return false;
-  }
-  bool isOptimalAction(const std::vector<uint32_t> &Rows, Instr I) const {
-    return isOptimalAction(Rows.data(), Rows.size(), I);
-  }
-
-  /// Batched form of the action filter: transforms rows chunk-wise with
-  /// the data-parallel applyBatch (machine/BatchApply.h) into the caller's
-  /// reusable \p Applied buffer, scanning each chunk's distance probes
-  /// before applying the next. Chunking keeps the scalar overload's
-  /// early-exit behaviour — most optimal actions prove themselves on the
-  /// first few rows, so applying the whole buffer up front wastes the
-  /// SIMD win. Applying to already-sorted or unreachable rows is harmless
-  /// (apply is total), so the answer is identical to the scalar overload.
-  bool isOptimalAction(const uint32_t *Rows, size_t Len, Instr I,
-                       std::vector<uint32_t> &Applied) const {
-    constexpr size_t Chunk = 16;
-    if (Applied.size() < std::min(Len, Chunk))
-      Applied.resize(std::min(Len, Chunk));
-    for (size_t Base = 0; Base < Len; Base += Chunk) {
-      size_t N = std::min(Chunk, Len - Base);
-      applyBatch(M, I, Rows + Base, Applied.data(), N);
-      for (size_t R = 0; R != N; ++R) {
-        uint8_t Before = dist(Rows[Base + R]);
-        if (Before == 0 || Before == Unreachable)
-          continue;
-        if (dist(Applied[R]) + 1 == Before)
-          return true;
-      }
-    }
-    return false;
-  }
+  /// Folds the successor rows of the state \p Rows[0..Len) (values 0..n
+  /// in every register, at most one flag) into \p F, indexed like
+  /// Machine::instructions(). F.Needed[K] is the maxDist of the child that
+  /// instruction K produces, read without applying it. With
+  /// \p WantOptimal, F.Optimal[K] is nonzero exactly when K makes optimal
+  /// progress on some row (section 3.2): the row's distance is neither 0
+  /// nor Unreachable and K's child row is one closer. Thread-safe; \p F is
+  /// per-worker scratch.
+  void foldSuccessors(const uint32_t *Rows, size_t Len, bool WantOptimal,
+                      SuccessorFold &F) const;
 
   /// Number of reachable (finite-distance) assignments; exposed for tests.
   size_t numReachable() const { return Reachable; }
+
+  /// Bytes of the distance array.
+  size_t tableBytes() const { return Dist.size(); }
+  /// Bytes of the successor block and its index; 0 when the machine has
+  /// no block (see the file comment).
+  size_t successorBytes() const {
+    return Succ.size() + SuccIndex.size() * sizeof(uint16_t);
+  }
 
 private:
   size_t indexOf(uint32_t Row) const {
@@ -132,11 +147,30 @@ private:
       return Regs;
     return static_cast<size_t>(Regs) * 3 + ((Row >> 28) & 3u);
   }
+  /// Mixed-radix rank of \p Row's registers over the values 0..n.
+  size_t rankOf(uint32_t Row) const {
+    size_t Rank = 0;
+    for (unsigned Reg = M.numRegs(); Reg-- != 0;)
+      Rank = Rank * M.numValues() + getReg(Row, Reg);
+    return Rank;
+  }
+  void buildSuccessors();
+  void foldByApply(const uint32_t *Rows, size_t Len, bool WantOptimal,
+                   SuccessorFold &F) const;
 
   const Machine &M;
   bool HasFlags;
   size_t Reachable = 0;
   std::vector<uint8_t> Dist;
+  /// Bytes per successor row: one per instruction, then the own distance
+  /// at OwnSlot, zero-padded to a multiple of 16 for the SSE2 fold.
+  size_t OwnSlot = 0;
+  size_t Stride = 0;
+  /// Per flag class (none, lt, gt), 0xff at the instructions that fire
+  /// on rows of that class (a cmovl only on lt rows, a cmovg only on gt).
+  std::vector<uint8_t> Fires;
+  std::vector<uint8_t> Succ;
+  std::vector<uint16_t> SuccIndex;
 };
 
 } // namespace sks

@@ -9,11 +9,12 @@
 //  - canonicalizeRows (SSE2 sorting networks / radix sort) must equal the
 //    scalar std::sort + std::unique reference on arbitrary 31-bit buffers,
 //    across every dispatch band and boundary;
-//  - the fused CandidatePipeline::finish must make exactly the decisions
-//    and produce exactly the rows/hash/perm of the separate
-//    sort+unique / maxDist / countDistinctMasked / hashWords calls it
-//    replaced, over random walks of real Cmov, MinMax, and Hybrid machines
-//    at n = 3..5.
+//  - the pipeline's pre-apply viability verdict must read, for every
+//    instruction, the maxDist of the child that apply would build, and
+//    CandidatePipeline::expandNode must produce exactly the rows/hash/perm
+//    of the separate apply / sort+unique / maxDist / countDistinctMasked /
+//    hashWords calls it replaced, over random walks of real Cmov, MinMax,
+//    and Hybrid machines at n = 3..5.
 //
 //===----------------------------------------------------------------------===//
 
@@ -95,8 +96,11 @@ TEST(Canonicalize, SimdProbesAgreeWithBuild) {
   EXPECT_EQ(canonicalizeUsesSimd(), batchApplyUsesSimd());
 }
 
-/// One machine's random-walk equivalence check: at every step, the fused
-/// finish() must agree with the separate reference calls it replaced.
+/// One machine's random-walk equivalence check: at every step, the
+/// successor fold of the parent must give each instruction's child maxDist
+/// and viability verdict before apply, and expandNode must turn exactly
+/// the admitted viable children into candidates that agree with the
+/// separate reference calls.
 void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
                                  unsigned MaxLength, uint64_t Seed) {
   SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(Kind)
@@ -114,50 +118,61 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
   const std::vector<Instr> &Instrs = M.instructions();
   std::vector<uint32_t> Rows = initialState(M).Rows;
   CandidateBatch B;
+  SuccessorFold Fold;
   SearchStats Stats;
-  PrefixLint Lint = PrefixLint::entry();
-  size_t RefPruned = 0, RefSurvived = 0;
+  const PrefixLint Lint = PrefixLint::entry();
+  size_t RefPruned = 0, RefGenerated = 0;
 
   for (int Step = 0; Step != 60; ++Step) {
-    Instr Via = Instrs[R.below(Instrs.size())];
-    std::vector<uint32_t> Raw(Rows.size());
-    applyBatch(M, Via, Rows.data(), Raw.data(), Rows.size());
-
-    // Reference: the separate calls of the multipass pipeline.
-    std::vector<uint32_t> Ref = scalarReference(Raw);
     unsigned ChildG = 1 + static_cast<unsigned>(R.below(MaxLength + 2));
-    uint8_t Needed = DT.maxDist(Ref.data(), Ref.size());
-    bool RefViable = Needed != DistanceTable::Unreachable &&
-                     ChildG + Needed <= Opts.MaxLength;
-    (RefViable ? RefSurvived : RefPruned) += 1;
-
-    // Fused pipeline on the same raw rows.
+    DT.foldSuccessors(Rows.data(), Rows.size(), false, Fold);
     B.clear();
-    B.Rows = Raw;
-    bool Survived = Pipeline.finish(B, 0, ChildG, 0, Via, Lint, Stats);
-    ASSERT_EQ(Survived, RefViable);
-    if (Survived) {
-      ASSERT_EQ(B.List.size(), 1u);
-      const Candidate &C = B.List.back();
+    Pipeline.expandNode(Rows.data(), static_cast<uint32_t>(Rows.size()),
+                        Lint, 0, ChildG, B, Stats);
+
+    size_t Next = 0;
+    for (size_t K = 0; K != Instrs.size(); ++K) {
+      // Reference: apply, then the separate calls of the multipass
+      // pipeline.
+      std::vector<uint32_t> Raw(Rows.size());
+      applyBatch(M, Instrs[K], Rows.data(), Raw.data(), Rows.size());
+      std::vector<uint32_t> Ref = scalarReference(Raw);
+      uint8_t Needed = DT.maxDist(Ref.data(), Ref.size());
+      bool RefViable = Needed != DistanceTable::Unreachable &&
+                       ChildG + Needed <= Opts.MaxLength;
+      ASSERT_EQ(Fold.Needed[K], Needed) << toString(Instrs[K], N);
+      ASSERT_EQ(Pipeline.viable(ChildG, Fold.Needed[K]), RefViable);
+      if (Lint.killsPrefix(Instrs[K]))
+        continue;
+      ++RefGenerated;
+      if (!RefViable) {
+        ++RefPruned;
+        continue;
+      }
+      ASSERT_LT(Next, B.List.size()) << "a viable child is missing";
+      const Candidate &C = B.List[Next++];
+      ASSERT_EQ(C.Via, Instrs[K]);
       ASSERT_EQ(C.RowLen, Ref.size());
       EXPECT_TRUE(std::equal(Ref.begin(), Ref.end(), B.rowsOf(C)));
       EXPECT_EQ(C.Hash, hashWords(Ref.data(), Ref.size()));
+      EXPECT_EQ(C.Needed, Needed);
       std::vector<uint32_t> Scratch;
       EXPECT_EQ(C.Perm, countDistinctMasked(Ref.data(), Ref.size(),
                                             M.dataMask(), Scratch));
-    } else {
-      EXPECT_TRUE(B.List.empty());
-      EXPECT_TRUE(B.Rows.empty()) << "pruned candidates leave no rows";
     }
+    EXPECT_EQ(Next, B.List.size()) << "a non-viable child was kept";
 
-    // Continue the walk from the canonical child (restart when the walk
+    // Continue the walk from a canonical child (restart when the walk
     // collapses to a dead end so later steps keep exercising wide states).
-    Rows = std::move(Ref);
-    if (Rows.size() <= 1 || Needed == DistanceTable::Unreachable)
+    Instr Via = Instrs[R.below(Instrs.size())];
+    for (uint32_t &Row : Rows)
+      Row = M.apply(Row, Via);
+    Rows = scalarReference(Rows);
+    if (Rows.size() <= 1 || DT.maxDist(Rows) == DistanceTable::Unreachable)
       Rows = initialState(M).Rows;
   }
   EXPECT_EQ(Stats.ViabilityPruned, RefPruned);
-  EXPECT_EQ(Stats.StatesGenerated, RefPruned + RefSurvived);
+  EXPECT_EQ(Stats.StatesGenerated, RefGenerated);
 }
 
 TEST(Canonicalize, FusedFinishMatchesSeparateCallsCmov) {
@@ -203,7 +218,7 @@ TEST(Canonicalize, SingleRowFastPath) {
   B.Rows = {Row};
   SearchStats Stats;
   ASSERT_TRUE(Pipeline.finish(B, 0, 1, 0, M.instructions().front(),
-                              PrefixLint::entry(), Stats));
+                              PrefixLint::entry(), DT.dist(Row), Stats));
   ASSERT_EQ(B.List.size(), 1u);
   EXPECT_EQ(B.List[0].RowLen, 1u);
   EXPECT_EQ(B.List[0].Perm, 1u);

@@ -225,6 +225,40 @@ TEST(Search, EveryHeuristicFindsACorrectKernelN3) {
     }
 }
 
+TEST(Search, EnumerateCountersArePinned) {
+  // perfbench's enumerate configuration. The viability verdict runs before
+  // apply, on the successor fold; it must prune exactly the children whose
+  // rows would fail the check, so every counter keeps its value.
+  Machine M(MachineKind::Cmov, 3);
+  SearchOptions Opts;
+  Opts.Heuristic = HeuristicKind::None;
+  Opts.FindAll = true;
+  Opts.MaxLength = 11;
+  Opts.NumThreads = 2;
+  SearchResult R = synthesize(M, Opts);
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(R.SolutionCount, 5602u);
+  EXPECT_EQ(R.Stats.StatesExpanded, 498046u);
+  EXPECT_EQ(R.Stats.StatesGenerated, 17651375u);
+  EXPECT_EQ(R.Stats.ViabilityPruned, 15806523u);
+  EXPECT_EQ(R.Stats.DedupHits, 1346789u);
+  EXPECT_EQ(R.Stats.CutStates, 0u);
+}
+
+TEST(Search, FirstN4CountersArePinned) {
+  // Configuration (III) at n = 4, the enum backend's `first`: the same
+  // kernel length after the same search, counter for counter.
+  Machine M(MachineKind::Cmov, 4);
+  SearchResult R = synthesize(M, bestEnumConfig(MachineKind::Cmov, 4));
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(R.OptimalLength, 20u);
+  EXPECT_EQ(R.Stats.StatesExpanded, 71867u);
+  EXPECT_EQ(R.Stats.StatesGenerated, 3976590u);
+  EXPECT_EQ(R.Stats.ViabilityPruned, 2863055u);
+  EXPECT_EQ(R.Stats.CutStates, 904945u);
+  EXPECT_EQ(R.Stats.DedupHits, 137077u);
+}
+
 TEST(Search, ActionFilterPreservesOptimumUnderLengthBound) {
   Machine M(MachineKind::Cmov, 3);
   SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);

@@ -62,8 +62,9 @@ TEST(Stoke, MinMaxMachineSupported) {
   Opts.Stop = StopToken().withDeadline(30);
   StokeResult R = stokeSynthesize(M, Opts);
   EXPECT_TRUE(R.Found) << "a 3-instruction pair sorter is easy to find";
-  if (R.Found)
+  if (R.Found) {
     EXPECT_TRUE(isCorrectKernel(M, R.Best));
+  }
 }
 
 TEST(Mcts, DeterministicPerSeed) {
@@ -90,8 +91,9 @@ TEST(Mcts, FoundKernelIsAlwaysVerified) {
     Opts.Stop = StopToken().withDeadline(60);
     Opts.RngSeed = Seed;
     MctsResult R = mctsSynthesize(M, Opts);
-    if (R.Found)
+    if (R.Found) {
       EXPECT_TRUE(isCorrectKernel(M, R.P)) << "seed " << Seed;
+    }
   }
 }
 

@@ -46,12 +46,6 @@ std::vector<EmissionPath> emitAllPaths(MachineKind Kind, unsigned N,
           {"pair", true, emitPairKernelBytes(Kind, N, P)}};
 }
 
-ValidationReport validatePath(const EmissionPath &Path, MachineKind Kind,
-                              unsigned N, const Program &P) {
-  return validateKernelBytes(Path.Code.Bytes.data(), Path.Code.Bytes.size(),
-                             Kind, N, P, GoalSpec::sort(), Path.PairLanes);
-}
-
 bool hasRule(const ValidationReport &R, ValidationRule Rule) {
   return std::any_of(R.Findings.begin(), R.Findings.end(),
                      [Rule](const ValidationFinding &F) {
@@ -150,8 +144,9 @@ TEST(Decoder, RandomByteFlipCorpusNeverCrashes) {
             R.range(0, static_cast<int>(Mutant.size()) - 1));
         Mutant[At] ^= static_cast<uint8_t>(R.range(1, 255));
         DecodeResult D = decodeX86(Mutant.data(), Mutant.size());
-        if (!D.Ok)
+        if (!D.Ok) {
           EXPECT_FALSE(D.Error.empty());
+        }
         ValidationReport V =
             validateKernelBytes(Mutant.data(), Mutant.size(), Kind, 3, P,
                                 GoalSpec::sort(), Path.PairLanes);
