@@ -10,9 +10,6 @@
 //   canonicalize/{scalar,simd}/<rows>   sortRows networks + radix vs
 //                                       std::sort + std::unique
 //   apply/{scalar,simd}                 Machine::apply loop vs applyBatch
-//   verdict/{apply,fold}                every instruction's child maxDist
-//                                       by applyBatch + maxDist vs one
-//                                       DistanceTable::foldSuccessors
 //   finish/{multipass,fused}            separate sort+unique, perm-count
 //                                       and hash traversals vs the fused
 //                                       CandidatePipeline::finish, on
@@ -121,17 +118,15 @@ void benchApply(benchmark::State &State, bool Simd) {
                           static_cast<int64_t>(Instrs.size() * kRows));
 }
 
-/// Everything the verdict and finish() benchmarks share: a real n = 4
-/// machine with its distance table, the canonical parent states of random
-/// walks off the initial state, and a corpus of raw (applied, not yet
-/// canonical) viable candidate row buffers drawn from them.
+/// Everything the finish() benchmarks share: a real n = 4 machine with its
+/// distance table and a corpus of raw (applied, not yet canonical) viable
+/// candidate row buffers drawn from random walks off the initial state.
 struct FinishFixture {
   Machine M{MachineKind::Cmov, 4};
   DistanceTable DT{M};
   SearchOptions Opts;
   CutTracker Cuts;
   CandidatePipeline Pipeline;
-  std::vector<std::vector<uint32_t>> Parents; ///< kBuffers states.
   std::vector<uint32_t> Corpus; ///< kBuffers raw buffers of Len rows each.
   std::vector<uint8_t> Needed;  ///< Each corpus buffer's maxDist.
   uint32_t Len;
@@ -158,8 +153,6 @@ struct FinishFixture {
         Parent.resize(canonicalizeRows(
             Parent.data(), static_cast<uint32_t>(Parent.size())));
       }
-      if (Parents.size() != kBuffers)
-        Parents.push_back(Parent);
       Instr Via = Instrs[R.below(Instrs.size())];
       std::vector<uint32_t> Child;
       for (uint32_t Row : Parent)
@@ -244,36 +237,6 @@ void benchFinish(benchmark::State &State, bool Fused) {
       static_cast<double>(std::max<int64_t>(1, State.iterations()));
 }
 
-/// Every instruction's child maxDist for each parent of the corpus: apply
-/// each instruction and read the child's distances (stopping at the first
-/// unreachable row), or fold the parent's successor rows once.
-void benchVerdict(benchmark::State &State, bool Fold) {
-  FinishFixture &F = finishFixture();
-  const std::vector<Instr> &Instrs = F.M.instructions();
-  SuccessorFold Out;
-  Out.Needed.resize(Instrs.size());
-  std::vector<uint32_t> Child;
-  size_t Rows = 0;
-  for (const std::vector<uint32_t> &P : F.Parents)
-    Rows += P.size();
-  for (auto _ : State) {
-    for (const std::vector<uint32_t> &P : F.Parents) {
-      if (Fold) {
-        F.DT.foldSuccessors(P.data(), P.size(), false, Out);
-      } else {
-        Child.resize(P.size());
-        for (size_t K = 0; K != Instrs.size(); ++K) {
-          applyBatch(F.M, Instrs[K], P.data(), Child.data(), P.size());
-          Out.Needed[K] = F.DT.maxDist(Child);
-        }
-      }
-      benchmark::DoNotOptimize(Out.Needed.data());
-    }
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Rows * Instrs.size()));
-}
-
 /// Captures per-benchmark timings while still printing the console table.
 class CaptureReporter : public benchmark::ConsoleReporter {
 public:
@@ -331,9 +294,6 @@ int main(int argc, char **argv) {
   Register("apply/scalar",
            [](benchmark::State &S) { benchApply(S, false); });
   Register("apply/simd", [](benchmark::State &S) { benchApply(S, true); });
-  Register("verdict/apply",
-           [](benchmark::State &S) { benchVerdict(S, false); });
-  Register("verdict/fold", [](benchmark::State &S) { benchVerdict(S, true); });
   Register("finish/multipass",
            [](benchmark::State &S) { benchFinish(S, false); });
   Register("finish/fused",
@@ -346,7 +306,7 @@ int main(int argc, char **argv) {
 
   // Derived speedup rows (equal workloads, so the ns/op ratio is the
   // throughput ratio). The canonicalize acceptance bar is >= 1.5x.
-  Table T({"stage", "baseline ns/op", "fast ns/op", "speedup"});
+  Table T({"stage", "scalar ns/op", "simd ns/op", "speedup"});
   auto AddRow = [&](const std::string &Label, const std::string &Scalar,
                     const std::string &Simd) {
     double S = nsOf(Reporter, Scalar), V = nsOf(Reporter, Simd);
@@ -380,7 +340,6 @@ int main(int argc, char **argv) {
     T.row().cell("canonicalize/geomean").cell("-").cell("-").cell(Buf);
   }
   AddRow("apply", "apply/scalar", "apply/simd");
-  AddRow("verdict", "verdict/apply", "verdict/fold");
   AddRow("finish", "finish/multipass", "finish/fused");
   std::printf("\n");
   T.print();

@@ -18,9 +18,9 @@
 ///   min/max   : field compare + blend of the two fields
 ///
 /// Used by the candidate pipeline of both search engines, which applies
-/// each viable instruction to all rows of a state at once
-/// (search/Expansion.h), and by the distance table's successor fold on
-/// machines too large for a successor block (tables/DistanceTable.h).
+/// each instruction to all rows of a state at once (search/Expansion.h),
+/// and by the action filter's fold on machines without a successor block
+/// (tables/DistanceTable.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -102,8 +102,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
 
   // Price a surviving candidate without re-traversing its rows: the
   // pipeline already computed C.Perm (exactly the PermCount projection
-  // count) and C.Needed (the max per-row distance, read off the successor
-  // fold when the viability check is on). The remaining kinds re-read
+  // count) and C.Needed (the max per-row distance, gathered when the
+  // viability pass had the distance table). The remaining kinds re-read
   // the rows as before — AssignCount projects by a different mask.
   auto CandidateF = [&](const Candidate &C, const uint32_t *CRows,
                         uint16_t CG) -> double {

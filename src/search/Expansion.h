@@ -34,11 +34,18 @@
 /// state/Canonicalize.h) and duplicate compaction run only for the
 /// candidates that survive to be stored.
 ///
+/// A machine without a successor block (DistanceTable::hasSuccessors)
+/// keeps the verdict after apply: each admitted instruction is applied
+/// and finish() reads the child's maxDist off the raw rows, stopping at
+/// the first unreachable one. The fold would apply every instruction to
+/// every row there, gate-refused ones included, so it runs only when the
+/// action filter needs its marks.
+///
 /// Opt-in stage timers (SearchOptions::ProfilePipeline) attribute the work
 /// to SearchStats::{Apply,Canon,Viability}Nanos: Viability the fold, the
-/// action filter and finish()'s row pass (the table-less erase check),
-/// Apply the batched transform of viable candidates, Canon the sort +
-/// perm count + hash.
+/// action filter and finish()'s row pass (the post-apply verdict or the
+/// table-less erase check), Apply the batched transform of the
+/// candidates that reach it, Canon the sort + perm count + hash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +74,7 @@ struct Candidate {
   uint64_t Hash; ///< hashWords of the canonical rows (shard selector).
   PrefixLint Lint;
   /// Max per-row distance-table value (the section 3.1 admissible bound),
-  /// read off the successor fold; 0 when the viability check is off. Lets
+  /// gathered by the viability verdict; 0 when the check is off. Lets
   /// the best-first engine price surviving candidates without a second
   /// row traversal.
   uint8_t Needed = 0;
@@ -113,7 +120,9 @@ public:
                     const DistanceTable *DT, const CutTracker &Cuts)
       : M(M), Opts(Opts), DT(DT), Cuts(Cuts),
         Profile(Opts.ProfilePipeline), UseDT(Opts.UseViability && DT),
-        Filter(Opts.UseActionFilter && DT), DataMask(M.dataMask()),
+        Filter(Opts.UseActionFilter && DT),
+        PreApply(UseDT && (Filter || DT->hasSuccessors())),
+        PostApply(UseDT && !PreApply), DataMask(M.dataMask()),
         NumRegs(M.numRegs()), FullValueMask(M.requiredValueMask()),
         GoalCollapse(!M.goal().isSort()) {}
 
@@ -140,31 +149,44 @@ public:
   }
 
   /// Canonicalizes the raw transformed rows the caller appended at
-  /// B.Rows[RawBegin..] of a candidate that passed the viability verdict
-  /// (maxDist \p Needed), and runs the table-less erase check, perm
-  /// count and cut. Records a Candidate on survival; truncates the tail
-  /// otherwise. \returns true when the candidate survived.
+  /// B.Rows[RawBegin..], and runs the rest of the section 3.3 check, perm
+  /// count and cut. A candidate whose verdict the fold gave arrives viable
+  /// with its maxDist in \p Needed; otherwise finish() judges it here, by
+  /// the distance table or the table-less erase check. Records a Candidate
+  /// on survival; truncates the tail otherwise. \returns true when the
+  /// candidate survived.
   bool finish(CandidateBatch &B, size_t RawBegin, unsigned ChildG,
               uint32_t Parent, Instr Via, const PrefixLint &ParentLint,
               uint8_t Needed, SearchStats &Stats) const {
     uint32_t *Rows = B.Rows.data() + RawBegin;
     const uint32_t RawLen = static_cast<uint32_t>(B.Rows.size() - RawBegin);
 
-    // Without the distance table, section 3.3's erase check over the raw
-    // unsorted rows: it only reads per-row facts, so it is blind to row
-    // order and duplicates. The OR of all row bits rides along to decide
-    // whether the perm count needs a masked projection.
+    // The section 3.3 check the fold did not give, over the raw unsorted
+    // rows: it only reads per-row facts (distance-table loads, value
+    // erasure), so it is blind to row order and duplicates. The OR of all
+    // row bits rides along to decide whether the perm count needs a
+    // masked projection.
     uint32_t OrAll = 0;
     bool Viable = true;
     {
       ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
       for (uint32_t I = 0; I != RawLen; ++I) {
-        OrAll |= Rows[I];
-        if (!UseDT && !rowKeepsAllValues(Rows[I])) {
+        const uint32_t Row = Rows[I];
+        OrAll |= Row;
+        if (PostApply) {
+          const uint8_t D = DT->dist(Row);
+          if (D == DistanceTable::Unreachable) {
+            Viable = false;
+            break;
+          }
+          Needed = std::max(Needed, D);
+        } else if (!UseDT && !rowKeepsAllValues(Row)) {
           Viable = false;
           break;
         }
       }
+      if (Viable && PostApply)
+        Viable = viable(ChildG, Needed);
     }
     if (!Viable) {
       ++Stats.ViabilityPruned;
@@ -240,17 +262,17 @@ public:
   }
 
   /// Node-major expansion: folds the parent's successor rows, selects
-  /// actions (section 3.2), refuses non-viable instructions before apply,
-  /// and runs the rest through applyBatch and finish() — the expansion
-  /// path of both engines. A refused candidate still counts as generated
-  /// and viability-pruned. \p Rows must not alias B.Rows (all callers pass
-  /// arena storage).
+  /// actions (section 3.2), refuses non-viable instructions before apply
+  /// where the fold gave the verdict, and runs the rest through applyBatch
+  /// and finish() — the expansion path of both engines. A refused
+  /// candidate still counts as generated and viability-pruned. \p Rows
+  /// must not alias B.Rows (all callers pass arena storage).
   void expandNode(const uint32_t *Rows, uint32_t Len, const PrefixLint &Lint,
                   uint32_t Parent, unsigned ChildG, CandidateBatch &B,
                   SearchStats &Stats) const {
     {
       ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
-      if (UseDT || Filter)
+      if (PreApply || Filter)
         DT->foldSuccessors(Rows, Len, Filter, B.Fold);
       if (Filter)
         Stats.ActionsFiltered +=
@@ -264,8 +286,8 @@ public:
       if (!admits(Lint, I, Stats))
         continue;
       ++Stats.StatesGenerated;
-      const uint8_t Needed = UseDT ? B.Fold.Needed[K] : 0;
-      if (UseDT && !viable(ChildG, Needed)) {
+      const uint8_t Needed = PreApply ? B.Fold.Needed[K] : 0;
+      if (PreApply && !viable(ChildG, Needed)) {
         ++Stats.ViabilityPruned;
         continue;
       }
@@ -298,9 +320,12 @@ private:
   const CutTracker &Cuts;
   const bool Profile;
   /// The viability verdict reads the distance table (else finish() runs
-  /// the erase check); the action filter is on.
+  /// the erase check); the action filter is on; the verdict reads the
+  /// successor fold before apply, or finish() reads the applied rows.
   const bool UseDT;
   const bool Filter;
+  const bool PreApply;
+  const bool PostApply;
   const uint32_t DataMask;
   const unsigned NumRegs;
   const uint32_t FullValueMask;

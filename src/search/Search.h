@@ -153,8 +153,8 @@ struct SearchStats {
   size_t DedupHits = 0;
   size_t CutStates = 0;
   /// Children refused by the section 3.3 check: before apply when the
-  /// distance table is in use, else by finish()'s erase check. Each one
-  /// counts in StatesGenerated too.
+  /// distance table's successor fold gives the verdict, else by finish()
+  /// on the applied rows. Each one counts in StatesGenerated too.
   size_t ViabilityPruned = 0;
   size_t ActionsFiltered = 0;
   /// Expansions the dead-instruction gate refused before apply (the
@@ -173,8 +173,9 @@ struct SearchStats {
   /// Per-stage wall-clock of the expansion pipeline, in nanoseconds; only
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
   /// Viability covers the once-per-node successor fold and action filter
-  /// (which decide every child's verdict before apply) plus finish()'s
-  /// row pass; Apply the batched row transforms of viable candidates;
+  /// (which decide every child's verdict before apply where the distance
+  /// table has a successor block) plus finish()'s row pass; Apply the
+  /// batched row transforms of the candidates that reach apply;
   /// Canon the sort + perm-count + hash over canonical rows; Merge the
   /// dedup/DAG commit sections. With worker threads the first three sum
   /// CPU time across workers, so they can exceed wall-clock.

@@ -237,41 +237,41 @@ void DistanceTable::buildSuccessors() {
       Fires[C * Stride + K] = (Need & ~Has) == 0 ? 0xff : 0;
     }
 
+  // Flags never change a distance, so each reachable register assignment
+  // is reachable under all of its flag states and the BFS count gives the
+  // block's size before any row is built; row 0 is the unreachable one.
+  const size_t BlockRows = 1 + Reachable / (HasFlags ? 3 : 1);
   const unsigned NumValues = M.numValues();
   size_t Ranks = 1;
   for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg)
     Ranks *= NumValues;
-  auto Unrank = [&](size_t Rank) {
-    uint32_t Regs = 0;
-    for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg, Rank /= NumValues)
-      Regs = setReg(Regs, Reg, static_cast<uint32_t>(Rank % NumValues));
-    return Regs;
-  };
-  size_t BlockRows = 1;
-  for (size_t Rank = 0; Rank != Ranks; ++Rank)
-    BlockRows += dist(Unrank(Rank)) != Unreachable;
   if (BlockRows > 0x10000 ||
       BlockRows * Stride + Ranks * sizeof(uint16_t) > Dist.size())
     return;
 
   SuccIndex.assign(Ranks, 0);
-  Succ.assign(BlockRows * Stride, 0);
+  Succ.reserve(BlockRows * Stride);
+  Succ.assign(Stride, 0);
   std::fill_n(Succ.begin(), OwnSlot + 1, Unreachable);
-  uint16_t Next = 1;
   for (size_t Rank = 0; Rank != Ranks; ++Rank) {
-    const uint32_t Regs = Unrank(Rank);
+    uint32_t Regs = 0;
+    size_t Rest = Rank;
+    for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg, Rest /= NumValues)
+      Regs = setReg(Regs, Reg, static_cast<uint32_t>(Rest % NumValues));
     const uint8_t Own = dist(Regs);
     if (Own == Unreachable)
       continue;
-    // Flags never change a distance, so the flag-free row serves all.
+    // The flag-free row serves all three flag states.
     assert(!HasFlags ||
            (dist(Regs | FlagLT) == Own && dist(Regs | FlagGT) == Own));
-    SuccIndex[Rank] = Next;
-    uint8_t *Row = Succ.data() + size_t(Next++) * Stride;
+    SuccIndex[Rank] = static_cast<uint16_t>(Succ.size() / Stride);
+    Succ.resize(Succ.size() + Stride);
+    uint8_t *Row = Succ.data() + Succ.size() - Stride;
     for (size_t K = 0; K != Instrs.size(); ++K)
       Row[K] = dist(M.apply(Regs | firingFlags(Instrs[K].Op), Instrs[K]));
     Row[OwnSlot] = Own;
   }
+  assert(Succ.size() == BlockRows * Stride);
 }
 
 void DistanceTable::foldSuccessors(const uint32_t *Rows, size_t Len,

@@ -47,10 +47,14 @@
 ///   min/max n=4         29 KB          33 KB
 ///   hybrid n=3         4.7 MB          50 MB
 ///
-/// A machine whose block would outgrow its distance array (min/max at
-/// n >= 5, some partial goals from n = 4) builds none; foldSuccessors()
-/// then applies each instruction to the rows and reads the distances,
-/// with the same answers.
+/// A machine whose block would outgrow its distance array builds none,
+/// and hasSuccessors() is false: min/max sort from n = 5 on, and most
+/// goals that leave a data register unpinned (all of them on min/max, on
+/// cmov from n = 4 on), whose free registers multiply the reachable
+/// assignments. Its search applies each admitted instruction first and
+/// reads the child's maxDist off the applied rows (search/Expansion.h);
+/// foldSuccessors() there applies every instruction to the rows, which
+/// only the action filter asks for.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +80,8 @@ struct SuccessorFold {
   std::vector<uint8_t> Optimal;
   /// Per-flag-class accumulators: maxima, then optimal-progress marks.
   std::vector<uint8_t> Acc;
-  /// Rows transformed by foldByApply on machines without a block.
+  /// Rows transformed by foldByApply on machines without a block (the
+  /// action filter's marks).
   std::vector<uint32_t> Applied;
 };
 
@@ -126,6 +131,10 @@ public:
   /// per-worker scratch.
   void foldSuccessors(const uint32_t *Rows, size_t Len, bool WantOptimal,
                       SuccessorFold &F) const;
+
+  /// True when the machine has a successor block (see the file comment),
+  /// so foldSuccessors() costs one pass over the rows.
+  bool hasSuccessors() const { return !Succ.empty(); }
 
   /// Number of reachable (finite-distance) assignments; exposed for tests.
   size_t numReachable() const { return Reachable; }

@@ -157,13 +157,17 @@ TEST(DistanceTable, SuccessorFoldMatchesApplyOnEveryAssignment) {
     checkSingleRowFold(Machine(MachineKind::MinMax, N));
   }
   checkSingleRowFold(Machine(MachineKind::Hybrid, 3));
+  // Partial goals whose machines carry a successor block.
+  checkSingleRowFold(Machine(MachineKind::Cmov, 3, 1, GoalSpec::selectK(2)));
+  checkSingleRowFold(Machine(MachineKind::Cmov, 3, 1, GoalSpec::topK(2)));
+  checkSingleRowFold(Machine(MachineKind::Cmov, 4, 1, GoalSpec::topK(3)));
 }
 
 TEST(DistanceTable, SuccessorFoldMatchesApplyOnRandomStates) {
   // Multi-row states from random walks, rows of all three flag classes
   // mixed: Needed is the child's maxDist, Optimal is "optimal on some
   // row". Min/max n = 5 and select-2 at n = 4 exercise the machines
-  // without a successor block.
+  // without a successor block, where only the action filter folds.
   const Machine Machines[] = {
       Machine(MachineKind::Cmov, 3), Machine(MachineKind::Cmov, 4),
       Machine(MachineKind::MinMax, 4), Machine(MachineKind::MinMax, 5),

@@ -257,6 +257,19 @@ TEST(Search, FirstN4CountersArePinned) {
   EXPECT_EQ(R.Stats.ViabilityPruned, 2863055u);
   EXPECT_EQ(R.Stats.CutStates, 904945u);
   EXPECT_EQ(R.Stats.DedupHits, 137077u);
+
+  // Select-2 at n = 4 has no successor block: its verdict still runs after
+  // apply and keeps the same counters.
+  Machine Select2(MachineKind::Cmov, 4, 1, GoalSpec::selectK(2));
+  ASSERT_FALSE(DistanceTable(Select2).hasSuccessors());
+  R = synthesize(Select2, bestEnumConfig(MachineKind::Cmov, 4));
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(R.OptimalLength, 15u);
+  EXPECT_EQ(R.Stats.StatesExpanded, 2856u);
+  EXPECT_EQ(R.Stats.StatesGenerated, 163881u);
+  EXPECT_EQ(R.Stats.ViabilityPruned, 51876u);
+  EXPECT_EQ(R.Stats.CutStates, 70647u);
+  EXPECT_EQ(R.Stats.DedupHits, 25983u);
 }
 
 TEST(Search, ActionFilterPreservesOptimumUnderLengthBound) {
