@@ -11,10 +11,11 @@
 //                                       std::sort + std::unique
 //   apply/{scalar,simd}                 Machine::apply loop vs applyBatch
 //   finish/{multipass,fused}            separate sort+unique, perm-count
-//                                       and hash traversals vs the fused
-//                                       CandidatePipeline::finish, on
-//                                       viable children (the verdict runs
-//                                       before apply)
+//                                       and hash traversals vs
+//                                       CandidatePipeline::finish, which
+//                                       counts before the sort and runs the
+//                                       cut between, on viable children
+//                                       (the verdict runs before apply)
 //
 // The scalar arms run in the same binary, so the reported ratios are
 // SIMD-vs-scalar on one build (the acceptance comparison), not a
@@ -183,7 +184,8 @@ FinishFixture &finishFixture() {
   return F;
 }
 
-/// The multipass finish(): separate sort+unique, always-masked perm count,
+/// The multipass finish(): separate sort+unique, perm-count (the
+/// pipeline's bitmap counter, as its own traversal of the canonical rows)
 /// and hash traversals. Kept as the baseline.
 bool finishMultipass(const FinishFixture &F, CandidateBatch &B,
                      size_t RawBegin, uint8_t Needed) {
@@ -192,7 +194,7 @@ bool finishMultipass(const FinishFixture &F, CandidateBatch &B,
   B.Rows.erase(std::unique(Begin, B.Rows.end()), B.Rows.end());
   const uint32_t *Rows = B.Rows.data() + RawBegin;
   const uint32_t Len = static_cast<uint32_t>(B.Rows.size() - RawBegin);
-  uint32_t Perm = countDistinctMasked(Rows, Len, F.M.dataMask(), B.Scratch);
+  uint32_t Perm = permCount(F.M, Rows, Len, B.Scratch);
   Candidate C;
   C.RowOffset = static_cast<uint32_t>(RawBegin);
   C.RowLen = Len;

@@ -78,7 +78,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   StateStore Store;
   RowArena &RowStore = Store.arena(0);
   std::priority_queue<OpenEntry> Open;
-  std::vector<uint32_t> Scratch;
   CandidateBatch Batch;
 
   SearchState Init = initialState(M);
@@ -88,8 +87,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       UINT32_MAX, Instr{Opcode::Mov, 0, 0}, 0});
   uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
   Store.shard(StateStore::shardOf(RootHash)).insert(RootHash, 0);
-  Open.push(OpenEntry{Heuristic(Init.Rows, Scratch), 0, 0});
-  Cuts.observe(0, countDistinctGoal(Init.Rows, M, Scratch));
+  Open.push(OpenEntry{Heuristic(Init.Rows, Batch.Scratch), 0, 0});
+  Cuts.observe(0, permCount(M, Init));
 
   auto StateBytes = [&] {
     return Store.bytesUsed() + Arena.capacity() * sizeof(Node);
@@ -117,7 +116,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     default:
       break;
     }
-    return CG + Heuristic(CRows, C.RowLen, Scratch);
+    return CG + Heuristic(CRows, C.RowLen, Batch.Scratch);
   };
 
   double NextTrace = Opts.TraceIntervalSeconds;

@@ -27,12 +27,14 @@
 /// maxDist from one SSE2 pass over the parent, so a non-viable candidate
 /// exits before apply: of the candidates past the gate, 71% exit there in
 /// a perfbench `synth` round and 90% in the layered n = 3 enumeration, and
-/// they never touch a row. Only viable ones are applied (SSE2 applyBatch);
-/// the perm count and the cut read the RAW transformed rows — their
-/// results are provably order- and duplicate-independent — so the
-/// canonical sort (the sorting-network sortRows primitive,
-/// state/Canonicalize.h) and duplicate compaction run only for the
-/// candidates that survive to be stored.
+/// they never touch a row. Only viable ones are applied (SSE2 applyBatch).
+/// One pass over the RAW transformed rows then counts their distinct
+/// projections in a per-worker bitmap (countDistinctProjections,
+/// state/SearchState.h) — a distinct count is blind to row order and
+/// duplicates — and the cut reads that count, so the canonical sort (the
+/// sorting-network sortRows primitive, state/Canonicalize.h), duplicate
+/// compaction and hash run only for the candidates that survive the cut
+/// to be stored.
 ///
 /// A machine without a successor block (DistanceTable::hasSuccessors)
 /// keeps the verdict after apply: each admitted instruction is applied
@@ -43,9 +45,9 @@
 ///
 /// Opt-in stage timers (SearchOptions::ProfilePipeline) attribute the work
 /// to SearchStats::{Apply,Canon,Viability}Nanos: Viability the fold, the
-/// action filter and finish()'s row pass (the post-apply verdict or the
-/// table-less erase check), Apply the batched transform of the
-/// candidates that reach it, Canon the sort + perm count + hash.
+/// action filter and finish()'s verdict pass (the post-apply verdict or
+/// the table-less erase check), Apply the batched transform of the
+/// candidates that reach it, Canon the perm count + sort + hash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,7 +86,10 @@ struct Candidate {
 struct CandidateBatch {
   std::vector<uint32_t> Rows;
   std::vector<Candidate> List;
-  std::vector<uint32_t> Scratch; ///< For the masked distinct-count sort.
+  /// The distinct counter's projection bitmap (countDistinctProjections):
+  /// one per worker, all zeros between calls; 512 B at n = 4, 32 KB at
+  /// n = 6, outside bytesUsed().
+  std::vector<uint64_t> Scratch;
   /// Per-node scratch of the distance-table pass; a few hundred bytes per
   /// worker, outside bytesUsed().
   SuccessorFold Fold;
@@ -120,11 +125,10 @@ public:
                     const DistanceTable *DT, const CutTracker &Cuts)
       : M(M), Opts(Opts), DT(DT), Cuts(Cuts),
         Profile(Opts.ProfilePipeline), UseDT(Opts.UseViability && DT),
-        Filter(Opts.UseActionFilter && DT),
+        Filter(Opts.UseActionFilter && DT && M.goal().isSort()),
         PreApply(UseDT && (Filter || DT->hasSuccessors())),
-        PostApply(UseDT && !PreApply), DataMask(M.dataMask()),
-        NumRegs(M.numRegs()), FullValueMask(M.requiredValueMask()),
-        GoalCollapse(!M.goal().isSort()) {}
+        PostApply(UseDT && !PreApply), NumRegs(M.numRegs()),
+        FullValueMask(M.requiredValueMask()) {}
 
   /// The one pre-apply gate: refuses \p I when the parent's prefix summary
   /// proves that appending it plants a dead instruction. Sound in both
@@ -163,67 +167,59 @@ public:
 
     // The section 3.3 check the fold did not give, over the raw unsorted
     // rows: it only reads per-row facts (distance-table loads, value
-    // erasure), so it is blind to row order and duplicates. The OR of all
-    // row bits rides along to decide whether the perm count needs a
-    // masked projection.
-    uint32_t OrAll = 0;
-    bool Viable = true;
-    {
-      ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
-      for (uint32_t I = 0; I != RawLen; ++I) {
-        const uint32_t Row = Rows[I];
-        OrAll |= Row;
-        if (PostApply) {
-          const uint8_t D = DT->dist(Row);
-          if (D == DistanceTable::Unreachable) {
+    // erasure), so it is blind to row order and duplicates.
+    if (!PreApply) {
+      bool Viable = true;
+      {
+        ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
+        for (uint32_t I = 0; I != RawLen; ++I) {
+          if (PostApply) {
+            const uint8_t D = DT->dist(Rows[I]);
+            if (D == DistanceTable::Unreachable) {
+              Viable = false;
+              break;
+            }
+            Needed = std::max(Needed, D);
+          } else if (!rowKeepsAllValues(Rows[I])) {
             Viable = false;
             break;
           }
-          Needed = std::max(Needed, D);
-        } else if (!UseDT && !rowKeepsAllValues(Row)) {
-          Viable = false;
-          break;
         }
+        if (Viable && PostApply)
+          Viable = viable(ChildG, Needed);
       }
-      if (Viable && PostApply)
-        Viable = viable(ChildG, Needed);
-    }
-    if (!Viable) {
-      ++Stats.ViabilityPruned;
-      B.Rows.resize(RawBegin);
-      return false;
-    }
-
-    // Perm count and the section 3.5 cut, still before the sort when some
-    // row carries flag or scratch bits: the masked projection sorts its
-    // own scratch copy and duplicates cannot change a DISTINCT count, so
-    // raw rows give the same Perm the old sorted-first pipeline computed —
-    // and a cut candidate skips the canonical sort too. When every row is
-    // pure data the projection is the identity, Perm is the number of
-    // distinct rows, and the compaction below yields it for free. Non-sort
-    // goals always take the projection path: countDistinctGoal collapses
-    // accepting projections into one bucket, which the compaction shortcut
-    // cannot reproduce.
-    const bool NeedsProjection = GoalCollapse || (OrAll & ~DataMask) != 0;
-    uint32_t Perm = 0;
-    if (NeedsProjection) {
-      {
-        ScopedNanoTimer T(Profile, Stats.CanonNanos);
-        Perm = countDistinctGoal(Rows, RawLen, M, B.Scratch);
-      }
-      if (Cuts.shouldCut(ChildG, Perm)) {
-        ++Stats.CutStates;
+      if (!Viable) {
+        ++Stats.ViabilityPruned;
         B.Rows.resize(RawBegin);
         return false;
       }
     }
 
-    // Canonical order + duplicate compaction — now run only for the
-    // survivors. A single row (common near the goal) is trivially
-    // canonical.
-    uint32_t Len = RawLen;
+    // The perm count and the section 3.5 cut, on the raw rows too: a
+    // DISTINCT count is blind to order and duplicates, so a cut candidate
+    // is never sorted.
+    uint32_t Perm;
     {
       ScopedNanoTimer T(Profile, Stats.CanonNanos);
+      Perm = permCount(M, Rows, RawLen, B.Scratch);
+    }
+    if (Cuts.shouldCut(ChildG, Perm)) {
+      ++Stats.CutStates;
+      B.Rows.resize(RawBegin);
+      return false;
+    }
+
+    // Canonical order + duplicate compaction + hash, for the survivors
+    // only. A single row (common near the goal) is trivially canonical.
+    Candidate C;
+    C.RowOffset = static_cast<uint32_t>(RawBegin);
+    C.Parent = Parent;
+    C.Via = Via;
+    C.Perm = Perm;
+    C.Needed = Needed;
+    {
+      ScopedNanoTimer T(Profile, Stats.CanonNanos);
+      uint32_t Len = RawLen;
       if (RawLen > 1) {
         sortRows(Rows, RawLen);
         Len = 0;
@@ -231,31 +227,13 @@ public:
           if (I == 0 || Rows[I] != Rows[Len - 1])
             Rows[Len++] = Rows[I];
       }
-    }
-    B.Rows.resize(RawBegin + Len); // Drop the compacted duplicates' tail.
-    if (!NeedsProjection) {
-      Perm = Len;
-      if (Cuts.shouldCut(ChildG, Perm)) {
-        ++Stats.CutStates;
-        B.Rows.resize(RawBegin);
-        return false;
-      }
-    }
-
-    Candidate C;
-    C.RowOffset = static_cast<uint32_t>(RawBegin);
-    C.RowLen = Len;
-    C.Parent = Parent;
-    C.Via = Via;
-    C.Perm = Perm;
-    C.Needed = Needed;
-    {
-      ScopedNanoTimer T(Profile, Stats.CanonNanos);
       uint64_t H = kHashWordsSeed;
       for (uint32_t I = 0; I != Len; ++I)
         H = hashCombine(H, Rows[I]);
       C.Hash = hashWordsFinish(H, Len);
+      C.RowLen = Len;
     }
+    B.Rows.resize(RawBegin + C.RowLen); // Drop the compacted duplicates.
     C.Lint = ParentLint.extended(Via);
     B.List.push_back(C);
     return true;
@@ -320,18 +298,15 @@ private:
   const CutTracker &Cuts;
   const bool Profile;
   /// The viability verdict reads the distance table (else finish() runs
-  /// the erase check); the action filter is on; the verdict reads the
-  /// successor fold before apply, or finish() reads the applied rows.
+  /// the erase check); the action filter is on (sort goal only: see
+  /// SearchOptions::UseActionFilter); the verdict reads the successor fold
+  /// before apply, or finish() reads the applied rows.
   const bool UseDT;
   const bool Filter;
   const bool PreApply;
   const bool PostApply;
-  const uint32_t DataMask;
   const unsigned NumRegs;
   const uint32_t FullValueMask;
-  /// True for non-sort goals: the perm count must collapse accepting
-  /// projections, so the pure-data compaction shortcut is disabled.
-  const bool GoalCollapse;
 };
 
 } // namespace detail

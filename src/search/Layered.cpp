@@ -551,10 +551,7 @@ SearchResult LayeredEngine::run() {
   ShardBases.reserve(Opts.MaxLength + 2);
 
   SearchState Init = initialState(M);
-  {
-    std::vector<uint32_t> Scratch;
-    Cuts.observe(0, countDistinctGoal(Init.Rows, M, Scratch));
-  }
+  Cuts.observe(0, permCount(M, Init));
   LNode Root;
   Root.Rows = Store.arena(0).append(Init.Rows.data(),
                                     static_cast<uint32_t>(Init.Rows.size()));

@@ -90,7 +90,10 @@ struct SearchOptions {
   bool UseViability = true;
   /// Only expand instructions on some assignment's optimal completion
   /// (section 3.2; requires the distance table, whose successor fold
-  /// marks them).
+  /// marks them). Sort goal only; other goals ignore it. On a goal that
+  /// leaves a register free, no single assignment's optimal completion
+  /// moves a value into the scratch register, so the filter would refuse
+  /// every move a compare-exchange needs and exhaust the bound.
   bool UseActionFilter = false;
   /// Hard upper bound on program length (inclusive).
   unsigned MaxLength = 64;
@@ -174,9 +177,10 @@ struct SearchStats {
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
   /// Viability covers the once-per-node successor fold and action filter
   /// (which decide every child's verdict before apply where the distance
-  /// table has a successor block) plus finish()'s row pass; Apply the
-  /// batched row transforms of the candidates that reach apply;
-  /// Canon the sort + perm-count + hash over canonical rows; Merge the
+  /// table has a successor block) plus finish()'s verdict pass where the
+  /// fold gave none; Apply the batched row transforms of the candidates
+  /// that reach apply; Canon the perm count of every viable child, then
+  /// the sort + compaction + hash of the cut's survivors; Merge the
   /// dedup/DAG commit sections. With worker threads the first three sum
   /// CPU time across workers, so they can exceed wall-clock.
   uint64_t ApplyNanos = 0;

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Internal helpers shared by the best-first and layered engines: heuristic
-/// evaluation, the section 3.5 cut tracker, the action filter, the budget
-/// check, and fast distinct-count utilities on packed row vectors. Not
-/// part of the public API.
+/// evaluation, the section 3.5 cut tracker, the action filter and the
+/// budget check. Not part of the public API.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,68 +15,12 @@
 #define SKS_SEARCH_SEARCHIMPL_H
 
 #include "search/Search.h"
-#include "state/Canonicalize.h"
 
 #include <algorithm>
 #include <cmath>
 
 namespace sks {
 namespace detail {
-
-/// Counts distinct values of Row & Mask using a caller-provided scratch
-/// buffer (row vectors are at most n! long). Sorting goes through the
-/// vectorized sortRows primitive — masked rows keep the sign bit clear.
-inline unsigned countDistinctMasked(const uint32_t *Rows, size_t Len,
-                                    uint32_t Mask,
-                                    std::vector<uint32_t> &Scratch) {
-  Scratch.resize(Len);
-  for (size_t I = 0; I != Len; ++I)
-    Scratch[I] = Rows[I] & Mask;
-  sortRows(Scratch.data(), static_cast<uint32_t>(Len));
-  unsigned Count = 0;
-  for (size_t I = 0; I != Len; ++I)
-    if (I == 0 || Scratch[I] != Scratch[I - 1])
-      ++Count;
-  return Count;
-}
-
-/// Goal-aware permutation count: distinct data-register projections, with
-/// every *accepting* projection collapsed into one bucket — rows that
-/// already satisfy the goal need no further discrimination, so counting
-/// them apart would overstate the remaining work and weaken the section
-/// 3.5 cut. The collapse target is the goal pattern itself (pinned
-/// registers at their required values, all other data bits 0), which is an
-/// accepting projection, so the collapse never merges an accepting bucket
-/// with a non-accepting one. For the sort goal a projection is accepting
-/// only when it *is* the sorted row, making the collapse the identity; we
-/// take the plain countDistinctMasked path so the sort behaviour stays
-/// byte-identical.
-inline unsigned countDistinctGoal(const uint32_t *Rows, size_t Len,
-                                  const Machine &M,
-                                  std::vector<uint32_t> &Scratch) {
-  if (M.goal().isSort())
-    return countDistinctMasked(Rows, Len, M.dataMask(), Scratch);
-  const uint32_t DataMask = M.dataMask();
-  const uint32_t GoalMask = M.goalMask(), GoalPattern = M.goalPattern();
-  Scratch.resize(Len);
-  for (size_t I = 0; I != Len; ++I) {
-    uint32_t Proj = Rows[I] & DataMask;
-    if ((Proj & GoalMask) == GoalPattern)
-      Proj = GoalPattern;
-    Scratch[I] = Proj;
-  }
-  sortRows(Scratch.data(), static_cast<uint32_t>(Len));
-  unsigned Count = 0;
-  for (size_t I = 0; I != Len; ++I)
-    if (I == 0 || Scratch[I] != Scratch[I - 1])
-      ++Count;
-  return Count;
-}
-inline unsigned countDistinctGoal(const std::vector<uint32_t> &Rows,
-                                  const Machine &M,
-                                  std::vector<uint32_t> &Scratch) {
-  return countDistinctGoal(Rows.data(), Rows.size(), M, Scratch);
-}
 
 /// Evaluates the configured section 3.1 heuristic.
 class HeuristicEval {
@@ -86,23 +29,24 @@ public:
                 const DistanceTable *DT)
       : M(M), DT(DT), Kind(Opts.Heuristic) {}
 
+  /// \p Bitmap is the distinct counter's scratch (countDistinctProjections).
   double operator()(const uint32_t *Rows, size_t Len,
-                    std::vector<uint32_t> &Scratch) const {
+                    std::vector<uint64_t> &Bitmap) const {
     switch (Kind) {
     case HeuristicKind::None:
       return 0;
     case HeuristicKind::PermCount:
-      return countDistinctGoal(Rows, Len, M, Scratch) - 1;
+      return permCount(M, Rows, Len, Bitmap) - 1;
     case HeuristicKind::AssignCount:
-      return countDistinctMasked(Rows, Len, M.regMask(), Scratch) - 1;
+      return assignCount(M, Rows, Len, Bitmap) - 1;
     case HeuristicKind::NeededInstrs:
       return DT->maxDist(Rows, Len);
     }
     return 0;
   }
   double operator()(const std::vector<uint32_t> &Rows,
-                    std::vector<uint32_t> &Scratch) const {
-    return (*this)(Rows.data(), Rows.size(), Scratch);
+                    std::vector<uint64_t> &Bitmap) const {
+    return (*this)(Rows.data(), Rows.size(), Bitmap);
   }
 
 private:

@@ -24,28 +24,14 @@ void sks::applyToState(const Machine &M, const SearchState &In, Instr I,
   canonicalizeRows(Out);
 }
 
-/// Counts distinct values of Row & Mask over the rows of \p S. Rows is
-/// small (<= n!), so a scratch copy + sort is fast and allocation-light.
-static unsigned countDistinctMasked(const SearchState &S, uint32_t Mask) {
-  // Rows are sorted, but masked projections need not be; collect + sort.
-  std::vector<uint32_t> Projected;
-  Projected.reserve(S.Rows.size());
-  for (uint32_t Row : S.Rows)
-    Projected.push_back(Row & Mask);
-  std::sort(Projected.begin(), Projected.end());
-  unsigned Count = 0;
-  for (size_t I = 0; I != Projected.size(); ++I)
-    if (I == 0 || Projected[I] != Projected[I - 1])
-      ++Count;
-  return Count;
-}
-
 unsigned sks::permCount(const Machine &M, const SearchState &S) {
-  return countDistinctMasked(S, M.dataMask());
+  std::vector<uint64_t> Bitmap;
+  return permCount(M, S.Rows.data(), S.Rows.size(), Bitmap);
 }
 
 unsigned sks::assignCount(const Machine &M, const SearchState &S) {
-  return countDistinctMasked(S, M.regMask());
+  std::vector<uint64_t> Bitmap;
+  return assignCount(M, S.Rows.data(), S.Rows.size(), Bitmap);
 }
 
 bool sks::allSorted(const Machine &M, const SearchState &S) {

@@ -21,6 +21,7 @@
 #include "state/Canonicalize.h"
 #include "support/Hashing.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -53,12 +54,64 @@ SearchState initialState(const Machine &M);
 void applyToState(const Machine &M, const SearchState &In, Instr I,
                   std::vector<uint32_t> &Out);
 
-/// The paper's "number of distinct permutations" score (section 3.1/3.5):
-/// distinct data-register projections, ignoring scratch and flags.
-unsigned permCount(const Machine &M, const SearchState &S);
+/// Counts the distinct projections of \p Rows[0..Len): each row maps to
+/// P = Row & Mask, and then to CollapsePattern when (P & CollapseMask) ==
+/// CollapsePattern. \p Mask must select the low bits of a row (3 bits per
+/// register from r1 up). \p Bitmap is the caller's scratch of one bit per
+/// projection, 2^width(Mask) bits: the call grows it to at least that
+/// size, sets each row's bit, counts the newly set ones, and clears only
+/// the words it touched, so it holds all zeros between calls and any mask
+/// may share it.
+inline unsigned countDistinctProjections(const uint32_t *Rows, size_t Len,
+                                         uint32_t Mask, uint32_t CollapseMask,
+                                         uint32_t CollapsePattern,
+                                         std::vector<uint64_t> &Bitmap) {
+  assert((Mask & (Mask + 1)) == 0 && "Mask selects the low row bits");
+  assert((CollapsePattern & ~Mask) == 0 && "the pattern is a projection");
+  const size_t Words = (Mask >> 6) + 1;
+  if (Bitmap.size() < Words)
+    Bitmap.resize(Words);
+  uint64_t *Bits = Bitmap.data();
+  unsigned Count = 0;
+  for (size_t I = 0; I != Len; ++I) {
+    uint32_t P = Rows[I] & Mask;
+    if ((P & CollapseMask) == CollapsePattern)
+      P = CollapsePattern;
+    const uint64_t Bit = uint64_t(1) << (P & 63u);
+    Count += (Bits[P >> 6] & Bit) == 0;
+    Bits[P >> 6] |= Bit;
+  }
+  // A touched word holds either an uncollapsed projection or the pattern.
+  for (size_t I = 0; I != Len; ++I)
+    Bits[(Rows[I] & Mask) >> 6] = 0;
+  Bits[CollapsePattern >> 6] = 0;
+  return Count;
+}
+
+/// The paper's "number of distinct permutations" (section 3.1/3.5), read
+/// by the PermCount heuristic and the cut: distinct data-register
+/// projections, ignoring scratch and flags, with every projection the goal
+/// accepts counted once — rows that already satisfy the goal need no
+/// further discrimination. The collapse target is the goal pattern itself
+/// (an accepting projection), and for the sort goal the only accepting
+/// projection is the sorted row, so the collapse is the identity there.
+inline unsigned permCount(const Machine &M, const uint32_t *Rows, size_t Len,
+                          std::vector<uint64_t> &Bitmap) {
+  return countDistinctProjections(Rows, Len, M.dataMask(), M.goalMask(),
+                                  M.goalPattern(), Bitmap);
+}
 
 /// The "number of distinct register assignments": distinct full-register
-/// projections, ignoring only flags (section 3.1, second heuristic).
+/// projections, ignoring only flags (section 3.1, second heuristic). A
+/// collapse mask equal to the mask makes the collapse the identity.
+inline unsigned assignCount(const Machine &M, const uint32_t *Rows,
+                            size_t Len, std::vector<uint64_t> &Bitmap) {
+  return countDistinctProjections(Rows, Len, M.regMask(), M.regMask(), 0,
+                                  Bitmap);
+}
+
+/// permCount and assignCount of a whole state, on a bitmap of their own.
+unsigned permCount(const Machine &M, const SearchState &S);
 unsigned assignCount(const Machine &M, const SearchState &S);
 
 /// \returns true if every row of \p S satisfies the machine's goal

@@ -9,18 +9,23 @@
 //  - canonicalizeRows (SSE2 sorting networks / radix sort) must equal the
 //    scalar std::sort + std::unique reference on arbitrary 31-bit buffers,
 //    across every dispatch band and boundary;
+//  - the bitmap distinct-projection counter (permCount / assignCount)
+//    must equal a std::sort + std::unique count of the projections on
+//    random row buffers of every length up to n!, for every machine kind
+//    and goal family, and hand its bitmap back all zeros;
 //  - the pipeline's pre-apply viability verdict must read, for every
 //    instruction, the maxDist of the child that apply would build, and
 //    CandidatePipeline::expandNode must produce exactly the rows/hash/perm
-//    of the separate apply / sort+unique / maxDist / countDistinctMasked /
-//    hashWords calls it replaced, over random walks of real Cmov, MinMax,
-//    and Hybrid machines at n = 3..5.
+//    of separate apply / sort+unique / maxDist / reference perm count /
+//    hashWords calls, over random walks of real Cmov, MinMax, and Hybrid
+//    machines at n = 3..5.
 //
 //===----------------------------------------------------------------------===//
 
 #include "machine/BatchApply.h"
 #include "search/Expansion.h"
 #include "state/Canonicalize.h"
+#include "support/Permutations.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -35,6 +40,95 @@ std::vector<uint32_t> scalarReference(std::vector<uint32_t> Rows) {
   std::sort(Rows.begin(), Rows.end());
   Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
   return Rows;
+}
+
+/// The reference perm count (\p Assign false) or assignment count: the
+/// data-register (all-register) projection of every row, each row the
+/// goal accepts replaced by the goal pattern, counted by std::sort +
+/// std::unique.
+unsigned referenceCount(const Machine &M, const uint32_t *Rows, size_t Len,
+                        bool Assign) {
+  std::vector<uint32_t> Projected;
+  for (size_t I = 0; I != Len; ++I) {
+    if (Assign)
+      Projected.push_back(Rows[I] & M.regMask());
+    else
+      Projected.push_back(M.accepts(Rows[I]) ? M.goalPattern()
+                                             : Rows[I] & M.dataMask());
+  }
+  return static_cast<unsigned>(scalarReference(Projected).size());
+}
+
+bool allZero(const std::vector<uint64_t> &Bitmap) {
+  uint64_t Or = 0;
+  for (uint64_t Word : Bitmap)
+    Or |= Word;
+  return Or == 0;
+}
+
+/// \returns \p Len random rows of \p M: every register 0..n, random flags,
+/// a quarter of the rows accepted by the goal, drawn from a pool of random
+/// size so that duplicates range from none to all.
+std::vector<uint32_t> randomRows(const Machine &M, size_t Len, Rng &R) {
+  const unsigned N = M.numData();
+  const uint32_t Pinned = M.goal().pinnedPositions(N);
+  std::vector<uint32_t> Pool(1 + R.below(Len + 1));
+  for (uint32_t &Row : Pool) {
+    Row = 0;
+    for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg)
+      Row = setReg(Row, Reg, static_cast<uint32_t>(R.below(N + 1)));
+    if (R.below(4) == 0)
+      for (unsigned J = 0; J != N; ++J)
+        if (Pinned & (1u << J))
+          Row = setReg(Row, J, J + 1);
+    const uint32_t Flags[] = {0, FlagLT, FlagGT};
+    Row |= Flags[R.below(3)];
+  }
+  std::vector<uint32_t> Rows(Len);
+  for (uint32_t &Row : Rows)
+    Row = Pool[R.below(Pool.size())];
+  return Rows;
+}
+
+TEST(DistinctProjections, MatchesSortReferenceAndClearsItsBitmap) {
+  struct Shape {
+    MachineKind Kind;
+    unsigned MinN, MaxN;
+  };
+  // The hybrid machine's doubled register file fits up to n = 3.
+  const Shape Shapes[] = {{MachineKind::Cmov, 2, 6},
+                          {MachineKind::MinMax, 2, 6},
+                          {MachineKind::Hybrid, 2, 3}};
+  Rng R(77);
+  for (const Shape &S : Shapes) {
+    for (unsigned N = S.MinN; N <= S.MaxN; ++N) {
+      // One bitmap for every buffer, goal and mask of this machine size.
+      std::vector<uint64_t> Bitmap;
+      const size_t MaxLen = factorial(N);
+      for (size_t Len = 0; Len <= MaxLen; ++Len) {
+        // Every goal family; the parameter cycles through 1..n with Len.
+        const unsigned K = 1 + static_cast<unsigned>(Len % N);
+        for (GoalSpec G : {GoalSpec::sort(), GoalSpec::selectK(K),
+                           GoalSpec::topK(K), GoalSpec::partialSort(K)}) {
+          SCOPED_TRACE(testing::Message()
+                       << "kind=" << static_cast<int>(S.Kind) << " n=" << N
+                       << " goal=" << G.name() << " len=" << Len);
+          Machine M(S.Kind, N, 1, G);
+          const std::vector<uint32_t> Rows = randomRows(M, Len, R);
+          const unsigned Perm = referenceCount(M, Rows.data(), Len, false);
+          ASSERT_EQ(permCount(M, Rows.data(), Len, Bitmap), Perm);
+          ASSERT_TRUE(allZero(Bitmap));
+          ASSERT_EQ(permCount(M, Rows.data(), Len, Bitmap), Perm);
+          ASSERT_TRUE(allZero(Bitmap));
+          ASSERT_EQ(assignCount(M, Rows.data(), Len, Bitmap),
+                    referenceCount(M, Rows.data(), Len, true));
+          ASSERT_TRUE(allZero(Bitmap));
+          ASSERT_EQ(permCount(M, Rows.data(), Len, Bitmap), Perm);
+          ASSERT_TRUE(allZero(Bitmap));
+        }
+      }
+    }
+  }
 }
 
 TEST(Canonicalize, MatchesScalarOnRandomBuffers) {
@@ -156,9 +250,7 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
       EXPECT_TRUE(std::equal(Ref.begin(), Ref.end(), B.rowsOf(C)));
       EXPECT_EQ(C.Hash, hashWords(Ref.data(), Ref.size()));
       EXPECT_EQ(C.Needed, Needed);
-      std::vector<uint32_t> Scratch;
-      EXPECT_EQ(C.Perm, countDistinctMasked(Ref.data(), Ref.size(),
-                                            M.dataMask(), Scratch));
+      EXPECT_EQ(C.Perm, referenceCount(M, Ref.data(), Ref.size(), false));
     }
     EXPECT_EQ(Next, B.List.size()) << "a non-viable child was kept";
 
@@ -202,8 +294,8 @@ TEST(Canonicalize, FusedFinishMatchesSeparateCallsHybrid) {
 }
 
 TEST(Canonicalize, SingleRowFastPath) {
-  // Len == 1 skips the sort and the masked perm pass entirely; the result
-  // must still be a full candidate with Perm = 1 and the right hash.
+  // Len == 1 skips the sort; the result must still be a full candidate
+  // with Perm = 1 and the right hash.
   Machine M(MachineKind::Cmov, 3);
   DistanceTable DT(M);
   SearchOptions Opts;

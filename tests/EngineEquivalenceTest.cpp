@@ -283,7 +283,7 @@ TEST(EngineEquivalence, GoalSolutionSetsAreModeInvariant) {
 TEST(EngineEquivalence, GoalSearchUnderThreadsSmoke) {
   // The tsan_goals ctest entry: the select-1 all-solutions run is a few
   // milliseconds even instrumented, and it drives goal-collapsed distinct
-  // counts (search/SearchImpl.h countDistinctGoal) through the threaded
+  // counts (state/SearchState.h permCount) through the threaded
   // expansion and sharded merge.
   Machine M(MachineKind::Cmov, 3, /*Scratch=*/1, GoalSpec::selectK(1));
   std::set<std::string> Reference;

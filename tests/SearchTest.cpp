@@ -282,4 +282,21 @@ TEST(Search, ActionFilterPreservesOptimumUnderLengthBound) {
   EXPECT_GT(R.Stats.ActionsFiltered, 0u);
 }
 
+TEST(Search, ActionFilterLeavesPartialGoalsSolvable) {
+  // On select-2 no single assignment's optimal completion moves a value
+  // into the scratch register, so the per-assignment marks would refuse
+  // every move a compare-exchange needs and exhaust the bound. The filter
+  // applies to the sort goal only, and these runs find the optimum.
+  const std::pair<unsigned, unsigned> Optimum[] = {{3, 8}, {4, 15}};
+  for (const auto &[N, Length] : Optimum) {
+    Machine M(MachineKind::Cmov, N, 1, GoalSpec::selectK(2));
+    SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, N);
+    Opts.UseActionFilter = true;
+    SearchResult R = synthesize(M, Opts);
+    ASSERT_TRUE(R.Found) << "n=" << N;
+    EXPECT_EQ(R.OptimalLength, Length) << "n=" << N;
+    EXPECT_TRUE(isCorrectKernel(M, R.Solutions.at(0))) << "n=" << N;
+  }
+}
+
 } // namespace

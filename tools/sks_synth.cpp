@@ -462,6 +462,16 @@ int main(int Argc, char **Argv) {
 
   Stopwatch Timer;
   SearchResult R = synthesize(M, Opts);
+  auto PrintProfile = [&](FILE *Out) {
+    if (!Cli.Profile)
+      return;
+    auto Ms = [](uint64_t Nanos) { return Nanos / 1e6; };
+    std::fprintf(Out,
+                 "; pipeline profile: apply %.1f ms, canonicalize %.1f ms, "
+                 "viability %.1f ms, merge %.1f ms\n",
+                 Ms(R.Stats.ApplyNanos), Ms(R.Stats.CanonNanos),
+                 Ms(R.Stats.ViabilityNanos), Ms(R.Stats.MergeNanos));
+  };
   if (!R.Found) {
     // Say why and how far the run got. The layered engine also names the
     // deepest level (program length) it committed in full. An exhausted
@@ -480,6 +490,7 @@ int main(int Argc, char **Argv) {
                  "peak-state-bytes=%zu time=%s%s\n",
                  Why, R.Stats.StatesExpanded, R.Stats.PeakStateBytes,
                  formatDuration(Timer.seconds()).c_str(), Level.c_str());
+    PrintProfile(stderr);
     return 1;
   }
 
@@ -489,13 +500,7 @@ int main(int Argc, char **Argv) {
               R.OptimalLength, R.Stats.StatesExpanded,
               R.Stats.PeakStateBytes,
               formatDuration(Timer.seconds()).c_str());
-  if (Cli.Profile) {
-    auto Ms = [](uint64_t Nanos) { return Nanos / 1e6; };
-    std::printf("; pipeline profile: apply %.1f ms, canonicalize %.1f ms, "
-                "viability %.1f ms, merge %.1f ms\n",
-                Ms(R.Stats.ApplyNanos), Ms(R.Stats.CanonNanos),
-                Ms(R.Stats.ViabilityNanos), Ms(R.Stats.MergeNanos));
-  }
+  PrintProfile(stdout);
   if (Cli.All)
     std::printf("; %llu optimal kernels in total\n",
                 static_cast<unsigned long long>(R.SolutionCount));
