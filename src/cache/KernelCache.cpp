@@ -9,7 +9,6 @@
 #include "driver/OutcomeIO.h"
 #include "support/Hashing.h"
 #include "verify/Verify.h"
-#include "verify/ZeroOne.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -147,9 +146,7 @@ bool KernelCache::lookup(const SynthRequest &Req, SynthOutcome &Out) const {
   // kernel, and we still re-check it with the live verifier before
   // serving — the cache must never widen the trust boundary.
   Machine M(Req.Kind, Req.N, Req.Scratch, Req.GoalPred);
-  ZeroOneReport ZO = zeroOneCheck(M, Stored.Kernel);
-  bool Correct = ZO.Applicable ? ZO.Correct : isCorrectKernel(M, Stored.Kernel);
-  if (!Correct) {
+  if (!isCorrectKernel(M, Stored.Kernel)) {
     VerifyFailed.fetch_add(1, std::memory_order_relaxed);
     std::remove(Path.c_str()); // Poisoned entry: evict.
     return false;

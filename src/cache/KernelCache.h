@@ -25,9 +25,9 @@
 /// (verify/Verify.h verifierIdentity()) of the writer; on load, a stamp
 /// mismatch makes the entry stale (transparently resynthesized, never
 /// trusted), and even a fresh entry's kernel is re-verified through the
-/// same gate Backend::run uses (0-1 certifier where applicable, else the
-/// n!-permutation check) before it is served. A torn or corrupt file fails
-/// the strict outcome parse (driver/OutcomeIO.h) and is treated as a miss.
+/// same n!-permutation check Backend::run gates on before it is served. A
+/// torn or corrupt file fails the strict outcome parse (driver/OutcomeIO.h)
+/// and is treated as a miss.
 /// Writes are atomic (temp file + rename), so concurrent readers see
 /// either the old complete entry or the new one.
 ///

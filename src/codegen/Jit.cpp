@@ -42,6 +42,8 @@
 
 #include "codegen/Jit.h"
 
+#include "isa/Interpret.h"
+
 #include <algorithm>
 #include <cstring>
 #include <vector>
@@ -473,37 +475,7 @@ std::unique_ptr<JitKernel> JitKernel::compile(MachineKind Kind,
 void sks::interpretKernel(MachineKind Kind, unsigned NumData, const Program &P,
                           int32_t *Data) {
   (void)Kind;
-  int32_t Regs[8] = {0};
-  for (unsigned I = 0; I != NumData; ++I)
-    Regs[I] = Data[I];
-  bool LT = false, GT = false;
-  for (const Instr &I : P) {
-    switch (I.Op) {
-    case Opcode::Mov:
-      Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::Cmp:
-      LT = Regs[I.Dst] < Regs[I.Src];
-      GT = Regs[I.Dst] > Regs[I.Src];
-      break;
-    case Opcode::CMovL:
-      if (LT)
-        Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::CMovG:
-      if (GT)
-        Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::Min:
-      Regs[I.Dst] = std::min(Regs[I.Dst], Regs[I.Src]);
-      break;
-    case Opcode::Max:
-      Regs[I.Dst] = std::max(Regs[I.Dst], Regs[I.Src]);
-      break;
-    }
-  }
-  for (unsigned I = 0; I != NumData; ++I)
-    Data[I] = Regs[I];
+  interpretOnArray(P, NumData, Data);
 }
 
 bool sks::jitPairSupported(MachineKind Kind) {
@@ -565,35 +537,5 @@ JitPairKernel::compile(MachineKind Kind, unsigned NumData, const Program &P) {
 void sks::interpretPairKernel(MachineKind Kind, unsigned NumData,
                               const Program &P, int64_t *Pairs) {
   (void)Kind;
-  int64_t Regs[8] = {0};
-  for (unsigned I = 0; I != NumData; ++I)
-    Regs[I] = Pairs[I];
-  bool LT = false, GT = false;
-  for (const Instr &I : P) {
-    switch (I.Op) {
-    case Opcode::Mov:
-      Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::Cmp:
-      LT = Regs[I.Dst] < Regs[I.Src];
-      GT = Regs[I.Dst] > Regs[I.Src];
-      break;
-    case Opcode::CMovL:
-      if (LT)
-        Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::CMovG:
-      if (GT)
-        Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::Min:
-      Regs[I.Dst] = std::min(Regs[I.Dst], Regs[I.Src]);
-      break;
-    case Opcode::Max:
-      Regs[I.Dst] = std::max(Regs[I.Dst], Regs[I.Src]);
-      break;
-    }
-  }
-  for (unsigned I = 0; I != NumData; ++I)
-    Pairs[I] = Regs[I];
+  interpretOnArray(P, NumData, Pairs);
 }

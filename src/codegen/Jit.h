@@ -137,12 +137,12 @@ void interpretKernel(MachineKind Kind, unsigned NumData, const Program &P,
 // The same synthesized programs, re-emitted over 64-bit lanes that pack an
 // int32 key in the high half and a uint32 payload in the low half
 // (packPair). A signed 64-bit comparison of two packed lanes orders by key
-// first (payload is a tiebreak among equal keys), so a kernel that is
-// key-correct moves each payload together with its key — the register-level
-// pair-invariance argument in verify/Verify.h isCorrectKeyValKernel. Cmov
-// kernels rerun with REX.W-prefixed forms; min/max kernels lower Min/Max to
-// pcmpgtq + blendvpd (SSE4.2), with xmm0 reserved as blendvpd's implicit
-// mask and the model registers shifted to xmm1+.
+// first (payload is a tiebreak among equal keys), and every instruction
+// moves whole lanes, so a payload never leaves its key; validateJitPairKernel
+// (validate/SymbolicExec.h) proves the emitted bytes equal the IR on these
+// lanes. Cmov kernels rerun with REX.W-prefixed forms; min/max kernels
+// lower Min/Max to pcmpgtq + blendvpd (SSE4.2), with xmm0 reserved as
+// blendvpd's implicit mask and the model registers shifted to xmm1+.
 
 /// Packs a key-payload pair into one 64-bit lane.
 inline int64_t packPair(int32_t Key, uint32_t Payload) {

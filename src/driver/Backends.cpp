@@ -26,7 +26,6 @@
 #include "support/Timing.h"
 #include "validate/SymbolicExec.h"
 #include "verify/Verify.h"
-#include "verify/ZeroOne.h"
 
 using namespace sks;
 
@@ -80,20 +79,9 @@ SynthOutcome Backend::run(const SynthRequest &Req) const {
   Outcome.BackendName = BackendName;
 
   // Universal verification gate: no backend's claim leaves the driver
-  // unchecked, however the substrate produced the kernel. Kernels built
-  // from mov/pmin/pmax only are certified statically by the 0-1 principle
-  // (verify/ZeroOne.h, 2^n bit-parallel vectors — equivalent to and
-  // cross-checked against the n! interpreter run); everything else takes
-  // the n!-permutation path.
-  if (!Outcome.Kernel.empty()) {
-    ZeroOneReport ZO = zeroOneCheck(M, Outcome.Kernel);
-    if (ZO.Applicable) {
-      Outcome.Verified = ZO.Correct;
-      Outcome.Stats.emplace_back("zero_one_vectors", ZO.VectorCount);
-    } else {
-      Outcome.Verified = isCorrectKernel(M, Outcome.Kernel);
-    }
-  }
+  // unchecked, however the substrate produced the kernel.
+  if (!Outcome.Kernel.empty())
+    Outcome.Verified = isCorrectKernel(M, Outcome.Kernel);
   if ((Outcome.Status == SynthStatus::Found ||
        Outcome.Status == SynthStatus::Optimal) &&
       !Outcome.Verified) {
@@ -128,9 +116,9 @@ void sks::applyJitValidationGate(const SynthRequest &Req,
     if (Key == "jit_validated")
       return; // Already gated (Backend::run ran before the cache stored it).
   ValidationReport Scalar =
-      validateJitKernel(Req.Kind, Req.N, Outcome.Kernel, Req.GoalPred);
+      validateJitKernel(Req.Kind, Req.N, Outcome.Kernel);
   ValidationReport Pair =
-      validateJitPairKernel(Req.Kind, Req.N, Outcome.Kernel, Req.GoalPred);
+      validateJitPairKernel(Req.Kind, Req.N, Outcome.Kernel);
   const bool AnyApplicable = Scalar.Applicable || Pair.Applicable;
   const bool AllOk =
       (!Scalar.Applicable || Scalar.Ok) && (!Pair.Applicable || Pair.Ok);

@@ -95,24 +95,13 @@ Machine::Machine(MachineKind Kind, unsigned N, unsigned Scratch, GoalSpec Goal)
   }
 }
 
-uint32_t Machine::packInitial(const std::vector<int> &Values) const {
+uint32_t Machine::packInitial(std::span<const int> Values) const {
   assert(Values.size() == N && "initial row needs one value per data reg");
   uint32_t Row = 0;
   for (unsigned I = 0; I != N; ++I) {
     assert(Values[I] >= 0 && Values[I] <= static_cast<int>(N) &&
            "values must be in 0..n");
     Row |= static_cast<uint32_t>(Values[I]) << (3 * I);
-  }
-  return Row;
-}
-
-uint64_t Machine::packInitialKeyVal(const std::vector<int> &Values) const {
-  assert(Values.size() == N && "initial row needs one key per data reg");
-  uint64_t Row = 0;
-  for (unsigned I = 0; I != N; ++I) {
-    assert(Values[I] >= 0 && Values[I] <= static_cast<int>(N) &&
-           "keys must be in 0..n");
-    Row = setKvPair(Row, I, static_cast<uint32_t>(Values[I]), I);
   }
   return Row;
 }

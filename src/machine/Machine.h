@@ -18,16 +18,6 @@
 /// test is the sort goal's instance), and the packed initial rows for all
 /// n! test permutations.
 ///
-/// Key-payload mode: for the analytics workloads each data register
-/// carries an index payload that moves together with the key. A widened
-/// 64-bit row gives register i the bits [6i, 6i+6) — key in the low 3,
-/// payload in the high 3 — with the lt/gt flags at bits 48/49, so R <= 8
-/// registers still fit. Every opcode moves whole (key, payload) fields and
-/// compares keys only, which is exactly the pair-invariance argument the
-/// sortlib key-value entry points rely on: a kernel that is correct on
-/// keys is automatically payload-correct, because no instruction can
-/// separate a payload from its key.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SKS_MACHINE_MACHINE_H
@@ -38,6 +28,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace sks {
@@ -56,30 +48,6 @@ inline uint32_t getReg(uint32_t Row, unsigned Reg) {
 inline uint32_t setReg(uint32_t Row, unsigned Reg, uint32_t Value) {
   unsigned Shift = 3 * Reg;
   return (Row & ~(7u << Shift)) | (Value << Shift);
-}
-
-/// Flag bits of a widened 64-bit key-payload row (registers occupy bits
-/// [0, 48): 6 bits each, key low, payload high).
-inline constexpr uint64_t KvFlagLT = uint64_t(1) << 48;
-inline constexpr uint64_t KvFlagGT = uint64_t(1) << 49;
-inline constexpr uint64_t KvFlagMask = KvFlagLT | KvFlagGT;
-
-/// \returns the key of register \p Reg in widened row \p Row.
-inline uint32_t getKvKey(uint64_t Row, unsigned Reg) {
-  return static_cast<uint32_t>(Row >> (6 * Reg)) & 7u;
-}
-
-/// \returns the index payload of register \p Reg in widened row \p Row.
-inline uint32_t getKvPayload(uint64_t Row, unsigned Reg) {
-  return static_cast<uint32_t>(Row >> (6 * Reg + 3)) & 7u;
-}
-
-/// \returns \p Row with register \p Reg set to the (key, payload) pair.
-inline uint64_t setKvPair(uint64_t Row, unsigned Reg, uint32_t Key,
-                          uint32_t Payload) {
-  unsigned Shift = 6 * Reg;
-  return (Row & ~(uint64_t(0x3f) << Shift)) |
-         (uint64_t(Key | (Payload << 3)) << Shift);
 }
 
 /// Which instruction alphabet the machine executes.
@@ -201,62 +169,14 @@ public:
 
   /// Packs an initial row: data registers from \p Values (size n, values
   /// 1..n), scratch registers 0, flags clear.
-  uint32_t packInitial(const std::vector<int> &Values) const;
+  uint32_t packInitial(std::span<const int> Values) const;
+  /// Same, for a braced list of values.
+  uint32_t packInitial(std::initializer_list<int> Values) const {
+    return packInitial(std::span<const int>(Values.begin(), Values.size()));
+  }
 
   /// Packed initial rows for all n! permutations of 1..n, lexicographic.
   std::vector<uint32_t> initialRows() const;
-
-  /// Executes one instruction on a widened key-payload row. Compares read
-  /// keys only; moves (conditional or not) and min/max selections carry
-  /// the whole (key, payload) field, so pairs are never separated.
-  uint64_t applyKeyVal(uint64_t Row, Instr I) const {
-    auto Field = [](uint64_t R, unsigned Reg) -> uint64_t {
-      return (R >> (6 * Reg)) & 0x3f;
-    };
-    auto SetField = [](uint64_t R, unsigned Reg, uint64_t F) -> uint64_t {
-      unsigned Shift = 6 * Reg;
-      return (R & ~(uint64_t(0x3f) << Shift)) | (F << Shift);
-    };
-    switch (I.Op) {
-    case Opcode::Mov:
-      return SetField(Row, I.Dst, Field(Row, I.Src));
-    case Opcode::Cmp: {
-      uint32_t A = getKvKey(Row, I.Dst), B = getKvKey(Row, I.Src);
-      Row &= ~KvFlagMask;
-      if (A < B)
-        Row |= KvFlagLT;
-      else if (A > B)
-        Row |= KvFlagGT;
-      return Row;
-    }
-    case Opcode::CMovL:
-      return (Row & KvFlagLT) ? SetField(Row, I.Dst, Field(Row, I.Src)) : Row;
-    case Opcode::CMovG:
-      return (Row & KvFlagGT) ? SetField(Row, I.Dst, Field(Row, I.Src)) : Row;
-    case Opcode::Min:
-      return getKvKey(Row, I.Src) < getKvKey(Row, I.Dst)
-                 ? SetField(Row, I.Dst, Field(Row, I.Src))
-                 : Row;
-    case Opcode::Max:
-      return getKvKey(Row, I.Src) > getKvKey(Row, I.Dst)
-                 ? SetField(Row, I.Dst, Field(Row, I.Src))
-                 : Row;
-    }
-    assert(false && "unknown opcode");
-    return Row;
-  }
-
-  /// Executes a whole program on a widened key-payload row.
-  uint64_t runKeyVal(uint64_t Row, const Program &P) const {
-    for (const Instr &I : P)
-      Row = applyKeyVal(Row, I);
-    return Row;
-  }
-
-  /// Packs a widened initial row: data register i carries key Values[i]
-  /// with payload i (its original position), scratch registers hold the
-  /// zero pair, flags clear.
-  uint64_t packInitialKeyVal(const std::vector<int> &Values) const;
 
   /// \returns the number of instructions in the UNRESTRICTED alphabet,
   /// 4 * R^2 for cmov and 3 * R^2 for min/max; used for the section 5.1

@@ -8,11 +8,9 @@
 
 #include "codegen/Jit.h"
 #include "validate/Decoder.h"
-#include "verify/ZeroOne.h"
 
 #include <algorithm>
 #include <array>
-#include <bit>
 
 using namespace sks;
 
@@ -34,8 +32,6 @@ const char *sks::validationRuleName(ValidationRule R) {
     return "uninit-read";
   case ValidationRule::Semantics:
     return "semantics";
-  case ValidationRule::GoalThreshold:
-    return "goal-threshold";
   }
   return "unknown";
 }
@@ -72,16 +68,14 @@ struct Validation {
   unsigned NumRegs; ///< Model registers incl. scratch.
   bool PairLanes;
   const Program &P;
-  GoalSpec Goal;
   ValidationReport &R;
   /// GPR encoding number -> model register index, -1 outside the file.
   std::array<int, 16> GprToModel;
 
   Validation(MachineKind Kind, unsigned NumData, unsigned NumRegs,
-             bool PairLanes, const Program &P, GoalSpec Goal,
-             ValidationReport &R)
+             bool PairLanes, const Program &P, ValidationReport &R)
       : Kind(Kind), NumData(NumData), NumRegs(NumRegs), PairLanes(PairLanes),
-        P(P), Goal(Goal), R(R) {
+        P(P), R(R) {
     GprToModel.fill(-1);
     for (unsigned I = 0; I != 8; ++I)
       GprToModel[GprNumber[I]] = static_cast<int>(I);
@@ -366,7 +360,7 @@ bool checkInitAndFlags(Validation &V, const std::vector<X86Insn> &Insns) {
 /// into a mask with pcmpgtq, and consumes it as blendvpd's implicit mask.
 /// Pinning that shape statically is what keeps mask values (0 / all-ones)
 /// out of the data flow — a precondition of the order-type argument of
-/// layer 4b.
+/// layer 4.
 bool checkMaskStaging(Validation &V, const std::vector<X86Insn> &Insns) {
   const size_t Before = V.R.Findings.size();
   enum class Xmm0 : uint8_t { Unwritten, Data, Mask } State = Xmm0::Unwritten;
@@ -429,7 +423,7 @@ bool checkMaskStaging(Validation &V, const std::vector<X86Insn> &Insns) {
 // sorts below every test value but not below a negative int32. Copies and
 // conditional selects of such values are harmless — they are decided by
 // comparisons of other values — but the moment a maybe-zero value feeds an
-// ORDER operation (cmp / min / max / pcmpgtq), layer 4b must switch to the
+// ORDER operation (cmp / min / max / pcmpgtq), layer 4 must switch to the
 // extended family that enumerates 0's position too. 1366 of the 5602
 // optimal n=3 kernels read scratch zeros (lint's uninit-read note), so
 // this is a real path, not an edge case.
@@ -498,149 +492,7 @@ bool irOrdersZero(unsigned NumData, const Program &P) {
 }
 
 //===----------------------------------------------------------------------===//
-// Layer 4a: bit-parallel boolean family (2^n vectors, the 0-1 principle)
-//===----------------------------------------------------------------------===//
-
-/// Indicator mask of data slot \p I over all 2^n boolean vectors.
-uint64_t dataBitMask(unsigned N, unsigned I) {
-  const uint32_t VectorCount = 1u << N;
-  uint64_t Mask = 0;
-  for (uint32_t Vec = 0; Vec != VectorCount; ++Vec)
-    if ((Vec >> I) & 1u)
-      Mask |= uint64_t(1) << Vec;
-  return Mask;
-}
-
-bool checkBooleanFamily(Validation &V, const std::vector<X86Insn> &Insns) {
-  const size_t Before = V.R.Findings.size();
-  const unsigned N = V.NumData;
-  const uint64_t Full =
-      (1u << N) == 64 ? ~uint64_t(0) : (uint64_t(1) << (1u << N)) - 1;
-
-  // The decoded stream, bit-parallel: one mask per host register. On
-  // boolean lanes pair and scalar kernels coincide — a packed (key, 0)
-  // lane compares exactly like its key.
-  std::array<uint64_t, 16> G = {};
-  std::array<uint64_t, 8> X = {};
-  std::array<uint64_t, 6> Mem = {};
-  for (unsigned I = 0; I != N; ++I)
-    Mem[I] = dataBitMask(N, I);
-  uint64_t LT = 0, GT = 0;
-  for (const X86Insn &I : Insns) {
-    const unsigned Slot = I.Mem ? I.Disp / V.laneWidth() : 0;
-    switch (I.Op) {
-    case X86Op::XorRR:
-      G[I.Reg] = 0;
-      LT = GT = 0;
-      break;
-    case X86Op::MovRR:
-      G[I.Reg] = G[I.Rm];
-      break;
-    case X86Op::CmpRR:
-      LT = ~G[I.Reg] & G[I.Rm] & Full; // 0 < 1 is the only boolean "<".
-      GT = G[I.Reg] & ~G[I.Rm] & Full;
-      break;
-    case X86Op::CMovL:
-      G[I.Reg] = (LT & G[I.Rm]) | (~LT & G[I.Reg]);
-      break;
-    case X86Op::CMovG:
-      G[I.Reg] = (GT & G[I.Rm]) | (~GT & G[I.Reg]);
-      break;
-    case X86Op::GprLoad:
-      G[I.Reg] = Mem[Slot];
-      break;
-    case X86Op::GprStore:
-      Mem[Slot] = G[I.Reg];
-      break;
-    case X86Op::PXor:
-      X[I.Reg] = 0;
-      break;
-    case X86Op::MovDqa:
-      X[I.Reg] = X[I.Rm];
-      break;
-    case X86Op::PMinSD:
-      X[I.Reg] &= X[I.Rm];
-      break;
-    case X86Op::PMaxSD:
-      X[I.Reg] |= X[I.Rm];
-      break;
-    case X86Op::PCmpGtQ:
-      X[I.Reg] = X[I.Reg] & ~X[I.Rm] & Full; // 1 > 0, all-ones as "1".
-      break;
-    case X86Op::BlendVPD:
-      X[I.Reg] = (X[0] & X[I.Rm]) | (~X[0] & X[I.Reg]);
-      break;
-    case X86Op::MovdLoad:
-    case X86Op::MovqLoad:
-      X[I.Reg] = Mem[Slot];
-      break;
-    case X86Op::MovdStore:
-    case X86Op::MovqStore:
-      Mem[Slot] = X[I.Reg];
-      break;
-    case X86Op::Ret:
-      break;
-    }
-  }
-
-  // The IR, bit-parallel over the model registers (scratch starts 0).
-  std::array<uint64_t, kMaxRegs> Reg = {};
-  for (unsigned I = 0; I != N; ++I)
-    Reg[I] = dataBitMask(N, I);
-  uint64_t IrLT = 0, IrGT = 0;
-  for (const Instr &I : V.P) {
-    switch (I.Op) {
-    case Opcode::Mov:
-      Reg[I.Dst] = Reg[I.Src];
-      break;
-    case Opcode::Cmp:
-      IrLT = ~Reg[I.Dst] & Reg[I.Src] & Full;
-      IrGT = Reg[I.Dst] & ~Reg[I.Src] & Full;
-      break;
-    case Opcode::CMovL:
-      Reg[I.Dst] = (IrLT & Reg[I.Src]) | (~IrLT & Reg[I.Dst]);
-      break;
-    case Opcode::CMovG:
-      Reg[I.Dst] = (IrGT & Reg[I.Src]) | (~IrGT & Reg[I.Dst]);
-      break;
-    case Opcode::Min:
-      Reg[I.Dst] &= Reg[I.Src];
-      break;
-    case Opcode::Max:
-      Reg[I.Dst] |= Reg[I.Src];
-      break;
-    }
-  }
-
-  for (unsigned I = 0; I != N; ++I) {
-    const uint64_t Code = Mem[I] & Full, Ir = Reg[I] & Full;
-    if (Code != Ir) {
-      const unsigned Vec =
-          static_cast<unsigned>(std::countr_zero(Code ^ Ir));
-      V.finding(ValidationRule::Semantics, 0,
-                "boolean family: slot " + std::to_string(I) +
-                    " differs from the IR on vector " + std::to_string(Vec));
-    }
-  }
-  // ZeroOne's threshold predicates on the goal-pinned slots: independent
-  // evidence that the code (not just the IR) establishes the goal.
-  const uint32_t Pinned = V.Goal.pinnedPositions(N);
-  for (unsigned J = 0; J != N; ++J) {
-    if (!(Pinned & (1u << J)))
-      continue;
-    const uint64_t Want = thresholdFunctionMask(N, J);
-    if ((Reg[J] & Full) == Want && (Mem[J] & Full) != Want)
-      V.finding(ValidationRule::GoalThreshold, 0,
-                "slot " + std::to_string(J) +
-                    " misses its threshold function while the IR computes "
-                    "it");
-  }
-  V.R.BooleanVectors = 1u << N;
-  return V.R.Findings.size() == Before;
-}
-
-//===----------------------------------------------------------------------===//
-// Layer 4b: order-type-complete concrete family (n^n vectors over {1..n})
+// Layer 4: order-type-complete concrete family (n^n vectors over {1..n})
 //===----------------------------------------------------------------------===//
 
 /// Runs the decoded stream on one concrete memory image. Values are
@@ -732,11 +584,13 @@ bool checkOneVector(Validation &V, const std::vector<X86Insn> &Insns,
   const unsigned N = V.NumData;
   int64_t Mem[6] = {};
   if (V.PairLanes) {
-    // Distinct payloads: exact 64-bit equality below then subsumes the
-    // payload-follows-key property.
+    // One constant payload, so lanes tie exactly when their keys do and
+    // the family reaches every weak order of (lanes, 0). Distinct payloads
+    // would make every pair of lanes differ, and a kernel whose result on
+    // tied lanes differs from the IR's would pass.
     int64_t Ref[6] = {};
     for (unsigned I = 0; I != N; ++I)
-      Mem[I] = Ref[I] = packPair(Keys[I], I);
+      Mem[I] = Ref[I] = packPair(Keys[I], 0);
     runDecoded(V, Insns, Mem);
     interpretPairKernel(V.Kind, N, V.P, Ref);
     for (unsigned I = 0; I != N; ++I)
@@ -842,15 +696,14 @@ bool checkStructure(Validation &V) {
 
 ValidationReport sks::validateKernelBytes(const uint8_t *Bytes, size_t Len,
                                           MachineKind Kind, unsigned NumData,
-                                          const Program &P, GoalSpec Goal,
-                                          bool PairLanes) {
+                                          const Program &P, bool PairLanes) {
   ValidationReport R;
   if (Kind == MachineKind::Hybrid)
     return R; // No JIT emission path: nothing to validate.
   R.Applicable = true;
 
   Validation V(Kind, NumData, modelNumRegs(Kind, NumData, P), PairLanes, P,
-               Goal, R);
+               R);
   if (!checkStructure(V))
     return R;
 
@@ -866,16 +719,15 @@ ValidationReport sks::validateKernelBytes(const uint8_t *Bytes, size_t Len,
   if (PairLanes && Kind == MachineKind::MinMax)
     Disciplined &= checkMaskStaging(V, D.Insns);
   if (!Disciplined)
-    return R; // The semantic layers assume a disciplined stream.
+    return R; // The semantic layer assumes a disciplined stream.
 
-  if (checkBooleanFamily(V, D.Insns))
-    checkOrderFamily(V, D.Insns);
+  checkOrderFamily(V, D.Insns);
   R.Ok = R.Findings.empty();
   return R;
 }
 
 ValidationReport sks::validateJitKernel(MachineKind Kind, unsigned NumData,
-                                        const Program &P, GoalSpec Goal) {
+                                        const Program &P, GoalSpec) {
   if (Kind == MachineKind::Hybrid)
     return ValidationReport{};
   EmittedCode Code = emitKernelBytes(Kind, NumData, P);
@@ -888,11 +740,11 @@ ValidationReport sks::validateJitKernel(MachineKind Kind, unsigned NumData,
     return R;
   }
   return validateKernelBytes(Code.Bytes.data(), Code.Bytes.size(), Kind,
-                             NumData, P, Goal, /*PairLanes=*/false);
+                             NumData, P, /*PairLanes=*/false);
 }
 
 ValidationReport sks::validateJitPairKernel(MachineKind Kind, unsigned NumData,
-                                            const Program &P, GoalSpec Goal) {
+                                            const Program &P, GoalSpec) {
   if (Kind == MachineKind::Hybrid)
     return ValidationReport{};
   EmittedCode Code = emitPairKernelBytes(Kind, NumData, P);
@@ -905,5 +757,5 @@ ValidationReport sks::validateJitPairKernel(MachineKind Kind, unsigned NumData,
     return R;
   }
   return validateKernelBytes(Code.Bytes.data(), Code.Bytes.size(), Kind,
-                             NumData, P, Goal, /*PairLanes=*/true);
+                             NumData, P, /*PairLanes=*/true);
 }

@@ -27,20 +27,20 @@
 ///     path the same layer pins the xmm0 mask staging shape (stage data,
 ///     pcmpgtq, blendvpd) so mask values never leak into the data flow.
 ///  4. Semantic equivalence — the decoded stream and the IR run side by
-///     side over two input families: all 2^n boolean vectors,
-///     bit-parallel in one uint64_t per register (the 0-1 principle,
-///     extended with ZeroOne's per-register threshold predicates on the
-///     goal-pinned slots), and all n^n vectors over {1..n}. The second
-///     family is order-type-complete: both programs are comparison/copy
-///     programs, which commute with every strictly monotone int32 map, so
-///     agreement on all order types implies agreement on every int32
-///     input — this is what upgrades the check from testing to proof.
-///     When either side compares a zero-initialized value (scratch reads
-///     are legal and real: lint's uninit-read note), the family widens to
+///     side over the order family: all n^n vectors over {1..n}. Both are
+///     comparison/copy programs, which commute with every strictly
+///     monotone map, so agreement on every weak order of the inputs
+///     (ties included) implies agreement on every input — this is what
+///     upgrades the check from testing to proof. When either side
+///     compares a zero-initialized value (scratch reads are legal and
+///     real: lint's uninit-read note), the family widens to
 ///     (n+2)*(n+1)^n vectors that also enumerate every position of the
-///     constant 0 among the inputs. Pair kernels run the concrete family
-///     over packed lanes with distinct payloads, so payload-follows-key
-///     is inherited from exact 64-bit equality.
+///     constant 0 among the inputs. Pair kernels run the same vectors as
+///     packed lanes with one constant payload, so two lanes tie exactly
+///     when their keys do and both lane widths see every weak order of
+///     (inputs, 0). Layers 1-3 pin the code to whole-lane compares and
+///     copies, so agreement on pair lanes is agreement on every int64
+///     input: a payload never leaves its key.
 ///
 /// What this does NOT prove: anything about the host memory model,
 /// concurrency, or the mapping/mprotect path — the theorem is about the
@@ -76,8 +76,6 @@ enum class ValidationRule : uint8_t {
                       ///< a broken xmm0 mask staging shape (pair min/max).
   UninitRead,         ///< Register read before any definition.
   Semantics,          ///< An input vector where code and IR disagree.
-  GoalThreshold,      ///< A goal-pinned slot misses its threshold function
-                      ///< while the IR computes it.
 };
 
 /// \returns the display name of \p R ("decode", "semantics", ...).
@@ -103,9 +101,11 @@ struct ValidationReport {
   std::vector<ValidationFinding> Findings;
   /// Instructions decoded (0 when decoding failed).
   size_t DecodedCount = 0;
-  /// Boolean vectors checked bit-parallel (2^n) and order-type vectors
-  /// checked concretely (n^n); 0 when an earlier layer already failed.
+  /// Always 0: the boolean family it counted is gone, and the field stays
+  /// for callers that still report it.
   unsigned BooleanVectors = 0;
+  /// Order-family vectors checked (n^n, or (n+2)*(n+1)^n when a zero is
+  /// compared); 0 when an earlier layer already failed.
   unsigned OrderVectors = 0;
 
   /// The first finding as "rule: message (offset K)", or "ok".
@@ -114,16 +114,17 @@ struct ValidationReport {
 
 /// Validates \p Len bytes at \p Bytes against \p P: the stream must be
 /// the (Kind, NumData) kernel body over int32 lanes (PairLanes false) or
-/// packed 64-bit key-payload lanes (PairLanes true). \p Goal selects the
-/// threshold predicates layer 4 additionally pins (sort pins every slot).
+/// packed 64-bit key-payload lanes (PairLanes true).
 ValidationReport validateKernelBytes(const uint8_t *Bytes, size_t Len,
                                      MachineKind Kind, unsigned NumData,
-                                     const Program &P, GoalSpec Goal,
-                                     bool PairLanes);
+                                     const Program &P, bool PairLanes);
 
 /// Emits \p P through codegen/Jit.h emitKernelBytes and validates the
 /// result — the one-call gate used by the driver (--validate-jit), the
-/// sortlib/bench debug gates, and sks-lint --validate.
+/// sortlib/bench debug gates, and sks-lint --validate. The proof is
+/// equivalence to \p P on every input, so it holds whatever the kernel's
+/// goal; the goal argument does not enter it and is accepted for callers
+/// that pass their request's goal along.
 ValidationReport validateJitKernel(MachineKind Kind, unsigned NumData,
                                    const Program &P,
                                    GoalSpec Goal = GoalSpec::sort());

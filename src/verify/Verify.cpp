@@ -6,55 +6,60 @@
 
 #include "verify/Verify.h"
 
-#include "support/Permutations.h"
+#include "isa/Interpret.h"
 
 #include <algorithm>
-
+#include <array>
 #include <cassert>
+#include <numeric>
+#include <span>
 
 using namespace sks;
 
 const char *sks::verifierIdentity() {
-  // Names the n!-permutation interpreter check plus the 0-1-principle
-  // static certifier (verify/ZeroOne.h) the driver's verification gate
-  // dispatches between. Version history: v1 — initial service cache;
-  // v2 — checks are parameterized by the machine's goal predicate, so
-  // "verified" now means "establishes the goal", not "sorts".
+  // The stamp changes only when a verdict does, so it still names the
+  // 0-1 certifier that min/max kernels once took: that route gave the n!
+  // verdict on every program, and keeping the stamp keeps cached entries
+  // valid. Version history: v1 — initial service cache; v2 — checks are
+  // parameterized by the machine's goal predicate, so "verified" now
+  // means "establishes the goal", not "sorts".
   return "sks-verify nperm+zero-one v2";
 }
 
+namespace {
+
+/// Calls \p Visit on each of the n! permutations of 1..n in lexicographic
+/// order (the order CEGIS sees counterexamples in), walking one stack
+/// array in place. \returns false as soon as \p Visit does.
+template <typename VisitFn>
+bool allPermutationsPass(unsigned N, VisitFn Visit) {
+  std::array<int, kMaxRegs> Perm = {};
+  const std::span<const int> View(Perm.data(), N);
+  std::iota(Perm.begin(), Perm.begin() + N, 1);
+  do {
+    if (!Visit(View))
+      return false;
+  } while (std::next_permutation(Perm.begin(), Perm.begin() + N));
+  return true;
+}
+
+} // namespace
+
 bool sks::isCorrectKernel(const Machine &M, const Program &P) {
-  return findCounterexample(M, P).empty();
+  return allPermutationsPass(M.numData(), [&](std::span<const int> Perm) {
+    return M.accepts(M.run(M.packInitial(Perm), P));
+  });
 }
 
 std::vector<int> sks::findCounterexample(const Machine &M, const Program &P) {
-  for (const std::vector<int> &Perm : allPermutations(M.numData())) {
-    uint32_t Row = M.run(M.packInitial(Perm), P);
-    if (!M.accepts(Row))
-      return Perm;
-  }
-  return {};
-}
-
-bool sks::isCorrectKeyValKernel(const Machine &M, const Program &P) {
-  const unsigned N = M.numData();
-  const uint32_t Pinned = M.goal().pinnedPositions(N);
-  for (const std::vector<int> &Perm : allPermutations(N)) {
-    uint64_t Row = M.runKeyVal(M.packInitialKeyVal(Perm), P);
-    for (unsigned J = 0; J != N; ++J) {
-      if (!(Pinned & (1u << J)))
-        continue;
-      if (getKvKey(Row, J) != J + 1)
-        return false;
-      // The payload must be the input position that carried key j+1.
-      unsigned Origin = 0;
-      while (Perm[Origin] != static_cast<int>(J + 1))
-        ++Origin;
-      if (getKvPayload(Row, J) != Origin)
-        return false;
-    }
-  }
-  return true;
+  std::vector<int> Failing;
+  allPermutationsPass(M.numData(), [&](std::span<const int> Perm) {
+    if (M.accepts(M.run(M.packInitial(Perm), P)))
+      return true;
+    Failing.assign(Perm.begin(), Perm.end());
+    return false;
+  });
+  return Failing;
 }
 
 std::vector<long long> sks::runOnValues(const Machine &M, const Program &P,
@@ -67,48 +72,20 @@ std::vector<long long> sks::runOnValuesWithState(
     const Machine &M, const Program &P, const std::vector<long long> &Values,
     long long ScratchInit, bool InitialLt, bool InitialGt) {
   assert(Values.size() == M.numData() && "one value per data register");
-  std::vector<long long> Regs(M.numRegs(), ScratchInit);
-  for (unsigned I = 0; I != M.numData(); ++I)
-    Regs[I] = Values[I];
-  bool LT = InitialLt, GT = InitialGt;
-  for (const Instr &I : P) {
-    switch (I.Op) {
-    case Opcode::Mov:
-      Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::Cmp:
-      LT = Regs[I.Dst] < Regs[I.Src];
-      GT = Regs[I.Dst] > Regs[I.Src];
-      break;
-    case Opcode::CMovL:
-      if (LT)
-        Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::CMovG:
-      if (GT)
-        Regs[I.Dst] = Regs[I.Src];
-      break;
-    case Opcode::Min:
-      Regs[I.Dst] = std::min(Regs[I.Dst], Regs[I.Src]);
-      break;
-    case Opcode::Max:
-      Regs[I.Dst] = std::max(Regs[I.Dst], Regs[I.Src]);
-      break;
-    }
-  }
-  Regs.resize(M.numData());
-  return Regs;
+  long long Regs[kMaxRegs];
+  std::fill(Regs, Regs + kMaxRegs, ScratchInit);
+  std::copy(Values.begin(), Values.end(), Regs);
+  interpretOnRegisters(P, Regs, InitialLt, InitialGt);
+  return std::vector<long long>(Regs, Regs + M.numData());
 }
 
 bool sks::areEquivalentKernels(const Machine &M, const Program &A,
                                const Program &B, bool FullState) {
   uint32_t Mask = FullState ? (M.regMask() | FlagMask) : M.dataMask();
-  for (const std::vector<int> &Perm : allPermutations(M.numData())) {
+  return allPermutationsPass(M.numData(), [&](std::span<const int> Perm) {
     uint32_t Initial = M.packInitial(Perm);
-    if ((M.run(Initial, A) & Mask) != (M.run(Initial, B) & Mask))
-      return false;
-  }
-  return true;
+    return (M.run(Initial, A) & Mask) == (M.run(Initial, B) & Mask);
+  });
 }
 
 bool sks::isRobustKernel(const Machine &M, const Program &P) {
@@ -121,23 +98,23 @@ bool sks::isRobustKernel(const Machine &M, const Program &P) {
   // behaviour depends only on comparison outcomes, so covering every
   // order-type of (data, scratch) with every initial flag state covers
   // every input of distinct integers. Tied data values are not covered.
-  std::vector<long long> Sorted(N);
+  long long Sorted[kMaxRegs] = {}, Perm[kMaxRegs] = {};
   for (unsigned I = 0; I != N; ++I)
-    Sorted[I] = 2 * (I + 1);
+    Sorted[I] = Perm[I] = 2 * (I + 1);
 
   const uint32_t Pinned = M.goal().pinnedPositions(N);
-  std::vector<long long> Perm = Sorted;
   do {
     for (long long Scratch = 0; Scratch <= 2 * N + 1; ++Scratch) {
       for (int Flags = 0; Flags != 3; ++Flags) {
-        std::vector<long long> Out = runOnValuesWithState(
-            M, P, Perm, Scratch, /*InitialLt=*/Flags == 1,
-            /*InitialGt=*/Flags == 2);
+        long long Regs[kMaxRegs];
+        std::fill(Regs, Regs + kMaxRegs, Scratch);
+        std::copy(Perm, Perm + N, Regs);
+        interpretOnRegisters(P, Regs, /*LT=*/Flags == 1, /*GT=*/Flags == 2);
         for (unsigned J = 0; J != N; ++J)
-          if ((Pinned & (1u << J)) && Out[J] != Sorted[J])
+          if ((Pinned & (1u << J)) && Regs[J] != Sorted[J])
             return false;
       }
     }
-  } while (std::next_permutation(Perm.begin(), Perm.end()));
+  } while (std::next_permutation(Perm, Perm + N));
   return true;
 }

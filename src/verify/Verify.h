@@ -26,7 +26,7 @@
 namespace sks {
 
 /// Identity stamp of the verification procedure, e.g.
-/// "sks-verify nperm+zero-one v1". The kernel cache
+/// "sks-verify nperm+zero-one v2". The kernel cache
 /// (cache/KernelCache.h) persists this string with every entry and
 /// treats a mismatch as stale: a cached kernel is only served when the
 /// verifier that re-checks it on load is the one named by the stamp.
@@ -42,14 +42,6 @@ bool isCorrectKernel(const Machine &M, const Program &P);
 /// goal, or an empty vector when the kernel is correct. Used as the CEGIS
 /// counterexample oracle.
 std::vector<int> findCounterexample(const Machine &M, const Program &P);
-
-/// Key-payload correctness: runs \p P on the widened rows (each data
-/// register carries its input position as payload) for all n! key
-/// permutations and checks that every goal-pinned register ends with the
-/// required key AND the payload of the input position that carried it.
-/// For pair-moving instruction semantics this follows from key
-/// correctness when keys are distinct; the check pins the claim.
-bool isCorrectKeyValKernel(const Machine &M, const Program &P);
 
 /// Executes \p P on arbitrary integer values (not just 1..n) with the same
 /// semantics, returning the final data-register contents. This is the

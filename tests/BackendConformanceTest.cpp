@@ -25,6 +25,7 @@
 
 #include "driver/Backends.h"
 #include "driver/Portfolio.h"
+#include "kernels/ReferenceKernels.h"
 #include "machine/Machine.h"
 #include "search/Search.h"
 #include "verify/Verify.h"
@@ -277,6 +278,25 @@ TEST(BackendConformance, VerificationGateDemotesWrongClaims) {
   EXPECT_EQ(O2.Status, SynthStatus::Found);
   EXPECT_TRUE(O2.Verified);
   EXPECT_EQ(O2.Kernel, Real.Kernel);
+
+  // Min/max claims take the same n! check: the n=3 network one pmax short
+  // is demoted, and the whole network passes with no stat of its own.
+  SynthRequest MinMax = request(3, SynthGoal::FirstKernel, 10);
+  MinMax.Kind = MachineKind::MinMax;
+  const Program Network = sortingNetworkMinMax(3);
+  ClaimingBackend Short{Program(Network.begin(), Network.end() - 1)};
+  SynthOutcome O3 = Short.run(MinMax);
+  EXPECT_EQ(O3.Status, SynthStatus::Exhausted);
+  EXPECT_TRUE(O3.Kernel.empty());
+  EXPECT_FALSE(O3.Verified);
+  EXPECT_EQ(stat(O3, "verify_failed"), 1u);
+  ClaimingBackend HonestMinMax{Network};
+  SynthOutcome O4 = HonestMinMax.run(MinMax);
+  EXPECT_EQ(O4.Status, SynthStatus::Found);
+  EXPECT_TRUE(O4.Verified);
+  EXPECT_EQ(O4.Kernel, Network);
+  for (const auto &KV : O4.Stats)
+    EXPECT_NE(KV.first, "zero_one_vectors");
 }
 
 TEST(PortfolioDriver, NThreeReturnsVerifiedWinnerAndCancelsLosers) {

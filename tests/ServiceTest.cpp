@@ -379,6 +379,25 @@ TEST(KernelCache, ReVerifiesKernelsOnLoadAndDeletesLiars) {
   EXPECT_EQ(Cache.stats().VerifyFailed, 1u);
   EXPECT_FALSE(std::filesystem::exists(Path))
       << "a lying entry must be evicted, not retried forever";
+
+  // A min/max entry is re-checked the same way: the n=3 network is served,
+  // and the same network one pmax short is a liar.
+  SynthRequest MinMaxReq = makeRequest(3);
+  MinMaxReq.Kind = MachineKind::MinMax;
+  SynthOutcome Honest = makeVerifiedOutcome(3);
+  Honest.Kernel = sortingNetworkMinMax(3);
+  ASSERT_TRUE(Cache.store(MinMaxReq, Honest));
+  ASSERT_TRUE(Cache.lookup(MinMaxReq, Out));
+  EXPECT_EQ(Out.Kernel, Honest.Kernel);
+  const std::string MinMaxPath = Cache.entryPath(MinMaxReq);
+  SynthOutcome MinMaxLie = Honest;
+  MinMaxLie.Kernel.pop_back();
+  Entry = slurp(MinMaxPath);
+  spew(MinMaxPath, Entry.substr(0, Entry.find("# sks-outcome")) +
+                       serializeOutcome(MinMaxLie, 3));
+  EXPECT_FALSE(Cache.lookup(MinMaxReq, Out));
+  EXPECT_EQ(Cache.stats().VerifyFailed, 2u);
+  EXPECT_FALSE(std::filesystem::exists(MinMaxPath));
 }
 
 TEST(KernelCache, InvalidDirectoryDegradesToUncached) {

@@ -8,9 +8,10 @@
 // shipped and reference kernel across all emission paths, hostile-input
 // robustness (every-prefix truncation and a random byte-flip corpus —
 // run under the sanitizer trees, these double as memory-safety proofs),
-// discipline-layer unit tests from hand-assembled streams, and the
-// mutation pin: targeted semantic byte-mutants of real emissions must be
-// rejected without exception.
+// discipline-layer unit tests from hand-assembled streams, the mutation
+// pin (targeted semantic byte-mutants of real emissions must be rejected
+// without exception), and the tied-lane pins: two kernels that differ only
+// on equal keys must be told apart on both lane widths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include "kernels/ReferenceKernels.h"
 #include "search/Search.h"
 #include "support/Rng.h"
+#include "verify/Verify.h"
 
 #include <algorithm>
 #include <atomic>
@@ -116,8 +118,7 @@ TEST(Decoder, EveryPrefixTruncationIsRejected) {
         DecodeResult D = decodeX86(Path.Code.Bytes.data(), Len);
         EXPECT_FALSE(D.Ok) << Path.Name << " truncated to " << Len;
         ValidationReport R = validateKernelBytes(Path.Code.Bytes.data(), Len,
-                                                 Kind, 4, P, GoalSpec::sort(),
-                                                 Path.PairLanes);
+                                                 Kind, 4, P, Path.PairLanes);
         EXPECT_TRUE(R.Applicable);
         EXPECT_FALSE(R.Ok) << Path.Name << " truncated to " << Len;
       }
@@ -149,7 +150,7 @@ TEST(Decoder, RandomByteFlipCorpusNeverCrashes) {
         }
         ValidationReport V =
             validateKernelBytes(Mutant.data(), Mutant.size(), Kind, 3, P,
-                                GoalSpec::sort(), Path.PairLanes);
+                                Path.PairLanes);
         EXPECT_TRUE(V.Applicable);
         EXPECT_EQ(V.Ok, V.Findings.empty());
       }
@@ -189,7 +190,6 @@ TEST(Validate, AcceptsReferenceNetworksAcrossAllLengths) {
       ValidationReport Scalar = validateJitKernel(Kind, N, P);
       ASSERT_TRUE(Scalar.Applicable);
       EXPECT_TRUE(Scalar.Ok) << "scalar n=" << N << ": " << Scalar.summary();
-      EXPECT_EQ(Scalar.BooleanVectors, 1u << N);
       ValidationReport Pair = validateJitPairKernel(Kind, N, P);
       ASSERT_TRUE(Pair.Applicable);
       EXPECT_TRUE(Pair.Ok) << "pair n=" << N << ": " << Pair.summary();
@@ -208,18 +208,17 @@ TEST(Validate, AcceptsPaperSynthKernels) {
 
 TEST(Validate, AcceptsSynthesizedGoalKernel) {
   // A freshly synthesized select-2 (median-of-3) kernel: shorter than a
-  // full sort, and validated under its own goal so the threshold layer
-  // pins only the goal's slots.
-  const GoalSpec Goal = GoalSpec::selectK(2);
-  Machine M(MachineKind::Cmov, 3, /*Scratch=*/1, Goal);
+  // full sort, and free to leave the unpinned slots unsorted. The proof is
+  // equivalence to the IR, so it covers every slot whatever the goal.
+  Machine M(MachineKind::Cmov, 3, /*Scratch=*/1, GoalSpec::selectK(2));
   SearchResult R = synthesize(M, SearchOptions());
   ASSERT_TRUE(R.Found);
   ValidationReport Scalar =
-      validateJitKernel(MachineKind::Cmov, 3, R.Solutions.front(), Goal);
+      validateJitKernel(MachineKind::Cmov, 3, R.Solutions.front());
   ASSERT_TRUE(Scalar.Applicable);
   EXPECT_TRUE(Scalar.Ok) << Scalar.summary();
   ValidationReport Pair =
-      validateJitPairKernel(MachineKind::Cmov, 3, R.Solutions.front(), Goal);
+      validateJitPairKernel(MachineKind::Cmov, 3, R.Solutions.front());
   ASSERT_TRUE(Pair.Applicable);
   EXPECT_TRUE(Pair.Ok) << Pair.summary();
 }
@@ -240,11 +239,64 @@ TEST(Validate, RejectsCodeForADifferentProgram) {
   ASSERT_EQ(Code.Status, EmitStatus::Ok);
   ValidationReport R =
       validateKernelBytes(Code.Bytes.data(), Code.Bytes.size(),
-                          MachineKind::Cmov, 3, Program(), GoalSpec::sort(),
-                          false);
+                          MachineKind::Cmov, 3, Program(), false);
   ASSERT_TRUE(R.Applicable);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(hasRule(R, ValidationRule::Semantics)) << R.summary();
+}
+
+/// An optimal n=4 cmov kernel from the cut-1 set. With tiedKernelQ it
+/// pins the tied-lane case: both sort every permutation of 1..4, but on
+/// keys [2,1,1,2] they leave different outputs.
+Program tiedKernelP() {
+  Program P;
+  EXPECT_TRUE(parseProgram(
+      "cmp r2 r3\nmov s1 r3\ncmovl r3 r2\ncmovl r2 s1\ncmp r1 r4\n"
+      "cmovg s1 r4\ncmovg r4 r1\ncmovg r1 s1\ncmovl s1 r1\ncmp r1 r3\n"
+      "cmovg r1 r3\ncmovg r3 s1\ncmp r2 r4\ncmovg s1 r4\ncmovg r4 r2\n"
+      "cmovg r2 s1\ncmp r2 r3\ncmovg s1 r2\ncmovg r2 r3\ncmovg r3 s1\n",
+      4, P));
+  return P;
+}
+
+/// tiedKernelP with its `mov s1 r3` made a `cmovl s1 r3`: another optimal
+/// kernel of the same set.
+Program tiedKernelQ() {
+  Program Q = tiedKernelP();
+  Q[1].Op = Opcode::CMovL;
+  return Q;
+}
+
+TEST(Validate, RejectsCodeThatDiffersOnlyOnTiedKeys) {
+  const Program P = tiedKernelP(), Q = tiedKernelQ();
+  Machine M(MachineKind::Cmov, 4);
+  ASSERT_TRUE(isCorrectKernel(M, P) && isCorrectKernel(M, Q));
+  int32_t FromP[4] = {2, 1, 1, 2}, FromQ[4] = {2, 1, 1, 2};
+  interpretKernel(MachineKind::Cmov, 4, P, FromP);
+  interpretKernel(MachineKind::Cmov, 4, Q, FromQ);
+  EXPECT_EQ(std::vector<int32_t>(FromP, FromP + 4),
+            (std::vector<int32_t>{1, 1, 1, 2}));
+  EXPECT_EQ(std::vector<int32_t>(FromQ, FromQ + 4),
+            (std::vector<int32_t>{1, 0, 1, 2}));
+
+  // Each one's bytes against the other's IR, on both lane widths: pair
+  // lanes tie when their keys do, so the pair proof finds the same input.
+  for (const EmissionPath &Path : emitAllPaths(MachineKind::Cmov, 4, P))
+    for (bool Swapped : {false, true}) {
+      EmittedCode Code =
+          !Swapped ? Path.Code
+          : Path.PairLanes ? emitPairKernelBytes(MachineKind::Cmov, 4, Q)
+                           : emitKernelBytes(MachineKind::Cmov, 4, Q);
+      ASSERT_EQ(Code.Status, EmitStatus::Ok);
+      ValidationReport R = validateKernelBytes(
+          Code.Bytes.data(), Code.Bytes.size(), MachineKind::Cmov, 4,
+          Swapped ? P : Q, Path.PairLanes);
+      ASSERT_FALSE(R.Ok) << Path.Name << (Swapped ? " Q vs P" : " P vs Q");
+      EXPECT_EQ(R.Findings.front().Rule, ValidationRule::Semantics);
+      EXPECT_NE(R.Findings.front().Message.find("[2,1,1,2]"),
+                std::string::npos)
+          << R.summary();
+    }
 }
 
 TEST(Validate, ZeroSensitiveKernelsWidenTheOrderFamily) {
@@ -278,7 +330,7 @@ TEST(Validate, ZeroSensitiveKernelsWidenTheOrderFamily) {
 ValidationReport validateScalarBytes(std::vector<uint8_t> Bytes,
                                      unsigned N = 2) {
   return validateKernelBytes(Bytes.data(), Bytes.size(), MachineKind::Cmov, N,
-                             Program(), GoalSpec::sort(), false);
+                             Program(), false);
 }
 
 TEST(ValidateDiscipline, HostRegisterClobberIsRejected) {
@@ -334,8 +386,7 @@ TEST(ValidateDiscipline, WrongLaneWidthIsRejected) {
   // A 32-bit load in a pair-lane (64-bit) stream.
   ValidationReport R =
       validateKernelBytes(std::vector<uint8_t>{0x8B, 0x47, 0x00, 0xC3}.data(),
-                          4, MachineKind::Cmov, 2, Program(), GoalSpec::sort(),
-                          true);
+                          4, MachineKind::Cmov, 2, Program(), true);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(hasRule(R, ValidationRule::RegisterDiscipline)) << R.summary();
 }
@@ -344,8 +395,7 @@ TEST(ValidateDiscipline, WrongPathOpcodeIsRejected) {
   // A GPR cmp inside a min/max kernel's stream.
   ValidationReport R =
       validateKernelBytes(std::vector<uint8_t>{0x3B, 0xC1, 0xC3}.data(), 3,
-                          MachineKind::MinMax, 2, Program(), GoalSpec::sort(),
-                          false);
+                          MachineKind::MinMax, 2, Program(), false);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(hasRule(R, ValidationRule::RegisterDiscipline)) << R.summary();
 }
@@ -362,7 +412,7 @@ TEST(ValidateDiscipline, BlendWithoutStagedMaskIsRejected) {
       0xC3};
   ValidationReport R =
       validateKernelBytes(Bytes.data(), Bytes.size(), MachineKind::MinMax, 2,
-                          Program(), GoalSpec::sort(), true);
+                          Program(), true);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(hasRule(R, ValidationRule::FlagDiscipline)) << R.summary();
 }
@@ -445,7 +495,7 @@ TEST(ValidateMutation, RejectsEverySemanticMutant) {
           ++Total;
           ValidationReport R =
               validateKernelBytes(Mutant.data(), Mutant.size(), Kind, N, P,
-                                  GoalSpec::sort(), Path.PairLanes);
+                                  Path.PairLanes);
           if (R.Applicable && !R.Ok)
             ++Rejected;
           else
@@ -458,6 +508,55 @@ TEST(ValidateMutation, RejectsEverySemanticMutant) {
     }
   EXPECT_GE(Total, 100u) << "mutation corpus too small to pin anything";
   EXPECT_EQ(Rejected, Total);
+}
+
+TEST(ValidateMutation, PairVerdictEqualsScalarVerdict) {
+  // Both lane widths run one order family, so a kernel's pair bytes must
+  // prove exactly the IRs its scalar bytes prove. The IRs are every
+  // single-instruction deletion, replacement from the alphabet and
+  // adjacent swap of the kernel.
+  struct Case {
+    MachineKind Kind;
+    Program P;
+    size_t Edits;
+  };
+  const Case Cases[] = {{MachineKind::Cmov, tiedKernelP(), 1439},
+                        {MachineKind::Cmov, sortingNetworkCmov(4), 1439},
+                        {MachineKind::MinMax, sortingNetworkMinMax(4), 929}};
+  for (const Case &C : Cases) {
+    const Machine M(C.Kind, 4);
+    const std::vector<EmissionPath> Paths = emitAllPaths(C.Kind, 4, C.P);
+    ASSERT_EQ(Paths[0].Code.Status, EmitStatus::Ok);
+    ASSERT_EQ(Paths[1].Code.Status, EmitStatus::Ok);
+    size_t Edits = 0;
+    auto Check = [&](const Program &Ir) {
+      ++Edits;
+      bool Ok[2];
+      for (int I = 0; I != 2; ++I)
+        Ok[I] = validateKernelBytes(Paths[I].Code.Bytes.data(),
+                                    Paths[I].Code.Bytes.size(), C.Kind, 4, Ir,
+                                    Paths[I].PairLanes)
+                    .Ok;
+      EXPECT_EQ(Ok[0], Ok[1]) << "scalar and pair verdicts differ on\n"
+                              << toString(Ir, 4);
+    };
+    for (size_t At = 0; At != C.P.size(); ++At) {
+      Program Ir = C.P;
+      Ir.erase(Ir.begin() + At);
+      Check(Ir);
+      for (const Instr &I : M.instructions()) {
+        Ir = C.P;
+        Ir[At] = I;
+        Check(Ir);
+      }
+      if (At + 1 != C.P.size()) {
+        Ir = C.P;
+        std::swap(Ir[At], Ir[At + 1]);
+        Check(Ir);
+      }
+    }
+    EXPECT_EQ(Edits, C.Edits);
+  }
 }
 
 //===----------------------------------------------------------------------===//

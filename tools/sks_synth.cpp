@@ -526,15 +526,12 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   if (Cli.ValidateJit) {
-    ValidationReport Scalar =
-        validateJitKernel(Cli.Kind, Cli.N, Final, Cli.GoalPred);
-    ValidationReport Pair =
-        validateJitPairKernel(Cli.Kind, Cli.N, Final, Cli.GoalPred);
-    std::printf("; jit-validate: scalar %s (%u boolean + %u order vectors), "
+    ValidationReport Scalar = validateJitKernel(Cli.Kind, Cli.N, Final);
+    ValidationReport Pair = validateJitPairKernel(Cli.Kind, Cli.N, Final);
+    std::printf("; jit-validate: scalar %s (%u order vectors), "
                 "pair %s (%u order vectors)\n",
-                Scalar.summary().c_str(), Scalar.BooleanVectors,
-                Scalar.OrderVectors, Pair.summary().c_str(),
-                Pair.OrderVectors);
+                Scalar.summary().c_str(), Scalar.OrderVectors,
+                Pair.summary().c_str(), Pair.OrderVectors);
     if ((Scalar.Applicable && !Scalar.Ok) || (Pair.Applicable && !Pair.Ok)) {
       std::fprintf(stderr,
                    "error: JIT translation validation failed for the "
