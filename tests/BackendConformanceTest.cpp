@@ -299,6 +299,21 @@ TEST(BackendConformance, VerificationGateDemotesWrongClaims) {
     EXPECT_NE(KV.first, "zero_one_vectors");
 }
 
+TEST(BackendConformance, VerificationGateChecksMinMaxLikeCmov) {
+  // End to end: the enum backend's optimal n=3 kernels pass the gate on
+  // both machines through the same n! check, with the same stats.
+  for (MachineKind Kind : {MachineKind::MinMax, MachineKind::Cmov}) {
+    SynthRequest Req = request(3, SynthGoal::MinLength, 60);
+    Req.Kind = Kind;
+    SynthOutcome Outcome = createBackend("enum")->run(Req);
+    ASSERT_EQ(Outcome.Status, SynthStatus::Optimal);
+    EXPECT_TRUE(Outcome.Verified);
+    EXPECT_TRUE(isCorrectKernel(Machine(Kind, 3), Outcome.Kernel));
+    for (const auto &KV : Outcome.Stats)
+      EXPECT_NE(KV.first, "zero_one_vectors");
+  }
+}
+
 TEST(PortfolioDriver, NThreeReturnsVerifiedWinnerAndCancelsLosers) {
   // The acceptance race: all seven registered backends on n = 3 under the
   // min-length goal. Whoever wins must hold a verified optimal-length
