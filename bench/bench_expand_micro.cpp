@@ -13,9 +13,11 @@
 //   finish/{multipass,fused}            separate sort+unique, perm-count
 //                                       and hash traversals vs
 //                                       CandidatePipeline::finish, which
-//                                       counts before the sort and runs the
-//                                       cut between, on viable children
-//                                       (the verdict runs before apply)
+//                                       counts before the sort, on viable
+//                                       children (the verdict runs before
+//                                       apply); where the machine has a
+//                                       successor block, a child that its
+//                                       bound cuts never reaches finish()
 //
 // The scalar arms run in the same binary, so the reported ratios are
 // SIMD-vs-scalar on one build (the acceptance comparison), not a
@@ -224,9 +226,10 @@ void benchFinish(benchmark::State &State, bool Fused) {
                     F.Corpus.data() + (Buf + 1) * F.Len);
       // ChildG = 1, the depth at which every corpus buffer is viable.
       const uint8_t Needed = F.Needed[Buf];
-      bool Survived = Fused ? F.Pipeline.finish(B, RawBegin, 1, 0, Via, Lint,
-                                                Needed, Stats)
-                            : finishMultipass(F, B, RawBegin, Needed);
+      bool Survived =
+          Fused ? F.Pipeline.finish(B, RawBegin, 1, 0, Via, Lint, Needed,
+                                    F.Cuts.maxKept(1), 0, Stats)
+                : finishMultipass(F, B, RawBegin, Needed);
       Survivors += Survived;
     }
     benchmark::DoNotOptimize(B.Rows.data());

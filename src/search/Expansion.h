@@ -9,10 +9,10 @@
 /// one distance-table pass over the parent's rows (the successor fold,
 /// tables/DistanceTable.h) -> action filter (section 3.2) -> per
 /// instruction: the dead-instruction gate (lint/PrefixLint.h) -> the
-/// viability verdict (section 3.3), read off the fold -> apply ->
-/// distinct-permutation count (section 3.1) -> cut (section 3.5) ->
-/// canonicalize -> hash. Both engines expand node by node through
-/// expandNode:
+/// viability verdict (section 3.3), read off the fold -> a bound on the
+/// child's distinct-permutation count (section 3.1), read off the parent
+/// -> cut (section 3.5) -> apply -> count -> cut -> canonicalize -> hash.
+/// Both engines expand node by node through expandNode:
 ///
 ///  - the best-first engine's expansion loop (BestFirst.cpp), and
 ///  - the layered engine's level expansion (Layered.cpp), one loop over
@@ -27,11 +27,25 @@
 /// maxDist from one SSE2 pass over the parent, so a non-viable candidate
 /// exits before apply: of the candidates past the gate, 71% exit there in
 /// a perfbench `synth` round and 90% in the layered n = 3 enumeration, and
-/// they never touch a row. Only viable ones are applied (SSE2 applyBatch).
-/// One pass over the RAW transformed rows then counts their distinct
-/// projections in a per-worker bitmap (countDistinctProjections,
-/// state/SearchState.h) — a distinct count is blind to row order and
-/// duplicates — and the cut reads that count, so the canonical sort (the
+/// they never touch a row. There the section 3.5 cut runs before apply
+/// too: the cut is monotone in the count, and the parent's rows bound
+/// every child's count from below. An instruction that writes no data
+/// register (a cmp, a scratch or hybrid vector write) leaves every row's
+/// data projection as it was, so its child's count is the parent's; one
+/// that writes data register d leaves the others, so its child's count is
+/// at least the parent's count without d (permCountWithout,
+/// state/SearchState.h). A bound above the threshold cuts the child
+/// exactly where its own count would, before it is applied: 96% of the
+/// cut children of a configuration (III) n = 4 search exit there. The
+/// parent is counted once per node, and a register's bound on first use,
+/// only when the parent's count is above the threshold: no bound exceeds
+/// it, so otherwise none could cut.
+///
+/// Only the rest are applied (SSE2 applyBatch). One pass over the RAW
+/// transformed rows then counts their distinct projections in a
+/// per-worker bitmap (countDistinctProjections) — a distinct count is
+/// blind to row order and duplicates — unless the child's count is the
+/// parent's, and the cut reads that count, so the canonical sort (the
 /// sorting-network sortRows primitive, state/Canonicalize.h), duplicate
 /// compaction and hash run only for the candidates that survive the cut
 /// to be stored.
@@ -41,13 +55,15 @@
 /// and finish() reads the child's maxDist off the raw rows, stopping at
 /// the first unreachable one. The fold would apply every instruction to
 /// every row there, gate-refused ones included, so it runs only when the
-/// action filter needs its marks.
+/// action filter needs its marks. The cut stays after the verdict there,
+/// so a child both would refuse counts as viability-pruned.
 ///
 /// Opt-in stage timers (SearchOptions::ProfilePipeline) attribute the work
 /// to SearchStats::{Apply,Canon,Viability}Nanos: Viability the fold, the
 /// action filter and finish()'s verdict pass (the post-apply verdict or
 /// the table-less erase check), Apply the batched transform of the
-/// candidates that reach it, Canon the perm count + sort + hash.
+/// candidates that reach it, Canon the counts (the parent's, its bounds
+/// and each applied child's) + sort + hash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,7 +144,7 @@ public:
         Filter(Opts.UseActionFilter && DT && M.goal().isSort()),
         PreApply(UseDT && (Filter || DT->hasSuccessors())),
         PostApply(UseDT && !PreApply), NumRegs(M.numRegs()),
-        FullValueMask(M.requiredValueMask()) {}
+        NumData(M.numData()), FullValueMask(M.requiredValueMask()) {}
 
   /// The one pre-apply gate: refuses \p I when the parent's prefix summary
   /// proves that appending it plants a dead instruction. Sound in both
@@ -156,12 +172,16 @@ public:
   /// B.Rows[RawBegin..], and runs the rest of the section 3.3 check, perm
   /// count and cut. A candidate whose verdict the fold gave arrives viable
   /// with its maxDist in \p Needed; otherwise finish() judges it here, by
-  /// the distance table or the table-less erase check. Records a Candidate
-  /// on survival; truncates the tail otherwise. \returns true when the
-  /// candidate survived.
+  /// the distance table or the table-less erase check. \p MaxKept is the
+  /// cut's threshold for length \p ChildG (CutTracker::maxKept). \p Perm
+  /// is the child's perm count when expandNode knows it without counting
+  /// (the parent's, for an instruction that writes no data register), 0
+  /// to count it here. Records a Candidate on survival; truncates the tail
+  /// otherwise. \returns true when the candidate survived.
   bool finish(CandidateBatch &B, size_t RawBegin, unsigned ChildG,
               uint32_t Parent, Instr Via, const PrefixLint &ParentLint,
-              uint8_t Needed, SearchStats &Stats) const {
+              uint8_t Needed, unsigned MaxKept, uint32_t Perm,
+              SearchStats &Stats) const {
     uint32_t *Rows = B.Rows.data() + RawBegin;
     const uint32_t RawLen = static_cast<uint32_t>(B.Rows.size() - RawBegin);
 
@@ -198,12 +218,11 @@ public:
     // The perm count and the section 3.5 cut, on the raw rows too: a
     // DISTINCT count is blind to order and duplicates, so a cut candidate
     // is never sorted.
-    uint32_t Perm;
-    {
+    if (Perm == 0) {
       ScopedNanoTimer T(Profile, Stats.CanonNanos);
       Perm = permCount(M, Rows, RawLen, B.Scratch);
     }
-    if (Cuts.shouldCut(ChildG, Perm)) {
+    if (Perm > MaxKept) {
       ++Stats.CutStates;
       B.Rows.resize(RawBegin);
       return false;
@@ -241,10 +260,12 @@ public:
 
   /// Node-major expansion: folds the parent's successor rows, selects
   /// actions (section 3.2), refuses non-viable instructions before apply
-  /// where the fold gave the verdict, and runs the rest through applyBatch
-  /// and finish() — the expansion path of both engines. A refused
-  /// candidate still counts as generated and viability-pruned. \p Rows
-  /// must not alias B.Rows (all callers pass arena storage).
+  /// where the fold gave the verdict, cuts there the children whose count
+  /// the parent bounds above the cut's threshold, and runs the rest
+  /// through applyBatch and finish() — the expansion path of both engines.
+  /// A refused candidate still counts as generated and viability-pruned,
+  /// a cut one as generated and cut. \p Rows must not alias B.Rows (all
+  /// callers pass arena storage).
   void expandNode(const uint32_t *Rows, uint32_t Len, const PrefixLint &Lint,
                   uint32_t Parent, unsigned ChildG, CandidateBatch &B,
                   SearchStats &Stats) const {
@@ -255,6 +276,18 @@ public:
       if (Filter)
         Stats.ActionsFiltered +=
             selectActions(M, Rows, Len, B.Fold.Optimal.data());
+    }
+    // The cut's threshold, fixed while this node expands. Where the
+    // verdict runs before apply, the cut does too, on the parent's count
+    // (the child's, for an instruction that writes no data register) and
+    // on Bound[d] (a lower bound on the child's, for one that writes data
+    // register d; 0 until counted).
+    const unsigned MaxKept = Cuts.maxKept(ChildG);
+    uint32_t ParentPerm = 0;
+    uint32_t Bound[kMaxRegs] = {};
+    if (PreApply && MaxKept != CutTracker::KeepAll) {
+      ScopedNanoTimer T(Profile, Stats.CanonNanos);
+      ParentPerm = permCount(M, Rows, Len, B.Scratch);
     }
     const std::vector<Instr> &All = M.instructions();
     for (size_t K = 0; K != All.size(); ++K) {
@@ -269,13 +302,32 @@ public:
         ++Stats.ViabilityPruned;
         continue;
       }
+      const bool KeepsData = I.Op == Opcode::Cmp || I.Dst >= NumData;
+      uint32_t Perm = 0;
+      if (ParentPerm > MaxKept) {
+        uint32_t Least = ParentPerm;
+        if (!KeepsData) {
+          if (Bound[I.Dst] == 0) {
+            ScopedNanoTimer T(Profile, Stats.CanonNanos);
+            Bound[I.Dst] = permCountWithout(M, Rows, Len, I.Dst, B.Scratch);
+          }
+          Least = Bound[I.Dst];
+        }
+        if (Least > MaxKept) {
+          ++Stats.CutStates;
+          continue;
+        }
+      } else if (KeepsData) {
+        Perm = ParentPerm; // 0 where the cut is off or runs after apply.
+      }
       size_t RawBegin = B.Rows.size();
       {
         ScopedNanoTimer T(Profile, Stats.ApplyNanos);
         B.Rows.resize(RawBegin + Len);
         applyBatch(M, I, Rows, B.Rows.data() + RawBegin, Len);
       }
-      finish(B, RawBegin, ChildG, Parent, I, Lint, Needed, Stats);
+      finish(B, RawBegin, ChildG, Parent, I, Lint, Needed, MaxKept, Perm,
+             Stats);
     }
   }
 
@@ -306,6 +358,7 @@ private:
   const bool PreApply;
   const bool PostApply;
   const unsigned NumRegs;
+  const unsigned NumData;
   const uint32_t FullValueMask;
 };
 

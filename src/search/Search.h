@@ -154,6 +154,10 @@ struct SearchStats {
   size_t StatesExpanded = 0;
   size_t StatesGenerated = 0;
   size_t DedupHits = 0;
+  /// Viable children discarded by the section 3.5 cut: before apply when
+  /// the verdict ran there and the parent's rows bound the child's count
+  /// above the threshold, else on the applied child's own count. Each one
+  /// counts in StatesGenerated too.
   size_t CutStates = 0;
   /// Children refused by the section 3.3 check: before apply when the
   /// distance table's successor fold gives the verdict, else by finish()
@@ -179,10 +183,13 @@ struct SearchStats {
   /// (which decide every child's verdict before apply where the distance
   /// table has a successor block) plus finish()'s verdict pass where the
   /// fold gave none; Apply the batched row transforms of the candidates
-  /// that reach apply; Canon the perm count of every viable child, then
-  /// the sort + compaction + hash of the cut's survivors; Merge the
-  /// dedup/DAG commit sections. With worker threads the first three sum
-  /// CPU time across workers, so they can exceed wall-clock.
+  /// that reach apply; Canon the section 3.5 cut's counts — where the cut
+  /// runs before apply, the parent's count once per node and its
+  /// per-register bounds, then the count of every applied viable child
+  /// that does not take the parent's — and the sort + compaction + hash of
+  /// the cut's survivors; Merge the dedup/DAG commit sections. With worker
+  /// threads the first three sum CPU time across workers, so they can
+  /// exceed wall-clock.
   uint64_t ApplyNanos = 0;
   uint64_t CanonNanos = 0;
   uint64_t ViabilityNanos = 0;

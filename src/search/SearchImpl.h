@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace sks {
 namespace detail {
@@ -58,9 +59,16 @@ private:
 /// Tracks the per-length minimum distinct-permutation count and implements
 /// the section 3.5 discard test: a state of length L is discarded when its
 /// permutation count exceeds the cut bound derived from the best state of
-/// length L-1.
+/// length L-1. The test is monotone in the count, so it is one integer
+/// threshold per length (maxKept). The expansion pipeline reads it once
+/// per node and compares counts, or lower bounds on them, against it; the
+/// engines observe only after a node's expansion (best-first) or a whole
+/// level's (layered), so the threshold is fixed while a node expands.
 class CutTracker {
 public:
+  /// maxKept's value when nothing is cut.
+  static constexpr unsigned KeepAll = std::numeric_limits<unsigned>::max();
+
   CutTracker(const CutConfig &Cut, unsigned MaxLength)
       : Cut(Cut), MinPerm(MaxLength + 2, 0) {}
 
@@ -71,17 +79,27 @@ public:
       Slot = PermCount;
   }
 
-  /// \returns true if a state of length \p Length with \p PermCount
-  /// distinct permutations should be discarded.
-  bool shouldCut(unsigned Length, unsigned PermCount) const {
+  /// \returns the largest permutation count a state of length \p Length
+  /// keeps: one with a count above it is discarded. Saturates at KeepAll,
+  /// which keeps every count, when the cut is off, at the root, before
+  /// any state of the previous length is recorded, and when the bound
+  /// k * min or min + c passes the range of unsigned. State counts are at
+  /// least 1, so 0 (a negative k) discards every state.
+  unsigned maxKept(unsigned Length) const {
     if (Cut.Mode == CutConfig::Kind::None || Length == 0)
-      return false;
-    unsigned PrevMin = MinPerm[Length - 1];
+      return KeepAll;
+    const unsigned PrevMin = MinPerm[Length - 1];
     if (PrevMin == 0)
-      return false; // No state of the previous length recorded yet.
-    if (Cut.Mode == CutConfig::Kind::Multiplicative)
-      return static_cast<double>(PermCount) > Cut.Factor * PrevMin;
-    return PermCount > PrevMin + Cut.Offset;
+      return KeepAll; // No state of the previous length recorded yet.
+    if (Cut.Mode == CutConfig::Kind::Additive)
+      return static_cast<unsigned>(std::min<uint64_t>(
+          uint64_t(PrevMin) + Cut.Offset, KeepAll));
+    // An integer P passes !(P > Bound) exactly when P <= floor(Bound); a
+    // NaN bound cuts nothing.
+    const double Bound = Cut.Factor * PrevMin;
+    if (!(Bound < KeepAll))
+      return KeepAll;
+    return Bound < 0 ? 0 : static_cast<unsigned>(Bound);
   }
 
 private:

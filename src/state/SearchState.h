@@ -56,17 +56,17 @@ void applyToState(const Machine &M, const SearchState &In, Instr I,
 
 /// Counts the distinct projections of \p Rows[0..Len): each row maps to
 /// P = Row & Mask, and then to CollapsePattern when (P & CollapseMask) ==
-/// CollapsePattern. \p Mask must select the low bits of a row (3 bits per
-/// register from r1 up). \p Bitmap is the caller's scratch of one bit per
-/// projection, 2^width(Mask) bits: the call grows it to at least that
-/// size, sets each row's bit, counts the newly set ones, and clears only
-/// the words it touched, so it holds all zeros between calls and any mask
-/// may share it.
+/// CollapsePattern. \p Mask may select any register fields, holes
+/// included (permCountWithout drops one register); every projection is a
+/// submask of it, so P <= Mask. \p CollapsePattern must lie inside \p
+/// Mask. \p Bitmap is the caller's scratch of one bit per value 0..Mask,
+/// (Mask >> 6) + 1 words: the call grows it to at least that size, sets
+/// each row's bit, counts the newly set ones, and clears only the words it
+/// touched, so it holds all zeros between calls and any mask may share it.
 inline unsigned countDistinctProjections(const uint32_t *Rows, size_t Len,
                                          uint32_t Mask, uint32_t CollapseMask,
                                          uint32_t CollapsePattern,
                                          std::vector<uint64_t> &Bitmap) {
-  assert((Mask & (Mask + 1)) == 0 && "Mask selects the low row bits");
   assert((CollapsePattern & ~Mask) == 0 && "the pattern is a projection");
   const size_t Words = (Mask >> 6) + 1;
   if (Bitmap.size() < Words)
@@ -99,6 +99,28 @@ inline unsigned permCount(const Machine &M, const uint32_t *Rows, size_t Len,
                           std::vector<uint64_t> &Bitmap) {
   return countDistinctProjections(Rows, Len, M.dataMask(), M.goalMask(),
                                   M.goalPattern(), Bitmap);
+}
+
+/// permCount over the data registers without \p Reg, under the goal's
+/// collapse with Reg's pin dropped: a lower bound on the permCount of every
+/// child an instruction writing data register \p Reg (and no other) makes
+/// from \p Rows. A child row agrees with its parent row off Reg, so
+/// dropping Reg from a child's projection gives the parent's; and a child
+/// projection the goal accepts is accepted with Reg's pin dropped too, so
+/// each of the child's collapsed projections maps to one of these, and
+/// every one of these is hit. The pin must go: where the goal pins Reg, a
+/// kept pin never matches a projection without Reg, so no row would
+/// collapse, and a goal that accepts several projections (select-k, top-k,
+/// partial sort) would get a count above the child's (DESIGN.md section
+/// 14.1).
+inline unsigned permCountWithout(const Machine &M, const uint32_t *Rows,
+                                 size_t Len, unsigned Reg,
+                                 std::vector<uint64_t> &Bitmap) {
+  assert(Reg < M.numData() && "a data register");
+  const uint32_t Keep = ~(7u << (3 * Reg));
+  return countDistinctProjections(Rows, Len, M.dataMask() & Keep,
+                                  M.goalMask() & Keep, M.goalPattern() & Keep,
+                                  Bitmap);
 }
 
 /// The "number of distinct register assignments": distinct full-register

@@ -9,19 +9,26 @@
 //  - canonicalizeRows (SSE2 sorting networks / radix sort) must equal the
 //    scalar std::sort + std::unique reference on arbitrary 31-bit buffers,
 //    across every dispatch band and boundary;
-//  - the bitmap distinct-projection counter (permCount / assignCount)
-//    must equal a std::sort + std::unique count of the projections on
-//    random row buffers of every length up to n!, for every machine kind
-//    and goal family, and hand its bitmap back all zeros;
+//  - the bitmap distinct-projection counter (permCount / assignCount /
+//    each data register's permCountWithout) must equal a std::sort +
+//    std::unique count of the projections on random row buffers of every
+//    length up to n!, for every machine kind and goal family, and hand its
+//    bitmap back all zeros;
 //  - the pipeline's pre-apply viability verdict must read, for every
 //    instruction, the maxDist of the child that apply would build, and
 //    CandidatePipeline::expandNode must produce exactly the rows/hash/perm
 //    of separate apply / sort+unique / maxDist / reference perm count /
-//    hashWords calls, over random walks of real Cmov, MinMax, and Hybrid
-//    machines at n = 3..5.
+//    hashWords calls, and cut exactly the children whose reference count
+//    is above the cut's threshold, over walks of real Cmov, MinMax, and
+//    Hybrid machines at n = 3..5 that mix random instructions with
+//    sorting-network prefixes;
+//  - the section 3.5 cut's pre-apply bounds never exceed a child's count
+//    (random walks of every machine kind and goal family), and its integer
+//    threshold agrees with the floating-point test it replaced.
 //
 //===----------------------------------------------------------------------===//
 
+#include "kernels/ReferenceKernels.h"
 #include "machine/BatchApply.h"
 #include "search/Expansion.h"
 #include "state/Canonicalize.h"
@@ -29,7 +36,9 @@
 #include "support/Rng.h"
 
 #include <algorithm>
+#include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 using namespace sks;
 using namespace sks::detail;
@@ -55,6 +64,23 @@ unsigned referenceCount(const Machine &M, const uint32_t *Rows, size_t Len,
     else
       Projected.push_back(M.accepts(Rows[I]) ? M.goalPattern()
                                              : Rows[I] & M.dataMask());
+  }
+  return static_cast<unsigned>(scalarReference(Projected).size());
+}
+
+/// The reference permCountWithout: the data-register projection of every
+/// row without register \p Reg, each row the goal with Reg's pin dropped
+/// accepts replaced by that goal's pattern, counted by std::sort +
+/// std::unique.
+unsigned referenceCountWithout(const Machine &M, const uint32_t *Rows,
+                               size_t Len, unsigned Reg) {
+  const uint32_t Keep = ~(7u << (3 * Reg));
+  const uint32_t Mask = M.dataMask() & Keep;
+  const uint32_t Pattern = M.goalPattern() & Keep;
+  std::vector<uint32_t> Projected;
+  for (size_t I = 0; I != Len; ++I) {
+    const uint32_t P = Rows[I] & Mask;
+    Projected.push_back((P & M.goalMask() & Keep) == Pattern ? Pattern : P);
   }
   return static_cast<unsigned>(scalarReference(Projected).size());
 }
@@ -125,6 +151,15 @@ TEST(DistinctProjections, MatchesSortReferenceAndClearsItsBitmap) {
           ASSERT_TRUE(allZero(Bitmap));
           ASSERT_EQ(permCount(M, Rows.data(), Len, Bitmap), Perm);
           ASSERT_TRUE(allZero(Bitmap));
+          // Each data register's cut bound: the mask, the collapse mask
+          // and the pattern drop that register, so below the top register
+          // the mask has a hole.
+          for (unsigned D = 0; D != N; ++D) {
+            ASSERT_EQ(permCountWithout(M, Rows.data(), Len, D, Bitmap),
+                      referenceCountWithout(M, Rows.data(), Len, D))
+                << "without r" << D + 1;
+            ASSERT_TRUE(allZero(Bitmap));
+          }
         }
       }
     }
@@ -193,8 +228,11 @@ TEST(Canonicalize, SimdProbesAgreeWithBuild) {
 /// One machine's random-walk equivalence check: at every step, the
 /// successor fold of the parent must give each instruction's child maxDist
 /// and viability verdict before apply, and expandNode must turn exactly
-/// the admitted viable children into candidates that agree with the
-/// separate reference calls.
+/// the admitted viable children that the cut keeps into candidates that
+/// agree with the separate reference calls. Every other step runs the
+/// section 3.5 cut, at a threshold drawn from 1 to one above the parent's
+/// count, so that both the parent's count and the per-register bounds
+/// decide children before apply (where the machine has a successor block).
 void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
                                  unsigned MaxLength, uint64_t Seed) {
   SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(Kind)
@@ -203,10 +241,7 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
   DistanceTable DT(M);
   SearchOptions Opts;
   Opts.UseViability = true;
-  Opts.Cut = CutConfig::none();
   Opts.MaxLength = MaxLength;
-  CutTracker Cuts(Opts.Cut, Opts.MaxLength);
-  CandidatePipeline Pipeline(M, Opts, &DT, Cuts);
 
   Rng R(Seed);
   const std::vector<Instr> &Instrs = M.instructions();
@@ -215,10 +250,23 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
   SuccessorFold Fold;
   SearchStats Stats;
   const PrefixLint Lint = PrefixLint::entry();
-  size_t RefPruned = 0, RefGenerated = 0;
+  size_t RefPruned = 0, RefGenerated = 0, RefCut = 0;
+  // A cmov network is a hybrid kernel too.
+  const Program Network = Kind == MachineKind::MinMax
+                              ? sortingNetworkMinMax(N)
+                              : sortingNetworkCmov(N);
+  size_t Prefix = 0;
 
   for (int Step = 0; Step != 60; ++Step) {
     unsigned ChildG = 1 + static_cast<unsigned>(R.below(MaxLength + 2));
+    const unsigned ParentPerm =
+        referenceCount(M, Rows.data(), Rows.size(), false);
+    CutTracker Cuts(Step % 2 ? CutConfig::mult(1.0) : CutConfig::none(),
+                    MaxLength);
+    Cuts.observe(ChildG - 1,
+                 1 + static_cast<unsigned>(R.below(ParentPerm + 1)));
+    const unsigned MaxKept = Cuts.maxKept(ChildG);
+    CandidatePipeline Pipeline(M, Opts, &DT, Cuts);
     DT.foldSuccessors(Rows.data(), Rows.size(), false, Fold);
     B.clear();
     Pipeline.expandNode(Rows.data(), static_cast<uint32_t>(Rows.size()),
@@ -243,28 +291,47 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
         ++RefPruned;
         continue;
       }
-      ASSERT_LT(Next, B.List.size()) << "a viable child is missing";
+      const unsigned RefPerm =
+          referenceCount(M, Ref.data(), Ref.size(), false);
+      if (RefPerm > MaxKept) {
+        ++RefCut;
+        continue;
+      }
+      ASSERT_LT(Next, B.List.size()) << "a kept child is missing";
       const Candidate &C = B.List[Next++];
       ASSERT_EQ(C.Via, Instrs[K]);
       ASSERT_EQ(C.RowLen, Ref.size());
       EXPECT_TRUE(std::equal(Ref.begin(), Ref.end(), B.rowsOf(C)));
       EXPECT_EQ(C.Hash, hashWords(Ref.data(), Ref.size()));
       EXPECT_EQ(C.Needed, Needed);
-      EXPECT_EQ(C.Perm, referenceCount(M, Ref.data(), Ref.size(), false));
+      EXPECT_EQ(C.Perm, RefPerm);
     }
-    EXPECT_EQ(Next, B.List.size()) << "a non-viable child was kept";
+    EXPECT_EQ(Next, B.List.size()) << "a non-viable or cut child was kept";
 
-    // Continue the walk from a canonical child (restart when the walk
-    // collapses to a dead end so later steps keep exercising wide states).
-    Instr Via = Instrs[R.below(Instrs.size())];
-    for (uint32_t &Row : Rows)
-      Row = M.apply(Row, Via);
+    // Continue the walk: half the time to the state after the next prefix
+    // of a sorting network, whose data-writing children change the count
+    // (a random walk soon falls back to the initial state, where every
+    // viable one keeps it); otherwise to a random instruction's canonical
+    // child, restarting when the walk collapses to a dead end so later
+    // steps keep exercising wide states.
+    if (R.below(2) == 0) {
+      Prefix = Prefix % Network.size() + 1;
+      Rows = initialState(M).Rows;
+      for (size_t I = 0; I != Prefix; ++I)
+        for (uint32_t &Row : Rows)
+          Row = M.apply(Row, Network[I]);
+    } else {
+      Instr Via = Instrs[R.below(Instrs.size())];
+      for (uint32_t &Row : Rows)
+        Row = M.apply(Row, Via);
+    }
     Rows = scalarReference(Rows);
     if (Rows.size() <= 1 || DT.maxDist(Rows) == DistanceTable::Unreachable)
       Rows = initialState(M).Rows;
   }
   EXPECT_EQ(Stats.ViabilityPruned, RefPruned);
   EXPECT_EQ(Stats.StatesGenerated, RefGenerated);
+  EXPECT_EQ(Stats.CutStates, RefCut);
 }
 
 TEST(Canonicalize, FusedFinishMatchesSeparateCallsCmov) {
@@ -293,6 +360,134 @@ TEST(Canonicalize, FusedFinishMatchesSeparateCallsHybrid) {
                               5003);
 }
 
+/// One machine's and goal's walk of the section 3.5 cut's pre-apply
+/// bounds: at every step, for every instruction, the child's perm count
+/// equals the parent's when the instruction writes no data register, and
+/// is at least permCountWithout of the register it writes otherwise,
+/// which never exceeds the parent's count.
+void checkCutBounds(MachineKind Kind, unsigned N, GoalSpec Goal,
+                    uint64_t Seed) {
+  SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(Kind)
+                                  << " n=" << N << " goal=" << Goal.name());
+  Machine M(Kind, N, 1, Goal);
+  Rng R(Seed);
+  const std::vector<Instr> &Instrs = M.instructions();
+  std::vector<uint32_t> Rows = initialState(M).Rows, Child;
+  std::vector<uint64_t> Bitmap;
+  for (int Step = 0; Step != 30; ++Step) {
+    const unsigned Parent = permCount(M, Rows.data(), Rows.size(), Bitmap);
+    for (Instr I : Instrs) {
+      Child.resize(Rows.size());
+      applyBatch(M, I, Rows.data(), Child.data(), Rows.size());
+      const unsigned Count = permCount(M, Child.data(), Child.size(), Bitmap);
+      if (I.Op == Opcode::Cmp || I.Dst >= N) {
+        ASSERT_EQ(Count, Parent) << toString(I, N);
+        continue;
+      }
+      const unsigned Bound =
+          permCountWithout(M, Rows.data(), Rows.size(), I.Dst, Bitmap);
+      ASSERT_LE(Bound, Parent) << toString(I, N);
+      ASSERT_GE(Count, Bound) << toString(I, N);
+    }
+    // Continue from a canonical child; restart when the walk collapses.
+    Instr Via = Instrs[R.below(Instrs.size())];
+    for (uint32_t &Row : Rows)
+      Row = M.apply(Row, Via);
+    Rows = scalarReference(Rows);
+    if (Rows.size() <= 1)
+      Rows = initialState(M).Rows;
+  }
+}
+
+TEST(CutBound, NeverExceedsTheChildsCount) {
+  struct Shape {
+    MachineKind Kind;
+    unsigned MinN, MaxN;
+  };
+  const Shape Shapes[] = {{MachineKind::Cmov, 2, 5},
+                          {MachineKind::MinMax, 2, 5},
+                          {MachineKind::Hybrid, 3, 3}};
+  uint64_t Seed = 600;
+  for (const Shape &S : Shapes)
+    for (unsigned N = S.MinN; N <= S.MaxN; ++N) {
+      // Every goal family at every parameter.
+      std::vector<GoalSpec> Goals = {GoalSpec::sort()};
+      for (unsigned K = 1; K <= N; ++K) {
+        Goals.push_back(GoalSpec::selectK(K));
+        Goals.push_back(GoalSpec::topK(K));
+        Goals.push_back(GoalSpec::partialSort(K));
+      }
+      for (GoalSpec G : Goals)
+        checkCutBounds(S.Kind, N, G, ++Seed);
+    }
+}
+
+TEST(CutBound, DropsTheWrittenRegistersPin) {
+  // Select-2 at n = 3 accepts both rows, so the parent and the child of
+  // mov r1 r3 count 1. Without the goal's collapse, the count without r1
+  // reads (r2, r3) = (2, 3) and (2, 1): 2, which a threshold of 1 would
+  // cut. The goal-aware bound collapses both rows: 1.
+  Machine M(MachineKind::Cmov, 3, 1, GoalSpec::selectK(2));
+  const uint32_t Rows[] = {M.packInitial({1, 2, 3}), M.packInitial({3, 2, 1})};
+  const Instr Mov{Opcode::Mov, 0, 2};
+  ASSERT_EQ(toString(Mov, 3), "mov r1 r3");
+  uint32_t Child[2];
+  applyBatch(M, Mov, Rows, Child, 2);
+  std::vector<uint64_t> Bitmap;
+  EXPECT_EQ(permCount(M, Child, 2, Bitmap), 1u);
+  const uint32_t WithoutR1 = M.dataMask() & ~7u;
+  EXPECT_EQ(countDistinctProjections(Rows, 2, WithoutR1, WithoutR1, 0, Bitmap),
+            2u);
+  EXPECT_EQ(permCountWithout(M, Rows, 2, 0, Bitmap), 1u);
+  EXPECT_TRUE(allZero(Bitmap));
+}
+
+TEST(CutBound, ThresholdMatchesTheFloatingPointTest) {
+  // maxKept(L) is the largest count kept: P is cut exactly when the old
+  // test double(P) > k * PrevMin (multiplicative) or P > PrevMin + c
+  // (additive, in exact arithmetic) held. A NaN factor keeps everything;
+  // a negative one cuts every count from 1 up.
+  const double Factors[] = {0,    0.5,  1, 1.5, 2, 1e300,
+                            -1.0, std::numeric_limits<double>::quiet_NaN()};
+  const unsigned Offsets[] = {0, 100, std::numeric_limits<unsigned>::max()};
+  std::vector<CutConfig> Configs;
+  for (double K : Factors)
+    Configs.push_back(CutConfig::mult(K));
+  for (unsigned C : Offsets)
+    Configs.push_back(CutConfig::add(C));
+  for (const CutConfig &Cut : Configs) {
+    SCOPED_TRACE(testing::Message() << "factor=" << Cut.Factor
+                                    << " offset=" << Cut.Offset);
+    CutTracker Empty(Cut, 4);
+    EXPECT_EQ(Empty.maxKept(0), CutTracker::KeepAll);
+    EXPECT_EQ(Empty.maxKept(1), CutTracker::KeepAll) << "no previous length";
+    size_t Mismatches = 0;
+    for (unsigned PrevMin = 1; PrevMin <= 720; ++PrevMin) {
+      CutTracker Cuts(Cut, 4);
+      Cuts.observe(0, PrevMin);
+      const unsigned MaxKept = Cuts.maxKept(1);
+      if (Cut.Factor == 1e300 ||
+          Cut.Offset == std::numeric_limits<unsigned>::max() ||
+          std::isnan(Cut.Factor)) {
+        EXPECT_EQ(MaxKept, CutTracker::KeepAll) << "the threshold saturates";
+      }
+      for (unsigned P = 1; P <= 720; ++P) {
+        const bool Old =
+            Cut.Mode == CutConfig::Kind::Multiplicative
+                ? static_cast<double>(P) > Cut.Factor * PrevMin
+                : uint64_t(P) > uint64_t(PrevMin) + Cut.Offset;
+        if ((P > MaxKept) != Old && Mismatches++ == 0)
+          ADD_FAILURE() << "P=" << P << " PrevMin=" << PrevMin
+                        << " maxKept=" << MaxKept;
+      }
+    }
+    EXPECT_EQ(Mismatches, 0u);
+  }
+  CutTracker Off(CutConfig::none(), 4);
+  Off.observe(0, 1);
+  EXPECT_EQ(Off.maxKept(1), CutTracker::KeepAll);
+}
+
 TEST(Canonicalize, SingleRowFastPath) {
   // Len == 1 skips the sort; the result must still be a full candidate
   // with Perm = 1 and the right hash.
@@ -310,7 +505,8 @@ TEST(Canonicalize, SingleRowFastPath) {
   B.Rows = {Row};
   SearchStats Stats;
   ASSERT_TRUE(Pipeline.finish(B, 0, 1, 0, M.instructions().front(),
-                              PrefixLint::entry(), DT.dist(Row), Stats));
+                              PrefixLint::entry(), DT.dist(Row),
+                              Cuts.maxKept(1), 0, Stats));
   ASSERT_EQ(B.List.size(), 1u);
   EXPECT_EQ(B.List[0].RowLen, 1u);
   EXPECT_EQ(B.List[0].Perm, 1u);

@@ -272,6 +272,70 @@ TEST(Search, FirstN4CountersArePinned) {
   EXPECT_EQ(R.Stats.DedupHits, 25983u);
 }
 
+TEST(Search, FirstCutCountersArePinned) {
+  // Configuration (III) on more of the best-first engine's cut paths: the
+  // sort goal on both machines and a partial goal, whose bounds need the
+  // goal's collapse. Each machine has a successor block, so the cut runs
+  // before apply; every counter keeps its value.
+  struct Pin {
+    MachineKind Kind;
+    unsigned N;
+    GoalSpec Goal;
+    unsigned Length;
+    size_t Expanded, Generated, Pruned, Cut, Dedup;
+  };
+  const Pin Pins[] = {
+      {MachineKind::Cmov, 3, GoalSpec::sort(), 11, 16417, 556584, 345565,
+       145223, 49057},
+      {MachineKind::Cmov, 3, GoalSpec::selectK(2), 8, 551, 19022, 9399, 1158,
+       4635},
+      {MachineKind::MinMax, 4, GoalSpec::sort(), 15, 2896, 129302, 96155,
+       19954, 10262},
+  };
+  for (const Pin &P : Pins) {
+    Machine M(P.Kind, P.N, 1, P.Goal);
+    SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(P.Kind)
+                                    << " n=" << P.N
+                                    << " goal=" << P.Goal.name());
+    ASSERT_TRUE(DistanceTable(M).hasSuccessors());
+    SearchResult R = synthesize(M, bestEnumConfig(P.Kind, P.N));
+    ASSERT_TRUE(R.Found);
+    EXPECT_EQ(R.OptimalLength, P.Length);
+    EXPECT_EQ(R.Stats.StatesExpanded, P.Expanded);
+    EXPECT_EQ(R.Stats.StatesGenerated, P.Generated);
+    EXPECT_EQ(R.Stats.ViabilityPruned, P.Pruned);
+    EXPECT_EQ(R.Stats.CutStates, P.Cut);
+    EXPECT_EQ(R.Stats.DedupHits, P.Dedup);
+  }
+}
+
+TEST(Search, LayeredCutCountersArePinned) {
+  // The layered engine's cut path: the n = 3 kernels that section 3.5's
+  // k = 1 keeps at the tightest bound. The threshold is fixed while a
+  // level expands, so any thread count reads the same counters.
+  Machine M(MachineKind::Cmov, 3);
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << Threads);
+    SearchOptions Opts;
+    Opts.Heuristic = HeuristicKind::None;
+    Opts.FindAll = true;
+    Opts.MaxLength = 11;
+    Opts.Cut = CutConfig::mult(1.0);
+    Opts.NumThreads = Threads;
+    SearchResult R = synthesize(M, Opts);
+    ASSERT_TRUE(R.Found);
+    EXPECT_EQ(R.SolutionCount, 234u);
+    EXPECT_EQ(R.Stats.StatesExpanded, 13678u);
+    EXPECT_EQ(R.Stats.StatesGenerated, 478290u);
+    EXPECT_EQ(R.Stats.ViabilityPruned, 392107u);
+    EXPECT_EQ(R.Stats.CutStates, 31681u);
+    EXPECT_EQ(R.Stats.DedupHits, 40812u);
+    EXPECT_EQ(R.Stats.LevelStates,
+              (std::vector<size_t>{1, 7, 36, 225, 1213, 162, 682, 2887, 8300,
+                                   145, 20, 13}));
+  }
+}
+
 TEST(Search, ActionFilterPreservesOptimumUnderLengthBound) {
   Machine M(MachineKind::Cmov, 3);
   SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
