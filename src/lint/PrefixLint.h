@@ -13,7 +13,11 @@
 /// (removing it would yield an equally correct, strictly shorter kernel).
 /// The engines' one expansion gate (search/Expansion.h) therefore refuses
 /// such expansions before applying them; the optimal-solution counts it
-/// must keep are pinned in LintTest.cpp.
+/// must keep are pinned in LintTest.cpp. The engines ask for the refusals
+/// of a whole node at once: refused() gives them as a union of the
+/// machine's instruction classes (isa/InstrSet.h), a few word operations
+/// per node. killsPrefix stays the one-instruction definition, and
+/// LintTest.cpp checks refused() against it bit for bit.
 ///
 /// The facts tracked are suffix-independent:
 ///
@@ -41,6 +45,7 @@
 #ifndef SKS_LINT_PREFIXLINT_H
 #define SKS_LINT_PREFIXLINT_H
 
+#include "isa/InstrSet.h"
 #include "lint/Dataflow.h"
 
 namespace sks {
@@ -104,6 +109,28 @@ public:
     // Idempotent immediate repeat (non-cmp opcodes only; a repeated cmp is
     // already caught by PendingCmp above).
     return LastInstr == I.encode();
+  }
+
+  /// \returns the alphabet indices of \p C whose instructions killsPrefix
+  /// refuses, as one set.
+  InstrSet refused(const InstrClasses &C) const {
+    InstrSet Out;
+    if (PendingCmp)
+      Out |= C.Cmps;
+    if (!AnyCmp)
+      Out |= C.CMovs;
+    for (uint16_t W = PendingWrites; W != 0; W &= W - 1)
+      Out |= C.MovsInto[std::countr_zero(W)];
+    // The immediate repeat of a cmov, pmin or pmax; killsPrefix decides a
+    // repeated mov or cmp by its own rule above.
+    if (LastInstr != kNoInstr) {
+      const Opcode LastOp = static_cast<Opcode>(LastInstr >> 6);
+      const size_t K = C.indexOf(LastInstr);
+      if (LastOp != Opcode::Mov && LastOp != Opcode::Cmp &&
+          K != InstrClasses::kNotInAlphabet)
+        Out.insert(K);
+    }
+    return Out;
   }
 
 private:

@@ -5,14 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single candidate pipeline shared by every expansion site. Per node:
-/// one distance-table pass over the parent's rows (the successor fold,
-/// tables/DistanceTable.h) -> action filter (section 3.2) -> per
-/// instruction: the dead-instruction gate (lint/PrefixLint.h) -> the
-/// viability verdict (section 3.3), read off the fold -> a bound on the
-/// child's distinct-permutation count (section 3.1), read off the parent
-/// -> cut (section 3.5) -> apply -> count -> cut -> canonicalize -> hash.
-/// Both engines expand node by node through expandNode:
+/// The single candidate pipeline shared by every expansion site. Per node,
+/// expandNode picks the children as one set of instruction indices
+/// (isa/InstrSet.h), built from what the parent already gives before any
+/// child exists:
+///
+///  0. the base set: the whole alphabet, or the section 3.2 action
+///     filter's marks, read off the successor fold (one distance-table
+///     pass over the parent's rows, tables/DistanceTable.h);
+///  1. minus the dead-instruction gate's refusals, which the parent's
+///     prefix summary gives as a union of class sets (lint/PrefixLint.h);
+///  2. where the fold gives the section 3.3 verdict, only the viable
+///     instructions: one SSE2 compare per sixteen instructions of the
+///     fold's child maxDist against the remaining budget;
+///  3. where the parent's distinct-permutation count (section 3.1) is
+///     above the section 3.5 cut's threshold, minus the cut's set.
+///
+/// Each counter is the size of one set difference. Only the survivors are
+/// visited, in ascending index (Machine::instructions()) order, which is
+/// the order the engines' merges and heaps see them in: apply -> count ->
+/// cut -> canonicalize -> hash. Both engines expand node by node through
+/// expandNode:
 ///
 ///  - the best-first engine's expansion loop (BestFirst.cpp), and
 ///  - the layered engine's level expansion (Layered.cpp), one loop over
@@ -36,10 +49,11 @@
 /// at least the parent's count without d (permCountWithout,
 /// state/SearchState.h). A bound above the threshold cuts the child
 /// exactly where its own count would, before it is applied: 96% of the
-/// cut children of a configuration (III) n = 4 search exit there. The
-/// parent is counted once per node, and a register's bound on first use,
-/// only when the parent's count is above the threshold: no bound exceeds
-/// it, so otherwise none could cut.
+/// cut children of a configuration (III) n = 4 search exit there. Where
+/// the threshold cuts at all, the parent is counted once per node that has
+/// a viable child. A register's bound is counted only when the parent's
+/// count is above the threshold (no bound exceeds the parent's count, so
+/// otherwise none could cut) and the register has a viable writer.
 ///
 /// Only the rest are applied (SSE2 applyBatch). One pass over the RAW
 /// transformed rows then counts their distinct projections in a
@@ -50,20 +64,24 @@
 /// compaction and hash run only for the candidates that survive the cut
 /// to be stored.
 ///
-/// A machine without a successor block (DistanceTable::hasSuccessors)
-/// keeps the verdict after apply: each admitted instruction is applied
-/// and finish() reads the child's maxDist off the raw rows, stopping at
-/// the first unreachable one. The fold would apply every instruction to
-/// every row there, gate-refused ones included, so it runs only when the
-/// action filter needs its marks. The cut stays after the verdict there,
-/// so a child both would refuse counts as viability-pruned.
+/// A machine without a successor block (DistanceTable::hasSuccessors), and
+/// a run without the table, takes the same gate set, but keeps the verdict
+/// after apply: each admitted instruction is applied and finish() reads
+/// the child's maxDist off the raw rows (or runs the table-less erase
+/// check), stopping at the first unreachable row. The fold would apply
+/// every instruction to every row there, gate-refused ones included, so it
+/// runs only when the action filter needs its marks. The cut stays after
+/// the verdict there, so a child both would refuse counts as
+/// viability-pruned.
 ///
 /// Opt-in stage timers (SearchOptions::ProfilePipeline) attribute the work
 /// to SearchStats::{Apply,Canon,Viability}Nanos: Viability the fold, the
 /// action filter and finish()'s verdict pass (the post-apply verdict or
 /// the table-less erase check), Apply the batched transform of the
 /// candidates that reach it, Canon the counts (the parent's, its bounds
-/// and each applied child's) + sort + hash.
+/// and each applied child's) + sort + hash. The selection itself, the set
+/// operations of steps 1-3 and the visit loop, runs outside every stage
+/// timer; sks-synth --profile reports that remainder as `untimed`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,32 +151,22 @@ struct CandidateBatch {
 };
 
 /// The shared filter pipeline. Stateless apart from configuration
-/// references, so one instance serves any number of worker threads (the
-/// CutTracker is only read here; observe() happens at merge/insert time).
+/// references and the alphabet's class sets, which the constructor builds
+/// and expansion only reads, so one instance serves any number of worker
+/// threads (the CutTracker is only read here; observe() happens at
+/// merge/insert time). The per-node sets live on the expanding thread's
+/// stack.
 class CandidatePipeline {
 public:
   CandidatePipeline(const Machine &M, const SearchOptions &Opts,
                     const DistanceTable *DT, const CutTracker &Cuts)
       : M(M), Opts(Opts), DT(DT), Cuts(Cuts),
+        Classes(M.instructions(), M.numData()),
         Profile(Opts.ProfilePipeline), UseDT(Opts.UseViability && DT),
         Filter(Opts.UseActionFilter && DT && M.goal().isSort()),
         PreApply(UseDT && (Filter || DT->hasSuccessors())),
         PostApply(UseDT && !PreApply), NumRegs(M.numRegs()),
         NumData(M.numData()), FullValueMask(M.requiredValueMask()) {}
-
-  /// The one pre-apply gate: refuses \p I when the parent's prefix summary
-  /// proves that appending it plants a dead instruction. Sound in both
-  /// engines: deleting the dead instruction leaves a strictly shorter
-  /// program reaching the same child state, so no minimal kernel is ever
-  /// refused and an exhausted search is still a proof.
-  bool admits(const PrefixLint &ParentLint, Instr I,
-              SearchStats &Stats) const {
-    if (ParentLint.killsPrefix(I)) {
-      ++Stats.SyntacticPruned;
-      return false;
-    }
-    return true;
-  }
 
   /// The section 3.3 viability verdict on a child whose maxDist is
   /// \p Needed: false when some row cannot reach the goal within the
@@ -258,69 +266,81 @@ public:
     return true;
   }
 
-  /// Node-major expansion: folds the parent's successor rows, selects
-  /// actions (section 3.2), refuses non-viable instructions before apply
-  /// where the fold gave the verdict, cuts there the children whose count
-  /// the parent bounds above the cut's threshold, and runs the rest
-  /// through applyBatch and finish() — the expansion path of both engines.
-  /// A refused candidate still counts as generated and viability-pruned,
-  /// a cut one as generated and cut. \p Rows must not alias B.Rows (all
-  /// callers pass arena storage).
+  /// Node-major expansion: picks the node's children as one set (steps 0-3
+  /// of the file comment) and runs the survivors through applyBatch and
+  /// finish() — the expansion path of both engines. The gate refuses an
+  /// instruction when the parent's prefix summary \p Lint proves that
+  /// appending it plants a dead instruction. That is sound in both engines:
+  /// deleting the dead instruction leaves a strictly shorter program
+  /// reaching the same child state, so no minimal kernel is ever refused
+  /// and an exhausted search is still a proof. A gate-refused candidate
+  /// counts only as such; one refused by the verdict before apply counts as
+  /// generated and viability-pruned, a cut one as generated and cut. \p Rows
+  /// must not alias B.Rows (all callers pass arena storage).
   void expandNode(const uint32_t *Rows, uint32_t Len, const PrefixLint &Lint,
                   uint32_t Parent, unsigned ChildG, CandidateBatch &B,
                   SearchStats &Stats) const {
+    // Step 0: the base set.
+    InstrSet Base = Classes.All;
     {
       ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
       if (PreApply || Filter)
         DT->foldSuccessors(Rows, Len, Filter, B.Fold);
-      if (Filter)
-        Stats.ActionsFiltered +=
-            selectActions(M, Rows, Len, B.Fold.Optimal.data());
+      if (Filter) {
+        Base = selectActions(M, Rows, Len, B.Fold.Optimal.data());
+        Stats.ActionsFiltered += Classes.All.minus(Base).count();
+      }
     }
-    // The cut's threshold, fixed while this node expands. Where the
-    // verdict runs before apply, the cut does too, on the parent's count
-    // (the child's, for an instruction that writes no data register) and
-    // on Bound[d] (a lower bound on the child's, for one that writes data
-    // register d; 0 until counted).
+
+    // Step 1: the gate.
+    const InstrSet Admitted = Base.minus(Lint.refused(Classes));
+    Stats.SyntacticPruned += Base.minus(Admitted).count();
+    Stats.StatesGenerated += Admitted.count();
+
+    // Steps 2 and 3, where the fold gave the verdict: the viable set, then
+    // the cut on the parent's count (the child's, for an instruction that
+    // writes no data register) and on each data register's bound (a lower
+    // bound on the child's, for one that writes that register).
+    InstrSet Children = Admitted;
     const unsigned MaxKept = Cuts.maxKept(ChildG);
     uint32_t ParentPerm = 0;
-    uint32_t Bound[kMaxRegs] = {};
-    if (PreApply && MaxKept != CutTracker::KeepAll) {
-      ScopedNanoTimer T(Profile, Stats.CanonNanos);
-      ParentPerm = permCount(M, Rows, Len, B.Scratch);
-    }
-    const std::vector<Instr> &All = M.instructions();
-    for (size_t K = 0; K != All.size(); ++K) {
-      const Instr I = All[K];
-      if (Filter && !B.Fold.Optimal[K])
-        continue;
-      if (!admits(Lint, I, Stats))
-        continue;
-      ++Stats.StatesGenerated;
-      const uint8_t Needed = PreApply ? B.Fold.Needed[K] : 0;
-      if (PreApply && !viable(ChildG, Needed)) {
-        ++Stats.ViabilityPruned;
-        continue;
-      }
-      const bool KeepsData = I.Op == Opcode::Cmp || I.Dst >= NumData;
-      uint32_t Perm = 0;
-      if (ParentPerm > MaxKept) {
-        uint32_t Least = ParentPerm;
-        if (!KeepsData) {
-          if (Bound[I.Dst] == 0) {
+    if (PreApply) {
+      const InstrSet Viable =
+          ChildG > Opts.MaxLength
+              ? InstrSet()
+              : Admitted & DT->withinBudget(B.Fold, Opts.MaxLength - ChildG);
+      Stats.ViabilityPruned += Admitted.minus(Viable).count();
+      Children = Viable;
+      if (MaxKept != CutTracker::KeepAll && !Viable.empty()) {
+        {
+          ScopedNanoTimer T(Profile, Stats.CanonNanos);
+          ParentPerm = permCount(M, Rows, Len, B.Scratch);
+        }
+        if (ParentPerm > MaxKept) {
+          InstrSet Cut = Viable & Classes.KeepsData;
+          for (unsigned D = 0; D != NumData; ++D) {
+            const InstrSet Writers = Viable & Classes.DataWriters[D];
+            if (Writers.empty())
+              continue;
             ScopedNanoTimer T(Profile, Stats.CanonNanos);
-            Bound[I.Dst] = permCountWithout(M, Rows, Len, I.Dst, B.Scratch);
+            if (permCountWithout(M, Rows, Len, D, B.Scratch) > MaxKept)
+              Cut |= Writers;
           }
-          Least = Bound[I.Dst];
+          Stats.CutStates += Cut.count();
+          Children = Viable.minus(Cut);
         }
-        if (Least > MaxKept) {
-          ++Stats.CutStates;
-          continue;
-        }
-      } else if (KeepsData) {
-        Perm = ParentPerm; // 0 where the cut is off or runs after apply.
       }
-      size_t RawBegin = B.Rows.size();
+    }
+
+    const std::vector<Instr> &All = M.instructions();
+    Children.forEach([&](size_t K) {
+      const Instr I = All[K];
+      const uint8_t Needed = PreApply ? B.Fold.Needed[K] : 0;
+      // A child that writes no data register has the parent's count; 0
+      // (count it) where the cut is off or runs after apply. Above the
+      // threshold the cut took every such child.
+      const uint32_t Perm = Classes.KeepsData.contains(K) ? ParentPerm : 0;
+      const size_t RawBegin = B.Rows.size();
       {
         ScopedNanoTimer T(Profile, Stats.ApplyNanos);
         B.Rows.resize(RawBegin + Len);
@@ -328,7 +348,7 @@ public:
       }
       finish(B, RawBegin, ChildG, Parent, I, Lint, Needed, MaxKept, Perm,
              Stats);
-    }
+    });
   }
 
 private:
@@ -348,6 +368,8 @@ private:
   const SearchOptions &Opts;
   const DistanceTable *DT;
   const CutTracker &Cuts;
+  /// The alphabet's class sets, read by the gate and the cut.
+  const InstrClasses Classes;
   const bool Profile;
   /// The viability verdict reads the distance table (else finish() runs
   /// the erase check); the action filter is on (sort goal only: see

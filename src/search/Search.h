@@ -164,8 +164,10 @@ struct SearchStats {
   /// on the applied rows. Each one counts in StatesGenerated too.
   size_t ViabilityPruned = 0;
   size_t ActionsFiltered = 0;
-  /// Expansions the dead-instruction gate refused before apply (the
-  /// expansion gate in search/Expansion.h; lint/PrefixLint.h). Refused
+  /// Expansions the dead-instruction gate refused before apply: per node,
+  /// the size of the base set (the alphabet, or the action filter's
+  /// marks) minus the admitted set, which removes the parent summary's
+  /// refusals (PrefixLint::refused; search/Expansion.h). Refused
   /// candidates are not counted in StatesGenerated.
   size_t SyntacticPruned = 0;
   /// Layered engine only: number of canonical states committed at each

@@ -108,23 +108,23 @@ private:
 };
 
 /// The section 3.2 "optimal instructions" filter, on the marks of
-/// DistanceTable::foldSuccessors: \p Optimal[K] arrives nonzero when
+/// DistanceTable::foldSuccessors: \p Optimal[K] is nonzero when
 /// instruction K of M.instructions() makes optimal per-assignment progress
-/// on at least one row it fires on, and leaves nonzero exactly for the
-/// instructions to expand. Moves and conditional moves keep their mark.
-/// Comparisons never lie on a shortest single-assignment program (an
+/// on at least one row it fires on. Moves and conditional moves keep their
+/// mark. Comparisons never lie on a shortest single-assignment program (an
 /// individual assignment is always sorted fastest by unconditional moves),
 /// so the literal per-assignment rule would discard every cmp and dead-end
 /// the search; we keep a cmp exactly when the compared register pair is
 /// still unresolved — both orders occur among the rows — which is the only
 /// situation in which its flags can discriminate inputs. \returns the
-/// number of instructions filtered out.
-inline size_t selectActions(const Machine &M, const uint32_t *Rows,
-                            size_t Len, uint8_t *Optimal) {
+/// instructions to expand.
+inline InstrSet selectActions(const Machine &M, const uint32_t *Rows,
+                              size_t Len, const uint8_t *Optimal) {
   const std::vector<Instr> &All = M.instructions();
-  size_t Filtered = 0;
+  InstrSet Kept;
   for (size_t K = 0; K != All.size(); ++K) {
     const Instr &I = All[K];
+    bool Keep = Optimal[K] != 0;
     if (I.Op == Opcode::Cmp) {
       bool SeenLess = false, SeenGreater = false;
       for (size_t R = 0; R != Len; ++R) {
@@ -134,11 +134,12 @@ inline size_t selectActions(const Machine &M, const uint32_t *Rows,
         if (SeenLess && SeenGreater)
           break;
       }
-      Optimal[K] = SeenLess && SeenGreater;
+      Keep = SeenLess && SeenGreater;
     }
-    Filtered += !Optimal[K];
+    if (Keep)
+      Kept.insert(K);
   }
-  return Filtered;
+  return Kept;
 }
 
 /// The one budget check of both engines: the stop token (deadline first,

@@ -26,7 +26,8 @@
 // the predecessor rules above, so a child of an unreachable assignment is
 // unreachable too, and all unreachable assignments share row 0 (all
 // Unreachable). The fold reads the block with SSE2, sixteen instructions
-// per load, with a portable byte loop elsewhere.
+// per load, and so does the budget compare after it, with a portable byte
+// loop elsewhere.
 //
 //===----------------------------------------------------------------------===//
 
@@ -333,6 +334,28 @@ void DistanceTable::foldSuccessors(const uint32_t *Rows, size_t Len,
       F.Optimal[B] = Opt;
   }
 #endif
+}
+
+InstrSet DistanceTable::withinBudget(const SuccessorFold &F,
+                                     unsigned Budget) const {
+  assert(F.Needed.size() == Stride && "F holds no fold of this table");
+  const uint8_t Limit = static_cast<uint8_t>(std::min(Budget, 254u));
+  InstrSet Out;
+  // The loads stop inside the padded stride: OwnSlot < Stride.
+#if SKS_FOLD_SIMD
+  const __m128i Max = _mm_set1_epi8(static_cast<char>(Limit));
+  for (size_t B = 0; B < OwnSlot; B += 16) {
+    const __m128i Need = load(F.Needed.data() + B);
+    const __m128i Within = _mm_cmpeq_epi8(_mm_min_epu8(Need, Max), Need);
+    Out.insertBits(B, static_cast<unsigned>(_mm_movemask_epi8(Within)));
+  }
+#else
+  for (size_t K = 0; K != OwnSlot; ++K)
+    if (F.Needed[K] <= Limit)
+      Out.insert(K);
+#endif
+  // Drop the own-distance slot and the padding past the alphabet.
+  return Out & InstrSet::prefix(OwnSlot);
 }
 
 void DistanceTable::foldByApply(const uint32_t *Rows, size_t Len,

@@ -61,6 +61,7 @@
 #ifndef SKS_TABLES_DISTANCETABLE_H
 #define SKS_TABLES_DISTANCETABLE_H
 
+#include "isa/InstrSet.h"
 #include "machine/Machine.h"
 
 #include <cstddef>
@@ -131,6 +132,13 @@ public:
   /// per-worker scratch.
   void foldSuccessors(const uint32_t *Rows, size_t Len, bool WantOptimal,
                       SuccessorFold &F) const;
+
+  /// \returns the instructions K of a folded state whose child needs at
+  /// most \p Budget more instructions: F.Needed[K] <= Budget, with the
+  /// budget clamped to 254 so that Unreachable never passes. The section
+  /// 3.3 verdict on every child at once, one SSE2 compare per sixteen
+  /// instructions.
+  InstrSet withinBudget(const SuccessorFold &F, unsigned Budget) const;
 
   /// True when the machine has a successor block (see the file comment),
   /// so foldSuccessors() costs one pass over the rows.

@@ -18,10 +18,11 @@
 //    instruction, the maxDist of the child that apply would build, and
 //    CandidatePipeline::expandNode must produce exactly the rows/hash/perm
 //    of separate apply / sort+unique / maxDist / reference perm count /
-//    hashWords calls, and cut exactly the children whose reference count
-//    is above the cut's threshold, over walks of real Cmov, MinMax, and
-//    Hybrid machines at n = 3..5 that mix random instructions with
-//    sorting-network prefixes;
+//    hashWords calls, refuse exactly what killsPrefix refuses, and cut
+//    exactly the children whose reference count is above the cut's
+//    threshold, over walks of real Cmov, MinMax, and Hybrid machines at
+//    n = 3..5 that mix random instructions with sorting-network prefixes,
+//    under the walk's own prefix summaries and at budgets up to 300;
 //  - the section 3.5 cut's pre-apply bounds never exceed a child's count
 //    (random walks of every machine kind and goal family), and its integer
 //    threshold agrees with the floating-point test it replaced.
@@ -227,12 +228,18 @@ TEST(Canonicalize, SimdProbesAgreeWithBuild) {
 
 /// One machine's random-walk equivalence check: at every step, the
 /// successor fold of the parent must give each instruction's child maxDist
-/// and viability verdict before apply, and expandNode must turn exactly
+/// and viability verdict before apply (byte by byte, and as withinBudget's
+/// set), and expandNode must turn exactly
 /// the admitted viable children that the cut keeps into candidates that
 /// agree with the separate reference calls. Every other step runs the
 /// section 3.5 cut, at a threshold drawn from 1 to one above the parent's
 /// count, so that both the parent's count and the per-register bounds
 /// decide children before apply (where the machine has a successor block).
+/// The walk carries the prefix summary of the program it took, on some
+/// steps met with a second program's, so that the gate refuses by every
+/// rule; admitted means killsPrefix keeps it. ChildG is drawn up to two
+/// past MaxLength, where nothing is viable; a MaxLength of 255 and more
+/// makes the budget clamp decide.
 void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
                                  unsigned MaxLength, uint64_t Seed) {
   SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(Kind)
@@ -249,8 +256,8 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
   CandidateBatch B;
   SuccessorFold Fold;
   SearchStats Stats;
-  const PrefixLint Lint = PrefixLint::entry();
-  size_t RefPruned = 0, RefGenerated = 0, RefCut = 0;
+  PrefixLint Lint = PrefixLint::entry();
+  size_t RefPruned = 0, RefGenerated = 0, RefCut = 0, RefRefused = 0;
   // A cmov network is a hybrid kernel too.
   const Program Network = Kind == MachineKind::MinMax
                               ? sortingNetworkMinMax(N)
@@ -268,6 +275,11 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
     const unsigned MaxKept = Cuts.maxKept(ChildG);
     CandidatePipeline Pipeline(M, Opts, &DT, Cuts);
     DT.foldSuccessors(Rows.data(), Rows.size(), false, Fold);
+    const InstrSet Viable =
+        ChildG > MaxLength ? InstrSet()
+                           : DT.withinBudget(Fold, MaxLength - ChildG);
+    EXPECT_EQ(Viable.minus(InstrSet::prefix(Instrs.size())), InstrSet())
+        << "the verdict names an index past the alphabet";
     B.clear();
     Pipeline.expandNode(Rows.data(), static_cast<uint32_t>(Rows.size()),
                         Lint, 0, ChildG, B, Stats);
@@ -284,8 +296,11 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
                        ChildG + Needed <= Opts.MaxLength;
       ASSERT_EQ(Fold.Needed[K], Needed) << toString(Instrs[K], N);
       ASSERT_EQ(Pipeline.viable(ChildG, Fold.Needed[K]), RefViable);
-      if (Lint.killsPrefix(Instrs[K]))
+      ASSERT_EQ(Viable.contains(K), RefViable);
+      if (Lint.killsPrefix(Instrs[K])) {
+        ++RefRefused;
         continue;
+      }
       ++RefGenerated;
       if (!RefViable) {
         ++RefPruned;
@@ -314,25 +329,48 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
     // viable one keeps it); otherwise to a random instruction's canonical
     // child, restarting when the walk collapses to a dead end so later
     // steps keep exercising wide states.
+    // The summary follows the program taken. On a quarter of the steps it
+    // meets a random program's, which half the time ends on the walk's
+    // last instruction, so that the meet keeps the repeat.
     if (R.below(2) == 0) {
       Prefix = Prefix % Network.size() + 1;
       Rows = initialState(M).Rows;
-      for (size_t I = 0; I != Prefix; ++I)
+      Lint = PrefixLint::entry();
+      for (size_t I = 0; I != Prefix; ++I) {
         for (uint32_t &Row : Rows)
           Row = M.apply(Row, Network[I]);
+        Lint = Lint.extended(Network[I]);
+      }
     } else {
       Instr Via = Instrs[R.below(Instrs.size())];
       for (uint32_t &Row : Rows)
         Row = M.apply(Row, Via);
+      Lint = Lint.extended(Via);
+      if (R.below(4) == 0) {
+        PrefixLint Other = PrefixLint::entry();
+        for (uint64_t I = R.below(6); I != 0; --I)
+          Other = Other.extended(Instrs[R.below(Instrs.size())]);
+        if (R.below(2) == 0)
+          Other = Other.extended(Via);
+        Lint.meet(Other);
+      }
     }
     Rows = scalarReference(Rows);
-    if (Rows.size() <= 1 || DT.maxDist(Rows) == DistanceTable::Unreachable)
+    if (Rows.size() <= 1 || DT.maxDist(Rows) == DistanceTable::Unreachable) {
       Rows = initialState(M).Rows;
+      Lint = PrefixLint::entry();
+    }
   }
   EXPECT_EQ(Stats.ViabilityPruned, RefPruned);
   EXPECT_EQ(Stats.StatesGenerated, RefGenerated);
   EXPECT_EQ(Stats.CutStates, RefCut);
+  EXPECT_EQ(Stats.SyntacticPruned, RefRefused);
+  EXPECT_GT(RefRefused, 0u);
 }
+
+/// Budgets past what a byte holds: the verdict clamps the remaining
+/// budget to 254, below Unreachable.
+constexpr unsigned kWideBudgets[] = {255, 256, 300};
 
 TEST(Canonicalize, FusedFinishMatchesSeparateCallsCmov) {
   for (unsigned N = 3; N <= 5; ++N) {
@@ -341,6 +379,9 @@ TEST(Canonicalize, FusedFinishMatchesSeparateCallsCmov) {
                                 1000 + N);
     // A tight budget forces the ChildG + maxDist > MaxLength prune arm.
     checkFusedFinishEquivalence(MachineKind::Cmov, N, 6, 2000 + N);
+    for (unsigned Wide : kWideBudgets)
+      checkFusedFinishEquivalence(MachineKind::Cmov, N, Wide,
+                                  6000 + 10 * N + Wide);
   }
 }
 
@@ -350,6 +391,9 @@ TEST(Canonicalize, FusedFinishMatchesSeparateCallsMinMax) {
                                 networkUpperBound(MachineKind::MinMax, N),
                                 3000 + N);
     checkFusedFinishEquivalence(MachineKind::MinMax, N, 5, 4000 + N);
+    for (unsigned Wide : kWideBudgets)
+      checkFusedFinishEquivalence(MachineKind::MinMax, N, Wide,
+                                  7000 + 10 * N + Wide);
   }
 }
 
@@ -358,6 +402,8 @@ TEST(Canonicalize, FusedFinishMatchesSeparateCallsHybrid) {
   checkFusedFinishEquivalence(MachineKind::Hybrid, 3,
                               networkUpperBound(MachineKind::Hybrid, 3),
                               5003);
+  for (unsigned Wide : kWideBudgets)
+    checkFusedFinishEquivalence(MachineKind::Hybrid, 3, Wide, 8000 + Wide);
 }
 
 /// One machine's and goal's walk of the section 3.5 cut's pre-apply

@@ -10,6 +10,7 @@
 #include "kernels/ReferenceKernels.h"
 #include "lint/PrefixLint.h"
 #include "search/Search.h"
+#include "support/Rng.h"
 #include "verify/Verify.h"
 
 #include <gtest/gtest.h>
@@ -188,6 +189,85 @@ TEST(PrefixLint, CleanKernelPrefixesAreNeverPruned) {
     for (const Instr &I : P) {
       EXPECT_FALSE(S.killsPrefix(I));
       S = S.extended(I);
+    }
+  }
+}
+
+/// Checks PrefixLint::refused against killsPrefix on every instruction of
+/// \p M's alphabet.
+void expectRefusedMatchesKillsPrefix(const Machine &M,
+                                     const InstrClasses &Classes,
+                                     const PrefixLint &S) {
+  const std::vector<Instr> &All = M.instructions();
+  const InstrSet Refused = S.refused(Classes);
+  for (size_t K = 0; K != All.size(); ++K)
+    ASSERT_EQ(Refused.contains(K), S.killsPrefix(All[K]))
+        << toString(All[K], M.numData());
+  EXPECT_EQ(Refused.minus(Classes.All), InstrSet());
+}
+
+TEST(PrefixLint, RefusedSetMatchesKillsPrefix) {
+  // The gate the engines run is the set; killsPrefix is its definition.
+  // Random programs over each alphabet, every prefix of them, and meets of
+  // two: some whose programs end on different instructions, some on the
+  // same one, so that the meet keeps or drops each fact. The hybrid
+  // machine and cmov on two scratch registers reach register 7 and the
+  // largest alphabet (196 instructions).
+  struct Shape {
+    MachineKind Kind;
+    unsigned N, Scratch;
+  };
+  std::vector<Shape> Shapes;
+  for (unsigned N = 2; N <= 6; ++N) {
+    Shapes.push_back({MachineKind::Cmov, N, 1});
+    Shapes.push_back({MachineKind::MinMax, N, 1});
+  }
+  Shapes.push_back({MachineKind::Cmov, 6, 2});
+  Shapes.push_back({MachineKind::Hybrid, 3, 1});
+  Rng R(2024);
+  for (const Shape &Sh : Shapes) {
+    Machine M(Sh.Kind, Sh.N, Sh.Scratch);
+    SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(Sh.Kind)
+                                    << " n=" << Sh.N
+                                    << " scratch=" << Sh.Scratch);
+    const std::vector<Instr> &All = M.instructions();
+    const InstrClasses Classes(All, M.numData());
+    auto RandomProgram = [&](size_t MaxLen) {
+      Program P(R.below(MaxLen + 1));
+      for (Instr &I : P)
+        I = All[R.below(All.size())];
+      return P;
+    };
+    auto Summary = [](const Program &P) {
+      PrefixLint S = PrefixLint::entry();
+      for (Instr I : P)
+        S = S.extended(I);
+      return S;
+    };
+    expectRefusedMatchesKillsPrefix(M, Classes, PrefixLint::entry());
+    for (int Round = 0; Round != 200; ++Round) {
+      const Program P = RandomProgram(12);
+      PrefixLint S = PrefixLint::entry();
+      for (Instr I : P) {
+        S = S.extended(I);
+        expectRefusedMatchesKillsPrefix(M, Classes, S);
+      }
+      // A second program, half the time ending on P's last instruction.
+      Program Q = RandomProgram(12);
+      if (!P.empty() && R.below(2) == 0)
+        Q.push_back(P.back());
+      PrefixLint Met = S;
+      Met.meet(Summary(Q));
+      expectRefusedMatchesKillsPrefix(M, Classes, Met);
+      // P with its last instruction redrawn: the meet keeps what the two
+      // share and, where the last instructions differ, drops the repeat.
+      if (!P.empty()) {
+        Program Other = P;
+        Other.back() = All[R.below(All.size())];
+        Met = S;
+        Met.meet(Summary(Other));
+        expectRefusedMatchesKillsPrefix(M, Classes, Met);
+      }
     }
   }
 }

@@ -243,6 +243,7 @@ TEST(Search, EnumerateCountersArePinned) {
   EXPECT_EQ(R.Stats.ViabilityPruned, 15806523u);
   EXPECT_EQ(R.Stats.DedupHits, 1346789u);
   EXPECT_EQ(R.Stats.CutStates, 0u);
+  EXPECT_EQ(R.Stats.SyntacticPruned, 3266557u);
 }
 
 TEST(Search, FirstN4CountersArePinned) {
@@ -257,6 +258,7 @@ TEST(Search, FirstN4CountersArePinned) {
   EXPECT_EQ(R.Stats.ViabilityPruned, 2863055u);
   EXPECT_EQ(R.Stats.CutStates, 904945u);
   EXPECT_EQ(R.Stats.DedupHits, 137077u);
+  EXPECT_EQ(R.Stats.SyntacticPruned, 1054100u);
 
   // Select-2 at n = 4 has no successor block: its verdict still runs after
   // apply and keeps the same counters.
@@ -270,6 +272,7 @@ TEST(Search, FirstN4CountersArePinned) {
   EXPECT_EQ(R.Stats.ViabilityPruned, 51876u);
   EXPECT_EQ(R.Stats.CutStates, 70647u);
   EXPECT_EQ(R.Stats.DedupHits, 25983u);
+  EXPECT_EQ(R.Stats.SyntacticPruned, 36039u);
 }
 
 TEST(Search, FirstCutCountersArePinned) {
@@ -282,15 +285,15 @@ TEST(Search, FirstCutCountersArePinned) {
     unsigned N;
     GoalSpec Goal;
     unsigned Length;
-    size_t Expanded, Generated, Pruned, Cut, Dedup;
+    size_t Expanded, Generated, Pruned, Cut, Dedup, Refused;
   };
   const Pin Pins[] = {
       {MachineKind::Cmov, 3, GoalSpec::sort(), 11, 16417, 556584, 345565,
-       145223, 49057},
+       145223, 49057, 132930},
       {MachineKind::Cmov, 3, GoalSpec::selectK(2), 8, 551, 19022, 9399, 1158,
-       4635},
+       4635, 4120},
       {MachineKind::MinMax, 4, GoalSpec::sort(), 15, 2896, 129302, 96155,
-       19954, 10262},
+       19954, 10262, 44458},
   };
   for (const Pin &P : Pins) {
     Machine M(P.Kind, P.N, 1, P.Goal);
@@ -306,6 +309,7 @@ TEST(Search, FirstCutCountersArePinned) {
     EXPECT_EQ(R.Stats.ViabilityPruned, P.Pruned);
     EXPECT_EQ(R.Stats.CutStates, P.Cut);
     EXPECT_EQ(R.Stats.DedupHits, P.Dedup);
+    EXPECT_EQ(R.Stats.SyntacticPruned, P.Refused);
   }
 }
 
@@ -330,9 +334,48 @@ TEST(Search, LayeredCutCountersArePinned) {
     EXPECT_EQ(R.Stats.ViabilityPruned, 392107u);
     EXPECT_EQ(R.Stats.CutStates, 31681u);
     EXPECT_EQ(R.Stats.DedupHits, 40812u);
+    EXPECT_EQ(R.Stats.SyntacticPruned, 96186u);
     EXPECT_EQ(R.Stats.LevelStates,
               (std::vector<size_t>{1, 7, 36, 225, 1213, 162, 682, 2887, 8300,
                                    145, 20, 13}));
+  }
+}
+
+TEST(Search, FilterCountersArePinned) {
+  // Configuration (III) with the section 3.2 action filter: its marks are
+  // the base set the gate, the verdict and the cut pick from. Cmov n = 3
+  // reads them off the successor block; min/max n = 5 has none, so the
+  // fold applies every instruction to get them.
+  struct Pin {
+    MachineKind Kind;
+    unsigned N;
+    bool Block;
+    unsigned Length;
+    size_t Expanded, Generated, Pruned, Cut, Dedup, Filtered, Refused;
+  };
+  const Pin Pins[] = {
+      {MachineKind::Cmov, 3, true, 11, 3102, 24501, 7505, 10590, 3207, 94962,
+       10821},
+      {MachineKind::MinMax, 5, false, 25, 286, 2412, 968, 270, 425, 22438,
+       890},
+  };
+  for (const Pin &P : Pins) {
+    Machine M(P.Kind, P.N);
+    SCOPED_TRACE(testing::Message()
+                 << "kind=" << static_cast<int>(P.Kind) << " n=" << P.N);
+    ASSERT_EQ(DistanceTable(M).hasSuccessors(), P.Block);
+    SearchOptions Opts = bestEnumConfig(P.Kind, P.N);
+    Opts.UseActionFilter = true;
+    SearchResult R = synthesize(M, Opts);
+    ASSERT_TRUE(R.Found);
+    EXPECT_EQ(R.OptimalLength, P.Length);
+    EXPECT_EQ(R.Stats.StatesExpanded, P.Expanded);
+    EXPECT_EQ(R.Stats.StatesGenerated, P.Generated);
+    EXPECT_EQ(R.Stats.ViabilityPruned, P.Pruned);
+    EXPECT_EQ(R.Stats.CutStates, P.Cut);
+    EXPECT_EQ(R.Stats.DedupHits, P.Dedup);
+    EXPECT_EQ(R.Stats.ActionsFiltered, P.Filtered);
+    EXPECT_EQ(R.Stats.SyntacticPruned, P.Refused);
   }
 }
 

@@ -151,7 +151,8 @@ void usage(const char *Argv0) {
       "                          checked)\n"
       "  --profile               print the per-stage expansion-pipeline\n"
       "                          time breakdown (apply/canonicalize/\n"
-      "                          viability/merge)\n"
+      "                          viability/merge, and on one thread the\n"
+      "                          search time no stage covers)\n"
       "  --timeout <seconds>     wall-clock budget\n"
       "  --max-length <L>        length bound (default: network size)\n"
       "  --threads <T>           worker threads; more than one runs the\n"
@@ -466,11 +467,20 @@ int main(int Argc, char **Argv) {
     if (!Cli.Profile)
       return;
     auto Ms = [](uint64_t Nanos) { return Nanos / 1e6; };
+    const SearchStats &S = R.Stats;
     std::fprintf(Out,
                  "; pipeline profile: apply %.1f ms, canonicalize %.1f ms, "
-                 "viability %.1f ms, merge %.1f ms\n",
-                 Ms(R.Stats.ApplyNanos), Ms(R.Stats.CanonNanos),
-                 Ms(R.Stats.ViabilityNanos), Ms(R.Stats.MergeNanos));
+                 "viability %.1f ms, merge %.1f ms",
+                 Ms(S.ApplyNanos), Ms(S.CanonNanos), Ms(S.ViabilityNanos),
+                 Ms(S.MergeNanos));
+    // The search time no stage timer covers: the children's selection,
+    // the heap and the engines' own loops. With worker threads the stages
+    // sum CPU time across workers, so the difference means nothing there.
+    if (Cli.Threads <= 1)
+      std::fprintf(Out, ", untimed %.1f ms",
+                   S.Seconds * 1e3 - Ms(S.ApplyNanos + S.CanonNanos +
+                                        S.ViabilityNanos + S.MergeNanos));
+    std::fprintf(Out, "\n");
   };
   if (!R.Found) {
     // Say why and how far the run got. The layered engine also names the
