@@ -14,8 +14,8 @@
 /// viability verdict and the section 3.5 cut each become a few word
 /// operations per node instead of a branch per instruction.
 ///
-/// count() is an inline SWAR popcount unless the build targets POPCNT:
-/// on baseline x86-64 std::popcount is a libgcc call.
+/// count() is an inline SWAR popcount: on baseline x86-64 (no POPCNT)
+/// std::popcount is a libgcc call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,14 +109,10 @@ private:
   static constexpr size_t kWords = kCapacity / 64;
 
   static unsigned popcount(uint64_t X) {
-#if defined(__POPCNT__)
-    return static_cast<unsigned>(std::popcount(X));
-#else
     X -= (X >> 1) & 0x5555555555555555ull;
     X = (X & 0x3333333333333333ull) + ((X >> 2) & 0x3333333333333333ull);
     X = (X + (X >> 4)) & 0x0f0f0f0f0f0f0f0full;
     return static_cast<unsigned>((X * 0x0101010101010101ull) >> 56);
-#endif
   }
 
   std::array<uint64_t, kWords> W = {};

@@ -183,9 +183,10 @@ public:
   /// the distance table or the table-less erase check. \p MaxKept is the
   /// cut's threshold for length \p ChildG (CutTracker::maxKept). \p Perm
   /// is the child's perm count when expandNode knows it without counting
-  /// (the parent's, for an instruction that writes no data register), 0
-  /// to count it here. Records a Candidate on survival; truncates the tail
-  /// otherwise. \returns true when the candidate survived.
+  /// (the parent's, for an instruction that writes no data register; at
+  /// most \p MaxKept), 0 to count and cut it here. Records a Candidate on
+  /// survival; truncates the tail otherwise. \returns true when the
+  /// candidate survived.
   bool finish(CandidateBatch &B, size_t RawBegin, unsigned ChildG,
               uint32_t Parent, Instr Via, const PrefixLint &ParentLint,
               uint8_t Needed, unsigned MaxKept, uint32_t Perm,
@@ -225,16 +226,21 @@ public:
 
     // The perm count and the section 3.5 cut, on the raw rows too: a
     // DISTINCT count is blind to order and duplicates, so a cut candidate
-    // is never sorted.
+    // is never sorted. A count that expandNode passed is not cut here: it
+    // is the parent's, and above the threshold the cut before apply took
+    // every such child, so a miss there shows in the counters.
     if (Perm == 0) {
-      ScopedNanoTimer T(Profile, Stats.CanonNanos);
-      Perm = permCount(M, Rows, RawLen, B.Scratch);
+      {
+        ScopedNanoTimer T(Profile, Stats.CanonNanos);
+        Perm = permCount(M, Rows, RawLen, B.Scratch);
+      }
+      if (Perm > MaxKept) {
+        ++Stats.CutStates;
+        B.Rows.resize(RawBegin);
+        return false;
+      }
     }
-    if (Perm > MaxKept) {
-      ++Stats.CutStates;
-      B.Rows.resize(RawBegin);
-      return false;
-    }
+    assert(Perm <= MaxKept && "the cut before apply missed this child");
 
     // Canonical order + duplicate compaction + hash, for the survivors
     // only. A single row (common near the goal) is trivially canonical.
