@@ -16,7 +16,9 @@
 // distinct optimal kernels is a path count computed by dynamic programming
 // (Ways), and individual kernels are reconstructed by walking parent edges
 // — no kernel is ever enumerated twice the way a plain program-by-program
-// walk would.
+// walk would. A node keeps its first parent edge; in FindAll mode each
+// level also keeps all its edges in one compressed-row (CSR) array
+// (DagLevel), so no node owns a heap block.
 //
 // Expansion is one node-major loop over static worker ranges: worker W
 // expands one contiguous slice of the level into its own candidate batch,
@@ -42,22 +44,29 @@
 //   phase 0  partition surviving candidates by shard, one partition per
 //            batch in parallel; each shard reads them batch-major — the
 //            exact order the sequential engine would process them;
-//   phase 1  per-shard dedup/DAG-merge into shard-local nodes + rows + a
-//            local index, scheduled by work stealing with shards seeded in
-//            descending candidate-count order (deadline/limit-checked via
-//            atomics);
-//   phase 2  prefix-sum shard sizes into per-level shard bases and bulk-
-//            commit nodes, rows, and index entries — work-stolen per
-//            shard, seeded by descending row bytes.
+//   phase 1  per-shard dedup/DAG-merge straight into the one index: each
+//            candidate probes its store shard once. A hit at a committed
+//            level is a rediscovery, a hit at the level in flight merges
+//            into that shard-local node, and a miss appends a node and its
+//            rows to the shard's buffers and inserts its entry under
+//            (level, shard-local index) at once. FindAll mode appends each
+//            edge as (shard-local node, parent, instruction). Scheduled by
+//            work stealing with shards seeded in descending
+//            candidate-count order (deadline/limit-checked via atomics);
+//   phase 2  prefix-sum shard sizes into the level's shard bases, copy
+//            nodes and rows into place and group each shard's edges by
+//            node with a stable counting sort into the level's CSR slices
+//            — work-stolen per shard, seeded by descending row bytes. The
+//            index entries need no rewrite: the shard bases rebase them.
 //
 // Work stealing preserves bit-identity for free: a shard is always
 // processed WHOLLY by one worker in the fixed batch-major candidate
 // order, per-shard sums (Ways, SolutionCount) and mins (the cut
 // observation) are order-independent across shards, and phase 2 commits
 // through prefix-summed bases — so which worker ran which shard, and
-// when, cannot show up in the result. The merged DAG and the exact
-// solution count are bit-identical to the sequential engine's for any
-// thread count.
+// when, cannot show up in the result. The merged DAG, each node's edge
+// order and the exact solution count are bit-identical to the sequential
+// engine's for any thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +80,7 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 
 using namespace sks;
 using namespace sks::detail;
@@ -84,12 +94,12 @@ struct ParentEdge {
   Instr Via;
 };
 
-/// One node of the solution DAG. Rows live in the owning level's arena.
+/// One node of the solution DAG. Rows live in the owning level's arena;
+/// in FindAll mode the node's incoming edges live in its level's edge
+/// slices (DagLevel).
 struct LNode {
   RowSpan Rows;
-  /// All incoming edges; populated only in FindAll mode.
-  /// FirstParent/FirstVia always hold one edge.
-  std::vector<ParentEdge> Parents;
+  /// The first incoming edge the merge met.
   uint32_t FirstParent = UINT32_MAX;
   Instr FirstVia{Opcode::Mov, 0, 0};
   /// Number of distinct programs of length <level> reaching this state.
@@ -99,11 +109,32 @@ struct LNode {
   /// this node: the expansion gate refuses only what all of them refuse.
   PrefixLint Lint = PrefixLint::entry();
 };
+// A level commits by copying its nodes, and no run frees per-node blocks.
+static_assert(std::is_trivially_copyable_v<LNode>);
+
+/// One committed level of the solution DAG.
+struct DagLevel {
+  std::vector<LNode> Nodes;
+  /// The level-global index of each shard's first node.
+  std::array<uint32_t, StateStore::kNumShards> ShardBases{};
+  /// FindAll mode's incoming edges, grouped by node: node I's edges are
+  /// Edges[EdgeBegin[I], EdgeBegin[I + 1]), in the order the merge met
+  /// them. Empty at level 0 and outside FindAll mode.
+  std::vector<uint32_t> EdgeBegin;
+  std::vector<ParentEdge> Edges;
+
+  /// Bytes of the node metadata: nodes and edge slices.
+  size_t bytesUsed() const {
+    return Nodes.capacity() * sizeof(LNode) +
+           EdgeBegin.capacity() * sizeof(uint32_t) +
+           Edges.capacity() * sizeof(ParentEdge);
+  }
+};
 
 /// Index payload: (level << 32) | shard-local node index. The shard is
-/// implicit in which IndexShard holds the entry; ShardBases rebases the
-/// local index to a level-global one, so committing a merged level never
-/// rewrites payloads.
+/// implicit in which IndexShard holds the entry; a level's ShardBases
+/// rebase the local index to a level-global one, so committing a merged
+/// level never rewrites payloads.
 uint64_t packRef(unsigned Level, uint32_t Local) {
   return (static_cast<uint64_t>(Level) << 32) | Local;
 }
@@ -133,21 +164,49 @@ struct Published {
   size_t States = 0, Bytes = 0, Done = 0;
 };
 
+/// An incoming edge as merge phase 1 meets it, with the shard-local node
+/// it enters.
+struct ShardEdge {
+  uint32_t Node;
+  ParentEdge Edge;
+};
+
 /// One shard's output of a level merge (phase 1), committed in phase 2.
+/// Its index entries go straight into the store's shard.
 struct ShardMerge {
   std::vector<LNode> Nodes;
-  std::vector<uint32_t> Rows; ///< New row data, shard-local offsets.
-  IndexShard Local;           ///< Hash -> packRef(ChildG, local index).
+  std::vector<uint32_t> Rows;   ///< New row data, shard-local offsets.
+  std::vector<ShardEdge> Edges; ///< FindAll only; in candidate order.
   size_t DedupHits = 0;
   uint64_t SolutionDelta = 0;
   unsigned MinPerm = 0; ///< 0 = no new node observed.
   bool FoundSorted = false;
 
+  /// The shard's own buffers; its index growth counts in the store.
   size_t bytesUsed() const {
     return Rows.capacity() * sizeof(uint32_t) +
-           Nodes.capacity() * sizeof(LNode) + Local.bytesUsed();
+           Nodes.capacity() * sizeof(LNode) +
+           Edges.capacity() * sizeof(ShardEdge);
   }
 };
+
+/// Groups one shard's edges by node into \p Level's slices of the shard's
+/// nodes, which start at level-global node \p NodeBase and edge
+/// \p EdgeBase. A stable counting sort: it counts each node's edges into
+/// EdgeBegin (zero on entry), sums them into slice ends, then walks the
+/// edges backwards and fills each slice from its end, which leaves
+/// EdgeBegin at the slice starts and each node's edges in candidate order.
+void groupEdges(const ShardMerge &Sh, uint32_t NodeBase, uint32_t EdgeBase,
+                DagLevel &Level) {
+  uint32_t *Begin = Level.EdgeBegin.data() + NodeBase;
+  for (const ShardEdge &E : Sh.Edges)
+    ++Begin[E.Node];
+  uint32_t End = EdgeBase;
+  for (size_t I = 0; I != Sh.Nodes.size(); ++I)
+    Begin[I] = End += Begin[I];
+  for (auto E = Sh.Edges.rbegin(); E != Sh.Edges.rend(); ++E)
+    Level.Edges[--Begin[E->Node]] = E->Edge;
+}
 
 class LayeredEngine {
 public:
@@ -213,10 +272,8 @@ private:
   ThreadPool Pool;
   Stopwatch Timer;
   StateStore Store;
-  std::vector<std::vector<LNode>> Levels;
-  /// Per level: the level-global index of each shard's first node.
-  std::vector<std::array<uint32_t, kNumShards>> ShardBases;
-  size_t NodeBytes = 0;     ///< LNode + Parents storage across levels.
+  std::vector<DagLevel> Levels;
+  size_t NodeBytes = 0;      ///< DagLevel::bytesUsed across levels.
   double BranchEstimate = 0; ///< Candidates-per-node of the last level.
 };
 
@@ -261,7 +318,7 @@ bool LayeredEngine::expandLevel(unsigned G,
                                 std::vector<CandidateBatch> &Batches,
                                 SearchResult &Result,
                                 const std::function<void(size_t)> &Trace) {
-  const std::vector<LNode> &Level = Levels[G];
+  const std::vector<LNode> &Level = Levels[G].Nodes;
   const unsigned ChildG = G + 1;
   const unsigned Workers = Pool.size();
   const size_t RowsPerState =
@@ -313,7 +370,8 @@ bool LayeredEngine::expandLevel(unsigned G,
 /// Folds expansion candidates into the next level with global dedup: the
 /// three-phase sharded merge described in the file header. \returns false
 /// when the merge aborted before commit (stop reason recorded; the partial
-/// level is discarded).
+/// level is discarded, and the run ends before anything probes the index
+/// entries phase 1 inserted for it).
 bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
                                unsigned ChildG, SearchResult &Result,
                                const std::function<void(size_t)> &Trace,
@@ -343,7 +401,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
     }
   });
   BranchEstimate = static_cast<double>(Total) /
-                   static_cast<double>(Levels[ChildG - 1].size());
+                   static_cast<double>(Levels[ChildG - 1].Nodes.size());
   // Live until the level commits: the batches and their partitions.
   size_t Live = 0;
   for (uint32_t BI = 0; BI != NumBatches; ++BI) {
@@ -354,12 +412,14 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   if (!withinBudget(Result, residentBytes(Live)))
     return false;
 
-  // Phase 1: per-shard dedup/DAG-merge. Only shard-local state is written;
-  // committed levels and the previous level's Ways are read-only. Shards
-  // are seeded to the work-stealing deques in descending candidate-count
-  // order — LPT scheduling with stealing as the correction, replacing the
-  // shared dynamic cursor that hash-skewed shard sizes used to contend on.
-  const std::vector<LNode> &Prev = Levels[ChildG - 1];
+  // Phase 1: per-shard dedup/DAG-merge. A worker writes only its shard:
+  // the shard's nodes, rows and edges, and the store's index shard, which
+  // takes each new node's entry at once. Committed levels and the previous
+  // level's Ways are read-only. Shards are seeded to the work-stealing
+  // deques in descending candidate-count order — LPT scheduling with
+  // stealing as the correction, replacing the shared dynamic cursor that
+  // hash-skewed shard sizes used to contend on.
+  const std::vector<LNode> &Prev = Levels[ChildG - 1].Nodes;
   std::vector<ShardMerge> Shards(kNumShards);
   Phase Ph{Trace, Total, residentBytes(Live)};
 
@@ -378,6 +438,9 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
       MergeOrder, [&](uint32_t Shard, unsigned W) {
         const unsigned S = Shard;
         ShardMerge &Sh = Shards[S];
+        IndexShard &Index = Store.shard(S);
+        // Phase Ph's base holds the index as it was; publish its growth.
+        const size_t IndexBase = Index.bytesUsed();
         Sh.Nodes.reserve(ShardCount[S] / 2 + 8);
         size_t Seen = 0;
         Published Mine;
@@ -385,46 +448,44 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
           const CandidateBatch &B = Batches[BI];
           for (uint32_t CI : Parts[BI][S]) {
             if ((Seen++ & 511u) == 511u &&
-                !checkpoint(Ph, Mine, W, Sh.Nodes.size(), Sh.bytesUsed(),
+                !checkpoint(Ph, Mine, W, Sh.Nodes.size(),
+                            Sh.bytesUsed() + Index.bytesUsed() - IndexBase,
                             Seen))
               return;
             const Candidate &C = B.List[CI];
             const uint32_t *CRows = B.rowsOf(C);
 
-            // Committed-level probe: any hit is a strictly shallower
-            // rediscovery (this level is not committed yet) — never on a
-            // minimal kernel, so only count it.
-            uint64_t Hit =
-                Store.shard(S).find(C.Hash, [&](uint64_t P) {
-                  unsigned L = refLevel(P);
-                  const LNode &N = Levels[L][ShardBases[L][S] + refLocal(P)];
-                  return Store.arena(L).equals(N.Rows, CRows, C.RowLen);
-                });
+            // One probe. A hit at a committed level is a strictly
+            // shallower rediscovery — never on a minimal kernel, so only
+            // count it; a hit at ChildG merges into that DAG node.
+            const uint64_t Hit = Index.find(C.Hash, [&](uint64_t P) {
+              const unsigned L = refLevel(P);
+              if (L == ChildG) {
+                const LNode &N = Sh.Nodes[refLocal(P)];
+                return N.Rows.Len == C.RowLen &&
+                       std::equal(CRows, CRows + C.RowLen,
+                                  Sh.Rows.data() + N.Rows.Offset);
+              }
+              const DagLevel &Level = Levels[L];
+              const LNode &N = Level.Nodes[Level.ShardBases[S] + refLocal(P)];
+              return Store.arena(L).equals(N.Rows, CRows, C.RowLen);
+            });
             if (Hit != IndexShard::kNotFound) {
               ++Sh.DedupHits;
-              continue;
-            }
-
-            // Same-level probe: merge into the DAG node.
-            uint64_t LocalHit = Sh.Local.find(C.Hash, [&](uint64_t P) {
-              const LNode &N = Sh.Nodes[refLocal(P)];
-              return N.Rows.Len == C.RowLen &&
-                     std::equal(CRows, CRows + C.RowLen,
-                                Sh.Rows.data() + N.Rows.Offset);
-            });
-            if (LocalHit != IndexShard::kNotFound) {
-              LNode &Node = Sh.Nodes[refLocal(LocalHit)];
+              if (refLevel(Hit) != ChildG)
+                continue;
+              LNode &Node = Sh.Nodes[refLocal(Hit)];
               Node.Ways += Prev[C.Parent].Ways;
               Node.Lint.meet(C.Lint);
               if (Node.Sorted)
                 Sh.SolutionDelta += Prev[C.Parent].Ways;
               if (Opts.FindAll)
-                Node.Parents.push_back({C.Parent, C.Via});
-              ++Sh.DedupHits;
+                Sh.Edges.push_back({refLocal(Hit), {C.Parent, C.Via}});
               continue;
             }
 
             // New canonical state.
+            const uint32_t Local = static_cast<uint32_t>(Sh.Nodes.size());
             LNode Node;
             Node.Rows =
                 RowSpan{static_cast<uint32_t>(Sh.Rows.size()), C.RowLen};
@@ -434,7 +495,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
             Node.Lint = C.Lint;
             Node.Ways = Prev[C.Parent].Ways;
             if (Opts.FindAll)
-              Node.Parents.push_back({C.Parent, C.Via});
+              Sh.Edges.push_back({Local, {C.Parent, C.Via}});
             Node.Sorted = true;
             for (uint32_t R = 0; R != C.RowLen; ++R)
               if (!M.accepts(CRows[R])) {
@@ -449,9 +510,8 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
             // sequential engine; the per-shard minimum commits below.
             if (Sh.MinPerm == 0 || C.Perm < Sh.MinPerm)
               Sh.MinPerm = C.Perm;
-            Sh.Local.insert(C.Hash, packRef(ChildG, static_cast<uint32_t>(
-                                                        Sh.Nodes.size())));
-            Sh.Nodes.push_back(std::move(Node));
+            Index.insert(C.Hash, packRef(ChildG, Local));
+            Sh.Nodes.push_back(Node);
           }
         }
       });
@@ -460,20 +520,27 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
     return false;
 
   // Phase 2: commit. Prefix-sum the shard sizes into this level's bases,
-  // then bulk-move nodes, rows, and index entries — work-stolen per
-  // shard, seeded by descending row bytes (shards commit into disjoint
-  // [Bases[S], Bases[S+1]) slices, so scheduling cannot affect layout).
-  std::array<uint32_t, kNumShards> Bases{}, RowBases{};
-  uint32_t NodeTotal = 0, RowTotal = 0;
+  // then copy nodes and rows and group the edges by node — work-stolen
+  // per shard, seeded by descending row bytes (shards commit into
+  // disjoint slices, so scheduling cannot affect layout). The index
+  // entries are already in place.
+  std::array<uint32_t, kNumShards> RowBases{}, EdgeBases{};
+  uint32_t NodeTotal = 0, RowTotal = 0, EdgeTotal = 0;
+  DagLevel &Next = Levels.emplace_back();
   for (unsigned S = 0; S != kNumShards; ++S) {
-    Bases[S] = NodeTotal;
+    Next.ShardBases[S] = NodeTotal;
     RowBases[S] = RowTotal;
+    EdgeBases[S] = EdgeTotal;
     NodeTotal += static_cast<uint32_t>(Shards[S].Nodes.size());
     RowTotal += static_cast<uint32_t>(Shards[S].Rows.size());
+    EdgeTotal += static_cast<uint32_t>(Shards[S].Edges.size());
   }
-  ShardBases.push_back(Bases);
-  std::vector<LNode> &Next = Levels.emplace_back();
-  Next.resize(NodeTotal);
+  Next.Nodes.resize(NodeTotal);
+  if (Opts.FindAll) {
+    Next.EdgeBegin.resize(NodeTotal + 1);
+    Next.EdgeBegin[NodeTotal] = EdgeTotal;
+    Next.Edges.resize(EdgeTotal);
+  }
   RowArena &Arena = Store.arena(ChildG);
   Arena.resize(RowTotal);
   std::vector<uint32_t> CommitOrder(kNumShards);
@@ -484,18 +551,17 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
                    });
   Pool.parallelForTasks(CommitOrder, [&](uint32_t Shard, unsigned) {
     const unsigned S = Shard;
-    ShardMerge &Sh = Shards[S];
+    const ShardMerge &Sh = Shards[S];
     if (!Sh.Rows.empty())
       std::memcpy(Arena.data() + RowBases[S], Sh.Rows.data(),
                   Sh.Rows.size() * sizeof(uint32_t));
     for (size_t I = 0; I != Sh.Nodes.size(); ++I) {
-      LNode &N = Sh.Nodes[I];
+      LNode &N = Next.Nodes[Next.ShardBases[S] + I];
+      N = Sh.Nodes[I];
       N.Rows.Offset += RowBases[S];
-      Next[Bases[S] + I] = std::move(N);
     }
-    IndexShard &Global = Store.shard(S);
-    Sh.Local.forEach(
-        [&](uint64_t H, uint64_t P) { Global.insert(H, P); });
+    if (Opts.FindAll)
+      groupEdges(Sh, Next.ShardBases[S], EdgeBases[S], Next);
   });
 
   // Fold per-shard results; sums and mins are order-independent.
@@ -506,12 +572,10 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
       Cuts.observe(ChildG, Sh.MinPerm);
     FoundSorted |= Sh.FoundSorted;
   }
-  NodeBytes += Next.capacity() * sizeof(LNode);
-  if (Opts.FindAll)
-    for (const LNode &N : Next)
-      NodeBytes += N.Parents.capacity() * sizeof(ParentEdge);
+  NodeBytes += Next.bytesUsed();
   // The level's high-water mark: the committed level next to the batches,
-  // partitions and shards it was merged from.
+  // partitions and shard buffers it was merged from. The store already
+  // counts the index entries phase 1 added.
   for (const ShardMerge &Sh : Shards)
     Live += Sh.bytesUsed();
   notePeak(Result, residentBytes(Live));
@@ -526,17 +590,18 @@ void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
     Result.Solutions.emplace_back(Suffix.rbegin(), Suffix.rend());
     return;
   }
-  const LNode &Node = Levels[Level][Index];
-  if (Opts.FindAll && !Node.Parents.empty()) {
-    for (const ParentEdge &E : Node.Parents) {
-      Suffix.push_back(E.Via);
-      reconstruct(Level - 1, E.Parent, Suffix, Result);
+  const DagLevel &L = Levels[Level];
+  if (Opts.FindAll) {
+    for (uint32_t E = L.EdgeBegin[Index]; E != L.EdgeBegin[Index + 1]; ++E) {
+      Suffix.push_back(L.Edges[E].Via);
+      reconstruct(Level - 1, L.Edges[E].Parent, Suffix, Result);
       Suffix.pop_back();
       if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
         return;
     }
     return;
   }
+  const LNode &Node = L.Nodes[Index];
   Suffix.push_back(Node.FirstVia);
   reconstruct(Level - 1, Node.FirstParent, Suffix, Result);
   Suffix.pop_back();
@@ -545,10 +610,9 @@ void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
 SearchResult LayeredEngine::run() {
   SearchResult Result;
 
-  // No references into Levels/ShardBases survive a level commit, but
-  // reserving up front removes the whole outer-reallocation hazard class.
+  // No references into Levels survive a level commit, but reserving up
+  // front removes the whole outer-reallocation hazard class.
   Levels.reserve(Opts.MaxLength + 2);
-  ShardBases.reserve(Opts.MaxLength + 2);
 
   SearchState Init = initialState(M);
   Cuts.observe(0, permCount(M, Init));
@@ -559,11 +623,10 @@ SearchResult LayeredEngine::run() {
   Root.Sorted = allSorted(M, SearchState{Init.Rows});
   uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
   Store.shard(StateStore::shardOf(RootHash)).insert(RootHash, packRef(0, 0));
-  Levels.emplace_back().push_back(std::move(Root));
-  ShardBases.push_back({});
-  NodeBytes += Levels[0].capacity() * sizeof(LNode);
+  Levels.emplace_back().Nodes.push_back(Root);
+  NodeBytes += Levels[0].bytesUsed();
   notePeak(Result, residentBytes());
-  Result.Stats.LevelStates.push_back(Levels[0].size());
+  Result.Stats.LevelStates.push_back(Levels[0].Nodes.size());
 
   double NextTrace = Opts.TraceIntervalSeconds;
   std::function<void(size_t)> MaybeTrace = [&](size_t OpenStates) {
@@ -575,9 +638,9 @@ SearchResult LayeredEngine::run() {
   };
 
   unsigned FinalLevel = 0;
-  bool Found = Levels[0][0].Sorted;
+  bool Found = Levels[0].Nodes[0].Sorted;
   for (unsigned G = 0; !Found && G < Opts.MaxLength; ++G) {
-    if (Levels[G].empty())
+    if (Levels[G].Nodes.empty())
       break;
     if (!withinBudget(Result, residentBytes()))
       break;
@@ -589,17 +652,18 @@ SearchResult LayeredEngine::run() {
     if (!mergeLevel(Batches, ChildG, Result, MaybeTrace, FoundSorted))
       break;
     Found = FoundSorted;
-    Result.Stats.LevelStates.push_back(Levels[ChildG].size());
+    Result.Stats.LevelStates.push_back(Levels[ChildG].Nodes.size());
     FinalLevel = ChildG;
-    MaybeTrace(Levels[ChildG].size());
+    MaybeTrace(Levels[ChildG].Nodes.size());
   }
 
   if (Found) {
     Result.Found = true;
     Result.OptimalLength = FinalLevel;
     Result.SolutionCount = 0;
-    for (uint32_t I = 0; I != Levels[FinalLevel].size(); ++I) {
-      const LNode &Node = Levels[FinalLevel][I];
+    const std::vector<LNode> &Last = Levels[FinalLevel].Nodes;
+    for (uint32_t I = 0; I != Last.size(); ++I) {
+      const LNode &Node = Last[I];
       if (!Node.Sorted)
         continue;
       Result.SolutionCount += Node.Ways;
@@ -610,9 +674,8 @@ SearchResult LayeredEngine::run() {
       }
     }
     if (Opts.TraceIntervalSeconds > 0)
-      Result.Trace.push_back(TracePoint{Timer.seconds(),
-                                        Levels[FinalLevel].size(),
-                                        Result.SolutionCount});
+      Result.Trace.push_back(
+          TracePoint{Timer.seconds(), Last.size(), Result.SolutionCount});
   }
   notePeak(Result, residentBytes());
   Result.Stats.Seconds = Timer.seconds();

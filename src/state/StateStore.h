@@ -76,7 +76,6 @@ public:
   size_t size() const { return Data.size(); }
   const uint32_t *data() const { return Data.data(); }
   uint32_t *data() { return Data.data(); }
-  void reserve(size_t Words) { Data.reserve(Words); }
   /// Grows the buffer to \p Words entries (bulk commit of a merged level).
   void resize(size_t Words) { Data.resize(Words); }
 
@@ -121,20 +120,6 @@ public:
     ++Count;
   }
 
-  /// Visits every live entry as Fn(Hash, Payload) (bulk commit into the
-  /// global index).
-  template <typename Fn> void forEach(Fn Visit) const {
-    for (const Slot &S : Slots)
-      if (S.Payload != kEmpty)
-        Visit(S.Hash, S.Payload);
-  }
-
-  void clear() {
-    Slots.clear();
-    Count = 0;
-  }
-
-  size_t size() const { return Count; }
   size_t bytesUsed() const { return Slots.capacity() * sizeof(Slot); }
 
 private:
@@ -178,18 +163,9 @@ public:
     return Arenas[Level];
   }
   const RowArena &arena(unsigned Level) const { return Arenas[Level]; }
-  unsigned numLevels() const { return static_cast<unsigned>(Arenas.size()); }
 
   IndexShard &shard(unsigned S) { return Shards[S]; }
   const IndexShard &shard(unsigned S) const { return Shards[S]; }
-
-  /// Total states in the index.
-  size_t stateCount() const {
-    size_t N = 0;
-    for (const IndexShard &S : Shards)
-      N += S.size();
-    return N;
-  }
 
   /// Exact resident bytes of all arenas plus the index.
   size_t bytesUsed() const {

@@ -115,8 +115,12 @@ DistanceTable::DistanceTable(const Machine &M)
   // registers (unpinned data positions, then scratch) and the flags are
   // arbitrary. For the sort goal every data register is pinned, so this
   // reproduces the original sorted-row seed set in the same order.
-  // (Hybrid machines deliberately keep the pre-existing behavior of not
-  // enumerating the vector-half registers here.)
+  // The hybrid machine's vector registers are not enumerated: they stay 0
+  // in every seed, so an accepting row with a value in a vector register
+  // reads a positive distance and the table over-estimates there
+  // (ROADMAP, correctness item on the hybrid table). Seeding them makes
+  // PaperNumbers.HybridOffersNoShorterKernel's length-10 proof run out of
+  // memory, so the fix waits for a proof that fits.
   std::vector<uint32_t> Frontier;
   const unsigned NumScratch = M.numScratch();
   const unsigned N = M.numData();

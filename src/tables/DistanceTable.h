@@ -13,7 +13,8 @@
 /// search optimizations:
 ///
 ///  - an admissible A* heuristic: the maximum of the per-row distances in a
-///    state lower-bounds the remaining program length;
+///    state lower-bounds the remaining program length (except on the
+///    hybrid machine, see the constructor);
 ///  - the viability check (section 3.3): a state in which some row cannot
 ///    be sorted within the remaining budget — including rows where a value
 ///    was erased, whose distance is infinite — can be pruned;
@@ -95,18 +96,24 @@ public:
 
   /// Builds the table with a backward BFS; cost is proportional to the
   /// single-assignment space, at most (n+1)^R * 3 states.
-  /// For Hybrid machines the table is a sound (possibly slightly loose)
-  /// lower bound: predecessor generation allows compares between any
-  /// register pair, which only shrinks distances and therefore preserves
-  /// admissibility of the heuristic and soundness of the viability check.
+  /// For Hybrid machines predecessor generation allows compares between
+  /// any register pair, which only shrinks distances. But the seeds leave
+  /// the vector registers at 0, so an accepting row with a value in a
+  /// vector register reads a positive distance (packInitial({1,2,3}) with
+  /// register 4 set to 1 is accepted and reads 1): on the hybrid machine
+  /// the table is no lower bound at such rows, and the heuristic and the
+  /// viability check inherit the over-estimate (ROADMAP, correctness item
+  /// on the hybrid table).
   explicit DistanceTable(const Machine &M);
 
   /// \returns the exact length of the shortest program taking \p Row to an
-  /// accepting assignment, or Unreachable.
+  /// accepting assignment, or Unreachable (on the hybrid machine, an
+  /// over-estimate at the rows the constructor names).
   uint8_t dist(uint32_t Row) const { return Dist[indexOf(Row)]; }
 
   /// \returns the maximum dist() over \p Rows[0..Len) — an admissible lower
-  /// bound on the instructions still needed (Unreachable if any row is).
+  /// bound on the instructions still needed (Unreachable if any row is),
+  /// except at the hybrid rows the constructor names.
   uint8_t maxDist(const uint32_t *Rows, size_t Len) const {
     uint8_t Max = 0;
     for (size_t I = 0; I != Len; ++I) {

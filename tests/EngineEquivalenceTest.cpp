@@ -21,6 +21,8 @@
 #include "verify/Verify.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -204,15 +206,74 @@ TEST(EngineEquivalence, MidLevelAbortCountsExpandedNodesUnderThreads) {
   checkMidLevelAbort(4);
 }
 
+/// perfbench's enumerate configuration at one or four threads: the
+/// paper's 5602 kernels at the tightest bound, with no heuristic.
+SearchOptions enumerateConfig(unsigned NumThreads) {
+  SearchOptions Opts =
+      findAllConfig(MachineKind::Cmov, 3, Mode{"enumerate", NumThreads});
+  Opts.Heuristic = HeuristicKind::None;
+  Opts.MaxLength = 11;
+  Opts.MaxSolutionsKept = 0;
+  return Opts;
+}
+
+/// The per-level state counts of enumerateConfig, at any thread count.
+const std::vector<size_t> kLevelsAtBound11 = {
+    1, 7, 36, 225, 1213, 6432, 26828, 110995, 326809, 24745, 755, 18};
+
+/// Layered runs that the byte budget stops inside a level merge. Merge
+/// phase 1 inserts each new node into the committed index's shard as it
+/// goes, so a stop there leaves index entries of a level that never
+/// commits. Walking the cap up as in checkMidLevelAbort visits the budget
+/// checks in the order a run passes them, through the commit of level 6:
+/// the merge into level 6 is the first whose shards reach phase 1's
+/// checkpoints (one per 512 candidates), so the walk stops it at its
+/// check before phase 1 and then inside phase 1. Every stop on the way
+/// must name the byte budget, report a peak above its cap and list only
+/// committed levels.
+void checkMergeAbort(unsigned NumThreads) {
+  constexpr size_t kMergedLevel = 6;
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  SearchOptions Opts = enumerateConfig(NumThreads);
+  Opts.MaxStateBytes = 1;
+  size_t MergeStops = 0;
+  for (;;) {
+    SearchResult R = synthesize(M, Opts, &DT);
+    ASSERT_FALSE(R.Found);
+    ASSERT_EQ(R.Stats.Stopped, StopReason::ByteBudget);
+    ASSERT_GT(R.Stats.PeakStateBytes, Opts.MaxStateBytes);
+    const std::vector<size_t> &Levels = R.Stats.LevelStates;
+    ASSERT_TRUE(Levels.size() < kLevelsAtBound11.size() &&
+                std::equal(Levels.begin(), Levels.end(),
+                           kLevelsAtBound11.begin()))
+        << "a level that did not commit is listed";
+    if (Levels.size() > kMergedLevel)
+      break;
+    // Every listed level expanded in full: the run stopped at the end of
+    // level 5's expansion or in the merge into level 6.
+    const size_t Committed =
+        std::accumulate(Levels.begin(), Levels.end(), size_t{0});
+    if (Levels.size() == kMergedLevel && R.Stats.StatesExpanded == Committed)
+      ++MergeStops;
+    Opts.MaxStateBytes = R.Stats.PeakStateBytes;
+  }
+  EXPECT_GE(MergeStops, 2u) << "no stop past the merge's first check";
+}
+
+TEST(EngineEquivalence, ByteBudgetStopsAMerge) { checkMergeAbort(1); }
+
+// The tsan_engine_equivalence ctest entry runs this one: the merge's
+// workers insert into the shared store's index shards.
+TEST(EngineEquivalence, ByteBudgetStopsAMergeUnderThreads) {
+  checkMergeAbort(4);
+}
+
 TEST(EngineEquivalence, AllSolutionsFitAByteBudgetEqualToTheirPeak) {
   // The full n=3 enumeration on two threads, capped at its own peak,
   // still counts the paper's 5602 kernels.
   Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts =
-      findAllConfig(MachineKind::Cmov, 3, Mode{"threads2", 2});
-  Opts.Heuristic = HeuristicKind::None;
-  Opts.MaxLength = 11;
-  Opts.MaxSolutionsKept = 0;
+  SearchOptions Opts = enumerateConfig(2);
   SearchResult Unbounded = synthesize(M, Opts);
   ASSERT_TRUE(Unbounded.Found);
   Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes;
@@ -228,19 +289,12 @@ TEST(EngineEquivalence, CmovN3LevelCountsAtBound11) {
   // tightest bound, whose per-level state counts are pinned exactly for
   // one and four threads.
   Machine M(MachineKind::Cmov, 3);
-  const std::vector<size_t> Levels = {1,     7,      36,     225,
-                                      1213,  6432,   26828,  110995,
-                                      326809, 24745, 755,    18};
   for (const Mode &Mo : kModes) {
-    SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
-    Opts.Heuristic = HeuristicKind::None;
-    Opts.MaxLength = 11;
-    Opts.MaxSolutionsKept = 0;
-    SearchResult R = synthesize(M, Opts);
+    SearchResult R = synthesize(M, enumerateConfig(Mo.NumThreads));
     ASSERT_TRUE(R.Found) << Mo.Name;
     EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
     EXPECT_EQ(R.SolutionCount, 5602u) << Mo.Name;
-    EXPECT_EQ(R.Stats.LevelStates, Levels) << Mo.Name;
+    EXPECT_EQ(R.Stats.LevelStates, kLevelsAtBound11) << Mo.Name;
   }
 }
 

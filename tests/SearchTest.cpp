@@ -6,9 +6,11 @@
 
 #include "search/Search.h"
 
+#include "support/Hashing.h"
 #include "verify/Verify.h"
 
 #include <gtest/gtest.h>
+#include <string>
 
 using namespace sks;
 
@@ -244,6 +246,48 @@ TEST(Search, EnumerateCountersArePinned) {
   EXPECT_EQ(R.Stats.DedupHits, 1346789u);
   EXPECT_EQ(R.Stats.CutStates, 0u);
   EXPECT_EQ(R.Stats.SyntacticPruned, 3266557u);
+}
+
+/// An order-sensitive checksum of a solution list: FNV-1a over each
+/// program's length and instruction encodings, in list order.
+uint64_t solutionChecksum(const std::vector<Program> &Solutions) {
+  std::string Bytes;
+  for (const Program &P : Solutions) {
+    Bytes.push_back(static_cast<char>(P.size()));
+    for (const Instr &I : P) {
+      const uint16_t E = I.encode();
+      Bytes.push_back(static_cast<char>(E & 0xff));
+      Bytes.push_back(static_cast<char>(E >> 8));
+    }
+  }
+  return hashBytes(Bytes.data(), Bytes.size());
+}
+
+TEST(Search, SolutionOrderIsPinned) {
+  // perfbench's enumerate configuration. The layered engine reconstructs
+  // kernels by walking each sorted node's parent edges in the order the
+  // merge met them; a set comparison would not see a change of that
+  // order, so the whole list is pinned at one and four threads, and so
+  // is the prefix that MaxSolutionsKept keeps.
+  Machine M(MachineKind::Cmov, 3);
+  SearchOptions Opts;
+  Opts.Heuristic = HeuristicKind::None;
+  Opts.FindAll = true;
+  Opts.MaxLength = 11;
+  std::vector<Program> First;
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << Threads);
+    Opts.NumThreads = Threads;
+    SearchResult R = synthesize(M, Opts);
+    ASSERT_EQ(R.Solutions.size(), 5602u);
+    EXPECT_EQ(solutionChecksum(R.Solutions), 0x3a8f1eb7f3b0c6ebull);
+    First.assign(R.Solutions.begin(), R.Solutions.begin() + 100);
+  }
+  Opts.MaxSolutionsKept = 100;
+  SearchResult R = synthesize(M, Opts);
+  ASSERT_EQ(R.Solutions.size(), 100u);
+  EXPECT_EQ(R.Solutions, First);
+  EXPECT_EQ(solutionChecksum(R.Solutions), 0xd644df6e343da5b5ull);
 }
 
 TEST(Search, FirstN4CountersArePinned) {
