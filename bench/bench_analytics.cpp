@@ -79,7 +79,7 @@ int main(int Argc, char **Argv) {
 
   PairBaseCase PairBase(N);
   std::unique_ptr<JitPairKernel> PairJit =
-      attachJitPairKernel(PairBase, MachineKind::Cmov, N, Kernel);
+      attachJitKernel(PairBase, MachineKind::Cmov, N, Kernel);
 
   const size_t Len = Args.Smoke ? 50'000 : 1'000'000;
   Rng Gen(42);

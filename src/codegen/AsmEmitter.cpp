@@ -6,68 +6,29 @@
 
 #include "codegen/AsmEmitter.h"
 
+#include "codegen/Jit.h"
+#include "validate/Decoder.h"
+
 #include <cassert>
-#include <cstdio>
 
 using namespace sks;
 
-// Model register -> x86 GPR, avoiding rdi (array pointer), rsp, rbp.
-static const char *const Gpr32Names[8] = {"eax", "ecx", "edx",  "esi",
-                                          "r8d", "r9d", "r10d", "r11d"};
-
-std::string sks::x86RegName(MachineKind Kind, unsigned Reg) {
-  assert(Reg < 8 && "at most 8 model registers");
-  if (Kind == MachineKind::Cmov)
-    return Gpr32Names[Reg];
-  char Buf[8];
-  std::snprintf(Buf, sizeof(Buf), "xmm%u", Reg);
-  return Buf;
-}
-
-static const char *x86Mnemonic(MachineKind Kind, Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov:
-    return Kind == MachineKind::Cmov ? "mov" : "movdqa";
-  case Opcode::Cmp:
-    return "cmp";
-  case Opcode::CMovL:
-    return "cmovl";
-  case Opcode::CMovG:
-    return "cmovg";
-  case Opcode::Min:
-    return "pminsd";
-  case Opcode::Max:
-    return "pmaxsd";
-  }
-  return "?";
-}
-
 std::string sks::emitAsmText(MachineKind Kind, unsigned NumData,
                              const Program &P, bool WithMemory) {
+  EmittedCode Code = emitKernelBytes(Kind, NumData, P);
+  if (Code.Status != EmitStatus::Ok)
+    return std::string("    ; no x86 code: ") + emitStatusName(Code.Status) +
+           "\n";
+  DecodeResult D = decodeX86(Code.Bytes.data(), Code.Bytes.size());
+  assert(D.Ok && "the decoder accepts every emitted form");
   std::string Out;
-  char Line[96];
-  if (WithMemory) {
-    for (unsigned I = 0; I != NumData; ++I) {
-      const char *LoadMnemonic = Kind == MachineKind::Cmov ? "mov" : "movd";
-      std::snprintf(Line, sizeof(Line), "    %-7s %s, dword ptr [rdi + %u]\n",
-                    LoadMnemonic, x86RegName(Kind, I).c_str(), 4 * I);
-      Out += Line;
-    }
-  }
-  for (const Instr &I : P) {
-    std::snprintf(Line, sizeof(Line), "    %-7s %s, %s\n",
-                  x86Mnemonic(Kind, I.Op), x86RegName(Kind, I.Dst).c_str(),
-                  x86RegName(Kind, I.Src).c_str());
-    Out += Line;
-  }
-  if (WithMemory) {
-    for (unsigned I = 0; I != NumData; ++I) {
-      const char *StoreMnemonic = Kind == MachineKind::Cmov ? "mov" : "movd";
-      std::snprintf(Line, sizeof(Line), "    %-7s dword ptr [rdi + %u], %s\n",
-                    StoreMnemonic, 4 * I, x86RegName(Kind, I).c_str());
-      Out += Line;
-    }
-    Out += "    ret\n";
+  for (const X86Insn &I : D.Insns) {
+    // The bare listing is the kernel body, one instruction per IR
+    // instruction: no scratch zeroing, no memory access, no ret.
+    const bool Body = !I.Mem && I.Op != X86Op::XorRR &&
+                      I.Op != X86Op::PXor && I.Op != X86Op::Ret;
+    if (WithMemory || Body)
+      Out += "    " + formatX86(I) + "\n";
   }
   return Out;
 }

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Renders a synthesized kernel as x86-64 assembly text (Intel syntax),
-/// including the memory loads/stores that the paper deliberately excludes
-/// from synthesis ("these instructions are always necessary and only their
-/// placement is up to preference", section 5.3). The same register
-/// assignment is used by the JIT, so the listing is exactly the code that
-/// is benchmarked.
+/// Renders a synthesized kernel as x86-64 assembly text (Intel syntax):
+/// the instruction stream the JIT runs (codegen/Jit.h emitKernelBytes on
+/// int32 lanes), decoded back by validate/Decoder.h. The listing therefore
+/// includes what the encoder adds around the program: the xor/pxor that
+/// zeroes each scratch register and clears the flags, and the memory loads
+/// and stores that the paper deliberately excludes from synthesis ("these
+/// instructions are always necessary and only their placement is up to
+/// preference", section 5.3).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,13 +26,11 @@
 
 namespace sks {
 
-/// \returns the x86 register name model register \p Reg maps to
-/// ("eax"/"ecx"/... for the cmov machine, "xmm0"/... for min/max).
-std::string x86RegName(MachineKind Kind, unsigned Reg);
-
-/// Renders \p P as an Intel-syntax listing for a kernel with signature
-/// void(int32_t *rdi). With \p WithMemory, loads are placed before and
-/// stores after the register kernel, as the paper's benchmarks do.
+/// Renders \p P as the Intel-syntax listing of the void(int32_t *rdi)
+/// kernel the JIT emits: one line per instruction, starting with the
+/// scratch zeroing and ending with ret. Without \p WithMemory only the
+/// kernel body is listed, one line per instruction of \p P. A program
+/// the encoder refuses lists as one comment line naming the EmitStatus.
 std::string emitAsmText(MachineKind Kind, unsigned NumData, const Program &P,
                         bool WithMemory = true);
 

@@ -4,32 +4,34 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Encodings used (all 32-bit operand size, Intel operand order):
+// Encodings used (Intel operand order). The GPR forms take REX.W on
+// int64 lanes; the SSE file moves a lane with movd (int32) or movq
+// (int64):
 //
-//   mov   r32, [rdi+d8]   8B /r          (load)
-//   mov   [rdi+d8], r32   89 /r          (store)
-//   mov   r32, r32        8B /r
-//   cmp   r32, r32        3B /r          (cmp reg, rm: computes dst - src)
-//   cmovl r32, r32        0F 4C /r
-//   cmovg r32, r32        0F 4F /r
+//   mov   r, [rdi+d8]     8B /r          (load)
+//   mov   [rdi+d8], r     89 /r          (store)
+//   mov   r, r            8B /r
+//   cmp   r, r            3B /r          (cmp reg, rm: computes dst - src)
+//   cmovl r, r            0F 4C /r
+//   cmovg r, r            0F 4F /r
+//   xor   r32, r32        31 /r          (scratch zeroing, both lanes)
 //   movd  xmm, [rdi+d8]   66 0F 6E /r
 //   movd  [rdi+d8], xmm   66 0F 7E /r
-//   movdqa xmm, xmm       66 0F 6F /r
-//   pminsd xmm, xmm       66 0F 38 39 /r  (SSE4.1, signed)
-//   pmaxsd xmm, xmm       66 0F 38 3D /r
-//   ret                   C3
-//
-// Key-payload kernels add the 64-bit forms (REX.W versions of the above
-// for the GPR file) and, on the SSE file:
-//
 //   movq  xmm, [rdi+d8]   F3 0F 7E /r
 //   movq  [rdi+d8], xmm   66 0F D6 /r   (operands swapped: store form)
+//   movdqa xmm, xmm       66 0F 6F /r
+//   pxor  xmm, xmm        66 0F EF /r
+//   pminsd xmm, xmm       66 0F 38 39 /r  (SSE4.1, signed)
+//   pmaxsd xmm, xmm       66 0F 38 3D /r
 //   pcmpgtq xmm, xmm      66 0F 38 37 /r  (SSE4.2, signed 64-bit)
 //   blendvpd xmm, xmm     66 0F 38 15 /r  (implicit xmm0 mask, bit 63)
+//   ret                   C3
 //
-// There is no 64-bit integer min/max in SSE, so Min/Max lower to a
-// compare + mask-blend pair with xmm0 reserved as blendvpd's implicit
-// mask; the model registers shift up to xmm1+ to keep it free.
+// There is no 64-bit integer min/max in SSE, so on int64 lanes Min/Max
+// lower to a compare + mask-blend pair with xmm0 reserved as blendvpd's
+// implicit mask; the model registers shift up to xmm1+ to keep it free.
+// That lowering and the xmm base are the only places the encoder branches
+// on the lane width.
 //
 // Model GPRs map to eax, ecx, edx, esi, r8d..r11d (rdi holds the array
 // pointer); all are caller-saved in the System V ABI, so no prologue is
@@ -41,8 +43,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Jit.h"
-
-#include "isa/Interpret.h"
 
 #include <algorithm>
 #include <cstring>
@@ -77,9 +77,49 @@ public:
     Bytes.push_back(B);
   }
 
-  /// Emits an optional REX prefix for 32-bit register-register forms.
-  void rexRR(uint8_t Reg, uint8_t Rm) {
+  /// GPR register-register form with the destination in the ModRM reg
+  /// field (mov r,rm / cmov / cmp r,rm / xor); REX.W when \p Wide.
+  void gprRR(bool Wide, std::initializer_list<uint8_t> Op, uint8_t Dst,
+             uint8_t Src) {
+    rex(Wide, Dst, Src);
+    for (uint8_t B : Op)
+      byte(B);
+    modRR(Dst, Src);
+  }
+
+  /// GPR [rdi + disp8] form (load 8B, store 89); REX.W when \p Wide.
+  void gprMem(bool Wide, uint8_t Op, uint8_t Reg, uint8_t Disp) {
+    rex(Wide, Reg, RdiNumber);
+    byte(Op);
+    modMemRdi(Reg, Disp);
+  }
+
+  /// SSE register-register form: 66, the opcode, ModRM (xmm0-7, no REX).
+  void xmmRR(std::initializer_list<uint8_t> Op, uint8_t Dst, uint8_t Src) {
+    byte(0x66);
+    for (uint8_t B : Op)
+      byte(B);
+    modRR(Dst, Src);
+  }
+
+  /// SSE [rdi + disp8] form: mandatory \p Prefix, 0F, \p Op, ModRM.
+  void xmmMem(uint8_t Prefix, uint8_t Op, uint8_t Reg, uint8_t Disp) {
+    byte(Prefix);
+    byte(0x0F);
+    byte(Op);
+    modMemRdi(Reg, Disp);
+  }
+
+  const std::vector<uint8_t> &bytes() const { return Bytes; }
+  bool overflowed() const { return Overflow; }
+
+private:
+  /// REX with W, R (reg >= 8) and B (rm >= 8) as needed; none when no bit
+  /// is set.
+  void rex(bool W, uint8_t Reg, uint8_t Rm) {
     uint8_t Rex = 0x40;
+    if (W)
+      Rex |= 0x08; // REX.W
     if (Reg >= 8)
       Rex |= 0x04; // REX.R
     if (Rm >= 8)
@@ -99,102 +139,12 @@ public:
     byte(Disp);
   }
 
-  const std::vector<uint8_t> &bytes() const { return Bytes; }
-  bool overflowed() const { return Overflow; }
-
-private:
   std::vector<uint8_t> Bytes;
   size_t MaxBytes;
   bool Overflow = false;
 };
 
 } // namespace
-
-static void emitGprLoad(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  if (Reg >= 8)
-    Code.byte(0x44); // REX.R
-  Code.byte(0x8B);
-  Code.modMemRdi(Reg, Disp);
-}
-
-static void emitGprStore(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  if (Reg >= 8)
-    Code.byte(0x44);
-  Code.byte(0x89);
-  Code.modMemRdi(Reg, Disp);
-}
-
-/// reg-reg instruction where the destination is the ModRM reg field
-/// (mov r32,rm32 / cmov / cmp r32,rm32 all use this shape here).
-static void emitRegReg(CodeBuffer &Code, std::initializer_list<uint8_t> Op,
-                       uint8_t Dst, uint8_t Src) {
-  Code.rexRR(Dst, Src);
-  for (uint8_t B : Op)
-    Code.byte(B);
-  Code.modRR(Dst, Src);
-}
-
-static void emitXmmLoad(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  Code.byte(0x66);
-  Code.byte(0x0F);
-  Code.byte(0x6E);
-  Code.modMemRdi(Reg, Disp);
-}
-
-static void emitXmmStore(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  Code.byte(0x66);
-  Code.byte(0x0F);
-  Code.byte(0x7E);
-  Code.modMemRdi(Reg, Disp);
-}
-
-static void emitXmmRegReg(CodeBuffer &Code, std::initializer_list<uint8_t> Op,
-                          uint8_t Dst, uint8_t Src) {
-  Code.byte(0x66);
-  for (uint8_t B : Op)
-    Code.byte(B);
-  Code.modRR(Dst, Src);
-}
-
-static void emitGprLoad64(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  Code.byte(Reg >= 8 ? 0x4C : 0x48); // REX.W (+R)
-  Code.byte(0x8B);
-  Code.modMemRdi(Reg, Disp);
-}
-
-static void emitGprStore64(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  Code.byte(Reg >= 8 ? 0x4C : 0x48);
-  Code.byte(0x89);
-  Code.modMemRdi(Reg, Disp);
-}
-
-/// 64-bit reg-reg form: mandatory REX.W, destination in the reg field.
-static void emitRegReg64(CodeBuffer &Code, std::initializer_list<uint8_t> Op,
-                         uint8_t Dst, uint8_t Src) {
-  uint8_t Rex = 0x48;
-  if (Dst >= 8)
-    Rex |= 0x04; // REX.R
-  if (Src >= 8)
-    Rex |= 0x01; // REX.B
-  Code.byte(Rex);
-  for (uint8_t B : Op)
-    Code.byte(B);
-  Code.modRR(Dst, Src);
-}
-
-static void emitXmmLoadQ(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  Code.byte(0xF3);
-  Code.byte(0x0F);
-  Code.byte(0x7E);
-  Code.modMemRdi(Reg, Disp);
-}
-
-static void emitXmmStoreQ(CodeBuffer &Code, uint8_t Reg, uint8_t Disp) {
-  Code.byte(0x66);
-  Code.byte(0x0F);
-  Code.byte(0xD6);
-  Code.modMemRdi(Reg, Disp);
-}
 
 /// Total register count of \p P: operands beyond the data registers are
 /// scratch.
@@ -205,12 +155,17 @@ static unsigned programNumRegs(unsigned NumData, const Program &P) {
   return NumRegs;
 }
 
+/// Emits \p P over int32 lanes, or over packed 64-bit key-payload lanes
+/// when \p Wide.
 static EmitStatus encodeKernel(MachineKind Kind, unsigned NumData,
-                               const Program &P, CodeBuffer &Code) {
+                               const Program &P, bool Wide, CodeBuffer &Code) {
   if (Kind == MachineKind::Hybrid)
     return EmitStatus::UnsupportedKind; // Runs through the interpreter.
   if (NumData < 1 || NumData > 6)
     return EmitStatus::BadProgram; // disp8 slots / model data registers.
+  auto Slot = [Wide](unsigned I) {
+    return static_cast<uint8_t>((Wide ? 8 : 4) * I);
+  };
   // The model starts with scratch registers holding 0 and the lt/gt flags
   // clear. xor r, r establishes both at once: it zeroes the register and
   // leaves ZF=1, SF=OF=0, under which neither cmovl (SF != OF) nor cmovg
@@ -223,137 +178,71 @@ static EmitStatus encodeKernel(MachineKind Kind, unsigned NumData,
     NumRegs = std::max(NumRegs, NumData + 1);
     if (NumRegs > 8)
       return EmitStatus::BadProgram; // Model register file exceeded.
+    // The 32-bit xor zero-extends to the full register on either lane.
     for (unsigned I = NumData; I != NumRegs; ++I)
-      emitRegReg(Code, {0x31}, GprNumber[I], GprNumber[I]); // xor r, r
+      Code.gprRR(false, {0x31}, GprNumber[I], GprNumber[I]); // xor r, r
     for (unsigned I = 0; I != NumData; ++I)
-      emitGprLoad(Code, GprNumber[I], static_cast<uint8_t>(4 * I));
+      Code.gprMem(Wide, 0x8B, GprNumber[I], Slot(I));
     for (const Instr &I : P) {
       uint8_t Dst = GprNumber[I.Dst], Src = GprNumber[I.Src];
       switch (I.Op) {
       case Opcode::Mov:
-        emitRegReg(Code, {0x8B}, Dst, Src);
+        Code.gprRR(Wide, {0x8B}, Dst, Src);
         break;
       case Opcode::Cmp:
-        emitRegReg(Code, {0x3B}, Dst, Src);
+        Code.gprRR(Wide, {0x3B}, Dst, Src);
         break;
       case Opcode::CMovL:
-        emitRegReg(Code, {0x0F, 0x4C}, Dst, Src);
+        Code.gprRR(Wide, {0x0F, 0x4C}, Dst, Src);
         break;
       case Opcode::CMovG:
-        emitRegReg(Code, {0x0F, 0x4F}, Dst, Src);
+        Code.gprRR(Wide, {0x0F, 0x4F}, Dst, Src);
         break;
       default:
         return EmitStatus::BadProgram; // min/max opcode in a cmov kernel.
       }
     }
     for (unsigned I = 0; I != NumData; ++I)
-      emitGprStore(Code, GprNumber[I], static_cast<uint8_t>(4 * I));
+      Code.gprMem(Wide, 0x89, GprNumber[I], Slot(I));
   } else {
-    if (NumRegs > 8)
-      return EmitStatus::BadProgram;
-    for (unsigned I = NumData; I != NumRegs; ++I)
-      emitXmmRegReg(Code, {0x0F, 0xEF}, static_cast<uint8_t>(I),
-                    static_cast<uint8_t>(I)); // pxor xmm, xmm
-    for (unsigned I = 0; I != NumData; ++I)
-      emitXmmLoad(Code, static_cast<uint8_t>(I), static_cast<uint8_t>(4 * I));
-    for (const Instr &I : P) {
-      switch (I.Op) {
-      case Opcode::Mov:
-        emitXmmRegReg(Code, {0x0F, 0x6F}, I.Dst, I.Src);
-        break;
-      case Opcode::Min:
-        emitXmmRegReg(Code, {0x0F, 0x38, 0x39}, I.Dst, I.Src);
-        break;
-      case Opcode::Max:
-        emitXmmRegReg(Code, {0x0F, 0x38, 0x3D}, I.Dst, I.Src);
-        break;
-      default:
-        return EmitStatus::BadProgram; // cmov opcode in a min/max kernel.
-      }
-    }
-    for (unsigned I = 0; I != NumData; ++I)
-      emitXmmStore(Code, static_cast<uint8_t>(I), static_cast<uint8_t>(4 * I));
-  }
-  Code.byte(0xC3); // ret
-  return Code.overflowed() ? EmitStatus::CapacityExceeded : EmitStatus::Ok;
-}
-
-/// Emits \p P over packed 64-bit key-payload lanes. Same structure as
-/// encodeKernel, with 64-bit forms and, for the SSE file, Min/Max lowered
-/// to pcmpgtq + blendvpd (xmm0 reserved as the implicit blend mask, model
-/// registers shifted to xmm1+).
-static EmitStatus encodePairKernel(MachineKind Kind, unsigned NumData,
-                                   const Program &P, CodeBuffer &Code) {
-  if (Kind == MachineKind::Hybrid)
-    return EmitStatus::UnsupportedKind;
-  if (NumData < 1 || NumData > 6)
-    return EmitStatus::BadProgram;
-  unsigned NumRegs = programNumRegs(NumData, P);
-  if (Kind == MachineKind::Cmov) {
-    NumRegs = std::max(NumRegs, NumData + 1);
-    if (NumRegs > 8)
+    // On int64 lanes model register i lives in xmm(i+1): xmm0 is
+    // blendvpd's implicit mask.
+    const unsigned XmmBase = Wide ? 1 : 0;
+    if (NumRegs + XmmBase > 8)
       return EmitStatus::BadProgram; // Model register file exceeded.
-    // 32-bit xor zero-extends to the full 64-bit register and normalizes
-    // the host flags, exactly as in the 32-bit kernel.
+    auto X = [XmmBase](unsigned Reg) {
+      return static_cast<uint8_t>(Reg + XmmBase);
+    };
     for (unsigned I = NumData; I != NumRegs; ++I)
-      emitRegReg(Code, {0x31}, GprNumber[I], GprNumber[I]);
+      Code.xmmRR({0x0F, 0xEF}, X(I), X(I)); // pxor xmm, xmm
     for (unsigned I = 0; I != NumData; ++I)
-      emitGprLoad64(Code, GprNumber[I], static_cast<uint8_t>(8 * I));
-    for (const Instr &I : P) {
-      uint8_t Dst = GprNumber[I.Dst], Src = GprNumber[I.Src];
-      switch (I.Op) {
-      case Opcode::Mov:
-        emitRegReg64(Code, {0x8B}, Dst, Src);
-        break;
-      case Opcode::Cmp:
-        emitRegReg64(Code, {0x3B}, Dst, Src);
-        break;
-      case Opcode::CMovL:
-        emitRegReg64(Code, {0x0F, 0x4C}, Dst, Src);
-        break;
-      case Opcode::CMovG:
-        emitRegReg64(Code, {0x0F, 0x4F}, Dst, Src);
-        break;
-      default:
-        return EmitStatus::BadProgram; // min/max opcode in a cmov kernel.
-      }
-    }
-    for (unsigned I = 0; I != NumData; ++I)
-      emitGprStore64(Code, GprNumber[I], static_cast<uint8_t>(8 * I));
-  } else {
-    // Model register i lives in xmm(i+1); xmm0 is blendvpd's implicit
-    // mask. n <= 6 data + 1 scratch fits in xmm1..xmm7 (no REX needed).
-    if (NumRegs + 1 > 8)
-      return EmitStatus::BadProgram; // Register file exceeded (xmm0 reserved).
-    auto X = [](unsigned Reg) { return static_cast<uint8_t>(Reg + 1); };
-    for (unsigned I = NumData; I != NumRegs; ++I)
-      emitXmmRegReg(Code, {0x0F, 0xEF}, X(I), X(I)); // pxor xmm, xmm
-    for (unsigned I = 0; I != NumData; ++I)
-      emitXmmLoadQ(Code, X(I), static_cast<uint8_t>(8 * I));
+      Code.xmmMem(Wide ? 0xF3 : 0x66, Wide ? 0x7E : 0x6E, X(I), Slot(I));
     for (const Instr &I : P) {
       uint8_t Dst = X(I.Dst), Src = X(I.Src);
       switch (I.Op) {
       case Opcode::Mov:
-        emitXmmRegReg(Code, {0x0F, 0x6F}, Dst, Src);
+        Code.xmmRR({0x0F, 0x6F}, Dst, Src); // movdqa
         break;
       case Opcode::Min:
-        // xmm0 = (dst > src) ? ~0 : 0; dst = blend(dst, src, xmm0).
-        emitXmmRegReg(Code, {0x0F, 0x6F}, 0, Dst);        // movdqa xmm0, dst
-        emitXmmRegReg(Code, {0x0F, 0x38, 0x37}, 0, Src);  // pcmpgtq xmm0, src
-        emitXmmRegReg(Code, {0x0F, 0x38, 0x15}, Dst, Src); // blendvpd
+      case Opcode::Max: {
+        const bool IsMin = I.Op == Opcode::Min;
+        if (!Wide) {
+          Code.xmmRR({0x0F, 0x38, uint8_t(IsMin ? 0x39 : 0x3D)}, Dst, Src);
+          break;
+        }
+        // xmm0 = (dst > src) for Min, (src > dst) for Max; blendvpd then
+        // takes src where the mask is set.
+        Code.xmmRR({0x0F, 0x6F}, 0, IsMin ? Dst : Src);       // movdqa xmm0
+        Code.xmmRR({0x0F, 0x38, 0x37}, 0, IsMin ? Src : Dst); // pcmpgtq
+        Code.xmmRR({0x0F, 0x38, 0x15}, Dst, Src);             // blendvpd
         break;
-      case Opcode::Max:
-        // xmm0 = (src > dst) ? ~0 : 0; dst = blend(dst, src, xmm0).
-        emitXmmRegReg(Code, {0x0F, 0x6F}, 0, Src);
-        emitXmmRegReg(Code, {0x0F, 0x38, 0x37}, 0, Dst);
-        emitXmmRegReg(Code, {0x0F, 0x38, 0x15}, Dst, Src);
-        break;
+      }
       default:
         return EmitStatus::BadProgram; // cmov opcode in a min/max kernel.
       }
     }
     for (unsigned I = 0; I != NumData; ++I)
-      emitXmmStoreQ(Code, X(I), static_cast<uint8_t>(8 * I));
+      Code.xmmMem(0x66, Wide ? 0xD6 : 0x7E, X(I), Slot(I));
   }
   Code.byte(0xC3); // ret
   return Code.overflowed() ? EmitStatus::CapacityExceeded : EmitStatus::Ok;
@@ -373,21 +262,12 @@ const char *sks::emitStatusName(EmitStatus S) {
   return "unknown";
 }
 
+template <KernelLane Lane>
 EmittedCode sks::emitKernelBytes(MachineKind Kind, unsigned NumData,
                                  const Program &P, size_t MaxBytes) {
   EmittedCode Out;
   CodeBuffer Code(MaxBytes);
-  Out.Status = encodeKernel(Kind, NumData, P, Code);
-  if (Out.Status == EmitStatus::Ok)
-    Out.Bytes = Code.bytes();
-  return Out;
-}
-
-EmittedCode sks::emitPairKernelBytes(MachineKind Kind, unsigned NumData,
-                                     const Program &P, size_t MaxBytes) {
-  EmittedCode Out;
-  CodeBuffer Code(MaxBytes);
-  Out.Status = encodePairKernel(Kind, NumData, P, Code);
+  Out.Status = encodeKernel(Kind, NumData, P, sizeof(Lane) == 8, Code);
   if (Out.Status == EmitStatus::Ok)
     Out.Bytes = Code.bytes();
   return Out;
@@ -415,20 +295,20 @@ static void *publishCode(const std::vector<uint8_t> &Code, void *&Mem,
 }
 #endif
 
-bool sks::jitSupported(MachineKind Kind) {
+template <KernelLane Lane> bool sks::jitSupported(MachineKind Kind) {
 #if defined(__x86_64__) && defined(__linux__)
   if (Kind == MachineKind::MinMax)
-    return __builtin_cpu_supports("sse4.1");
-  if (Kind == MachineKind::Hybrid)
-    return false; // Mixed-file kernels run through the interpreter.
-  return true;
+    return sizeof(Lane) == 4 ? __builtin_cpu_supports("sse4.1")  // pminsd
+                             : __builtin_cpu_supports("sse4.2"); // pcmpgtq
+  return Kind == MachineKind::Cmov; // Hybrid kernels run interpreted.
 #else
   (void)Kind;
   return false;
 #endif
 }
 
-JitKernel &JitKernel::operator=(JitKernel &&Other) noexcept {
+template <KernelLane Lane>
+JitCode<Lane> &JitCode<Lane>::operator=(JitCode &&Other) noexcept {
   std::swap(Entry, Other.Entry);
   std::swap(Memory, Other.Memory);
   std::swap(MappedSize, Other.MappedSize);
@@ -438,24 +318,24 @@ JitKernel &JitKernel::operator=(JitKernel &&Other) noexcept {
   return *this;
 }
 
-JitKernel::~JitKernel() {
+template <KernelLane Lane> JitCode<Lane>::~JitCode() {
 #if defined(__linux__)
   if (Memory)
     munmap(Memory, MappedSize);
 #endif
 }
 
-std::unique_ptr<JitKernel> JitKernel::compile(MachineKind Kind,
-                                              unsigned NumData,
-                                              const Program &P) {
+template <KernelLane Lane>
+std::unique_ptr<JitCode<Lane>>
+JitCode<Lane>::compile(MachineKind Kind, unsigned NumData, const Program &P) {
 #if defined(__x86_64__) && defined(__linux__)
-  if (!jitSupported(Kind))
+  if (!jitSupported<Lane>(Kind))
     return nullptr;
-  EmittedCode Code = emitKernelBytes(Kind, NumData, P);
+  EmittedCode Code = emitKernelBytes<Lane>(Kind, NumData, P);
   if (Code.Status != EmitStatus::Ok)
     return nullptr;
 
-  std::unique_ptr<JitKernel> Kernel(new JitKernel());
+  std::unique_ptr<JitCode> Kernel(new JitCode());
   void *Mem = publishCode(Code.Bytes, Kernel->Memory, Kernel->MappedSize);
   if (!Mem)
     return nullptr;
@@ -472,70 +352,11 @@ std::unique_ptr<JitKernel> JitKernel::compile(MachineKind Kind,
 #endif
 }
 
-void sks::interpretKernel(MachineKind Kind, unsigned NumData, const Program &P,
-                          int32_t *Data) {
-  (void)Kind;
-  interpretOnArray(P, NumData, Data);
-}
-
-bool sks::jitPairSupported(MachineKind Kind) {
-#if defined(__x86_64__) && defined(__linux__)
-  if (Kind == MachineKind::MinMax)
-    return __builtin_cpu_supports("sse4.2"); // pcmpgtq
-  if (Kind == MachineKind::Hybrid)
-    return false;
-  return true;
-#else
-  (void)Kind;
-  return false;
-#endif
-}
-
-JitPairKernel &JitPairKernel::operator=(JitPairKernel &&Other) noexcept {
-  std::swap(Entry, Other.Entry);
-  std::swap(Memory, Other.Memory);
-  std::swap(MappedSize, Other.MappedSize);
-  std::swap(CodeSize, Other.CodeSize);
-  std::swap(Kind, Other.Kind);
-  std::swap(NumData, Other.NumData);
-  return *this;
-}
-
-JitPairKernel::~JitPairKernel() {
-#if defined(__linux__)
-  if (Memory)
-    munmap(Memory, MappedSize);
-#endif
-}
-
-std::unique_ptr<JitPairKernel>
-JitPairKernel::compile(MachineKind Kind, unsigned NumData, const Program &P) {
-#if defined(__x86_64__) && defined(__linux__)
-  if (!jitPairSupported(Kind))
-    return nullptr;
-  EmittedCode Code = emitPairKernelBytes(Kind, NumData, P);
-  if (Code.Status != EmitStatus::Ok)
-    return nullptr;
-
-  std::unique_ptr<JitPairKernel> Kernel(new JitPairKernel());
-  void *Mem = publishCode(Code.Bytes, Kernel->Memory, Kernel->MappedSize);
-  if (!Mem)
-    return nullptr;
-  Kernel->CodeSize = Code.Bytes.size();
-  Kernel->Entry = reinterpret_cast<EntryFn>(Mem);
-  Kernel->Kind = Kind;
-  Kernel->NumData = NumData;
-  return Kernel;
-#else
-  (void)Kind;
-  (void)NumData;
-  (void)P;
-  return nullptr;
-#endif
-}
-
-void sks::interpretPairKernel(MachineKind Kind, unsigned NumData,
-                              const Program &P, int64_t *Pairs) {
-  (void)Kind;
-  interpretOnArray(P, NumData, Pairs);
-}
+template bool sks::jitSupported<int32_t>(MachineKind);
+template bool sks::jitSupported<int64_t>(MachineKind);
+template EmittedCode sks::emitKernelBytes<int32_t>(MachineKind, unsigned,
+                                                   const Program &, size_t);
+template EmittedCode sks::emitKernelBytes<int64_t>(MachineKind, unsigned,
+                                                   const Program &, size_t);
+template class sks::JitCode<int32_t>;
+template class sks::JitCode<int64_t>;

@@ -118,7 +118,7 @@ void sks::applyJitValidationGate(const SynthRequest &Req,
   ValidationReport Scalar =
       validateJitKernel(Req.Kind, Req.N, Outcome.Kernel);
   ValidationReport Pair =
-      validateJitPairKernel(Req.Kind, Req.N, Outcome.Kernel);
+      validateJitKernel<int64_t>(Req.Kind, Req.N, Outcome.Kernel);
   const bool AnyApplicable = Scalar.Applicable || Pair.Applicable;
   const bool AllOk =
       (!Scalar.Applicable || Scalar.Ok) && (!Pair.Applicable || Pair.Ok);

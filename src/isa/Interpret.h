@@ -6,11 +6,10 @@
 ///
 /// \file
 /// The one interpreter of kernel programs over concrete values. It is a
-/// template over the lane type: int32 for the scalar JIT's reference
-/// (codegen/Jit.h interpretKernel), int64 for packed key-payload lanes
-/// (interpretPairKernel), and long long for the correctness checks of
-/// verify/Verify.h. Both comparisons and min/max are signed on the lane
-/// type, as the emitted code compares.
+/// template over the lane type: int32 and packed int64 key-payload lanes
+/// for the JIT's reference (codegen/Jit.h interpretKernel), and long long
+/// for the correctness checks of verify/Verify.h. Both comparisons and
+/// min/max are signed on the lane type, as the emitted code compares.
 ///
 /// The packed-row executors (machine/Machine.h apply and BatchApply.h)
 /// stay separate: they run the same six opcodes on 3-bit register fields

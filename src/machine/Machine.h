@@ -164,8 +164,6 @@ public:
   uint32_t dataMask() const { return DataMask; }
   /// Mask selecting all registers (data + scratch), without flags.
   uint32_t regMask() const { return AllRegMask; }
-  /// The packed data-register pattern 1..n.
-  uint32_t sortedRow() const { return SortedRow; }
 
   /// Packs an initial row: data registers from \p Values (size n, values
   /// 1..n), scratch registers 0, flags clear.

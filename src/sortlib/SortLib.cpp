@@ -6,29 +6,31 @@
 
 #include "sortlib/SortLib.h"
 
-#include "codegen/Jit.h" // packPair/pairKey/pairPayload (header-only use)
 #ifndef NDEBUG
 #include "validate/SymbolicExec.h"
 #endif
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <vector>
 
 using namespace sks;
 
-BaseCase::BaseCase(unsigned Threshold) : Threshold(Threshold) {
+template <KernelLane Lane>
+BaseCaseOf<Lane>::BaseCaseOf(unsigned Threshold) : Threshold(Threshold) {
   assert(Threshold >= 2 && Threshold <= 6 && "kernel lengths cover 2..6");
 }
 
-void BaseCase::setKernel(unsigned Length, KernelFn Fn) {
+template <KernelLane Lane>
+void BaseCaseOf<Lane>::setKernel(unsigned Length, KernelFn Fn) {
   assert(Length >= 2 && Length <= Threshold && "kernel length out of range");
   Kernels[Length] = Fn;
 }
 
-static void insertionSort(int32_t *Data, size_t Len) {
+template <typename Lane> static void insertionSort(Lane *Data, size_t Len) {
   for (size_t I = 1; I < Len; ++I) {
-    int32_t Value = Data[I];
+    Lane Value = Data[I];
     size_t J = I;
     for (; J > 0 && Data[J - 1] > Value; --J)
       Data[J] = Data[J - 1];
@@ -36,7 +38,8 @@ static void insertionSort(int32_t *Data, size_t Len) {
   }
 }
 
-void BaseCase::sortSmall(int32_t *Data, size_t Len) const {
+template <KernelLane Lane>
+void BaseCaseOf<Lane>::sortSmall(Lane *Data, size_t Len) const {
   assert(Len <= Threshold && "not a base case");
   if (Len < 2)
     return;
@@ -47,64 +50,65 @@ void BaseCase::sortSmall(int32_t *Data, size_t Len) const {
   insertionSort(Data, Len);
 }
 
-std::unique_ptr<JitKernel> sks::attachJitKernel(BaseCase &Base,
-                                                MachineKind Kind,
-                                                unsigned Length,
-                                                const Program &P) {
+template class sks::BaseCaseOf<int32_t>;
+template class sks::BaseCaseOf<int64_t>;
+
+template <KernelLane Lane>
+std::unique_ptr<JitCode<Lane>> sks::attachJitKernel(BaseCaseOf<Lane> &Base,
+                                                    MachineKind Kind,
+                                                    unsigned Length,
+                                                    const Program &P) {
 #ifndef NDEBUG
   // Refuse to install code the translation validator cannot prove: a
   // kernel behind a sort entry point runs on arbitrary user data, so in
   // debug builds every emission is re-proven at attach time.
-  if (ValidationReport R = validateJitKernel(Kind, Length, P);
+  if (ValidationReport R = validateJitKernel<Lane>(Kind, Length, P);
       R.Applicable && !R.Ok)
     return nullptr;
 #endif
-  std::unique_ptr<JitKernel> Jit = JitKernel::compile(Kind, Length, P);
+  std::unique_ptr<JitCode<Lane>> Jit = JitCode<Lane>::compile(Kind, Length, P);
   if (!Jit)
     return nullptr;
   Base.setKernel(Length, Jit->entry());
   return Jit;
 }
 
-std::unique_ptr<JitPairKernel> sks::attachJitPairKernel(PairBaseCase &Base,
-                                                        MachineKind Kind,
-                                                        unsigned Length,
-                                                        const Program &P) {
-#ifndef NDEBUG
-  if (ValidationReport R = validateJitPairKernel(Kind, Length, P);
-      R.Applicable && !R.Ok)
-    return nullptr;
-#endif
-  std::unique_ptr<JitPairKernel> Jit = JitPairKernel::compile(Kind, Length, P);
-  if (!Jit)
-    return nullptr;
-  Base.setKernel(Length, Jit->entry());
-  return Jit;
-}
+template std::unique_ptr<JitKernel>
+sks::attachJitKernel(BaseCase &, MachineKind, unsigned, const Program &);
+template std::unique_ptr<JitPairKernel>
+sks::attachJitKernel(PairBaseCase &, MachineKind, unsigned, const Program &);
 
-static void quicksortRec(int32_t *Data, size_t Lo, size_t Hi,
-                         const BaseCase &Base) {
-  while (Hi - Lo > Base.threshold()) {
-    // Median-of-three pivot.
-    size_t Mid = Lo + (Hi - Lo) / 2;
-    int32_t A = Data[Lo], B = Data[Mid], C = Data[Hi - 1];
-    int32_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
-
-    // Hoare partition.
-    size_t I = Lo, J = Hi - 1;
-    for (;;) {
-      while (Data[I] < Pivot)
-        ++I;
-      while (Data[J] > Pivot)
-        --J;
-      if (I >= J)
-        break;
-      std::swap(Data[I], Data[J]);
+/// Hoare partition of [Lo, Hi) around the median of its first, middle and
+/// last lanes, under the order \p Before (std::less ascending,
+/// std::greater descending). \returns the split: no lane of [Lo, Split)
+/// comes after any lane of [Split, Hi) in that order.
+template <typename Lane, typename Order>
+static size_t partition(Lane *Data, size_t Lo, size_t Hi, Order Before) {
+  size_t Mid = Lo + (Hi - Lo) / 2;
+  Lane A = Data[Lo], B = Data[Mid], C = Data[Hi - 1];
+  Lane Pivot = std::max(std::min(A, B, Before),
+                        std::min(std::max(A, B, Before), C, Before), Before);
+  size_t I = Lo, J = Hi - 1;
+  for (;;) {
+    while (Before(Data[I], Pivot))
       ++I;
+    while (Before(Pivot, Data[J]))
       --J;
-    }
+    if (I >= J)
+      break;
+    std::swap(Data[I], Data[J]);
+    ++I;
+    --J;
+  }
+  return J + 1;
+}
+
+template <typename Lane>
+static void quicksortRec(Lane *Data, size_t Lo, size_t Hi,
+                         const BaseCaseOf<Lane> &Base) {
+  while (Hi - Lo > Base.threshold()) {
+    size_t Split = partition(Data, Lo, Hi, std::less<Lane>());
     // Recurse into the smaller side first to bound stack depth.
-    size_t Split = J + 1;
     if (Split - Lo < Hi - Split) {
       quicksortRec(Data, Lo, Split, Base);
       Lo = Split;
@@ -151,67 +155,6 @@ void sks::mergesortWithKernel(int32_t *Data, size_t Len,
 // Analytics entry points
 //===----------------------------------------------------------------------===//
 
-PairBaseCase::PairBaseCase(unsigned Threshold) : Threshold(Threshold) {
-  assert(Threshold >= 2 && Threshold <= 6 && "kernel lengths cover 2..6");
-}
-
-void PairBaseCase::setKernel(unsigned Length, KernelFn Fn) {
-  assert(Length >= 2 && Length <= Threshold && "kernel length out of range");
-  Kernels[Length] = Fn;
-}
-
-static void insertionSortPairs(int64_t *Pairs, size_t Len) {
-  for (size_t I = 1; I < Len; ++I) {
-    int64_t Value = Pairs[I];
-    size_t J = I;
-    for (; J > 0 && Pairs[J - 1] > Value; --J)
-      Pairs[J] = Pairs[J - 1];
-    Pairs[J] = Value;
-  }
-}
-
-void PairBaseCase::sortSmall(int64_t *Pairs, size_t Len) const {
-  assert(Len <= Threshold && "not a base case");
-  if (Len < 2)
-    return;
-  if (KernelFn Fn = Kernels[Len]) {
-    Fn(Pairs);
-    return;
-  }
-  insertionSortPairs(Pairs, Len);
-}
-
-static void quicksortPairsRec(int64_t *Pairs, size_t Lo, size_t Hi,
-                              const PairBaseCase &Base) {
-  while (Hi - Lo > Base.threshold()) {
-    size_t Mid = Lo + (Hi - Lo) / 2;
-    int64_t A = Pairs[Lo], B = Pairs[Mid], C = Pairs[Hi - 1];
-    int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
-
-    size_t I = Lo, J = Hi - 1;
-    for (;;) {
-      while (Pairs[I] < Pivot)
-        ++I;
-      while (Pairs[J] > Pivot)
-        --J;
-      if (I >= J)
-        break;
-      std::swap(Pairs[I], Pairs[J]);
-      ++I;
-      --J;
-    }
-    size_t Split = J + 1;
-    if (Split - Lo < Hi - Split) {
-      quicksortPairsRec(Pairs, Lo, Split, Base);
-      Lo = Split;
-    } else {
-      quicksortPairsRec(Pairs, Split, Hi, Base);
-      Hi = Split;
-    }
-  }
-  Base.sortSmall(Pairs + Lo, Hi - Lo);
-}
-
 void sks::sortKeyVal(int32_t *Keys, uint32_t *Payloads, size_t Len,
                      const PairBaseCase &Base) {
   if (Len < 2)
@@ -219,42 +162,36 @@ void sks::sortKeyVal(int32_t *Keys, uint32_t *Payloads, size_t Len,
   std::vector<int64_t> Pairs(Len);
   for (size_t I = 0; I != Len; ++I)
     Pairs[I] = packPair(Keys[I], Payloads[I]);
-  quicksortPairsRec(Pairs.data(), 0, Len, Base);
+  quicksortRec(Pairs.data(), 0, Len, Base);
   for (size_t I = 0; I != Len; ++I) {
     Keys[I] = pairKey(Pairs[I]);
     Payloads[I] = pairPayload(Pairs[I]);
   }
 }
 
-void sks::selectK(int32_t *Data, size_t Len, size_t K, const BaseCase &Base) {
-  assert(K >= 1 && K <= Len && "selection rank out of range");
+/// Quickselect under \p Before: partitions like the quicksort but keeps
+/// only the side holding rank \p Target, until at most \p Base's
+/// threshold remains. \returns that window [Lo, Hi): every lane of
+/// [0, Lo) comes before it and every lane of [Hi, Len) after it.
+template <typename Order>
+static std::pair<size_t, size_t> selectWindow(int32_t *Data, size_t Len,
+                                              size_t Target,
+                                              const BaseCase &Base,
+                                              Order Before) {
   size_t Lo = 0, Hi = Len;
-  const size_t Target = K - 1;
   while (Hi - Lo > Base.threshold()) {
-    // Same median-of-three Hoare partition as the full quicksort, but
-    // recurse only into the side holding the target rank.
-    size_t Mid = Lo + (Hi - Lo) / 2;
-    int32_t A = Data[Lo], B = Data[Mid], C = Data[Hi - 1];
-    int32_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
-
-    size_t I = Lo, J = Hi - 1;
-    for (;;) {
-      while (Data[I] < Pivot)
-        ++I;
-      while (Data[J] > Pivot)
-        --J;
-      if (I >= J)
-        break;
-      std::swap(Data[I], Data[J]);
-      ++I;
-      --J;
-    }
-    size_t Split = J + 1;
+    size_t Split = partition(Data, Lo, Hi, Before);
     if (Target < Split)
       Hi = Split;
     else
       Lo = Split;
   }
+  return {Lo, Hi};
+}
+
+void sks::selectK(int32_t *Data, size_t Len, size_t K, const BaseCase &Base) {
+  assert(K >= 1 && K <= Len && "selection rank out of range");
+  auto [Lo, Hi] = selectWindow(Data, Len, K - 1, Base, std::less<int32_t>());
   // Sorting the surviving window orders everything around the target rank,
   // which is strictly stronger than the nth_element contract.
   Base.sortSmall(Data + Lo, Hi - Lo);
@@ -267,32 +204,8 @@ void sks::topK(int32_t *Data, size_t Len, size_t K, const BaseCase &Base) {
     // partition invariant gives [0,Lo) >= window [Lo,Hi) >= [Hi,Len)
     // element-wise, and placing the window's ranks exactly (a kernel sort
     // of <= threshold elements) makes the prefix [0,K) the top-K set.
-    size_t Lo = 0, Hi = Len;
-    const size_t Target = K - 1; // Rank in descending order.
-    while (Hi - Lo > Base.threshold()) {
-      size_t Mid = Lo + (Hi - Lo) / 2;
-      int32_t A = Data[Lo], B = Data[Mid], C = Data[Hi - 1];
-      int32_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
-
-      // Hoare partition with the comparisons flipped.
-      size_t I = Lo, J = Hi - 1;
-      for (;;) {
-        while (Data[I] > Pivot)
-          ++I;
-        while (Data[J] < Pivot)
-          --J;
-        if (I >= J)
-          break;
-        std::swap(Data[I], Data[J]);
-        ++I;
-        --J;
-      }
-      size_t Split = J + 1;
-      if (Target < Split)
-        Hi = Split;
-      else
-        Lo = Split;
-    }
+    auto [Lo, Hi] =
+        selectWindow(Data, Len, K - 1, Base, std::greater<int32_t>());
     Base.sortSmall(Data + Lo, Hi - Lo);
     std::reverse(Data + Lo, Data + Hi); // Window descending, ranks exact.
   }

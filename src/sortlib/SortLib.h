@@ -7,7 +7,11 @@
 /// \file
 /// Quicksort and mergesort that recurse until at most n elements remain and
 /// then invoke a small-array kernel — the "natural way" the paper embeds
-/// the synthesized kernels for its section 5.3 embedded benchmarks.
+/// the synthesized kernels for its section 5.3 embedded benchmarks — plus
+/// the analytics entry points (key-payload sort, selection, top-k) built
+/// on the same quicksort partition. The base case is one template over the
+/// lane type of codegen/Jit.h: int32 values, or packed 64-bit key-payload
+/// lanes for sortKeyVal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,38 +27,48 @@
 
 namespace sks {
 
-/// The base case of the divide-and-conquer sorts: exact-length kernels for
-/// lengths 2..Threshold; missing entries fall back to insertion sort.
-class BaseCase {
+/// The base case of the divide-and-conquer sorts over \p Lane lanes:
+/// exact-length kernels for lengths 2..Threshold; missing entries fall
+/// back to insertion sort.
+template <KernelLane Lane> class BaseCaseOf {
 public:
-  using KernelFn = void (*)(int32_t *);
+  using KernelFn = void (*)(Lane *);
 
   /// Creates a base case that switches to kernels at \p Threshold
   /// remaining elements (2 <= Threshold <= 6).
-  explicit BaseCase(unsigned Threshold);
+  explicit BaseCaseOf(unsigned Threshold);
 
-  /// Registers the kernel sorting exactly \p Length elements.
+  /// Registers the kernel sorting exactly \p Length lanes.
   void setKernel(unsigned Length, KernelFn Fn);
 
   unsigned threshold() const { return Threshold; }
 
-  /// Sorts \p Len <= threshold() elements.
-  void sortSmall(int32_t *Data, size_t Len) const;
+  /// Sorts \p Len <= threshold() lanes.
+  void sortSmall(Lane *Data, size_t Len) const;
 
 private:
   unsigned Threshold;
   std::array<KernelFn, 7> Kernels{};
 };
 
-/// JIT-compiles \p P and registers it as \p Base's kernel for \p Length
-/// elements. \returns the owning kernel (keep it alive as long as \p Base
-/// uses it), or nullptr when the host lacks JIT support or emission fails.
-/// Debug builds first run the translation validator
+using BaseCase = BaseCaseOf<int32_t>;
+/// Over packed key-payload lanes (codegen/Jit.h packPair: int32 key in the
+/// high half, uint32 payload in the low half, so a signed 64-bit
+/// comparison orders by key).
+using PairBaseCase = BaseCaseOf<int64_t>;
+
+/// JIT-compiles \p P over \p Base's lanes and registers it as the kernel
+/// for \p Length lanes. \returns the owning kernel (keep it alive as long
+/// as \p Base uses it), or nullptr when the host lacks JIT support or
+/// emission fails. Debug builds first run the translation validator
 /// (validate/SymbolicExec.h) on the emitted bytes and refuse — returning
 /// nullptr without registering — any stream that fails its proof, so no
 /// unproven code is ever installed behind a sort entry point.
-std::unique_ptr<JitKernel> attachJitKernel(BaseCase &Base, MachineKind Kind,
-                                           unsigned Length, const Program &P);
+template <KernelLane Lane>
+std::unique_ptr<JitCode<Lane>> attachJitKernel(BaseCaseOf<Lane> &Base,
+                                               MachineKind Kind,
+                                               unsigned Length,
+                                               const Program &P);
 
 /// Quicksort (Hoare partition, median-of-three pivot) recursing to
 /// \p Base.threshold() and finishing with the base-case kernels.
@@ -67,39 +81,6 @@ void mergesortWithKernel(int32_t *Data, size_t Len, const BaseCase &Base);
 //===----------------------------------------------------------------------===//
 // Analytics entry points: key-payload sort, selection, top-k
 //===----------------------------------------------------------------------===//
-
-/// Base case over packed 64-bit key-payload lanes (codegen/Jit.h packPair:
-/// int32 key in the high half, uint32 payload in the low half, so a signed
-/// 64-bit comparison orders by key). Missing kernel lengths fall back to a
-/// 64-bit insertion sort.
-class PairBaseCase {
-public:
-  using KernelFn = void (*)(int64_t *);
-
-  /// Creates a base case that switches to kernels at \p Threshold
-  /// remaining elements (2 <= Threshold <= 6).
-  explicit PairBaseCase(unsigned Threshold);
-
-  /// Registers the kernel sorting exactly \p Length packed pairs.
-  void setKernel(unsigned Length, KernelFn Fn);
-
-  unsigned threshold() const { return Threshold; }
-
-  /// Sorts \p Len <= threshold() packed pairs.
-  void sortSmall(int64_t *Pairs, size_t Len) const;
-
-private:
-  unsigned Threshold;
-  std::array<KernelFn, 7> Kernels{};
-};
-
-/// Pair-path analog of attachJitKernel: JIT-compiles \p P over packed
-/// key-payload lanes and registers it with \p Base. Debug builds gate on
-/// the translation validator the same way.
-std::unique_ptr<JitPairKernel> attachJitPairKernel(PairBaseCase &Base,
-                                                   MachineKind Kind,
-                                                   unsigned Length,
-                                                   const Program &P);
 
 /// Sorts \p Keys ascending and applies the same permutation to
 /// \p Payloads (a sort-by-key over parallel arrays, the shape of a
@@ -118,8 +99,8 @@ void selectK(int32_t *Data, size_t Len, size_t K, const BaseCase &Base);
 
 /// Moves the K largest elements to Data[0..K), sorted descending (the
 /// analytics "top-k" shape); the remaining Len-K elements follow in
-/// unspecified order. Partition by quickselect, then kernel-sort the
-/// prefix.
+/// unspecified order. Quickselect under the descending order, then
+/// kernel-sort the prefix.
 void topK(int32_t *Data, size_t Len, size_t K, const BaseCase &Base);
 
 } // namespace sks

@@ -133,11 +133,6 @@ void ThreadPool::submitTask(std::function<void()> Task) {
   WakeWorkers.notify_one();
 }
 
-size_t ThreadPool::queuedTasks() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Tasks.size();
-}
-
 void ThreadPool::workerLoop(unsigned Index) {
   uint64_t SeenGeneration = 0;
   for (;;) {

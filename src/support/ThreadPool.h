@@ -78,16 +78,11 @@ public:
   /// been constructed with NumThreads >= 2.
   void submitTask(std::function<void()> Task);
 
-  /// Number of tasks submitted but not yet started (the admission-control
-  /// probe of service/SynthService.cpp). Racy by nature; callers bound
-  /// growth with it, they do not synchronize on it.
-  size_t queuedTasks() const;
-
 private:
   void workerLoop(unsigned Index);
 
   std::vector<std::thread> Workers;
-  mutable std::mutex Mutex;
+  std::mutex Mutex;
   std::condition_variable WakeWorkers;
   std::condition_variable JobDone;
 

@@ -151,9 +151,6 @@ public:
   /// so foldSuccessors() costs one pass over the rows.
   bool hasSuccessors() const { return !Succ.empty(); }
 
-  /// Number of reachable (finite-distance) assignments; exposed for tests.
-  size_t numReachable() const { return Reachable; }
-
   /// Bytes of the distance array.
   size_t tableBytes() const { return Dist.size(); }
   /// Bytes of the successor block and its index; 0 when the machine has

@@ -6,6 +6,8 @@
 
 #include "validate/Decoder.h"
 
+#include <cstdio>
+
 using namespace sks;
 
 const char *sks::x86OpName(X86Op Op) {
@@ -48,6 +50,59 @@ const char *sks::x86OpName(X86Op Op) {
     return "ret";
   }
   return "unknown";
+}
+
+bool sks::isGprOp(X86Op Op) {
+  switch (Op) {
+  case X86Op::XorRR:
+  case X86Op::MovRR:
+  case X86Op::CmpRR:
+  case X86Op::CMovL:
+  case X86Op::CMovG:
+  case X86Op::GprLoad:
+  case X86Op::GprStore:
+    return true;
+  default:
+    return false;
+  }
+}
+
+const char *sks::x86GprName(uint8_t R, bool W) {
+  static const char *const Names[2][16] = {
+      {"eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi", "r8d", "r9d",
+       "r10d", "r11d", "r12d", "r13d", "r14d", "r15d"},
+      {"rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi", "r8", "r9",
+       "r10", "r11", "r12", "r13", "r14", "r15"}};
+  return R < 16 ? Names[W][R] : "?";
+}
+
+std::string sks::formatX86(const X86Insn &I) {
+  if (I.Op == X86Op::Ret)
+    return "ret";
+  auto Reg = [&I](uint8_t R) -> std::string {
+    return isGprOp(I.Op) ? x86GprName(R, I.W) : "xmm" + std::to_string(R);
+  };
+  std::string Operands;
+  if (I.Mem) {
+    const bool Qword =
+        I.W || I.Op == X86Op::MovqLoad || I.Op == X86Op::MovqStore;
+    const std::string Slot = std::string(Qword ? "qword" : "dword") +
+                             " ptr [rdi + " + std::to_string(I.Disp) + "]";
+    const bool Store = I.Op == X86Op::GprStore ||
+                       I.Op == X86Op::MovdStore || I.Op == X86Op::MovqStore;
+    Operands = Store ? Slot + ", " + Reg(I.Reg) : Reg(I.Reg) + ", " + Slot;
+  } else {
+    Operands = Reg(I.Reg) + ", " + Reg(I.Rm);
+    if (I.Op == X86Op::BlendVPD)
+      Operands += ", xmm0"; // The implicit mask.
+  }
+  // "mov(load)" and its kin name the form; the mnemonic is the stem.
+  std::string Mnemonic = x86OpName(I.Op);
+  Mnemonic = Mnemonic.substr(0, Mnemonic.find('('));
+  char Line[80];
+  std::snprintf(Line, sizeof(Line), "%-7s %s", Mnemonic.c_str(),
+                Operands.c_str());
+  return Line;
 }
 
 namespace {

@@ -58,6 +58,13 @@ enum class X86Op : uint8_t {
 /// \returns the mnemonic of \p Op ("xor", "cmovl", "pcmpgtq", ...).
 const char *x86OpName(X86Op Op);
 
+/// \returns true for the general-purpose-register forms (XorRR..GprStore).
+bool isGprOp(X86Op Op);
+
+/// \returns the name of general-purpose register \p R (encoding number
+/// 0..15) at 64-bit (\p W) or 32-bit width: "rbx", "r9d", ...
+const char *x86GprName(uint8_t R, bool W);
+
 /// One decoded instruction.
 struct X86Insn {
   X86Op Op = X86Op::Ret;
@@ -92,6 +99,10 @@ struct DecodeResult {
 /// Decodes \p Len bytes at \p Bytes as one kernel body. Total on hostile
 /// input: never reads out of bounds, never crashes.
 DecodeResult decodeX86(const uint8_t *Bytes, size_t Len);
+
+/// \returns \p I in Intel syntax with the mnemonic padded to a column:
+/// "cmovl   eax, ecx", "movq    xmm1, qword ptr [rdi + 8]", "ret".
+std::string formatX86(const X86Insn &I);
 
 } // namespace sks
 

@@ -52,15 +52,6 @@ namespace {
 /// edx, esi, r8d-r11d.
 constexpr uint8_t GprNumber[8] = {0, 1, 2, 6, 8, 9, 10, 11};
 
-/// Host registers the kernel must never write: what each GPR encoding
-/// number outside the model file is.
-const char *hostGprName(uint8_t R) {
-  static const char *Names[16] = {"rax", "rcx", "rdx", "rbx", "rsp", "rbp",
-                                  "rsi", "rdi", "r8",  "r9",  "r10", "r11",
-                                  "r12", "r13", "r14", "r15"};
-  return R < 16 ? Names[R] : "?";
-}
-
 /// Shared context of the validation layers.
 struct Validation {
   MachineKind Kind;
@@ -177,21 +168,6 @@ OperandUse xmmUse(const X86Insn &I) {
   return U;
 }
 
-bool isGprOp(X86Op Op) {
-  switch (Op) {
-  case X86Op::XorRR:
-  case X86Op::MovRR:
-  case X86Op::CmpRR:
-  case X86Op::CMovL:
-  case X86Op::CMovG:
-  case X86Op::GprLoad:
-  case X86Op::GprStore:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// True when \p Op belongs to the (Kind, PairLanes) emission path.
 bool opInPath(const Validation &V, X86Op Op) {
   if (V.Kind == MachineKind::Cmov)
@@ -247,13 +223,13 @@ bool checkDiscipline(Validation &V, const std::vector<X86Insn> &Insns) {
       if (U.Writes >= 0 && V.modelGpr(static_cast<uint8_t>(U.Writes)) < 0)
         V.finding(ValidationRule::RegisterDiscipline, I.Offset,
                   std::string("clobbers host register ") +
-                      hostGprName(static_cast<uint8_t>(U.Writes)) +
+                      x86GprName(static_cast<uint8_t>(U.Writes), true) +
                       " outside the model file");
       for (int Read : U.Reads)
         if (Read >= 0 && V.modelGpr(static_cast<uint8_t>(Read)) < 0)
           V.finding(ValidationRule::RegisterDiscipline, I.Offset,
                     std::string("reads host register ") +
-                        hostGprName(static_cast<uint8_t>(Read)) +
+                        x86GprName(static_cast<uint8_t>(Read), true) +
                         " outside the model file");
     } else {
       OperandUse U = xmmUse(I);
@@ -578,44 +554,29 @@ std::string vectorText(const int32_t *Vals, unsigned N) {
 }
 
 /// One concrete vector: run the decoded stream and the IR side by side
-/// and compare the full memory image. \returns true on agreement.
+/// on \p Lane lanes and compare the full memory image. Pair lanes carry
+/// one constant payload, so lanes tie exactly when their keys do and the
+/// family reaches every weak order of (lanes, 0). Distinct payloads would
+/// make every pair of lanes differ, and a kernel whose result on tied
+/// lanes differs from the IR's would pass. \returns true on agreement.
+template <KernelLane Lane>
 bool checkOneVector(Validation &V, const std::vector<X86Insn> &Insns,
                     const int32_t *Keys) {
   const unsigned N = V.NumData;
   int64_t Mem[6] = {};
-  if (V.PairLanes) {
-    // One constant payload, so lanes tie exactly when their keys do and
-    // the family reaches every weak order of (lanes, 0). Distinct payloads
-    // would make every pair of lanes differ, and a kernel whose result on
-    // tied lanes differs from the IR's would pass.
-    int64_t Ref[6] = {};
-    for (unsigned I = 0; I != N; ++I)
-      Mem[I] = Ref[I] = packPair(Keys[I], 0);
-    runDecoded(V, Insns, Mem);
-    interpretPairKernel(V.Kind, N, V.P, Ref);
-    for (unsigned I = 0; I != N; ++I)
-      if (Mem[I] != Ref[I]) {
-        V.finding(ValidationRule::Semantics, 0,
-                  "order family: pair lane " + std::to_string(I) +
-                      " differs from the IR on keys " + vectorText(Keys, N));
-        return false;
-      }
-  } else {
-    int32_t Ref[6] = {};
-    for (unsigned I = 0; I != N; ++I) {
-      Mem[I] = Keys[I];
-      Ref[I] = Keys[I];
+  Lane Ref[6] = {};
+  for (unsigned I = 0; I != N; ++I)
+    Mem[I] = Ref[I] = static_cast<Lane>(
+        sizeof(Lane) == 8 ? packPair(Keys[I], 0) : Keys[I]);
+  runDecoded(V, Insns, Mem);
+  interpretKernel(V.Kind, N, V.P, Ref);
+  for (unsigned I = 0; I != N; ++I)
+    if (Mem[I] != Ref[I]) {
+      V.finding(ValidationRule::Semantics, 0,
+                "order family: lane " + std::to_string(I) +
+                    " differs from the IR on keys " + vectorText(Keys, N));
+      return false;
     }
-    runDecoded(V, Insns, Mem);
-    interpretKernel(V.Kind, N, V.P, Ref);
-    for (unsigned I = 0; I != N; ++I)
-      if (Mem[I] != Ref[I]) {
-        V.finding(ValidationRule::Semantics, 0,
-                  "order family: slot " + std::to_string(I) +
-                      " differs from the IR on input " + vectorText(Keys, N));
-        return false;
-      }
-  }
   return true;
 }
 
@@ -641,7 +602,8 @@ bool checkOrderFamily(Validation &V, const std::vector<X86Insn> &Insns) {
       int32_t Keys[6] = {};
       for (unsigned I = 0; I != N; ++I)
         Keys[I] = static_cast<int32_t>(Vals[I]) - static_cast<int32_t>(Shift);
-      if (!checkOneVector(V, Insns, Keys)) {
+      if (!(V.PairLanes ? checkOneVector<int64_t>(V, Insns, Keys)
+                        : checkOneVector<int32_t>(V, Insns, Keys))) {
         V.R.OrderVectors = Count;
         return false;
       }
@@ -726,11 +688,12 @@ ValidationReport sks::validateKernelBytes(const uint8_t *Bytes, size_t Len,
   return R;
 }
 
+template <KernelLane Lane>
 ValidationReport sks::validateJitKernel(MachineKind Kind, unsigned NumData,
                                         const Program &P, GoalSpec) {
   if (Kind == MachineKind::Hybrid)
     return ValidationReport{};
-  EmittedCode Code = emitKernelBytes(Kind, NumData, P);
+  EmittedCode Code = emitKernelBytes<Lane>(Kind, NumData, P);
   if (Code.Status != EmitStatus::Ok) {
     ValidationReport R;
     R.Applicable = true;
@@ -740,22 +703,14 @@ ValidationReport sks::validateJitKernel(MachineKind Kind, unsigned NumData,
     return R;
   }
   return validateKernelBytes(Code.Bytes.data(), Code.Bytes.size(), Kind,
-                             NumData, P, /*PairLanes=*/false);
+                             NumData, P, /*PairLanes=*/sizeof(Lane) == 8);
 }
 
-ValidationReport sks::validateJitPairKernel(MachineKind Kind, unsigned NumData,
-                                            const Program &P, GoalSpec) {
-  if (Kind == MachineKind::Hybrid)
-    return ValidationReport{};
-  EmittedCode Code = emitPairKernelBytes(Kind, NumData, P);
-  if (Code.Status != EmitStatus::Ok) {
-    ValidationReport R;
-    R.Applicable = true;
-    R.Findings.push_back({ValidationRule::Emit, 0,
-                          std::string("emission failed: ") +
-                              emitStatusName(Code.Status)});
-    return R;
-  }
-  return validateKernelBytes(Code.Bytes.data(), Code.Bytes.size(), Kind,
-                             NumData, P, /*PairLanes=*/true);
-}
+template ValidationReport sks::validateJitKernel<int32_t>(MachineKind,
+                                                          unsigned,
+                                                          const Program &,
+                                                          GoalSpec);
+template ValidationReport sks::validateJitKernel<int64_t>(MachineKind,
+                                                          unsigned,
+                                                          const Program &,
+                                                          GoalSpec);

@@ -48,11 +48,17 @@
 /// output lanes. Hybrid kernels have no JIT emission path and report
 /// Applicable = false.
 ///
+/// One entry serves both lane types: validateJitKernel<Lane> emits
+/// through the JIT's one encoder (codegen/Jit.h emitKernelBytes<Lane>),
+/// and every layer takes the lane width as data (validateKernelBytes's
+/// PairLanes).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SKS_VALIDATE_SYMBOLICEXEC_H
 #define SKS_VALIDATE_SYMBOLICEXEC_H
 
+#include "codegen/Jit.h"
 #include "isa/Instr.h"
 #include "machine/Goal.h"
 #include "machine/Machine.h"
@@ -119,21 +125,16 @@ ValidationReport validateKernelBytes(const uint8_t *Bytes, size_t Len,
                                      MachineKind Kind, unsigned NumData,
                                      const Program &P, bool PairLanes);
 
-/// Emits \p P through codegen/Jit.h emitKernelBytes and validates the
-/// result — the one-call gate used by the driver (--validate-jit), the
+/// Emits \p P through codegen/Jit.h emitKernelBytes<Lane> and validates
+/// the result — the one-call gate used by the driver (--validate-jit), the
 /// sortlib/bench debug gates, and sks-lint --validate. The proof is
 /// equivalence to \p P on every input, so it holds whatever the kernel's
 /// goal; the goal argument does not enter it and is accepted for callers
 /// that pass their request's goal along.
+template <KernelLane Lane = int32_t>
 ValidationReport validateJitKernel(MachineKind Kind, unsigned NumData,
                                    const Program &P,
                                    GoalSpec Goal = GoalSpec::sort());
-
-/// Same for the packed key-payload emission paths (REX.W / pcmpgtq +
-/// blendvpd).
-ValidationReport validateJitPairKernel(MachineKind Kind, unsigned NumData,
-                                       const Program &P,
-                                       GoalSpec Goal = GoalSpec::sort());
 
 } // namespace sks
 

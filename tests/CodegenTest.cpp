@@ -17,12 +17,14 @@ using namespace sks;
 namespace {
 
 TEST(AsmEmitter, RegisterNames) {
-  EXPECT_EQ(x86RegName(MachineKind::Cmov, 0), "eax");
-  EXPECT_EQ(x86RegName(MachineKind::Cmov, 3), "esi");
-  EXPECT_EQ(x86RegName(MachineKind::Cmov, 4), "r8d");
-  EXPECT_EQ(x86RegName(MachineKind::Cmov, 7), "r11d");
-  EXPECT_EQ(x86RegName(MachineKind::MinMax, 0), "xmm0");
-  EXPECT_EQ(x86RegName(MachineKind::MinMax, 7), "xmm7");
+  // Model registers map to eax, ecx, edx, esi, r8d..r11d on the cmov file
+  // and to xmm0.. on the min/max file; a one-instruction body shows them.
+  auto Body = [](MachineKind Kind, uint8_t Dst, uint8_t Src) {
+    return emitAsmText(Kind, 1, {{Opcode::Mov, Dst, Src}}, false);
+  };
+  EXPECT_EQ(Body(MachineKind::Cmov, 3, 0), "    mov     esi, eax\n");
+  EXPECT_EQ(Body(MachineKind::Cmov, 7, 4), "    mov     r11d, r8d\n");
+  EXPECT_EQ(Body(MachineKind::MinMax, 7, 0), "    movdqa  xmm7, xmm0\n");
 }
 
 TEST(AsmEmitter, ExtendedRegistersAppearForN6) {

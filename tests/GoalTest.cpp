@@ -191,7 +191,7 @@ TEST(GoalPairJit, PackPairRoundTripsAndOrdersByKey) {
 
 void checkPairKernel(MachineKind Kind, unsigned N, const Program &P) {
   std::unique_ptr<JitPairKernel> Jit = JitPairKernel::compile(Kind, N, P);
-  ASSERT_TRUE(Jit) << "jitPairSupported claimed support";
+  ASSERT_TRUE(Jit) << "jitSupported<int64_t> claimed support";
   EXPECT_GT(Jit->codeSize(), 0u);
 
   Rng R(9000 + N);
@@ -213,7 +213,7 @@ void checkPairKernel(MachineKind Kind, unsigned N, const Program &P) {
     (*Jit)(FromJit.data());
 
     std::vector<int64_t> FromInterp = Pairs;
-    interpretPairKernel(Kind, N, P, FromInterp.data());
+    interpretKernel(Kind, N, P, FromInterp.data());
     ASSERT_EQ(FromJit, FromInterp);
 
     // A full sorting network sorts packed lanes exactly like std::sort
@@ -226,14 +226,14 @@ void checkPairKernel(MachineKind Kind, unsigned N, const Program &P) {
 }
 
 TEST(GoalPairJit, CmovNetworkMatchesInterpreterAndStdSort) {
-  if (!jitPairSupported(MachineKind::Cmov))
+  if (!jitSupported<int64_t>(MachineKind::Cmov))
     GTEST_SKIP() << "no pair JIT on this host";
   for (unsigned N = 2; N <= 5; ++N)
     checkPairKernel(MachineKind::Cmov, N, sortingNetworkCmov(N));
 }
 
 TEST(GoalPairJit, MinMaxNetworkMatchesInterpreterAndStdSort) {
-  if (!jitPairSupported(MachineKind::MinMax))
+  if (!jitSupported<int64_t>(MachineKind::MinMax))
     GTEST_SKIP() << "no SSE4.2 pair JIT on this host";
   for (unsigned N = 2; N <= 5; ++N)
     checkPairKernel(MachineKind::MinMax, N, sortingNetworkMinMax(N));
@@ -250,7 +250,7 @@ TEST(GoalPairJit, InterpreterSortsPackedLanesWithoutJitSupport) {
         Pairs[I] = packPair(static_cast<int32_t>(R.range(-2, 2)), I);
       std::vector<int64_t> Reference = Pairs;
       std::sort(Reference.begin(), Reference.end());
-      interpretPairKernel(MachineKind::MinMax, N, Network, Pairs.data());
+      interpretKernel(MachineKind::MinMax, N, Network, Pairs.data());
       ASSERT_EQ(Pairs, Reference);
     }
   }

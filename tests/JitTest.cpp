@@ -96,8 +96,10 @@ TEST(Jit, InterpreterMatchesModelSemantics) {
 TEST(AsmEmitter, ListingShapesMatchKernel) {
   Program P = paperSynthCmov3();
   std::string Text = emitAsmText(MachineKind::Cmov, 3, P, true);
-  // 3 loads + 11 kernel instructions + 3 stores + ret = 18 lines.
-  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 18);
+  // xor esi, esi (the scratch zeroing) + 3 loads + 11 kernel
+  // instructions + 3 stores + ret = 19 lines.
+  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 19);
+  EXPECT_EQ(Text.rfind("    xor     esi, esi\n", 0), 0u);
   EXPECT_NE(Text.find("cmovl"), std::string::npos);
   EXPECT_NE(Text.find("[rdi + 8]"), std::string::npos);
   std::string Bare = emitAsmText(MachineKind::Cmov, 3, P, false);
@@ -129,7 +131,7 @@ TEST(EmitBytes, CapacityExceededIsTypedAndReturnsNoPartialStream) {
   EXPECT_EQ(Code.Status, EmitStatus::CapacityExceeded);
   EXPECT_TRUE(Code.Bytes.empty());
   EmittedCode Pair =
-      emitPairKernelBytes(MachineKind::Cmov, 4, P, /*MaxBytes=*/8);
+      emitKernelBytes<int64_t>(MachineKind::Cmov, 4, P, /*MaxBytes=*/8);
   EXPECT_EQ(Pair.Status, EmitStatus::CapacityExceeded);
   EXPECT_TRUE(Pair.Bytes.empty());
 }
@@ -142,7 +144,7 @@ TEST(EmitBytes, BadProgramAndUnsupportedKindAreTyped) {
   // Hybrid kernels have no emission path at all.
   EXPECT_EQ(emitKernelBytes(MachineKind::Hybrid, 3, Program()).Status,
             EmitStatus::UnsupportedKind);
-  EXPECT_EQ(emitPairKernelBytes(MachineKind::Hybrid, 3, Program()).Status,
+  EXPECT_EQ(emitKernelBytes<int64_t>(MachineKind::Hybrid, 3, Program()).Status,
             EmitStatus::UnsupportedKind);
 }
 

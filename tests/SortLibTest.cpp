@@ -202,12 +202,12 @@ void forEachPairBase(
   PairBaseCase Insertion(kThreshold);
   Check(Insertion, "insertion");
   for (MachineKind Kind : {MachineKind::Cmov, MachineKind::MinMax}) {
-    if (!jitPairSupported(Kind))
+    if (!jitSupported<int64_t>(Kind))
       continue;
     PairBaseCase Base(kThreshold);
     std::vector<std::unique_ptr<JitPairKernel>> Jits;
     for (unsigned L = 2; L <= kThreshold; ++L) {
-      Jits.push_back(attachJitPairKernel(Base, Kind, L, networkOf(Kind, L)));
+      Jits.push_back(attachJitKernel(Base, Kind, L, networkOf(Kind, L)));
       ASSERT_NE(Jits.back(), nullptr) << "length " << L;
     }
     Check(Base, Kind == MachineKind::Cmov ? "cmov jit" : "minmax jit");

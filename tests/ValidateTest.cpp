@@ -45,7 +45,7 @@ struct EmissionPath {
 std::vector<EmissionPath> emitAllPaths(MachineKind Kind, unsigned N,
                                        const Program &P) {
   return {{"scalar", false, emitKernelBytes(Kind, N, P)},
-          {"pair", true, emitPairKernelBytes(Kind, N, P)}};
+          {"pair", true, emitKernelBytes<int64_t>(Kind, N, P)}};
 }
 
 bool hasRule(const ValidationReport &R, ValidationRule Rule) {
@@ -176,7 +176,7 @@ TEST(Validate, AcceptsEveryPrebuiltKernelOnBothPaths) {
     EXPECT_TRUE(Scalar.Applicable) << File;
     EXPECT_TRUE(Scalar.Ok) << File << ": " << Scalar.summary();
     ValidationReport Pair =
-        validateJitPairKernel(Kernel.Kind, Kernel.N, Kernel.P);
+        validateJitKernel<int64_t>(Kernel.Kind, Kernel.N, Kernel.P);
     EXPECT_TRUE(Pair.Applicable) << File;
     EXPECT_TRUE(Pair.Ok) << File << ": " << Pair.summary();
   }
@@ -190,7 +190,7 @@ TEST(Validate, AcceptsReferenceNetworksAcrossAllLengths) {
       ValidationReport Scalar = validateJitKernel(Kind, N, P);
       ASSERT_TRUE(Scalar.Applicable);
       EXPECT_TRUE(Scalar.Ok) << "scalar n=" << N << ": " << Scalar.summary();
-      ValidationReport Pair = validateJitPairKernel(Kind, N, P);
+      ValidationReport Pair = validateJitKernel<int64_t>(Kind, N, P);
       ASSERT_TRUE(Pair.Applicable);
       EXPECT_TRUE(Pair.Ok) << "pair n=" << N << ": " << Pair.summary();
     }
@@ -201,9 +201,10 @@ TEST(Validate, AcceptsPaperSynthKernels) {
   EXPECT_TRUE(
       validateJitKernel(MachineKind::MinMax, 3, paperSynthMinMax3()).Ok);
   EXPECT_TRUE(
-      validateJitPairKernel(MachineKind::Cmov, 3, paperSynthCmov3()).Ok);
-  EXPECT_TRUE(
-      validateJitPairKernel(MachineKind::MinMax, 3, paperSynthMinMax3()).Ok);
+      validateJitKernel<int64_t>(MachineKind::Cmov, 3, paperSynthCmov3()).Ok);
+  EXPECT_TRUE(validateJitKernel<int64_t>(MachineKind::MinMax, 3,
+                                         paperSynthMinMax3())
+                  .Ok);
 }
 
 TEST(Validate, AcceptsSynthesizedGoalKernel) {
@@ -218,7 +219,7 @@ TEST(Validate, AcceptsSynthesizedGoalKernel) {
   ASSERT_TRUE(Scalar.Applicable);
   EXPECT_TRUE(Scalar.Ok) << Scalar.summary();
   ValidationReport Pair =
-      validateJitPairKernel(MachineKind::Cmov, 3, R.Solutions.front());
+      validateJitKernel<int64_t>(MachineKind::Cmov, 3, R.Solutions.front());
   ASSERT_TRUE(Pair.Applicable);
   EXPECT_TRUE(Pair.Ok) << Pair.summary();
 }
@@ -226,7 +227,7 @@ TEST(Validate, AcceptsSynthesizedGoalKernel) {
 TEST(Validate, HybridKernelsAreNotApplicable) {
   ValidationReport R = validateJitKernel(MachineKind::Hybrid, 3, Program());
   EXPECT_FALSE(R.Applicable);
-  EXPECT_FALSE(validateJitPairKernel(MachineKind::Hybrid, 3, Program())
+  EXPECT_FALSE(validateJitKernel<int64_t>(MachineKind::Hybrid, 3, Program())
                    .Applicable);
 }
 
@@ -285,7 +286,7 @@ TEST(Validate, RejectsCodeThatDiffersOnlyOnTiedKeys) {
     for (bool Swapped : {false, true}) {
       EmittedCode Code =
           !Swapped ? Path.Code
-          : Path.PairLanes ? emitPairKernelBytes(MachineKind::Cmov, 4, Q)
+          : Path.PairLanes ? emitKernelBytes<int64_t>(MachineKind::Cmov, 4, Q)
                            : emitKernelBytes(MachineKind::Cmov, 4, Q);
       ASSERT_EQ(Code.Status, EmitStatus::Ok);
       ValidationReport R = validateKernelBytes(
@@ -575,7 +576,7 @@ TEST(ValidateThreads, ConcurrentValidationSmoke) {
       for (int I = 0; I != 8; ++I) {
         if (!validateJitKernel(MachineKind::Cmov, 3, Cmov).Ok)
           ++Failures;
-        if (!validateJitPairKernel(MachineKind::MinMax, 3, MinMax).Ok)
+        if (!validateJitKernel<int64_t>(MachineKind::MinMax, 3, MinMax).Ok)
           ++Failures;
       }
     });

@@ -187,7 +187,7 @@ int main(int Argc, char **Argv) {
       ValidationReport Scalar =
           validateJitKernel(Kernel.Kind, Kernel.N, Kernel.P);
       ValidationReport Pair =
-          validateJitPairKernel(Kernel.Kind, Kernel.N, Kernel.P);
+          validateJitKernel<int64_t>(Kernel.Kind, Kernel.N, Kernel.P);
       auto Report = [&](const char *PathName, const ValidationReport &R) {
         if (!R.Applicable || R.Ok)
           return;

@@ -537,7 +537,7 @@ int main(int Argc, char **Argv) {
   }
   if (Cli.ValidateJit) {
     ValidationReport Scalar = validateJitKernel(Cli.Kind, Cli.N, Final);
-    ValidationReport Pair = validateJitPairKernel(Cli.Kind, Cli.N, Final);
+    ValidationReport Pair = validateJitKernel<int64_t>(Cli.Kind, Cli.N, Final);
     std::printf("; jit-validate: scalar %s (%u order vectors), "
                 "pair %s (%u order vectors)\n",
                 Scalar.summary().c_str(), Scalar.OrderVectors,
