@@ -213,7 +213,8 @@ bool finishMultipass(const FinishFixture &F, CandidateBatch &B,
 void benchFinish(benchmark::State &State, bool Fused) {
   FinishFixture &F = finishFixture();
   CandidateBatch B;
-  B.reserveFor(kBuffers, F.Len);
+  B.List.reserve(kBuffers);
+  B.Rows.reserve(kBuffers * F.Len);
   SearchStats Stats;
   PrefixLint Lint = PrefixLint::entry();
   Instr Via = F.M.instructions()[0];

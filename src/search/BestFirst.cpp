@@ -215,6 +215,12 @@ const char *sks::stopReasonName(StopReason R) {
   return Names[static_cast<unsigned>(R)];
 }
 
+const char *sks::stopPhaseName(StopPhase P) {
+  static const char *const Names[] = {"none",        "level-check", "expand",
+                                      "merge-check", "merge",       "commit"};
+  return Names[static_cast<unsigned>(P)];
+}
+
 unsigned sks::networkUpperBound(MachineKind Kind, unsigned N) {
   // Minimal comparator counts for n = 2..6 (known optimal networks). A
   // pure cmov kernel is also a valid hybrid kernel, so the cmov network

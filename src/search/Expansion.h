@@ -117,7 +117,10 @@ struct Candidate {
 };
 
 /// One expansion worker's output: candidates plus their flat row storage.
-struct CandidateBatch {
+/// Cache-line aligned: the layered engine keeps one batch per worker side
+/// by side for the whole run, and each worker writes its own batch's
+/// headers on every child, so two batches must never share a line.
+struct alignas(64) CandidateBatch {
   std::vector<uint32_t> Rows;
   std::vector<Candidate> List;
   /// The distinct counter's projection bitmap (countDistinctProjections):
@@ -135,13 +138,6 @@ struct CandidateBatch {
   void clear() {
     Rows.clear();
     List.clear();
-  }
-
-  /// Pre-sizes the buffers from the previous level's branching factor so
-  /// the hot loop never reallocates.
-  void reserveFor(size_t ExpectedCandidates, size_t RowsPerState) {
-    List.reserve(ExpectedCandidates);
-    Rows.reserve(ExpectedCandidates * RowsPerState);
   }
 
   size_t bytesUsed() const {

@@ -21,19 +21,31 @@
 // (DagLevel), so no node owns a heap block.
 //
 // Expansion is one node-major loop over static worker ranges: worker W
-// expands one contiguous slice of the level into its own candidate batch,
+// expands one contiguous part of a slice into its own candidate batch,
 // so the concatenated batches list candidates in the same order for any
 // thread count. A one-thread pool runs the whole range inline as worker 0;
 // that is the sequential engine, not a separate copy of it.
 //
+// Slices: a level is expanded and merged kSliceNodes parent nodes at a
+// time, into per-shard buffers that collect the whole level and commit
+// once. The batches, partitions and shard buffers are engine members,
+// recycled across slices and levels, so the level in flight holds one
+// slice's candidates instead of a whole level's. Slices are contiguous
+// and merge in order, so each shard meets its candidates in the same
+// node-major order a whole-level merge would: the slice size cannot move
+// the DAG, an edge order, Ways, the kernel order or any counter.
+//
 // Budgets: one check (overBudget, shared with the best-first engine) polls
 // the stop token and compares residentBytes() — committed levels, node
-// metadata and the level in flight — with the byte budget. The level loop
-// runs it before each expansion and each merge; the workers of the
-// expansion and of merge phase 1 run it at periodic checkpoints
-// (checkpoint), which also publish their progress and let worker 0 emit
-// the Figure 1 trace point. The peak never falls below a value the check
-// compared.
+// metadata and the level in flight's buffers — with the byte budget. The
+// level loop runs it before each level, each slice's merge before phase
+// 1, and the commit on the level's exact size before phase 2 allocates
+// the level's arrays; the workers of a slice's expansion and merge phase
+// 1 run it at periodic checkpoints (checkpoint), which also publish their
+// progress and let worker 0 emit the Figure 1 trace point. Every value
+// the peak records is one a check compared, so a run capped at its peak
+// fits and one capped a byte lower stops; SearchStats::StoppedIn names
+// the check that stopped a run.
 //
 // Storage and parallelism (state/StateStore.h): all row data lives in one
 // flat arena per level addressed by (offset, len) handles, and the dedup
@@ -41,23 +53,25 @@
 // imply equal hash, hence the same shard, so the per-level merge runs one
 // worker per shard with no synchronization on the node data:
 //
-//   phase 0  partition surviving candidates by shard, one partition per
-//            batch in parallel; each shard reads them batch-major — the
-//            exact order the sequential engine would process them;
-//   phase 1  per-shard dedup/DAG-merge straight into the one index: each
-//            candidate probes its store shard once. A hit at a committed
-//            level is a rediscovery, a hit at the level in flight merges
-//            into that shard-local node, and a miss appends a node and its
-//            rows to the shard's buffers and inserts its entry under
-//            (level, shard-local index) at once. FindAll mode appends each
-//            edge as (shard-local node, parent, instruction). Scheduled by
-//            work stealing with shards seeded in descending
+//   phase 0  per slice: partition the slice's candidates by shard, one
+//            partition per batch in parallel; each shard reads them
+//            batch-major — the exact order the sequential engine would
+//            process them;
+//   phase 1  per slice: per-shard dedup/DAG-merge straight into the one
+//            index: each candidate probes its store shard once. A hit at a
+//            committed level is a rediscovery, a hit at the level in
+//            flight merges into that shard-local node, and a miss appends
+//            a node and its rows to the shard's buffers and inserts its
+//            entry under (level, shard-local index) at once. FindAll mode
+//            appends each edge as (shard-local node, parent, instruction).
+//            Scheduled by work stealing with shards seeded in descending
 //            candidate-count order (deadline/limit-checked via atomics);
-//   phase 2  prefix-sum shard sizes into the level's shard bases, copy
-//            nodes and rows into place and group each shard's edges by
-//            node with a stable counting sort into the level's CSR slices
-//            — work-stolen per shard, seeded by descending row bytes. The
-//            index entries need no rewrite: the shard bases rebase them.
+//   phase 2  per level: prefix-sum shard sizes into the level's shard
+//            bases, copy nodes and rows into place and group each shard's
+//            edges by node with a stable counting sort into the level's
+//            CSR slices — work-stolen per shard, seeded by descending row
+//            bytes. The index entries need no rewrite: the shard bases
+//            rebase them.
 //
 // Work stealing preserves bit-identity for free: a shard is always
 // processed WHOLLY by one worker in the fixed batch-major candidate
@@ -78,6 +92,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstring>
 #include <numeric>
 #include <type_traits>
@@ -86,6 +101,16 @@ using namespace sks;
 using namespace sks::detail;
 
 namespace {
+
+/// Parent nodes per slice: a level is expanded and merged this many nodes
+/// at a time, so the level in flight holds one slice's candidates. No
+/// result depends on it (file comment). Smaller slices hold fewer
+/// candidates, but each slice's merge meets its shards' index and buffers
+/// cold in cache, so the merge slows as slices shrink: on perfbench's
+/// n = 3 enumeration (two threads), 8192-node slices merged about 7 ms
+/// faster, but at n = 5 their batches held 68 MB more, which kept level
+/// 8's commit from fitting a 2 GiB budget.
+constexpr size_t kSliceNodes = 4096;
 
 /// One incoming DAG edge: parent index in the previous level and the
 /// instruction applied to the parent's rows.
@@ -143,14 +168,16 @@ unsigned refLevel(uint64_t Payload) {
 }
 uint32_t refLocal(uint64_t Payload) { return static_cast<uint32_t>(Payload); }
 
-/// Shared state of one parallel phase (a level expansion or merge phase
+/// Shared state of one parallel phase (a slice's expansion or merge phase
 /// 1), polled by LayeredEngine::checkpoint. Workers publish running totals
 /// through relaxed atomics: the budget needs totals, not a consistent
 /// snapshot. The first failed check publishes its reason, and every other
 /// worker stops at its next checkpoint.
 struct Phase {
   const std::function<void(size_t)> &Trace;
-  const size_t Work;      ///< Work items: level nodes or candidates.
+  /// Open states when the phase began: its work items (slice nodes or
+  /// candidates) plus the level's states outside them.
+  const size_t Work;
   const size_t BaseBytes; ///< Resident bytes when the phase began.
   std::atomic<StopReason> Abort{StopReason::None};
   /// Published totals: uncommitted states (candidates or new nodes), the
@@ -171,8 +198,9 @@ struct ShardEdge {
   ParentEdge Edge;
 };
 
-/// One shard's output of a level merge (phase 1), committed in phase 2.
-/// Its index entries go straight into the store's shard.
+/// One shard's share of the level in flight: every slice's phase 1 appends
+/// to it, and phase 2 commits it. Its index entries go straight into the
+/// store's shard.
 struct ShardMerge {
   std::vector<LNode> Nodes;
   std::vector<uint32_t> Rows;   ///< New row data, shard-local offsets.
@@ -187,6 +215,17 @@ struct ShardMerge {
     return Rows.capacity() * sizeof(uint32_t) +
            Nodes.capacity() * sizeof(LNode) +
            Edges.capacity() * sizeof(ShardEdge);
+  }
+
+  /// Empties the shard for the next level and keeps its buffers.
+  void clear() {
+    Nodes.clear();
+    Rows.clear();
+    Edges.clear();
+    DedupHits = 0;
+    SolutionDelta = 0;
+    MinPerm = 0;
+    FoundSorted = false;
   }
 };
 
@@ -214,20 +253,20 @@ public:
                 const DistanceTable *DT)
       : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut, Opts.MaxLength),
         Pipeline(M, Opts, DT, Cuts),
-        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1) {}
+        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1),
+        Batches(Pool.size()), Parts(Pool.size()), Shards(kNumShards) {}
 
   SearchResult run();
 
 private:
   static constexpr unsigned kNumShards = StateStore::kNumShards;
 
-  bool expandLevel(unsigned G, std::vector<CandidateBatch> &Batches,
+  bool expandSlice(unsigned G, size_t Begin, size_t End, size_t Open,
                    SearchResult &Result,
                    const std::function<void(size_t)> &Trace);
-  bool mergeLevel(std::vector<CandidateBatch> &Batches, unsigned ChildG,
-                  SearchResult &Result,
-                  const std::function<void(size_t)> &Trace,
-                  bool &FoundSorted);
+  bool mergeSlice(unsigned ChildG, size_t Open, SearchResult &Result,
+                  const std::function<void(size_t)> &Trace);
+  bool commitLevel(unsigned ChildG, SearchResult &Result, bool &FoundSorted);
   void reconstruct(uint32_t Level, uint32_t Index, Program &Suffix,
                    SearchResult &Result) const;
 
@@ -235,31 +274,57 @@ private:
     return Store.arena(Level).rows(N.Rows);
   }
   /// The one count of resident bytes, read by the budget check and the
-  /// peak: committed levels (arenas and the dedup index) and node
-  /// metadata, plus \p Live bytes of the level in flight (candidate
-  /// batches, shard partitions, merge shards).
-  size_t residentBytes(size_t Live = 0) const {
-    return Store.bytesUsed() + NodeBytes + Live;
+  /// peak: committed levels (arenas and the dedup index), node metadata,
+  /// and the level in flight's recycled buffers (candidate batches, shard
+  /// partitions, merge shards).
+  size_t residentBytes() const {
+    size_t Bytes = Store.bytesUsed() + NodeBytes;
+    for (const CandidateBatch &B : Batches)
+      Bytes += B.bytesUsed();
+    for (const std::array<std::vector<uint32_t>, kNumShards> &P : Parts)
+      for (const std::vector<uint32_t> &V : P)
+        Bytes += V.capacity() * sizeof(uint32_t);
+    for (const ShardMerge &Sh : Shards)
+      Bytes += Sh.bytesUsed();
+    return Bytes;
+  }
+  /// States merged into the level in flight so far.
+  size_t mergedStates() const {
+    size_t States = 0;
+    for (const ShardMerge &Sh : Shards)
+      States += Sh.Nodes.size();
+    return States;
   }
   /// Raises the high-water mark to \p Resident bytes.
   static void notePeak(SearchResult &Result, size_t Resident) {
     Result.Stats.PeakStateBytes =
         std::max(Result.Stats.PeakStateBytes, Resident);
   }
-  /// The level loop's budget check over \p Resident bytes, which become a
+  /// Records why the run stopped, if it did, and at which check \p Where.
+  /// \returns false when the run must stop.
+  static bool noteStop(SearchResult &Result, StopReason Reason,
+                       StopPhase Where) {
+    Result.Stats.Stopped = Reason;
+    if (Reason == StopReason::None)
+      return true;
+    Result.Stats.StoppedIn = Where;
+    return false;
+  }
+  /// The budget check \p Where over \p Resident bytes, which become a
   /// peak candidate. \returns false when the run must stop.
-  bool withinBudget(SearchResult &Result, size_t Resident) const {
+  bool withinBudget(SearchResult &Result, size_t Resident,
+                    StopPhase Where) const {
     notePeak(Result, Resident);
-    Result.Stats.Stopped = overBudget(Opts, Resident);
-    return Result.Stats.Stopped == StopReason::None;
+    return noteStop(Result, overBudget(Opts, Resident), Where);
   }
   /// Records a phase's peak and stop reason. Work units only grow, so the
-  /// published total bounds every value a checkpoint compared.
+  /// published total bounds every value a checkpoint compared, and when no
+  /// unit stopped, the last checkpoint to publish compared it.
   /// \returns false when a checkpoint stopped the phase.
-  bool endPhase(const Phase &Ph, SearchResult &Result) const {
+  bool endPhase(const Phase &Ph, SearchResult &Result,
+                StopPhase Where) const {
     notePeak(Result, Ph.BaseBytes + Ph.Bytes.load(std::memory_order_relaxed));
-    Result.Stats.Stopped = Ph.Abort.load(std::memory_order_relaxed);
-    return Result.Stats.Stopped == StopReason::None;
+    return noteStop(Result, Ph.Abort.load(std::memory_order_relaxed), Where);
   }
   bool checkpoint(Phase &Ph, Published &Mine, unsigned W, size_t States,
                   size_t Bytes, size_t Done) const;
@@ -273,8 +338,13 @@ private:
   Stopwatch Timer;
   StateStore Store;
   std::vector<DagLevel> Levels;
-  size_t NodeBytes = 0;      ///< DagLevel::bytesUsed across levels.
-  double BranchEstimate = 0; ///< Candidates-per-node of the last level.
+  size_t NodeBytes = 0; ///< DagLevel::bytesUsed across levels.
+  /// The level in flight, recycled across slices and levels: one candidate
+  /// batch per pool worker, each batch's candidate indices by shard, and
+  /// each shard's merged nodes, rows and edges until the level commits.
+  std::vector<CandidateBatch> Batches;
+  std::vector<std::array<std::vector<uint32_t>, kNumShards>> Parts;
+  std::vector<ShardMerge> Shards;
 };
 
 } // namespace
@@ -308,47 +378,36 @@ bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
   return true;
 }
 
-/// Expands every node of level \p G through the shared pipeline into one
-/// candidate batch per pool worker: node-major over static worker ranges,
-/// with a checkpoint every 64 nodes and at the end of each range. Each
-/// worker counts the nodes it actually expanded, so StatesExpanded stays
-/// exact when the level aborts part-way.
+/// Expands nodes [\p Begin, \p End) of level \p G through the shared
+/// pipeline into the pool workers' candidate batches: node-major over
+/// static worker ranges, with a checkpoint every 64 nodes and at the end
+/// of each range. \p Open counts the level's open states outside the
+/// slice, for the trace. Each worker counts the nodes it actually
+/// expanded, so StatesExpanded stays exact when a slice aborts part-way.
 /// \returns false when the expansion aborted (stop reason recorded).
-bool LayeredEngine::expandLevel(unsigned G,
-                                std::vector<CandidateBatch> &Batches,
-                                SearchResult &Result,
+bool LayeredEngine::expandSlice(unsigned G, size_t Begin, size_t End,
+                                size_t Open, SearchResult &Result,
                                 const std::function<void(size_t)> &Trace) {
   const std::vector<LNode> &Level = Levels[G].Nodes;
   const unsigned ChildG = G + 1;
-  const unsigned Workers = Pool.size();
-  const size_t RowsPerState =
-      std::max<size_t>(1, Store.arena(G).size() / Level.size());
-  const double Branch = BranchEstimate > 0
-                            ? BranchEstimate
-                            : static_cast<double>(M.instructions().size());
-  const size_t Expected = static_cast<size_t>(Level.size() * Branch) + 16;
-  Batches.resize(Workers);
-  size_t Reserved = 0;
-  for (CandidateBatch &B : Batches) {
+  for (CandidateBatch &B : Batches)
     B.clear();
-    B.reserveFor(Expected / Workers + 16, RowsPerState);
-    Reserved += B.bytesUsed();
-  }
-  std::vector<SearchStats> WorkerStats(Workers);
-  Phase Ph{Trace, Level.size(), residentBytes(Reserved)};
-  Pool.parallelFor(Level.size(), [&](size_t Begin, size_t End, unsigned W) {
+  std::vector<SearchStats> WorkerStats(Batches.size());
+  Phase Ph{Trace, End - Begin + Open, residentBytes()};
+  Pool.parallelFor(End - Begin, [&](size_t From, size_t To, unsigned W) {
     CandidateBatch &B = Batches[W];
     SearchStats &S = WorkerStats[W];
-    // The reservation is in the phase's base; publish only growth.
+    // The batch's recycled buffers are in the phase's base; publish only
+    // growth.
     Published Mine{0, B.bytesUsed(), 0};
-    for (size_t I = Begin; I != End; ++I) {
-      const LNode &Node = Level[I];
+    for (size_t I = From; I != To; ++I) {
+      const LNode &Node = Level[Begin + I];
       Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                          static_cast<uint32_t>(I), ChildG, B, S);
+                          static_cast<uint32_t>(Begin + I), ChildG, B, S);
       ++S.StatesExpanded;
-      if ((((I - Begin) & 63u) == 63u || I + 1 == End) &&
+      if ((((I - From) & 63u) == 63u || I + 1 == To) &&
           !checkpoint(Ph, Mine, W, B.List.size(), B.bytesUsed(),
-                      I + 1 - Begin))
+                      I + 1 - From))
         return;
     }
   });
@@ -364,20 +423,20 @@ bool LayeredEngine::expandLevel(unsigned G,
     Result.Stats.CanonNanos += S.CanonNanos;
     Result.Stats.ViabilityNanos += S.ViabilityNanos;
   }
-  return endPhase(Ph, Result);
+  return endPhase(Ph, Result, StopPhase::Expand);
 }
 
-/// Folds expansion candidates into the next level with global dedup: the
-/// three-phase sharded merge described in the file header. \returns false
-/// when the merge aborted before commit (stop reason recorded; the partial
-/// level is discarded, and the run ends before anything probes the index
-/// entries phase 1 inserted for it).
-bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
-                               unsigned ChildG, SearchResult &Result,
-                               const std::function<void(size_t)> &Trace,
-                               bool &FoundSorted) {
-  // The whole three-phase merge counts as the Merge stage (wall-clock;
-  // the per-shard phase-1 workers are inside this scope).
+/// Merges one slice's candidates, the pool workers' batches, into the
+/// level in flight with global dedup: phases 0 and 1 of the file comment.
+/// \p Open counts the level's open states outside the slice, for the
+/// trace. \returns false when the merge aborted (stop reason recorded; the
+/// partial level is discarded, and the run ends before anything probes the
+/// index entries phase 1 inserted for it).
+bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
+                               SearchResult &Result,
+                               const std::function<void(size_t)> &Trace) {
+  // The merge counts as the Merge stage (wall-clock; the per-shard phase-1
+  // workers are inside this scope).
   ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);
   // Phase 0: partition candidate indices by shard, one partition per
   // batch so the batches split across workers (the old single-threaded
@@ -386,30 +445,18 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   // engine would process them and FirstParent / FirstVia and the DAG are
   // identical for any thread count.
   const uint32_t NumBatches = static_cast<uint32_t>(Batches.size());
-  size_t Total = 0;
-  for (const CandidateBatch &B : Batches)
-    Total += B.List.size();
-  std::vector<std::array<std::vector<uint32_t>, kNumShards>> Parts(NumBatches);
   Pool.parallelFor(NumBatches, [&](size_t Begin, size_t End, unsigned) {
     for (size_t BI = Begin; BI != End; ++BI) {
       std::array<std::vector<uint32_t>, kNumShards> &P = Parts[BI];
-      const std::vector<Candidate> &List = Batches[BI].List;
       for (std::vector<uint32_t> &V : P)
-        V.reserve(List.size() / kNumShards + 4);
+        V.clear();
+      const std::vector<Candidate> &List = Batches[BI].List;
       for (uint32_t CI = 0; CI != List.size(); ++CI)
         P[StateStore::shardOf(List[CI].Hash)].push_back(CI);
     }
   });
-  BranchEstimate = static_cast<double>(Total) /
-                   static_cast<double>(Levels[ChildG - 1].Nodes.size());
-  // Live until the level commits: the batches and their partitions.
-  size_t Live = 0;
-  for (uint32_t BI = 0; BI != NumBatches; ++BI) {
-    Live += Batches[BI].bytesUsed();
-    for (const std::vector<uint32_t> &V : Parts[BI])
-      Live += V.capacity() * sizeof(uint32_t);
-  }
-  if (!withinBudget(Result, residentBytes(Live)))
+  const size_t Base = residentBytes();
+  if (!withinBudget(Result, Base, StopPhase::MergeCheck))
     return false;
 
   // Phase 1: per-shard dedup/DAG-merge. A worker writes only its shard:
@@ -420,36 +467,38 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   // stealing as the correction, replacing the shared dynamic cursor that
   // hash-skewed shard sizes used to contend on.
   const std::vector<LNode> &Prev = Levels[ChildG - 1].Nodes;
-  std::vector<ShardMerge> Shards(kNumShards);
-  Phase Ph{Trace, Total, residentBytes(Live)};
-
   std::array<size_t, kNumShards> ShardCount{};
+  size_t Total = 0;
   for (uint32_t BI = 0; BI != NumBatches; ++BI)
-    for (unsigned S = 0; S != kNumShards; ++S)
+    for (unsigned S = 0; S != kNumShards; ++S) {
       ShardCount[S] += Parts[BI][S].size();
+      Total += Parts[BI][S].size();
+    }
   std::vector<uint32_t> MergeOrder(kNumShards);
   std::iota(MergeOrder.begin(), MergeOrder.end(), 0u);
   std::stable_sort(MergeOrder.begin(), MergeOrder.end(),
                    [&](uint32_t A, uint32_t B) {
                      return ShardCount[A] > ShardCount[B];
                    });
+  Phase Ph{Trace, Total + Open, Base};
 
   Pool.parallelForTasks(
       MergeOrder, [&](uint32_t Shard, unsigned W) {
         const unsigned S = Shard;
         ShardMerge &Sh = Shards[S];
         IndexShard &Index = Store.shard(S);
-        // Phase Ph's base holds the index as it was; publish its growth.
-        const size_t IndexBase = Index.bytesUsed();
-        Sh.Nodes.reserve(ShardCount[S] / 2 + 8);
+        // Phase Ph's base holds the shard's buffers and index as they
+        // were; publish their growth.
+        const size_t BytesBase = Sh.bytesUsed() + Index.bytesUsed();
+        const size_t NodesBase = Sh.Nodes.size();
         size_t Seen = 0;
         Published Mine;
         for (uint32_t BI = 0; BI != NumBatches; ++BI) {
           const CandidateBatch &B = Batches[BI];
           for (uint32_t CI : Parts[BI][S]) {
             if ((Seen++ & 511u) == 511u &&
-                !checkpoint(Ph, Mine, W, Sh.Nodes.size(),
-                            Sh.bytesUsed() + Index.bytesUsed() - IndexBase,
+                !checkpoint(Ph, Mine, W, Sh.Nodes.size() - NodesBase,
+                            Sh.bytesUsed() + Index.bytesUsed() - BytesBase,
                             Seen))
               return;
             const Candidate &C = B.List[CI];
@@ -507,7 +556,8 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
               Sh.SolutionDelta += Node.Ways;
             }
             // The cut observes only new unique states, exactly like the
-            // sequential engine; the per-shard minimum commits below.
+            // sequential engine; the per-shard minimum commits with the
+            // level.
             if (Sh.MinPerm == 0 || C.Perm < Sh.MinPerm)
               Sh.MinPerm = C.Perm;
             Index.insert(C.Hash, packRef(ChildG, Local));
@@ -516,25 +566,43 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
         }
       });
 
-  if (!endPhase(Ph, Result))
-    return false;
+  return endPhase(Ph, Result, StopPhase::Merge);
+}
 
-  // Phase 2: commit. Prefix-sum the shard sizes into this level's bases,
-  // then copy nodes and rows and group the edges by node — work-stolen
-  // per shard, seeded by descending row bytes (shards commit into
-  // disjoint slices, so scheduling cannot affect layout). The index
-  // entries are already in place.
-  std::array<uint32_t, kNumShards> RowBases{}, EdgeBases{};
+/// Commits the level in flight as level \p ChildG (phase 2). Prefix-sums
+/// the shard sizes into the level's bases, then copies nodes and rows and
+/// groups the edges by node — work-stolen per shard, seeded by descending
+/// row bytes (shards commit into disjoint slices, so scheduling cannot
+/// affect layout). The index entries are already in place. The budget
+/// check runs first, on the level's exact size, so the peak the commit
+/// records is a value the check compared. \returns false when the check
+/// stopped the run.
+bool LayeredEngine::commitLevel(unsigned ChildG, SearchResult &Result,
+                                bool &FoundSorted) {
+  ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);
+  std::array<uint32_t, kNumShards> NodeBases{}, RowBases{}, EdgeBases{};
   uint32_t NodeTotal = 0, RowTotal = 0, EdgeTotal = 0;
-  DagLevel &Next = Levels.emplace_back();
   for (unsigned S = 0; S != kNumShards; ++S) {
-    Next.ShardBases[S] = NodeTotal;
+    NodeBases[S] = NodeTotal;
     RowBases[S] = RowTotal;
     EdgeBases[S] = EdgeTotal;
     NodeTotal += static_cast<uint32_t>(Shards[S].Nodes.size());
     RowTotal += static_cast<uint32_t>(Shards[S].Rows.size());
     EdgeTotal += static_cast<uint32_t>(Shards[S].Edges.size());
   }
+  // The level's arrays, each allocated below at exactly this size: the
+  // level's high-water mark is the level next to the buffers it came from.
+  size_t LevelBytes = size_t{NodeTotal} * sizeof(LNode) +
+                      size_t{RowTotal} * sizeof(uint32_t);
+  if (Opts.FindAll)
+    LevelBytes += (size_t{NodeTotal} + 1) * sizeof(uint32_t) +
+                  size_t{EdgeTotal} * sizeof(ParentEdge);
+  const size_t Resident = residentBytes() + LevelBytes;
+  if (!withinBudget(Result, Resident, StopPhase::Commit))
+    return false;
+
+  DagLevel &Next = Levels.emplace_back();
+  Next.ShardBases = NodeBases;
   Next.Nodes.resize(NodeTotal);
   if (Opts.FindAll) {
     Next.EdgeBegin.resize(NodeTotal + 1);
@@ -556,29 +624,27 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
       std::memcpy(Arena.data() + RowBases[S], Sh.Rows.data(),
                   Sh.Rows.size() * sizeof(uint32_t));
     for (size_t I = 0; I != Sh.Nodes.size(); ++I) {
-      LNode &N = Next.Nodes[Next.ShardBases[S] + I];
+      LNode &N = Next.Nodes[NodeBases[S] + I];
       N = Sh.Nodes[I];
       N.Rows.Offset += RowBases[S];
     }
     if (Opts.FindAll)
-      groupEdges(Sh, Next.ShardBases[S], EdgeBases[S], Next);
+      groupEdges(Sh, NodeBases[S], EdgeBases[S], Next);
   });
 
-  // Fold per-shard results; sums and mins are order-independent.
-  for (const ShardMerge &Sh : Shards) {
+  // Fold per-shard results; sums and mins are order-independent. The
+  // shards then start the next level with their buffers.
+  for (ShardMerge &Sh : Shards) {
     Result.Stats.DedupHits += Sh.DedupHits;
     Result.SolutionCount += Sh.SolutionDelta;
     if (Sh.MinPerm != 0)
       Cuts.observe(ChildG, Sh.MinPerm);
     FoundSorted |= Sh.FoundSorted;
+    Sh.clear();
   }
   NodeBytes += Next.bytesUsed();
-  // The level's high-water mark: the committed level next to the batches,
-  // partitions and shard buffers it was merged from. The store already
-  // counts the index entries phase 1 added.
-  for (const ShardMerge &Sh : Shards)
-    Live += Sh.bytesUsed();
-  notePeak(Result, residentBytes(Live));
+  assert(residentBytes() == Resident &&
+         "the commit's check compared its exact size");
   return true;
 }
 
@@ -640,18 +706,23 @@ SearchResult LayeredEngine::run() {
   unsigned FinalLevel = 0;
   bool Found = Levels[0].Nodes[0].Sorted;
   for (unsigned G = 0; !Found && G < Opts.MaxLength; ++G) {
-    if (Levels[G].Nodes.empty())
+    const size_t Size = Levels[G].Nodes.size();
+    if (Size == 0)
       break;
-    if (!withinBudget(Result, residentBytes()))
+    if (!withinBudget(Result, residentBytes(), StopPhase::LevelCheck))
       break;
-    unsigned ChildG = G + 1;
-    std::vector<CandidateBatch> Batches;
-    if (!expandLevel(G, Batches, Result, MaybeTrace))
+    const unsigned ChildG = G + 1;
+    bool Merged = true;
+    for (size_t Begin = 0; Merged && Begin < Size; Begin += kSliceNodes) {
+      const size_t End = std::min(Size, Begin + kSliceNodes);
+      // Open outside the slice: the level's later nodes and the states
+      // its earlier slices merged.
+      const size_t Open = Size - End + mergedStates();
+      Merged = expandSlice(G, Begin, End, Open, Result, MaybeTrace) &&
+               mergeSlice(ChildG, Open, Result, MaybeTrace);
+    }
+    if (!Merged || !commitLevel(ChildG, Result, Found))
       break;
-    bool FoundSorted = false;
-    if (!mergeLevel(Batches, ChildG, Result, MaybeTrace, FoundSorted))
-      break;
-    Found = FoundSorted;
     Result.Stats.LevelStates.push_back(Levels[ChildG].Nodes.size());
     FinalLevel = ChildG;
     MaybeTrace(Levels[ChildG].Nodes.size());
@@ -677,7 +748,6 @@ SearchResult LayeredEngine::run() {
       Result.Trace.push_back(
           TracePoint{Timer.seconds(), Last.size(), Result.SolutionCount});
   }
-  notePeak(Result, residentBytes());
   Result.Stats.Seconds = Timer.seconds();
   return Result;
 }

@@ -109,8 +109,8 @@ struct SearchOptions {
   StopToken Stop;
   /// Stop (StopReason::ByteBudget) when resident bytes exceed this; 0 =
   /// unlimited. Best-first counts its store and nodes; layered counts its
-  /// committed levels, nodes and the level in flight (candidate batches,
-  /// merge shards).
+  /// committed levels, nodes, the level in flight (one slice's candidate
+  /// batches and partitions, the merge shards) and each level's commit.
   size_t MaxStateBytes = 0;
   /// Worker threads for the layered engine (1 = sequential). More than one
   /// selects the layered engine: only it runs in parallel.
@@ -139,6 +139,21 @@ enum class StopReason {
 /// \returns the display name of \p R: "none", "timeout", "cancelled" or
 /// "state-store budget exhausted".
 const char *stopReasonName(StopReason R);
+
+/// Which of the layered engine's budget checks stopped a run. A level is
+/// expanded and merged slice by slice, then committed (search/Layered.cpp).
+enum class StopPhase {
+  None,       ///< Did not stop, or the best-first engine stopped.
+  LevelCheck, ///< The level loop's check before a level's first slice.
+  Expand,     ///< A checkpoint inside a slice's expansion.
+  MergeCheck, ///< The merge's check before a slice's phase 1.
+  Merge,      ///< A checkpoint inside a slice's merge phase 1.
+  Commit,     ///< The commit's check, before phase 2 allocates the level.
+};
+
+/// \returns the display name of \p P: "none", "level-check", "expand",
+/// "merge-check", "merge" or "commit".
+const char *stopPhaseName(StopPhase P);
 
 /// One Figure 1 sample.
 struct TracePoint {
@@ -176,8 +191,11 @@ struct SearchStats {
   /// level. Empty for the best-first engine.
   std::vector<size_t> LevelStates;
   /// High-water mark of the resident bytes SearchOptions::MaxStateBytes
-  /// budgets, never below a value its check compared: a run capped at
-  /// this peak fits.
+  /// budgets. Every value it records is one the budget check compared (the
+  /// layered engine checks each level's commit on its exact size before
+  /// allocating it), so a run capped at this peak fits, and the same run
+  /// capped one byte lower stops on StopReason::ByteBudget. A run that a
+  /// commit's check stopped reports the size the commit would have had.
   size_t PeakStateBytes = 0;
   /// Per-stage wall-clock of the expansion pipeline, in nanoseconds; only
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
@@ -199,6 +217,9 @@ struct SearchStats {
   double Seconds = 0;
   /// Why the run stopped early; None when it ran to completion.
   StopReason Stopped = StopReason::None;
+  /// Layered engine only: which budget check stopped the run, in the level
+  /// after the last one LevelStates lists; None when it did not stop.
+  StopPhase StoppedIn = StopPhase::None;
 };
 
 /// Result of a synthesis run.

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <string>
@@ -190,7 +191,10 @@ void checkMidLevelAbort(unsigned NumThreads) {
     const size_t All = Before + R.Stats.LevelStates.back();
     ASSERT_GE(R.Stats.StatesExpanded, Before);
     ASSERT_LE(R.Stats.StatesExpanded, All);
-    if (R.Stats.StatesExpanded > Before && R.Stats.StatesExpanded < All)
+    // A merge stop after a slice that is not its level's last lies
+    // between the sums too; only an expansion stop ends the walk.
+    if (R.Stats.StoppedIn == StopPhase::Expand &&
+        R.Stats.StatesExpanded > Before && R.Stats.StatesExpanded < All)
       return;
     Opts.MaxStateBytes = R.Stats.PeakStateBytes;
   }
@@ -221,27 +225,35 @@ SearchOptions enumerateConfig(unsigned NumThreads) {
 const std::vector<size_t> kLevelsAtBound11 = {
     1, 7, 36, 225, 1213, 6432, 26828, 110995, 326809, 24745, 755, 18};
 
-/// Layered runs that the byte budget stops inside a level merge. Merge
+/// Layered runs that the byte budget stops inside a level's merge. Merge
 /// phase 1 inserts each new node into the committed index's shard as it
 /// goes, so a stop there leaves index entries of a level that never
 /// commits. Walking the cap up as in checkMidLevelAbort visits the budget
-/// checks in the order a run passes them, through the commit of level 6:
-/// the merge into level 6 is the first whose shards reach phase 1's
-/// checkpoints (one per 512 candidates), so the walk stops it at its
-/// check before phase 1 and then inside phase 1. Every stop on the way
-/// must name the byte budget, report a peak above its cap and list only
-/// committed levels.
+/// checks in the order a run passes them, through the commit of level 7.
+/// Level 6's 26,828 nodes span more than one slice, so the walk stops the
+/// merge into level 7 inside phase 1 of its first slice and of a later
+/// one, whose shards already hold the states the earlier slices merged
+/// and whose merge workers take over shard buffers another worker grew.
+/// (With slices of 26,828 nodes or more, or too small to give a shard the
+/// 512 candidates between phase 1's checkpoints, such as 7 nodes, the
+/// walk cannot find those stops.)
+/// Every stop on the way must name the byte budget and the check that
+/// fired, report a peak above its cap and list only committed levels; the
+/// walk ends at the first phase-1 stop in a later slice.
 void checkMergeAbort(unsigned NumThreads) {
-  constexpr size_t kMergedLevel = 6;
+  constexpr size_t kMergedLevel = 7;
   Machine M(MachineKind::Cmov, 3);
   DistanceTable DT(M);
   SearchOptions Opts = enumerateConfig(NumThreads);
   Opts.MaxStateBytes = 1;
-  size_t MergeStops = 0;
+  size_t MergeStops = 0, LaterSliceStops = 0;
+  // Level 6's nodes expanded at the merge stop that expanded the fewest.
+  size_t FirstSliceEnd = SIZE_MAX;
   for (;;) {
     SearchResult R = synthesize(M, Opts, &DT);
     ASSERT_FALSE(R.Found);
     ASSERT_EQ(R.Stats.Stopped, StopReason::ByteBudget);
+    ASSERT_NE(R.Stats.StoppedIn, StopPhase::None);
     ASSERT_GT(R.Stats.PeakStateBytes, Opts.MaxStateBytes);
     const std::vector<size_t> &Levels = R.Stats.LevelStates;
     ASSERT_TRUE(Levels.size() < kLevelsAtBound11.size() &&
@@ -250,15 +262,29 @@ void checkMergeAbort(unsigned NumThreads) {
         << "a level that did not commit is listed";
     if (Levels.size() > kMergedLevel)
       break;
-    // Every listed level expanded in full: the run stopped at the end of
-    // level 5's expansion or in the merge into level 6.
-    const size_t Committed =
-        std::accumulate(Levels.begin(), Levels.end(), size_t{0});
-    if (Levels.size() == kMergedLevel && R.Stats.StatesExpanded == Committed)
-      ++MergeStops;
     Opts.MaxStateBytes = R.Stats.PeakStateBytes;
+    const bool InMerge = R.Stats.StoppedIn == StopPhase::MergeCheck ||
+                         R.Stats.StoppedIn == StopPhase::Merge;
+    if (Levels.size() != kMergedLevel || !InMerge)
+      continue;
+    // A merge runs after its slice's expansion, so the level's expanded
+    // nodes end that slice: more than at a stop in an earlier slice.
+    const size_t Expanded =
+        R.Stats.StatesExpanded -
+        std::accumulate(Levels.begin(), Levels.end() - 1, size_t{0});
+    ASSERT_GT(Expanded, 0u);
+    ASSERT_LE(Expanded, Levels.back());
+    FirstSliceEnd = std::min(FirstSliceEnd, Expanded);
+    if (R.Stats.StoppedIn != StopPhase::Merge)
+      continue;
+    ++MergeStops;
+    LaterSliceStops += Expanded > FirstSliceEnd;
+    if (MergeStops >= 2 && LaterSliceStops >= 1)
+      break;
   }
-  EXPECT_GE(MergeStops, 2u) << "no stop past the merge's first check";
+  EXPECT_GE(MergeStops, 2u) << "fewer than two stops inside merge phase 1";
+  EXPECT_GE(LaterSliceStops, 1u)
+      << "no stop inside a later slice's merge phase 1";
 }
 
 TEST(EngineEquivalence, ByteBudgetStopsAMerge) { checkMergeAbort(1); }
@@ -270,18 +296,47 @@ TEST(EngineEquivalence, ByteBudgetStopsAMergeUnderThreads) {
 }
 
 TEST(EngineEquivalence, AllSolutionsFitAByteBudgetEqualToTheirPeak) {
-  // The full n=3 enumeration on two threads, capped at its own peak,
-  // still counts the paper's 5602 kernels.
+  // The full n=3 enumeration, capped at its own peak, still counts the
+  // paper's 5602 kernels. Every value the peak records is one a budget
+  // check compared, the commit's included, so one byte less stops it.
   Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts = enumerateConfig(2);
-  SearchResult Unbounded = synthesize(M, Opts);
-  ASSERT_TRUE(Unbounded.Found);
-  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes;
-  SearchResult Capped = synthesize(M, Opts);
-  EXPECT_EQ(Capped.Stats.Stopped, StopReason::None);
-  ASSERT_TRUE(Capped.Found);
-  EXPECT_EQ(Capped.SolutionCount, 5602u);
-  EXPECT_EQ(Capped.Stats.LevelStates, Unbounded.Stats.LevelStates);
+  DistanceTable DT(M);
+  for (const Mode &Mo : kModes) {
+    SearchOptions Opts = enumerateConfig(Mo.NumThreads);
+    SearchResult Unbounded = synthesize(M, Opts, &DT);
+    ASSERT_TRUE(Unbounded.Found) << Mo.Name;
+    Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes;
+    SearchResult Capped = synthesize(M, Opts, &DT);
+    EXPECT_EQ(Capped.Stats.Stopped, StopReason::None) << Mo.Name;
+    ASSERT_TRUE(Capped.Found) << Mo.Name;
+    EXPECT_EQ(Capped.SolutionCount, 5602u) << Mo.Name;
+    EXPECT_EQ(Capped.Stats.LevelStates, Unbounded.Stats.LevelStates)
+        << Mo.Name;
+    Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes - 1;
+    SearchResult Over = synthesize(M, Opts, &DT);
+    EXPECT_FALSE(Over.Found) << Mo.Name << ": completed over its cap";
+    EXPECT_EQ(Over.Stats.Stopped, StopReason::ByteBudget) << Mo.Name;
+  }
+}
+
+TEST(EngineEquivalence, EnumerationFitsIn128MiB) {
+  // perfbench enumerate's search under a 128 MiB byte budget. A level is
+  // expanded and merged one slice of parent nodes at a time, so the level
+  // in flight holds one slice's candidates; holding a whole level's
+  // (level 7 expands into 1,268,323 candidates) does not fit.
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SearchOptions Opts = enumerateConfig(Threads);
+    Opts.MaxStateBytes = size_t{128} << 20;
+    SearchResult R = synthesize(M, Opts, &DT);
+    EXPECT_EQ(R.Stats.Stopped, StopReason::None) << Threads << " threads";
+    ASSERT_TRUE(R.Found) << Threads << " threads";
+    EXPECT_EQ(R.SolutionCount, 5602u) << Threads << " threads";
+    EXPECT_EQ(R.Stats.LevelStates, kLevelsAtBound11) << Threads << " threads";
+    EXPECT_LE(R.Stats.PeakStateBytes, Opts.MaxStateBytes)
+        << Threads << " threads";
+  }
 }
 
 TEST(EngineEquivalence, CmovN3LevelCountsAtBound11) {

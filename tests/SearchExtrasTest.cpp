@@ -70,9 +70,18 @@ TEST(SearchExtras, StopReasonNamesWhyEachEngineStopped) {
     EXPECT_EQ(Full.Stats.Stopped, StopReason::ByteBudget);
     EXPECT_GT(Full.Stats.PeakStateBytes, Opts.MaxStateBytes)
         << "the peak holds the value the check refused";
+    // The layered engine names its check: here the level loop's first.
+    const StopPhase Where =
+        Layered ? StopPhase::LevelCheck : StopPhase::None;
+    EXPECT_EQ(Cancelled.Stats.StoppedIn, Where);
+    EXPECT_EQ(Late.Stats.StoppedIn, Where);
+    EXPECT_EQ(Full.Stats.StoppedIn, Where);
+    EXPECT_EQ(Done.Stats.StoppedIn, StopPhase::None);
   }
   EXPECT_STREQ(stopReasonName(StopReason::ByteBudget),
                "state-store budget exhausted");
+  EXPECT_STREQ(stopPhaseName(StopPhase::MergeCheck), "merge-check");
+  EXPECT_STREQ(stopPhaseName(StopPhase::Commit), "commit");
 
   // A stopped proof is no proof; an unstopped one is.
   SearchResult Proof;
@@ -88,10 +97,11 @@ TEST(SearchExtras, StopReasonNamesWhyEachEngineStopped) {
 }
 
 /// MaxStateBytes stops a run when its resident count EXCEEDS the budget,
-/// and neither engine's peak falls below a count its check compared — the
-/// layered engine's includes its candidate batches and merge shards. So
-/// configuration (III) capped at its own unbounded peak still finds the
-/// length-11 kernel, and half that cap stops it on the byte budget.
+/// and every value either engine's peak records is a count its check
+/// compared — the layered engine's include its candidate batches, merge
+/// shards and each level's commit. So configuration (III) capped at its
+/// own unbounded peak still finds the length-11 kernel, while one byte
+/// less, or half that cap, stops it on the byte budget.
 void checkFitsItsPeak(bool Layered, unsigned NumThreads) {
   Machine M(MachineKind::Cmov, 3);
   DistanceTable DT(M);
@@ -109,6 +119,11 @@ void checkFitsItsPeak(bool Layered, unsigned NumThreads) {
   EXPECT_EQ(Capped.OptimalLength, 11u);
   EXPECT_EQ(Capped.Solutions.front(), Unbounded.Solutions.front());
   EXPECT_TRUE(isCorrectKernel(M, Capped.Solutions.front()));
+
+  Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes - 1;
+  SearchResult Over = synthesize(M, Opts, &DT);
+  EXPECT_FALSE(Over.Found) << "completed over its byte cap";
+  EXPECT_EQ(Over.Stats.Stopped, StopReason::ByteBudget);
 
   Opts.MaxStateBytes = Unbounded.Stats.PeakStateBytes / 2;
   SearchResult Tight = synthesize(M, Opts, &DT);

@@ -484,11 +484,14 @@ int main(int Argc, char **Argv) {
   };
   if (!R.Found) {
     // Say why and how far the run got. The layered engine also names the
-    // deepest level (program length) it committed in full. An exhausted
+    // deepest level (program length) it committed in full and, when it
+    // stopped, which check of the next level stopped it. An exhausted
     // bound proves nothing once the cut has discarded states.
     std::string Level;
     if (!R.Stats.LevelStates.empty())
       Level = " level=" + std::to_string(R.Stats.LevelStates.size() - 1);
+    if (R.Stats.StoppedIn != StopPhase::None)
+      Level += std::string(" phase=") + stopPhaseName(R.Stats.StoppedIn);
     const char *Why = R.Stats.Stopped != StopReason::None
                           ? stopReasonName(R.Stats.Stopped)
                       : R.Stats.CutStates > 0
