@@ -26,7 +26,7 @@ using namespace sks::detail;
 namespace {
 
 /// One open/closed state of the best-first engine. Rows live in the
-/// StateStore's level-0 arena (this engine keeps everything in one level).
+/// engine's one row arena.
 struct Node {
   RowSpan Rows;
   uint32_t Parent; ///< Index into the node arena; UINT32_MAX at the root.
@@ -73,10 +73,10 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   CandidatePipeline Pipeline(M, Opts, DT, Cuts);
 
   std::vector<Node> Arena;
-  // Rows in the level-0 arena; dedup through the sharded index (payload:
-  // node index, collisions resolved by row comparison).
+  // Rows in one arena; dedup through the sharded index (payload: node
+  // index, collisions resolved by row comparison).
+  RowArena RowStore;
   StateStore Store;
-  RowArena &RowStore = Store.arena(0);
   std::priority_queue<OpenEntry> Open;
   CandidateBatch Batch;
 
@@ -90,12 +90,14 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   Open.push(OpenEntry{Heuristic(Init.Rows, Batch.Scratch), 0, 0});
   Cuts.observe(0, permCount(M, Init));
 
-  auto StateBytes = [&] {
-    return Store.bytesUsed() + Arena.capacity() * sizeof(Node);
-  };
+  // The resident bytes, noted as a peak candidate.
   auto NotePeak = [&] {
-    Result.Stats.PeakStateBytes =
-        std::max(Result.Stats.PeakStateBytes, StateBytes());
+    ResidentSplit Resident;
+    Resident.Rows = RowStore.bytesUsed();
+    Resident.Nodes = Arena.capacity() * sizeof(Node);
+    Resident.Index = Store.bytesUsed();
+    notePeak(Opts, Resident, Result.Stats);
+    return Resident.total();
   };
   NotePeak();
 
@@ -125,8 +127,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   while (!Open.empty()) {
     if (++PopsSinceCheck >= 512) {
       PopsSinceCheck = 0;
-      NotePeak();
-      Result.Stats.Stopped = overBudget(Opts, StateBytes());
+      Result.Stats.Stopped = overBudget(Opts, NotePeak());
       if (Result.Stats.Stopped != StopReason::None)
         break;
       if (Opts.TraceIntervalSeconds > 0 && Timer.seconds() >= NextTrace) {

@@ -17,8 +17,8 @@
 // (Ways), and individual kernels are reconstructed by walking parent edges
 // — no kernel is ever enumerated twice the way a plain program-by-program
 // walk would. A node keeps its first parent edge; in FindAll mode each
-// level also keeps all its edges in one compressed-row (CSR) array
-// (DagLevel), so no node owns a heap block.
+// shard of a level also keeps its nodes' edges in one compressed-row
+// (CSR) array (DagShard), so no node owns a heap block.
 //
 // Expansion is one node-major loop over static worker ranges: worker W
 // expands one contiguous part of a slice into its own candidate batch,
@@ -27,31 +27,38 @@
 // that is the sequential engine, not a separate copy of it.
 //
 // Slices: a level is expanded and merged kSliceNodes parent nodes at a
-// time, into per-shard buffers that collect the whole level and commit
-// once. The batches, partitions and shard buffers are engine members,
-// recycled across slices and levels, so the level in flight holds one
-// slice's candidates instead of a whole level's. Slices are contiguous
-// and merge in order, so each shard meets its candidates in the same
-// node-major order a whole-level merge would: the slice size cannot move
-// the DAG, an edge order, Ways, the kernel order or any counter.
+// time, into the level's per-shard buffers, which collect the whole level
+// and become its storage when it commits. The batches and partitions are
+// engine members, recycled across slices and levels, so the level in
+// flight holds one slice's candidates instead of a whole level's. Slices
+// are contiguous and merge in order, so each shard meets its candidates
+// in the same node-major order a whole-level merge would: the slice size
+// cannot move the DAG, an edge order, Ways, the kernel order or any
+// counter.
 //
 // Budgets: one check (overBudget, shared with the best-first engine) polls
 // the stop token and compares residentBytes() — committed levels, node
-// metadata and the level in flight's buffers — with the byte budget. The
-// level loop runs it before each level, each slice's merge before phase
-// 1, and the commit on the level's exact size before phase 2 allocates
-// the level's arrays; the workers of a slice's expansion and merge phase
-// 1 run it at periodic checkpoints (checkpoint), which also publish their
+// metadata, the index and the level in flight's buffers — with the byte
+// budget. The level loop runs it before each level, each slice's merge
+// before phase 1, and the commit on the level in flight plus the exact
+// size of the edge arrays phase 2 allocates, before it allocates them;
+// the workers of a slice's expansion and merge phase 1 run it at periodic
+// checkpoints and when they finish (checkpoint), which also publish their
 // progress and let worker 0 emit the Figure 1 trace point. Every value
 // the peak records is one a check compared, so a run capped at its peak
 // fits and one capped a byte lower stops; SearchStats::StoppedIn names
-// the check that stopped a run.
+// the check that stopped a run, and with the profile on
+// SearchStats::PeakSplit says where the peak's bytes were.
 //
-// Storage and parallelism (state/StateStore.h): all row data lives in one
-// flat arena per level addressed by (offset, len) handles, and the dedup
-// index is sharded by the high bits of the state hash. Equal canonical rows
-// imply equal hash, hence the same shard, so the per-level merge runs one
-// worker per shard with no synchronization on the node data:
+// Storage and parallelism (state/StateStore.h): a level is kNumShards
+// shards, each holding its nodes, their rows in one flat arena addressed
+// by (offset, len) handles and, in FindAll mode, their edges. The level's
+// kNumShards + 1 prefix-summed shard bases map a level-global node index
+// (the expansion order, Candidate::Parent, FirstParent) to its shard and
+// shard-local index. The dedup index is sharded by the same high bits of
+// the state hash. Equal canonical rows imply equal hash, hence the same
+// shard, so the per-level merge runs one worker per shard with no
+// synchronization on the node data:
 //
 //   phase 0  per slice: partition the slice's candidates by shard, one
 //            partition per batch in parallel; each shard reads them
@@ -61,26 +68,28 @@
 //            index: each candidate probes its store shard once. A hit at a
 //            committed level is a rediscovery, a hit at the level in
 //            flight merges into that shard-local node, and a miss appends
-//            a node and its rows to the shard's buffers and inserts its
-//            entry under (level, shard-local index) at once. FindAll mode
-//            appends each edge as (shard-local node, parent, instruction).
+//            a node and its rows to the level's shard and inserts its
+//            entry under (level, shard-local index) at once; both levels'
+//            rows are read the same way. FindAll mode appends each edge as
+//            (shard-local node, parent, instruction).
 //            Scheduled by work stealing with shards seeded in descending
 //            candidate-count order (deadline/limit-checked via atomics);
 //   phase 2  per level: prefix-sum shard sizes into the level's shard
-//            bases, copy nodes and rows into place and group each shard's
-//            edges by node with a stable counting sort into the level's
-//            CSR slices — work-stolen per shard, seeded by descending row
-//            bytes. The index entries need no rewrite: the shard bases
-//            rebase them.
+//            bases and, in FindAll mode, group each shard's edges by node
+//            with a stable counting sort into that shard's exact-size CSR,
+//            freeing the edge buffer — work-stolen per shard, seeded by
+//            descending edge count. No node or row moves: the level keeps
+//            the buffers phase 1 filled, and the index entries need no
+//            rewrite.
 //
 // Work stealing preserves bit-identity for free: a shard is always
 // processed WHOLLY by one worker in the fixed batch-major candidate
 // order, per-shard sums (Ways, SolutionCount) and mins (the cut
-// observation) are order-independent across shards, and phase 2 commits
-// through prefix-summed bases — so which worker ran which shard, and
-// when, cannot show up in the result. The merged DAG, each node's edge
-// order and the exact solution count are bit-identical to the sequential
-// engine's for any thread count.
+// observation) are order-independent across shards, and the shard bases
+// are prefix sums — so which worker ran which shard, and when, cannot
+// show up in the result. The merged DAG, each node's edge order and the
+// exact solution count are bit-identical to the sequential engine's for
+// any thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,7 +102,6 @@
 #include <array>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <numeric>
 #include <type_traits>
 
@@ -112,6 +120,8 @@ namespace {
 /// 8's commit from fitting a 2 GiB budget.
 constexpr size_t kSliceNodes = 4096;
 
+constexpr unsigned kNumShards = StateStore::kNumShards;
+
 /// One incoming DAG edge: parent index in the previous level and the
 /// instruction applied to the parent's rows.
 struct ParentEdge {
@@ -119,9 +129,9 @@ struct ParentEdge {
   Instr Via;
 };
 
-/// One node of the solution DAG. Rows live in the owning level's arena;
-/// in FindAll mode the node's incoming edges live in its level's edge
-/// slices (DagLevel).
+/// One node of the solution DAG. Rows live in its level shard's arena; in
+/// FindAll mode the node's incoming edges live in its shard's edge slices
+/// (DagShard).
 struct LNode {
   RowSpan Rows;
   /// The first incoming edge the merge met.
@@ -134,32 +144,65 @@ struct LNode {
   /// this node: the expansion gate refuses only what all of them refuse.
   PrefixLint Lint = PrefixLint::entry();
 };
-// A level commits by copying its nodes, and no run frees per-node blocks.
+// A shard's nodes grow by reallocation, and no run frees per-node blocks.
 static_assert(std::is_trivially_copyable_v<LNode>);
 
-/// One committed level of the solution DAG.
-struct DagLevel {
+/// One shard of a level of the solution DAG: the nodes merge phase 1
+/// created in it, in creation order, and their rows. In FindAll mode the
+/// commit adds their incoming edges grouped by node: local node I's edges
+/// are Edges[EdgeBegin[I], EdgeBegin[I + 1]), in the order the merge met
+/// them (empty at level 0 and outside FindAll mode).
+struct DagShard {
   std::vector<LNode> Nodes;
-  /// The level-global index of each shard's first node.
-  std::array<uint32_t, StateStore::kNumShards> ShardBases{};
-  /// FindAll mode's incoming edges, grouped by node: node I's edges are
-  /// Edges[EdgeBegin[I], EdgeBegin[I + 1]), in the order the merge met
-  /// them. Empty at level 0 and outside FindAll mode.
+  RowArena Rows;
   std::vector<uint32_t> EdgeBegin;
   std::vector<ParentEdge> Edges;
 
   /// Bytes of the node metadata: nodes and edge slices.
-  size_t bytesUsed() const {
+  size_t nodeBytes() const {
     return Nodes.capacity() * sizeof(LNode) +
            EdgeBegin.capacity() * sizeof(uint32_t) +
            Edges.capacity() * sizeof(ParentEdge);
   }
+  size_t bytesUsed() const { return Rows.bytesUsed() + nodeBytes(); }
+};
+
+/// One level of the solution DAG: the level in flight while its slices
+/// merge, a committed level after.
+struct DagLevel {
+  std::array<DagShard, kNumShards> Shards;
+  /// Shard S holds the level-global nodes [Bases[S], Bases[S + 1]); set
+  /// when the level commits (sumBases).
+  std::array<uint32_t, kNumShards + 1> Bases{};
+
+  /// Number of nodes, once committed.
+  uint32_t size() const { return Bases[kNumShards]; }
+
+  void sumBases() {
+    for (unsigned S = 0; S != kNumShards; ++S)
+      Bases[S + 1] =
+          Bases[S] + static_cast<uint32_t>(Shards[S].Nodes.size());
+  }
+
+  /// \returns the shard holding level-global node \p I < size(): the last
+  /// S with Bases[S] <= I, by a branch-free binary search. An empty
+  /// shard's base equals the next shard's, so the search passes over it.
+  unsigned shardOf(uint32_t I) const {
+    unsigned S = 0;
+    for (unsigned Step = kNumShards / 2; Step != 0; Step /= 2)
+      S += Bases[S + Step] <= I ? Step : 0;
+    return S;
+  }
+  const LNode &node(uint32_t I) const {
+    const unsigned S = shardOf(I);
+    return Shards[S].Nodes[I - Bases[S]];
+  }
 };
 
 /// Index payload: (level << 32) | shard-local node index. The shard is
-/// implicit in which IndexShard holds the entry; a level's ShardBases
-/// rebase the local index to a level-global one, so committing a merged
-/// level never rewrites payloads.
+/// implicit in which IndexShard holds the entry, and it is the node's
+/// shard in its level, so committing a merged level never rewrites
+/// payloads.
 uint64_t packRef(unsigned Level, uint32_t Local) {
   return (static_cast<uint64_t>(Level) << 32) | Local;
 }
@@ -198,53 +241,37 @@ struct ShardEdge {
   ParentEdge Edge;
 };
 
-/// One shard's share of the level in flight: every slice's phase 1 appends
-/// to it, and phase 2 commits it. Its index entries go straight into the
-/// store's shard.
+/// Merge phase 1's scratch for one shard of the level in flight: the
+/// shard's incoming edges in candidate order (FindAll only), which the
+/// commit groups into the level's shard, and the shard's share of the
+/// level's results, which the commit folds.
 struct ShardMerge {
-  std::vector<LNode> Nodes;
-  std::vector<uint32_t> Rows;   ///< New row data, shard-local offsets.
-  std::vector<ShardEdge> Edges; ///< FindAll only; in candidate order.
+  std::vector<ShardEdge> Edges;
   size_t DedupHits = 0;
   uint64_t SolutionDelta = 0;
   unsigned MinPerm = 0; ///< 0 = no new node observed.
   bool FoundSorted = false;
 
-  /// The shard's own buffers; its index growth counts in the store.
-  size_t bytesUsed() const {
-    return Rows.capacity() * sizeof(uint32_t) +
-           Nodes.capacity() * sizeof(LNode) +
-           Edges.capacity() * sizeof(ShardEdge);
-  }
-
-  /// Empties the shard for the next level and keeps its buffers.
-  void clear() {
-    Nodes.clear();
-    Rows.clear();
-    Edges.clear();
-    DedupHits = 0;
-    SolutionDelta = 0;
-    MinPerm = 0;
-    FoundSorted = false;
-  }
+  size_t bytesUsed() const { return Edges.capacity() * sizeof(ShardEdge); }
 };
 
-/// Groups one shard's edges by node into \p Level's slices of the shard's
-/// nodes, which start at level-global node \p NodeBase and edge
-/// \p EdgeBase. A stable counting sort: it counts each node's edges into
-/// EdgeBegin (zero on entry), sums them into slice ends, then walks the
-/// edges backwards and fills each slice from its end, which leaves
-/// EdgeBegin at the slice starts and each node's edges in candidate order.
-void groupEdges(const ShardMerge &Sh, uint32_t NodeBase, uint32_t EdgeBase,
-                DagLevel &Level) {
-  uint32_t *Begin = Level.EdgeBegin.data() + NodeBase;
-  for (const ShardEdge &E : Sh.Edges)
+/// Groups one shard's edges \p In by node into \p Shard's exact-size
+/// slices. A stable counting sort: it counts each node's edges into
+/// EdgeBegin, sums them into slice ends, then walks the edges backwards
+/// and fills each slice from its end, which leaves EdgeBegin at the slice
+/// starts and each node's edges in candidate order.
+void groupEdges(const std::vector<ShardEdge> &In, DagShard &Shard) {
+  const size_t NumNodes = Shard.Nodes.size();
+  Shard.EdgeBegin.assign(NumNodes + 1, 0);
+  Shard.Edges.resize(In.size());
+  uint32_t *Begin = Shard.EdgeBegin.data();
+  for (const ShardEdge &E : In)
     ++Begin[E.Node];
-  uint32_t End = EdgeBase;
-  for (size_t I = 0; I != Sh.Nodes.size(); ++I)
+  uint32_t End = 0;
+  for (size_t I = 0; I <= NumNodes; ++I)
     Begin[I] = End += Begin[I];
-  for (auto E = Sh.Edges.rbegin(); E != Sh.Edges.rend(); ++E)
-    Level.Edges[--Begin[E->Node]] = E->Edge;
+  for (auto E = In.rbegin(); E != In.rend(); ++E)
+    Shard.Edges[--Begin[E->Node]] = E->Edge;
 }
 
 class LayeredEngine {
@@ -254,13 +281,11 @@ public:
       : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut, Opts.MaxLength),
         Pipeline(M, Opts, DT, Cuts),
         Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1),
-        Batches(Pool.size()), Parts(Pool.size()), Shards(kNumShards) {}
+        Batches(Pool.size()), Parts(Pool.size()), Merges(kNumShards) {}
 
   SearchResult run();
 
 private:
-  static constexpr unsigned kNumShards = StateStore::kNumShards;
-
   bool expandSlice(unsigned G, size_t Begin, size_t End, size_t Open,
                    SearchResult &Result,
                    const std::function<void(size_t)> &Trace);
@@ -270,35 +295,37 @@ private:
   void reconstruct(uint32_t Level, uint32_t Index, Program &Suffix,
                    SearchResult &Result) const;
 
-  const uint32_t *rowsOf(unsigned Level, const LNode &N) const {
-    return Store.arena(Level).rows(N.Rows);
-  }
   /// The one count of resident bytes, read by the budget check and the
-  /// peak: committed levels (arenas and the dedup index), node metadata,
-  /// and the level in flight's recycled buffers (candidate batches, shard
-  /// partitions, merge shards).
-  size_t residentBytes() const {
-    size_t Bytes = Store.bytesUsed() + NodeBytes;
+  /// peak, by part: committed levels (rows and node metadata), the dedup
+  /// index, and the level in flight (its shard buffers and phase-1 edges,
+  /// and the recycled candidate batches and shard partitions).
+  ResidentSplit residentSplit() const {
+    ResidentSplit Split;
+    for (const DagLevel &L : Levels)
+      for (const DagShard &D : L.Shards)
+        if (&L == Flight) {
+          Split.Shards += D.bytesUsed();
+        } else {
+          Split.Rows += D.Rows.bytesUsed();
+          Split.Nodes += D.nodeBytes();
+        }
+    Split.Index = Store.bytesUsed();
+    for (const ShardMerge &Sh : Merges)
+      Split.Shards += Sh.bytesUsed();
     for (const CandidateBatch &B : Batches)
-      Bytes += B.bytesUsed();
+      Split.Batches += B.bytesUsed();
     for (const std::array<std::vector<uint32_t>, kNumShards> &P : Parts)
       for (const std::vector<uint32_t> &V : P)
-        Bytes += V.capacity() * sizeof(uint32_t);
-    for (const ShardMerge &Sh : Shards)
-      Bytes += Sh.bytesUsed();
-    return Bytes;
+        Split.Partitions += V.capacity() * sizeof(uint32_t);
+    return Split;
   }
+  size_t residentBytes() const { return residentSplit().total(); }
   /// States merged into the level in flight so far.
   size_t mergedStates() const {
     size_t States = 0;
-    for (const ShardMerge &Sh : Shards)
-      States += Sh.Nodes.size();
+    for (const DagShard &D : Flight->Shards)
+      States += D.Nodes.size();
     return States;
-  }
-  /// Raises the high-water mark to \p Resident bytes.
-  static void notePeak(SearchResult &Result, size_t Resident) {
-    Result.Stats.PeakStateBytes =
-        std::max(Result.Stats.PeakStateBytes, Resident);
   }
   /// Records why the run stopped, if it did, and at which check \p Where.
   /// \returns false when the run must stop.
@@ -312,18 +339,24 @@ private:
   }
   /// The budget check \p Where over \p Resident bytes, which become a
   /// peak candidate. \returns false when the run must stop.
-  bool withinBudget(SearchResult &Result, size_t Resident,
+  bool withinBudget(SearchResult &Result, const ResidentSplit &Resident,
                     StopPhase Where) const {
-    notePeak(Result, Resident);
-    return noteStop(Result, overBudget(Opts, Resident), Where);
+    notePeak(Opts, Resident, Result.Stats);
+    return noteStop(Result, overBudget(Opts, Resident.total()), Where);
   }
-  /// Records a phase's peak and stop reason. Work units only grow, so the
-  /// published total bounds every value a checkpoint compared, and when no
-  /// unit stopped, the last checkpoint to publish compared it.
-  /// \returns false when a checkpoint stopped the phase.
+  /// Records a phase's peak and stop reason. Every work unit publishes its
+  /// growth when it finishes, so the phase's base plus the published
+  /// total is what is resident now. Units only grow, so that total bounds
+  /// every value a checkpoint compared, and when no unit stopped, the
+  /// last checkpoint to publish compared it. \returns false when a
+  /// checkpoint stopped the phase.
   bool endPhase(const Phase &Ph, SearchResult &Result,
                 StopPhase Where) const {
-    notePeak(Result, Ph.BaseBytes + Ph.Bytes.load(std::memory_order_relaxed));
+    const ResidentSplit Resident = residentSplit();
+    assert(Resident.total() ==
+               Ph.BaseBytes + Ph.Bytes.load(std::memory_order_relaxed) &&
+           "a work unit left growth unpublished");
+    notePeak(Opts, Resident, Result.Stats);
     return noteStop(Result, Ph.Abort.load(std::memory_order_relaxed), Where);
   }
   bool checkpoint(Phase &Ph, Published &Mine, unsigned W, size_t States,
@@ -338,13 +371,15 @@ private:
   Stopwatch Timer;
   StateStore Store;
   std::vector<DagLevel> Levels;
-  size_t NodeBytes = 0; ///< DagLevel::bytesUsed across levels.
-  /// The level in flight, recycled across slices and levels: one candidate
-  /// batch per pool worker, each batch's candidate indices by shard, and
-  /// each shard's merged nodes, rows and edges until the level commits.
+  /// The level in flight, Levels.back() from its first slice until it
+  /// commits; every other level is committed.
+  DagLevel *Flight = nullptr;
+  /// Recycled across slices and levels: one candidate batch per pool
+  /// worker and each batch's candidate indices by shard. Each shard's
+  /// phase-1 edges and results wait in Merges until the level commits.
   std::vector<CandidateBatch> Batches;
   std::vector<std::array<std::vector<uint32_t>, kNumShards>> Parts;
-  std::vector<ShardMerge> Shards;
+  std::vector<ShardMerge> Merges;
 };
 
 } // namespace
@@ -388,7 +423,7 @@ bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
 bool LayeredEngine::expandSlice(unsigned G, size_t Begin, size_t End,
                                 size_t Open, SearchResult &Result,
                                 const std::function<void(size_t)> &Trace) {
-  const std::vector<LNode> &Level = Levels[G].Nodes;
+  const DagLevel &Level = Levels[G];
   const unsigned ChildG = G + 1;
   for (CandidateBatch &B : Batches)
     B.clear();
@@ -401,9 +436,12 @@ bool LayeredEngine::expandSlice(unsigned G, size_t Begin, size_t End,
     // growth.
     Published Mine{0, B.bytesUsed(), 0};
     for (size_t I = From; I != To; ++I) {
-      const LNode &Node = Level[Begin + I];
-      Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                          static_cast<uint32_t>(Begin + I), ChildG, B, S);
+      const uint32_t Index = static_cast<uint32_t>(Begin + I);
+      const unsigned Shard = Level.shardOf(Index);
+      const DagShard &D = Level.Shards[Shard];
+      const LNode &Node = D.Nodes[Index - Level.Bases[Shard]];
+      Pipeline.expandNode(D.Rows.rows(Node.Rows), Node.Rows.Len, Node.Lint,
+                          Index, ChildG, B, S);
       ++S.StatesExpanded;
       if ((((I - From) & 63u) == 63u || I + 1 == To) &&
           !checkpoint(Ph, Mine, W, B.List.size(), B.bytesUsed(),
@@ -455,18 +493,18 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
         P[StateStore::shardOf(List[CI].Hash)].push_back(CI);
     }
   });
-  const size_t Base = residentBytes();
+  const ResidentSplit Base = residentSplit();
   if (!withinBudget(Result, Base, StopPhase::MergeCheck))
     return false;
 
   // Phase 1: per-shard dedup/DAG-merge. A worker writes only its shard:
-  // the shard's nodes, rows and edges, and the store's index shard, which
-  // takes each new node's entry at once. Committed levels and the previous
-  // level's Ways are read-only. Shards are seeded to the work-stealing
-  // deques in descending candidate-count order — LPT scheduling with
-  // stealing as the correction, replacing the shared dynamic cursor that
-  // hash-skewed shard sizes used to contend on.
-  const std::vector<LNode> &Prev = Levels[ChildG - 1].Nodes;
+  // the level in flight's shard, its phase-1 edges, and the store's index
+  // shard, which takes each new node's entry at once. Committed levels
+  // are read-only. Shards are seeded to the work-stealing deques in
+  // descending candidate-count order — LPT scheduling with stealing as the
+  // correction, replacing the shared dynamic cursor that hash-skewed shard
+  // sizes used to contend on.
+  const DagLevel &Prev = Levels[ChildG - 1];
   std::array<size_t, kNumShards> ShardCount{};
   size_t Total = 0;
   for (uint32_t BI = 0; BI != NumBatches; ++BI)
@@ -480,69 +518,67 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
                    [&](uint32_t A, uint32_t B) {
                      return ShardCount[A] > ShardCount[B];
                    });
-  Phase Ph{Trace, Total + Open, Base};
+  Phase Ph{Trace, Total + Open, Base.total()};
 
   Pool.parallelForTasks(
       MergeOrder, [&](uint32_t Shard, unsigned W) {
         const unsigned S = Shard;
-        ShardMerge &Sh = Shards[S];
+        DagShard &Own = Flight->Shards[S];
+        ShardMerge &Sh = Merges[S];
         IndexShard &Index = Store.shard(S);
         // Phase Ph's base holds the shard's buffers and index as they
         // were; publish their growth.
-        const size_t BytesBase = Sh.bytesUsed() + Index.bytesUsed();
-        const size_t NodesBase = Sh.Nodes.size();
+        auto Bytes = [&] {
+          return Own.bytesUsed() + Sh.bytesUsed() + Index.bytesUsed();
+        };
+        const size_t BytesBase = Bytes();
+        const size_t NodesBase = Own.Nodes.size();
         size_t Seen = 0;
         Published Mine;
+        auto Checkpoint = [&] {
+          return checkpoint(Ph, Mine, W, Own.Nodes.size() - NodesBase,
+                            Bytes() - BytesBase, Seen);
+        };
         for (uint32_t BI = 0; BI != NumBatches; ++BI) {
           const CandidateBatch &B = Batches[BI];
           for (uint32_t CI : Parts[BI][S]) {
-            if ((Seen++ & 511u) == 511u &&
-                !checkpoint(Ph, Mine, W, Sh.Nodes.size() - NodesBase,
-                            Sh.bytesUsed() + Index.bytesUsed() - BytesBase,
-                            Seen))
+            if ((Seen++ & 511u) == 511u && !Checkpoint())
               return;
             const Candidate &C = B.List[CI];
             const uint32_t *CRows = B.rowsOf(C);
 
-            // One probe. A hit at a committed level is a strictly
-            // shallower rediscovery — never on a minimal kernel, so only
-            // count it; a hit at ChildG merges into that DAG node.
+            // One probe, which reads the rows of a committed level and of
+            // the level in flight alike. A hit at a committed level is a
+            // strictly shallower rediscovery — never on a minimal kernel,
+            // so only count it; a hit at ChildG merges into that DAG node.
             const uint64_t Hit = Index.find(C.Hash, [&](uint64_t P) {
-              const unsigned L = refLevel(P);
-              if (L == ChildG) {
-                const LNode &N = Sh.Nodes[refLocal(P)];
-                return N.Rows.Len == C.RowLen &&
-                       std::equal(CRows, CRows + C.RowLen,
-                                  Sh.Rows.data() + N.Rows.Offset);
-              }
-              const DagLevel &Level = Levels[L];
-              const LNode &N = Level.Nodes[Level.ShardBases[S] + refLocal(P)];
-              return Store.arena(L).equals(N.Rows, CRows, C.RowLen);
+              const DagShard &D = Levels[refLevel(P)].Shards[S];
+              return D.Rows.equals(D.Nodes[refLocal(P)].Rows, CRows,
+                                   C.RowLen);
             });
             if (Hit != IndexShard::kNotFound) {
               ++Sh.DedupHits;
               if (refLevel(Hit) != ChildG)
                 continue;
-              LNode &Node = Sh.Nodes[refLocal(Hit)];
-              Node.Ways += Prev[C.Parent].Ways;
+              const uint64_t Ways = Prev.node(C.Parent).Ways;
+              LNode &Node = Own.Nodes[refLocal(Hit)];
+              Node.Ways += Ways;
               Node.Lint.meet(C.Lint);
               if (Node.Sorted)
-                Sh.SolutionDelta += Prev[C.Parent].Ways;
+                Sh.SolutionDelta += Ways;
               if (Opts.FindAll)
                 Sh.Edges.push_back({refLocal(Hit), {C.Parent, C.Via}});
               continue;
             }
 
             // New canonical state.
-            const uint32_t Local = static_cast<uint32_t>(Sh.Nodes.size());
+            const uint32_t Local = static_cast<uint32_t>(Own.Nodes.size());
             LNode Node;
-            Node.Rows =
-                RowSpan{static_cast<uint32_t>(Sh.Rows.size()), C.RowLen};
-            Sh.Rows.insert(Sh.Rows.end(), CRows, CRows + C.RowLen);
+            Node.Rows = Own.Rows.append(CRows, C.RowLen);
             Node.FirstParent = C.Parent;
             Node.FirstVia = C.Via;
             Node.Lint = C.Lint;
-            Node.Ways = Prev[C.Parent].Ways;
+            Node.Ways = Prev.node(C.Parent).Ways;
             if (Opts.FindAll)
               Sh.Edges.push_back({Local, {C.Parent, C.Via}});
             Node.Sorted = true;
@@ -561,89 +597,71 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
             if (Sh.MinPerm == 0 || C.Perm < Sh.MinPerm)
               Sh.MinPerm = C.Perm;
             Index.insert(C.Hash, packRef(ChildG, Local));
-            Sh.Nodes.push_back(Node);
+            Own.Nodes.push_back(Node);
           }
         }
+        // Publish the shard's last growth too: endPhase reads what is
+        // resident.
+        Checkpoint();
       });
 
   return endPhase(Ph, Result, StopPhase::Merge);
 }
 
-/// Commits the level in flight as level \p ChildG (phase 2). Prefix-sums
-/// the shard sizes into the level's bases, then copies nodes and rows and
-/// groups the edges by node — work-stolen per shard, seeded by descending
-/// row bytes (shards commit into disjoint slices, so scheduling cannot
-/// affect layout). The index entries are already in place. The budget
-/// check runs first, on the level's exact size, so the peak the commit
-/// records is a value the check compared. \returns false when the check
-/// stopped the run.
+/// Commits the level in flight as level \p ChildG (phase 2): prefix-sums the shard sizes into
+/// the level's bases and, in FindAll mode, groups each shard's edges by
+/// node into its slices — work-stolen per shard, seeded by descending edge
+/// count (each shard fills only its own arrays, so scheduling cannot
+/// affect layout). The level keeps the nodes and rows phase 1 put in its
+/// shards, and the index entries are already in place. The budget check
+/// runs first, on the level in flight plus the exact size of the edge
+/// arrays, so the peak the commit records is a value the check compared.
+/// \returns false when the check stopped the run.
 bool LayeredEngine::commitLevel(unsigned ChildG, SearchResult &Result,
                                 bool &FoundSorted) {
   ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);
-  std::array<uint32_t, kNumShards> NodeBases{}, RowBases{}, EdgeBases{};
-  uint32_t NodeTotal = 0, RowTotal = 0, EdgeTotal = 0;
+  DagLevel &Level = Levels[ChildG];
+  Level.sumBases();
+  // The edge arrays, each allocated below at exactly this size, count as
+  // the level's node metadata; the phase-1 edge buffers they replace are
+  // freed.
+  ResidentSplit Resident = residentSplit();
+  size_t Released = 0;
   for (unsigned S = 0; S != kNumShards; ++S) {
-    NodeBases[S] = NodeTotal;
-    RowBases[S] = RowTotal;
-    EdgeBases[S] = EdgeTotal;
-    NodeTotal += static_cast<uint32_t>(Shards[S].Nodes.size());
-    RowTotal += static_cast<uint32_t>(Shards[S].Rows.size());
-    EdgeTotal += static_cast<uint32_t>(Shards[S].Edges.size());
+    Released += Merges[S].bytesUsed();
+    if (Opts.FindAll && !Level.Shards[S].Nodes.empty())
+      Resident.Nodes +=
+          (Level.Shards[S].Nodes.size() + 1) * sizeof(uint32_t) +
+          Merges[S].Edges.size() * sizeof(ParentEdge);
   }
-  // The level's arrays, each allocated below at exactly this size: the
-  // level's high-water mark is the level next to the buffers it came from.
-  size_t LevelBytes = size_t{NodeTotal} * sizeof(LNode) +
-                      size_t{RowTotal} * sizeof(uint32_t);
-  if (Opts.FindAll)
-    LevelBytes += (size_t{NodeTotal} + 1) * sizeof(uint32_t) +
-                  size_t{EdgeTotal} * sizeof(ParentEdge);
-  const size_t Resident = residentBytes() + LevelBytes;
   if (!withinBudget(Result, Resident, StopPhase::Commit))
     return false;
 
-  DagLevel &Next = Levels.emplace_back();
-  Next.ShardBases = NodeBases;
-  Next.Nodes.resize(NodeTotal);
   if (Opts.FindAll) {
-    Next.EdgeBegin.resize(NodeTotal + 1);
-    Next.EdgeBegin[NodeTotal] = EdgeTotal;
-    Next.Edges.resize(EdgeTotal);
+    std::vector<uint32_t> CommitOrder(kNumShards);
+    std::iota(CommitOrder.begin(), CommitOrder.end(), 0u);
+    std::stable_sort(CommitOrder.begin(), CommitOrder.end(),
+                     [&](uint32_t A, uint32_t B) {
+                       return Merges[A].Edges.size() > Merges[B].Edges.size();
+                     });
+    Pool.parallelForTasks(CommitOrder, [&](uint32_t S, unsigned) {
+      if (!Level.Shards[S].Nodes.empty())
+        groupEdges(Merges[S].Edges, Level.Shards[S]);
+    });
   }
-  RowArena &Arena = Store.arena(ChildG);
-  Arena.resize(RowTotal);
-  std::vector<uint32_t> CommitOrder(kNumShards);
-  std::iota(CommitOrder.begin(), CommitOrder.end(), 0u);
-  std::stable_sort(CommitOrder.begin(), CommitOrder.end(),
-                   [&](uint32_t A, uint32_t B) {
-                     return Shards[A].Rows.size() > Shards[B].Rows.size();
-                   });
-  Pool.parallelForTasks(CommitOrder, [&](uint32_t Shard, unsigned) {
-    const unsigned S = Shard;
-    const ShardMerge &Sh = Shards[S];
-    if (!Sh.Rows.empty())
-      std::memcpy(Arena.data() + RowBases[S], Sh.Rows.data(),
-                  Sh.Rows.size() * sizeof(uint32_t));
-    for (size_t I = 0; I != Sh.Nodes.size(); ++I) {
-      LNode &N = Next.Nodes[NodeBases[S] + I];
-      N = Sh.Nodes[I];
-      N.Rows.Offset += RowBases[S];
-    }
-    if (Opts.FindAll)
-      groupEdges(Sh, NodeBases[S], EdgeBases[S], Next);
-  });
 
   // Fold per-shard results; sums and mins are order-independent. The
-  // shards then start the next level with their buffers.
-  for (ShardMerge &Sh : Shards) {
+  // next level's merge starts from empty buffers.
+  for (ShardMerge &Sh : Merges) {
     Result.Stats.DedupHits += Sh.DedupHits;
     Result.SolutionCount += Sh.SolutionDelta;
     if (Sh.MinPerm != 0)
       Cuts.observe(ChildG, Sh.MinPerm);
     FoundSorted |= Sh.FoundSorted;
-    Sh.clear();
+    Sh = ShardMerge();
   }
-  NodeBytes += Next.bytesUsed();
-  assert(residentBytes() == Resident &&
+  Flight = nullptr;
+  assert(residentBytes() == Resident.total() - Released &&
          "the commit's check compared its exact size");
   return true;
 }
@@ -657,17 +675,20 @@ void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
     return;
   }
   const DagLevel &L = Levels[Level];
+  const unsigned S = L.shardOf(Index);
+  const DagShard &D = L.Shards[S];
+  const uint32_t Local = Index - L.Bases[S];
   if (Opts.FindAll) {
-    for (uint32_t E = L.EdgeBegin[Index]; E != L.EdgeBegin[Index + 1]; ++E) {
-      Suffix.push_back(L.Edges[E].Via);
-      reconstruct(Level - 1, L.Edges[E].Parent, Suffix, Result);
+    for (uint32_t E = D.EdgeBegin[Local]; E != D.EdgeBegin[Local + 1]; ++E) {
+      Suffix.push_back(D.Edges[E].Via);
+      reconstruct(Level - 1, D.Edges[E].Parent, Suffix, Result);
       Suffix.pop_back();
       if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
         return;
     }
     return;
   }
-  const LNode &Node = L.Nodes[Index];
+  const LNode &Node = D.Nodes[Local];
   Suffix.push_back(Node.FirstVia);
   reconstruct(Level - 1, Node.FirstParent, Suffix, Result);
   Suffix.pop_back();
@@ -676,23 +697,25 @@ void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
 SearchResult LayeredEngine::run() {
   SearchResult Result;
 
-  // No references into Levels survive a level commit, but reserving up
-  // front removes the whole outer-reallocation hazard class.
+  // Flight and the merge's references point into Levels; reserving up
+  // front means adding a level never moves one.
   Levels.reserve(Opts.MaxLength + 2);
 
   SearchState Init = initialState(M);
   Cuts.observe(0, permCount(M, Init));
-  LNode Root;
-  Root.Rows = Store.arena(0).append(Init.Rows.data(),
-                                    static_cast<uint32_t>(Init.Rows.size()));
-  Root.Ways = 1;
-  Root.Sorted = allSorted(M, SearchState{Init.Rows});
-  uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
-  Store.shard(StateStore::shardOf(RootHash)).insert(RootHash, packRef(0, 0));
-  Levels.emplace_back().Nodes.push_back(Root);
-  NodeBytes += Levels[0].bytesUsed();
-  notePeak(Result, residentBytes());
-  Result.Stats.LevelStates.push_back(Levels[0].Nodes.size());
+  const uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
+  const unsigned RootShard = StateStore::shardOf(RootHash);
+  DagLevel &Root = Levels.emplace_back();
+  LNode RootNode;
+  RootNode.Rows = Root.Shards[RootShard].Rows.append(
+      Init.Rows.data(), static_cast<uint32_t>(Init.Rows.size()));
+  RootNode.Ways = 1;
+  RootNode.Sorted = allSorted(M, SearchState{Init.Rows});
+  Root.Shards[RootShard].Nodes.push_back(RootNode);
+  Root.sumBases();
+  Store.shard(RootShard).insert(RootHash, packRef(0, 0));
+  notePeak(Opts, residentSplit(), Result.Stats);
+  Result.Stats.LevelStates.push_back(Root.size());
 
   double NextTrace = Opts.TraceIntervalSeconds;
   std::function<void(size_t)> MaybeTrace = [&](size_t OpenStates) {
@@ -704,14 +727,15 @@ SearchResult LayeredEngine::run() {
   };
 
   unsigned FinalLevel = 0;
-  bool Found = Levels[0].Nodes[0].Sorted;
+  bool Found = RootNode.Sorted;
   for (unsigned G = 0; !Found && G < Opts.MaxLength; ++G) {
-    const size_t Size = Levels[G].Nodes.size();
+    const size_t Size = Levels[G].size();
     if (Size == 0)
       break;
-    if (!withinBudget(Result, residentBytes(), StopPhase::LevelCheck))
+    if (!withinBudget(Result, residentSplit(), StopPhase::LevelCheck))
       break;
     const unsigned ChildG = G + 1;
+    Flight = &Levels.emplace_back();
     bool Merged = true;
     for (size_t Begin = 0; Merged && Begin < Size; Begin += kSliceNodes) {
       const size_t End = std::min(Size, Begin + kSliceNodes);
@@ -723,25 +747,27 @@ SearchResult LayeredEngine::run() {
     }
     if (!Merged || !commitLevel(ChildG, Result, Found))
       break;
-    Result.Stats.LevelStates.push_back(Levels[ChildG].Nodes.size());
+    Result.Stats.LevelStates.push_back(Levels[ChildG].size());
     FinalLevel = ChildG;
-    MaybeTrace(Levels[ChildG].Nodes.size());
+    MaybeTrace(Levels[ChildG].size());
   }
 
   if (Found) {
     Result.Found = true;
     Result.OptimalLength = FinalLevel;
     Result.SolutionCount = 0;
-    const std::vector<LNode> &Last = Levels[FinalLevel].Nodes;
-    for (uint32_t I = 0; I != Last.size(); ++I) {
-      const LNode &Node = Last[I];
-      if (!Node.Sorted)
-        continue;
-      Result.SolutionCount += Node.Ways;
-      if (Opts.MaxSolutionsKept > 0 &&
-          (Opts.FindAll || Result.Solutions.empty())) {
-        Program Suffix;
-        reconstruct(FinalLevel, I, Suffix, Result);
+    const DagLevel &Last = Levels[FinalLevel];
+    for (unsigned S = 0; S != kNumShards; ++S) {
+      const std::vector<LNode> &Nodes = Last.Shards[S].Nodes;
+      for (uint32_t I = 0; I != Nodes.size(); ++I) {
+        if (!Nodes[I].Sorted)
+          continue;
+        Result.SolutionCount += Nodes[I].Ways;
+        if (Opts.MaxSolutionsKept > 0 &&
+            (Opts.FindAll || Result.Solutions.empty())) {
+          Program Suffix;
+          reconstruct(FinalLevel, Last.Bases[S] + I, Suffix, Result);
+        }
       }
     }
     if (Opts.TraceIntervalSeconds > 0)

@@ -121,8 +121,9 @@ struct SearchOptions {
   /// Emit a trace point every so many seconds (0 = off); for Figure 1.
   double TraceIntervalSeconds = 0;
   /// Collect the per-stage nanosecond counters of the expansion pipeline
-  /// (SearchStats::ApplyNanos and friends); printed by sks-synth --profile
-  /// and reported by perfbench's profile round. Off by default: the stage
+  /// (SearchStats::ApplyNanos and friends, reported by perfbench's profile
+  /// round) and the split of the peak's bytes (SearchStats::PeakSplit);
+  /// sks-synth --profile prints both. Off by default: the stage
   /// timers are branch-guarded, so a disabled profile costs one predicted
   /// branch per stage and no clock reads.
   bool ProfilePipeline = false;
@@ -148,7 +149,9 @@ enum class StopPhase {
   Expand,     ///< A checkpoint inside a slice's expansion.
   MergeCheck, ///< The merge's check before a slice's phase 1.
   Merge,      ///< A checkpoint inside a slice's merge phase 1.
-  Commit,     ///< The commit's check, before phase 2 allocates the level.
+  /// The commit's check, on the level in flight plus the edge arrays
+  /// phase 2 allocates, before it allocates them.
+  Commit,
 };
 
 /// \returns the display name of \p P: "none", "level-check", "expand",
@@ -160,6 +163,27 @@ struct TracePoint {
   double Seconds;
   size_t OpenStates;
   uint64_t SolutionsFound;
+};
+
+/// Where the resident bytes were at a budget check: the parts of the one
+/// count SearchOptions::MaxStateBytes budgets.
+struct ResidentSplit {
+  /// Row data: the layered engine's committed levels, every node's for
+  /// best-first.
+  size_t Rows = 0;
+  /// Node metadata: the layered engine's committed nodes and, in FindAll
+  /// mode, their edges (at a commit's check, the edge arrays the commit
+  /// allocates); best-first's nodes.
+  size_t Nodes = 0;
+  size_t Index = 0; ///< The sharded dedup index.
+  /// Layered only: the level in flight's shard buffers (its nodes, rows
+  /// and FindAll edges in candidate order), the candidate batches and the
+  /// batches' shard partitions.
+  size_t Shards = 0, Batches = 0, Partitions = 0;
+
+  size_t total() const {
+    return Rows + Nodes + Index + Shards + Batches + Partitions;
+  }
 };
 
 /// Search statistics for the evaluation tables.
@@ -192,11 +216,16 @@ struct SearchStats {
   std::vector<size_t> LevelStates;
   /// High-water mark of the resident bytes SearchOptions::MaxStateBytes
   /// budgets. Every value it records is one the budget check compared (the
-  /// layered engine checks each level's commit on its exact size before
-  /// allocating it), so a run capped at this peak fits, and the same run
+  /// layered engine checks each level's commit, the level's shard buffers
+  /// plus the exact size of the edge arrays the commit allocates, before
+  /// allocating them), so a run capped at this peak fits, and the same run
   /// capped one byte lower stops on StopReason::ByteBudget. A run that a
   /// commit's check stopped reports the size the commit would have had.
   size_t PeakStateBytes = 0;
+  /// Where PeakStateBytes' bytes were when it was recorded; its parts sum
+  /// to it. Recorded only when SearchOptions::ProfilePipeline is on, all 0
+  /// otherwise.
+  ResidentSplit PeakSplit;
   /// Per-stage wall-clock of the expansion pipeline, in nanoseconds; only
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
   /// Viability covers the once-per-node successor fold and action filter

@@ -154,6 +154,19 @@ inline StopReason overBudget(const SearchOptions &Opts, size_t Bytes) {
   return StopReason::None;
 }
 
+/// Raises \p Stats.PeakStateBytes to \p Resident's total. With the profile
+/// on, a new high-water mark also records where its bytes were
+/// (SearchStats::PeakSplit).
+inline void notePeak(const SearchOptions &Opts, const ResidentSplit &Resident,
+                     SearchStats &Stats) {
+  const size_t Bytes = Resident.total();
+  if (Bytes <= Stats.PeakStateBytes)
+    return;
+  Stats.PeakStateBytes = Bytes;
+  if (Opts.ProfilePipeline)
+    Stats.PeakSplit = Resident;
+}
+
 SearchResult bestFirstSearch(const Machine &M, const SearchOptions &Opts,
                              const DistanceTable *DT);
 SearchResult layeredSearch(const Machine &M, const SearchOptions &Opts,

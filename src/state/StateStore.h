@@ -9,26 +9,28 @@
 /// Both engines used to give every node its own heap-allocated
 /// std::vector<uint32_t> of rows and to deduplicate through a
 /// std::unordered_map of heap-allocated buckets — exactly the allocator
-/// pressure that forced the paper onto a 32 GB machine. This store replaces
-/// both:
+/// pressure that forced the paper onto a 32 GB machine. This header
+/// replaces both:
 ///
-///  - RowArena: one flat uint32_t buffer per search level that owns ALL row
-///    data of that level; nodes address their rows by a RowSpan
-///    (offset, length) handle, 8 bytes instead of a 24-byte vector header
-///    plus a malloc block.
+///  - RowArena: one flat uint32_t buffer that owns the row data of many
+///    states; nodes address their rows by a RowSpan (offset, length)
+///    handle, 8 bytes instead of a 24-byte vector header plus a malloc
+///    block. The best-first engine keeps all its rows in one; the layered
+///    engine keeps one per shard of each level (search/Layered.cpp).
 ///  - IndexShard: an open-addressing (linear probing) hash table mapping a
 ///    64-bit state hash to a 64-bit caller-defined payload. Collisions are
 ///    resolved by the caller comparing full rows, exactly like the old
 ///    bucket walk.
-///  - StateStore: per-level arenas plus kNumShards index shards selected by
-///    the HIGH bits of the state hash. Sharding makes the layered engine's
-///    dedup/merge parallel: every candidate with the same canonical rows
-///    has the same hash, hence the same shard, so distinct shards can be
-///    merged by distinct workers with no synchronization.
+///  - StateStore: kNumShards index shards selected by the HIGH bits of the
+///    state hash. Sharding makes the layered engine's dedup/merge
+///    parallel: every candidate with the same canonical rows has the same
+///    hash, hence the same shard, so distinct shards can be merged by
+///    distinct workers with no synchronization.
 ///
-/// bytesUsed() reports the exact resident footprint (arenas + index), the
-/// store's share of what SearchOptions::MaxStateBytes budgets and
-/// SearchStats::PeakStateBytes reports.
+/// bytesUsed() reports each structure's exact resident footprint; each
+/// engine adds its arenas and nodes to the store's index to form what
+/// SearchOptions::MaxStateBytes budgets and SearchStats::PeakStateBytes
+/// reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +62,6 @@ public:
   }
 
   const uint32_t *rows(RowSpan S) const { return Data.data() + S.Offset; }
-  uint32_t *rows(RowSpan S) { return Data.data() + S.Offset; }
 
   /// \returns true when \p S holds exactly \p Rows[0..Len).
   bool equals(RowSpan S, const uint32_t *Rows, uint32_t Len) const {
@@ -72,12 +73,6 @@ public:
         return false;
     return true;
   }
-
-  size_t size() const { return Data.size(); }
-  const uint32_t *data() const { return Data.data(); }
-  uint32_t *data() { return Data.data(); }
-  /// Grows the buffer to \p Words entries (bulk commit of a merged level).
-  void resize(size_t Words) { Data.resize(Words); }
 
   size_t bytesUsed() const { return Data.capacity() * sizeof(uint32_t); }
 
@@ -140,11 +135,11 @@ private:
   size_t Count = 0;
 };
 
-/// Arena-backed, shard-indexed storage for canonical search states.
+/// The sharded dedup index of canonical search states.
 ///
 /// Payload conventions are the caller's: the best-first engine stores a
-/// plain node-arena index, the layered engine packs (level, shard-local
-/// index) and rebases through its per-level shard bases (see Layered.cpp).
+/// plain node index, the layered engine packs (level, shard-local index),
+/// which addresses the node in that level's shard (see Layered.cpp).
 class StateStore {
 public:
   /// Shards selected by the top kShardBits of the state hash.
@@ -155,30 +150,18 @@ public:
     return hashShardOf(Hash, kShardBits);
   }
 
-  /// The arena of level \p L, created on demand. The best-first engine
-  /// keeps everything in level 0.
-  RowArena &arena(unsigned Level) {
-    if (Level >= Arenas.size())
-      Arenas.resize(Level + 1);
-    return Arenas[Level];
-  }
-  const RowArena &arena(unsigned Level) const { return Arenas[Level]; }
-
   IndexShard &shard(unsigned S) { return Shards[S]; }
   const IndexShard &shard(unsigned S) const { return Shards[S]; }
 
-  /// Exact resident bytes of all arenas plus the index.
+  /// Exact resident bytes of the index.
   size_t bytesUsed() const {
     size_t Bytes = 0;
-    for (const RowArena &A : Arenas)
-      Bytes += A.bytesUsed();
     for (const IndexShard &S : Shards)
       Bytes += S.bytesUsed();
     return Bytes;
   }
 
 private:
-  std::vector<RowArena> Arenas;
   std::vector<IndexShard> Shards{kNumShards};
 };
 

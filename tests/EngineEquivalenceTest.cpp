@@ -234,9 +234,8 @@ const std::vector<size_t> kLevelsAtBound11 = {
 /// merge into level 7 inside phase 1 of its first slice and of a later
 /// one, whose shards already hold the states the earlier slices merged
 /// and whose merge workers take over shard buffers another worker grew.
-/// (With slices of 26,828 nodes or more, or too small to give a shard the
-/// 512 candidates between phase 1's checkpoints, such as 7 nodes, the
-/// walk cannot find those stops.)
+/// (With slices of 26,828 nodes or more the walk cannot find those
+/// stops.)
 /// Every stop on the way must name the byte budget and the check that
 /// fired, report a peak above its cap and list only committed levels; the
 /// walk ends at the first phase-1 stop in a later slice.
@@ -329,6 +328,26 @@ TEST(EngineEquivalence, EnumerationFitsIn128MiB) {
   for (unsigned Threads : {1u, 2u, 4u}) {
     SearchOptions Opts = enumerateConfig(Threads);
     Opts.MaxStateBytes = size_t{128} << 20;
+    SearchResult R = synthesize(M, Opts, &DT);
+    EXPECT_EQ(R.Stats.Stopped, StopReason::None) << Threads << " threads";
+    ASSERT_TRUE(R.Found) << Threads << " threads";
+    EXPECT_EQ(R.SolutionCount, 5602u) << Threads << " threads";
+    EXPECT_EQ(R.Stats.LevelStates, kLevelsAtBound11) << Threads << " threads";
+    EXPECT_LE(R.Stats.PeakStateBytes, Opts.MaxStateBytes)
+        << Threads << " threads";
+  }
+}
+
+TEST(EngineEquivalence, EnumerationFitsIn80MiB) {
+  // The same search under 80 MiB. A level commits in place: it keeps the
+  // shard buffers its merge filled instead of copying them into arrays of
+  // its own, so no level is resident twice at its commit, and the next
+  // level's merge starts from empty buffers.
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SearchOptions Opts = enumerateConfig(Threads);
+    Opts.MaxStateBytes = size_t{80} << 20;
     SearchResult R = synthesize(M, Opts, &DT);
     EXPECT_EQ(R.Stats.Stopped, StopReason::None) << Threads << " threads";
     ASSERT_TRUE(R.Found) << Threads << " threads";

@@ -145,6 +145,58 @@ TEST(SearchExtras, LayeredFitsAByteBudgetEqualToItsPeakUnderThreads) {
   checkFitsItsPeak(/*Layered=*/true, 4);
 }
 
+/// With the profile on, PeakSplit says where the peak's bytes were, and
+/// its parts sum to PeakStateBytes, for a run that completes and for one
+/// the byte budget stopped. The layered engine's peak holds a level in
+/// flight, so its shard buffers, batches and partitions are parts of it;
+/// best-first has rows, nodes and an index only. With the profile off the
+/// peak is the same and no split is recorded.
+void checkPeakSplit(bool Layered, unsigned NumThreads) {
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
+  Opts.Layered = Layered;
+  Opts.NumThreads = NumThreads;
+  Opts.ProfilePipeline = true;
+  SearchResult R = synthesize(M, Opts, &DT);
+  ASSERT_TRUE(R.Found);
+  const ResidentSplit &Split = R.Stats.PeakSplit;
+  EXPECT_EQ(Split.total(), R.Stats.PeakStateBytes);
+  EXPECT_GT(Split.Rows, 0u);
+  EXPECT_GT(Split.Nodes, 0u);
+  EXPECT_GT(Split.Index, 0u);
+  if (Layered) {
+    EXPECT_GT(Split.Shards, 0u);
+    EXPECT_GT(Split.Batches, 0u);
+    EXPECT_GT(Split.Partitions, 0u);
+  } else {
+    EXPECT_EQ(Split.Shards + Split.Batches + Split.Partitions, 0u);
+  }
+
+  Opts.MaxStateBytes = R.Stats.PeakStateBytes / 2;
+  SearchResult Stopped = synthesize(M, Opts, &DT);
+  EXPECT_EQ(Stopped.Stats.Stopped, StopReason::ByteBudget);
+  EXPECT_EQ(Stopped.Stats.PeakSplit.total(), Stopped.Stats.PeakStateBytes);
+
+  Opts.MaxStateBytes = 0;
+  Opts.ProfilePipeline = false;
+  SearchResult Off = synthesize(M, Opts, &DT);
+  EXPECT_EQ(Off.Stats.PeakStateBytes, R.Stats.PeakStateBytes);
+  EXPECT_EQ(Off.Stats.PeakSplit.total(), 0u) << "recorded with the profile off";
+}
+
+TEST(SearchExtras, BestFirstPeakSplitSumsToThePeak) {
+  checkPeakSplit(/*Layered=*/false, 1);
+}
+
+TEST(SearchExtras, LayeredPeakSplitSumsToThePeak) {
+  checkPeakSplit(/*Layered=*/true, 1);
+}
+
+TEST(SearchExtras, LayeredPeakSplitSumsToThePeakUnderThreads) {
+  checkPeakSplit(/*Layered=*/true, 4);
+}
+
 TEST(SearchExtras, TraceIsMonotoneInTime) {
   Machine M(MachineKind::Cmov, 4);
   SearchOptions Opts;

@@ -152,7 +152,8 @@ void usage(const char *Argv0) {
       "  --profile               print the per-stage expansion-pipeline\n"
       "                          time breakdown (apply/canonicalize/\n"
       "                          viability/merge, and on one thread the\n"
-      "                          search time no stage covers)\n"
+      "                          search time no stage covers) and where\n"
+      "                          the peak state bytes were\n"
       "  --timeout <seconds>     wall-clock budget\n"
       "  --max-length <L>        length bound (default: network size)\n"
       "  --threads <T>           worker threads; more than one runs the\n"
@@ -481,6 +482,13 @@ int main(int Argc, char **Argv) {
                    S.Seconds * 1e3 - Ms(S.ApplyNanos + S.CanonNanos +
                                         S.ViabilityNanos + S.MergeNanos));
     std::fprintf(Out, "\n");
+    // Where the peak-state-bytes were when the peak was recorded; the
+    // parts sum to it.
+    const ResidentSplit &P = S.PeakSplit;
+    std::fprintf(Out,
+                 "; peak split: rows=%zu nodes=%zu index=%zu shards=%zu "
+                 "batches=%zu partitions=%zu\n",
+                 P.Rows, P.Nodes, P.Index, P.Shards, P.Batches, P.Partitions);
   };
   if (!R.Found) {
     // Say why and how far the run got. The layered engine also names the
