@@ -135,7 +135,7 @@ struct FinishFixture {
   uint32_t Len;
 
   FinishFixture()
-      : Opts(makeOpts()), Cuts(Opts.Cut, Opts.MaxLength),
+      : Opts(makeOpts()), Cuts(Opts.Cut),
         Pipeline(M, Opts, &DT, Cuts) {
     SearchState Init = initialState(M);
     Len = static_cast<uint32_t>(Init.Rows.size()); // 24 rows at n = 4.

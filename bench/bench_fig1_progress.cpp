@@ -5,10 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // Regenerates Figure 1: open states and found optimal solutions over time
-// for the n = 4 search with cut k = 1. The trace is written to
-// fig1_progress.csv (columns: seconds, open_states, solutions_found); the
-// qualitative shape to compare against the paper is that open states grow
-// through the early levels while solutions arrive in bursts near the end.
+// for the n = 4 search with cut k = 1. The layered engine records each
+// level's state count and commit time (SearchStats::LevelStates and
+// LevelSeconds), so the figure has one row per committed level: a level's
+// states are the open states at its commit, and the solutions arrive with
+// the last level. The rows go to fig1_progress.csv (columns: level,
+// seconds, open_states, solutions_found); the shape to compare against the
+// paper is that open states grow through the early levels and collapse
+// before the end. --smoke runs the same search at n = 3, bound 11.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,58 +21,44 @@
 using namespace sks;
 using namespace sks::bench;
 
-int main() {
+int main(int Argc, char **Argv) {
+  BenchArgs Args = parseBenchArgs(Argc, Argv);
   banner("bench_fig1_progress",
          "Figure 1: solutions and open states over time (n=4, cut 1)");
 
-  Machine M(MachineKind::Cmov, 4);
+  Machine M(MachineKind::Cmov, Args.Smoke ? 3 : 4);
   SearchOptions Opts;
   Opts.Heuristic = HeuristicKind::None;
   Opts.FindAll = true;
   Opts.UseViability = true;
   Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = 20;
+  Opts.MaxLength = Args.Smoke ? 11 : 20;
   Opts.MaxSolutionsKept = 0; // Count only; the DAG carries the rest.
-  Opts.TraceIntervalSeconds = 0.05;
   Opts.Stop = StopToken().withDeadline(isFullRun() ? 7200 : 900);
   SearchResult R = synthesize(M, Opts);
 
-  Table T({"seconds", "open_states", "solutions_found"});
-  for (const TracePoint &P : R.Trace)
-    T.row().cell(P.Seconds, 3).cell(P.OpenStates).cell(P.SolutionsFound);
+  const std::vector<size_t> &States = R.Stats.LevelStates;
+  Table T({"level", "seconds", "open_states", "solutions_found"});
+  for (size_t L = 0; L != States.size(); ++L) {
+    const bool Last = R.Found && L + 1 == States.size();
+    T.row()
+        .cell(L)
+        .cell(R.Stats.LevelSeconds[L], 3)
+        .cell(States[L])
+        .cell(Last ? R.SolutionCount : 0);
+  }
+  T.print();
   if (!T.writeCsv("fig1_progress.csv"))
     std::printf("warning: could not write fig1_progress.csv\n");
 
-  std::printf("trace points: %zu (fig1_progress.csv)\n", R.Trace.size());
+  std::printf("levels: %zu (fig1_progress.csv)\n", States.size());
   std::printf("note: the paper's week-long run accumulates solutions one by\n"
-              "one; the solution DAG counts them in aggregate during the\n"
-              "final-level merge, so the solution curve is a step at the "
-              "end.\n");
+              "one; the solution DAG counts them in aggregate at the last\n"
+              "level, so the solution curve is a step at the end.\n");
   std::printf("search %s in %s: optimal length %u, %llu optimal solutions "
               "surviving cut k=1\n",
               R.Found ? "completed" : "timed out",
               formatDuration(R.Stats.Seconds).c_str(), R.OptimalLength,
               static_cast<unsigned long long>(R.SolutionCount));
-  // Compact textual rendition of the two curves.
-  if (!R.Trace.empty()) {
-    size_t MaxOpen = 0;
-    uint64_t MaxSolutions = 0;
-    for (const TracePoint &P : R.Trace) {
-      MaxOpen = std::max(MaxOpen, P.OpenStates);
-      MaxSolutions = std::max(MaxSolutions, P.SolutionsFound);
-    }
-    std::printf("\n  time     open states%*s solutions\n", 28, "");
-    size_t Step = std::max<size_t>(1, R.Trace.size() / 24);
-    for (size_t I = 0; I < R.Trace.size(); I += Step) {
-      const TracePoint &P = R.Trace[I];
-      int OpenBar = MaxOpen ? int(30.0 * P.OpenStates / MaxOpen) : 0;
-      int SolBar =
-          MaxSolutions ? int(20.0 * double(P.SolutionsFound) / MaxSolutions)
-                       : 0;
-      std::printf("  %6.2fs |%-30.*s| |%-20.*s|\n", P.Seconds, OpenBar,
-                  "##############################", SolBar,
-                  "####################");
-    }
-  }
   return 0;
 }

@@ -69,7 +69,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   SearchResult Result;
   Stopwatch Timer;
   HeuristicEval Heuristic(M, Opts, DT);
-  CutTracker Cuts(Opts.Cut, Opts.MaxLength);
+  CutTracker Cuts(Opts.Cut);
   CandidatePipeline Pipeline(M, Opts, DT, Cuts);
 
   std::vector<Node> Arena;
@@ -121,7 +121,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     return CG + Heuristic(CRows, C.RowLen, Batch.Scratch);
   };
 
-  double NextTrace = Opts.TraceIntervalSeconds;
   size_t PopsSinceCheck = 0;
 
   while (!Open.empty()) {
@@ -130,11 +129,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       Result.Stats.Stopped = overBudget(Opts, NotePeak());
       if (Result.Stats.Stopped != StopReason::None)
         break;
-      if (Opts.TraceIntervalSeconds > 0 && Timer.seconds() >= NextTrace) {
-        NextTrace += Opts.TraceIntervalSeconds;
-        Result.Trace.push_back(
-            TracePoint{Timer.seconds(), Open.size(), Result.SolutionCount});
-      }
     }
 
     OpenEntry Top = Open.top();

@@ -44,11 +44,14 @@
 // size of the edge arrays phase 2 allocates, before it allocates them;
 // the workers of a slice's expansion and merge phase 1 run it at periodic
 // checkpoints and when they finish (checkpoint), which also publish their
-// progress and let worker 0 emit the Figure 1 trace point. Every value
-// the peak records is one a check compared, so a run capped at its peak
-// fits and one capped a byte lower stops; SearchStats::StoppedIn names
-// the check that stopped a run, and with the profile on
-// SearchStats::PeakSplit says where the peak's bytes were.
+// byte growth. Every value the peak records is one a check compared, so a
+// run capped at its peak fits and one capped a byte lower stops;
+// SearchStats::StoppedIn names the check that stopped a run, and with the
+// profile on SearchStats::PeakSplit says where the peak's bytes were.
+//
+// Progress: each commit appends the level's state count and one clock
+// read to SearchStats::LevelStates and LevelSeconds, the per-level record
+// Figure 1 plots (bench_fig1_progress).
 //
 // Storage and parallelism (state/StateStore.h): a level is kNumShards
 // shards, each holding its nodes, their rows in one flat arena addressed
@@ -84,12 +87,12 @@
 //
 // Work stealing preserves bit-identity for free: a shard is always
 // processed WHOLLY by one worker in the fixed batch-major candidate
-// order, per-shard sums (Ways, SolutionCount) and mins (the cut
-// observation) are order-independent across shards, and the shard bases
-// are prefix sums — so which worker ran which shard, and when, cannot
-// show up in the result. The merged DAG, each node's edge order and the
-// exact solution count are bit-identical to the sequential engine's for
-// any thread count.
+// order, per-shard sums (DedupHits) and mins (the cut observation) are
+// order-independent across shards, and the shard bases are prefix sums —
+// so which worker ran which shard, and when, cannot show up in the
+// result. The merged DAG, each node's edge order and the exact solution
+// count are bit-identical to the sequential engine's for any thread
+// count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -198,6 +201,8 @@ struct DagLevel {
     return Shards[S].Nodes[I - Bases[S]];
   }
 };
+// The engine's level vector grows by moving its levels, not copying them.
+static_assert(std::is_nothrow_move_constructible_v<DagLevel>);
 
 /// Index payload: (level << 32) | shard-local node index. The shard is
 /// implicit in which IndexShard holds the entry, and it is the node's
@@ -212,26 +217,15 @@ unsigned refLevel(uint64_t Payload) {
 uint32_t refLocal(uint64_t Payload) { return static_cast<uint32_t>(Payload); }
 
 /// Shared state of one parallel phase (a slice's expansion or merge phase
-/// 1), polled by LayeredEngine::checkpoint. Workers publish running totals
-/// through relaxed atomics: the budget needs totals, not a consistent
-/// snapshot. The first failed check publishes its reason, and every other
-/// worker stops at its next checkpoint.
+/// 1), polled by LayeredEngine::checkpoint. Workers publish their byte
+/// growth through a relaxed atomic: the budget needs a total, not a
+/// consistent snapshot. The first failed check publishes its reason, and
+/// every other worker stops at its next checkpoint.
 struct Phase {
-  const std::function<void(size_t)> &Trace;
-  /// Open states when the phase began: its work items (slice nodes or
-  /// candidates) plus the level's states outside them.
-  const size_t Work;
   const size_t BaseBytes; ///< Resident bytes when the phase began.
   std::atomic<StopReason> Abort{StopReason::None};
-  /// Published totals: uncommitted states (candidates or new nodes), the
-  /// bytes the work units grew by, and work items done.
-  std::atomic<size_t> States{0}, Bytes{0}, Done{0};
-};
-
-/// What one unit of work (a worker's node range, a merge shard) has
-/// published to its Phase so far; each checkpoint adds the difference.
-struct Published {
-  size_t States = 0, Bytes = 0, Done = 0;
+  /// The bytes the work units have published that they grew by.
+  std::atomic<size_t> Bytes{0};
 };
 
 /// An incoming edge as merge phase 1 meets it, with the shard-local node
@@ -248,7 +242,6 @@ struct ShardEdge {
 struct ShardMerge {
   std::vector<ShardEdge> Edges;
   size_t DedupHits = 0;
-  uint64_t SolutionDelta = 0;
   unsigned MinPerm = 0; ///< 0 = no new node observed.
   bool FoundSorted = false;
 
@@ -278,7 +271,7 @@ class LayeredEngine {
 public:
   LayeredEngine(const Machine &M, const SearchOptions &Opts,
                 const DistanceTable *DT)
-      : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut, Opts.MaxLength),
+      : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut),
         Pipeline(M, Opts, DT, Cuts),
         Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1),
         Batches(Pool.size()), Parts(Pool.size()), Merges(kNumShards) {}
@@ -286,11 +279,8 @@ public:
   SearchResult run();
 
 private:
-  bool expandSlice(unsigned G, size_t Begin, size_t End, size_t Open,
-                   SearchResult &Result,
-                   const std::function<void(size_t)> &Trace);
-  bool mergeSlice(unsigned ChildG, size_t Open, SearchResult &Result,
-                  const std::function<void(size_t)> &Trace);
+  bool expandSlice(unsigned G, size_t Begin, size_t End, SearchResult &Result);
+  bool mergeSlice(unsigned ChildG, SearchResult &Result);
   bool commitLevel(unsigned ChildG, SearchResult &Result, bool &FoundSorted);
   void reconstruct(uint32_t Level, uint32_t Index, Program &Suffix,
                    SearchResult &Result) const;
@@ -320,13 +310,6 @@ private:
     return Split;
   }
   size_t residentBytes() const { return residentSplit().total(); }
-  /// States merged into the level in flight so far.
-  size_t mergedStates() const {
-    size_t States = 0;
-    for (const DagShard &D : Flight->Shards)
-      States += D.Nodes.size();
-    return States;
-  }
   /// Records why the run stopped, if it did, and at which check \p Where.
   /// \returns false when the run must stop.
   static bool noteStop(SearchResult &Result, StopReason Reason,
@@ -359,8 +342,7 @@ private:
     notePeak(Opts, Resident, Result.Stats);
     return noteStop(Result, Ph.Abort.load(std::memory_order_relaxed), Where);
   }
-  bool checkpoint(Phase &Ph, Published &Mine, unsigned W, size_t States,
-                  size_t Bytes, size_t Done) const;
+  bool checkpoint(Phase &Ph, size_t &Published, size_t Bytes) const;
 
   const Machine &M;
   const SearchOptions &Opts;
@@ -384,22 +366,17 @@ private:
 
 } // namespace
 
-/// A worker's checkpoint inside a parallel phase. Publishes the running
-/// totals of one unit of work (\p States uncommitted states, \p Bytes
-/// live bytes, \p Done work items), then stops the worker when another
-/// one has aborted or the budget, checked over the phase's base plus all
-/// published growth, is spent. Worker 0 also emits the trace point,
-/// counting unconsumed work items plus uncommitted states as open.
-/// \returns false when the worker must stop.
-bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
-                               size_t States, size_t Bytes,
-                               size_t Done) const {
+/// A worker's checkpoint inside a parallel phase. Publishes the growth of
+/// one unit of work, \p Bytes live bytes against the \p Published bytes
+/// it reported last, then stops the worker when another one has aborted or
+/// the budget, checked over the phase's base plus all published growth, is
+/// spent. \returns false when the worker must stop.
+bool LayeredEngine::checkpoint(Phase &Ph, size_t &Published,
+                               size_t Bytes) const {
   constexpr std::memory_order Relaxed = std::memory_order_relaxed;
-  Ph.States.fetch_add(States - Mine.States, Relaxed);
   const size_t Grown =
-      Ph.Bytes.fetch_add(Bytes - Mine.Bytes, Relaxed) + (Bytes - Mine.Bytes);
-  Ph.Done.fetch_add(Done - Mine.Done, Relaxed);
-  Mine = {States, Bytes, Done};
+      Ph.Bytes.fetch_add(Bytes - Published, Relaxed) + (Bytes - Published);
+  Published = Bytes;
   if (Ph.Abort.load(Relaxed) != StopReason::None)
     return false;
   if (StopReason Reason = overBudget(Opts, Ph.BaseBytes + Grown);
@@ -407,34 +384,29 @@ bool LayeredEngine::checkpoint(Phase &Ph, Published &Mine, unsigned W,
     Ph.Abort.store(Reason, Relaxed);
     return false;
   }
-  const size_t Open = Ph.States.load(Relaxed);
-  if (W == 0)
-    Ph.Trace(Ph.Work - std::min(Ph.Work, Ph.Done.load(Relaxed)) + Open);
   return true;
 }
 
 /// Expands nodes [\p Begin, \p End) of level \p G through the shared
 /// pipeline into the pool workers' candidate batches: node-major over
 /// static worker ranges, with a checkpoint every 64 nodes and at the end
-/// of each range. \p Open counts the level's open states outside the
-/// slice, for the trace. Each worker counts the nodes it actually
-/// expanded, so StatesExpanded stays exact when a slice aborts part-way.
-/// \returns false when the expansion aborted (stop reason recorded).
+/// of each range. Each worker counts the nodes it actually expanded, so
+/// StatesExpanded stays exact when a slice aborts part-way. \returns false
+/// when the expansion aborted (stop reason recorded).
 bool LayeredEngine::expandSlice(unsigned G, size_t Begin, size_t End,
-                                size_t Open, SearchResult &Result,
-                                const std::function<void(size_t)> &Trace) {
+                                SearchResult &Result) {
   const DagLevel &Level = Levels[G];
   const unsigned ChildG = G + 1;
   for (CandidateBatch &B : Batches)
     B.clear();
   std::vector<SearchStats> WorkerStats(Batches.size());
-  Phase Ph{Trace, End - Begin + Open, residentBytes()};
+  Phase Ph{residentBytes()};
   Pool.parallelFor(End - Begin, [&](size_t From, size_t To, unsigned W) {
     CandidateBatch &B = Batches[W];
     SearchStats &S = WorkerStats[W];
     // The batch's recycled buffers are in the phase's base; publish only
     // growth.
-    Published Mine{0, B.bytesUsed(), 0};
+    size_t Published = B.bytesUsed();
     for (size_t I = From; I != To; ++I) {
       const uint32_t Index = static_cast<uint32_t>(Begin + I);
       const unsigned Shard = Level.shardOf(Index);
@@ -444,8 +416,7 @@ bool LayeredEngine::expandSlice(unsigned G, size_t Begin, size_t End,
                           Index, ChildG, B, S);
       ++S.StatesExpanded;
       if ((((I - From) & 63u) == 63u || I + 1 == To) &&
-          !checkpoint(Ph, Mine, W, B.List.size(), B.bytesUsed(),
-                      I + 1 - From))
+          !checkpoint(Ph, Published, B.bytesUsed()))
         return;
     }
   });
@@ -466,22 +437,18 @@ bool LayeredEngine::expandSlice(unsigned G, size_t Begin, size_t End,
 
 /// Merges one slice's candidates, the pool workers' batches, into the
 /// level in flight with global dedup: phases 0 and 1 of the file comment.
-/// \p Open counts the level's open states outside the slice, for the
-/// trace. \returns false when the merge aborted (stop reason recorded; the
+/// \returns false when the merge aborted (stop reason recorded; the
 /// partial level is discarded, and the run ends before anything probes the
 /// index entries phase 1 inserted for it).
-bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
-                               SearchResult &Result,
-                               const std::function<void(size_t)> &Trace) {
+bool LayeredEngine::mergeSlice(unsigned ChildG, SearchResult &Result) {
   // The merge counts as the Merge stage (wall-clock; the per-shard phase-1
   // workers are inside this scope).
   ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);
   // Phase 0: partition candidate indices by shard, one partition per
-  // batch so the batches split across workers (the old single-threaded
-  // pass serialized ~1/6 of the merge). Phase 1 walks Parts batch-major,
-  // so each shard still sees candidates in the exact order the sequential
-  // engine would process them and FirstParent / FirstVia and the DAG are
-  // identical for any thread count.
+  // batch so the batches split across workers. Phase 1 walks Parts
+  // batch-major, so each shard still sees candidates in the exact order
+  // the sequential engine would process them and FirstParent / FirstVia
+  // and the DAG are identical for any thread count.
   const uint32_t NumBatches = static_cast<uint32_t>(Batches.size());
   Pool.parallelFor(NumBatches, [&](size_t Begin, size_t End, unsigned) {
     for (size_t BI = Begin; BI != End; ++BI) {
@@ -502,26 +469,22 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
   // shard, which takes each new node's entry at once. Committed levels
   // are read-only. Shards are seeded to the work-stealing deques in
   // descending candidate-count order — LPT scheduling with stealing as the
-  // correction, replacing the shared dynamic cursor that hash-skewed shard
-  // sizes used to contend on.
+  // correction.
   const DagLevel &Prev = Levels[ChildG - 1];
   std::array<size_t, kNumShards> ShardCount{};
-  size_t Total = 0;
   for (uint32_t BI = 0; BI != NumBatches; ++BI)
-    for (unsigned S = 0; S != kNumShards; ++S) {
+    for (unsigned S = 0; S != kNumShards; ++S)
       ShardCount[S] += Parts[BI][S].size();
-      Total += Parts[BI][S].size();
-    }
   std::vector<uint32_t> MergeOrder(kNumShards);
   std::iota(MergeOrder.begin(), MergeOrder.end(), 0u);
   std::stable_sort(MergeOrder.begin(), MergeOrder.end(),
                    [&](uint32_t A, uint32_t B) {
                      return ShardCount[A] > ShardCount[B];
                    });
-  Phase Ph{Trace, Total + Open, Base.total()};
+  Phase Ph{Base.total()};
 
   Pool.parallelForTasks(
-      MergeOrder, [&](uint32_t Shard, unsigned W) {
+      MergeOrder, [&](uint32_t Shard, unsigned) {
         const unsigned S = Shard;
         DagShard &Own = Flight->Shards[S];
         ShardMerge &Sh = Merges[S];
@@ -532,12 +495,9 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
           return Own.bytesUsed() + Sh.bytesUsed() + Index.bytesUsed();
         };
         const size_t BytesBase = Bytes();
-        const size_t NodesBase = Own.Nodes.size();
-        size_t Seen = 0;
-        Published Mine;
+        size_t Seen = 0, Published = 0;
         auto Checkpoint = [&] {
-          return checkpoint(Ph, Mine, W, Own.Nodes.size() - NodesBase,
-                            Bytes() - BytesBase, Seen);
+          return checkpoint(Ph, Published, Bytes() - BytesBase);
         };
         for (uint32_t BI = 0; BI != NumBatches; ++BI) {
           const CandidateBatch &B = Batches[BI];
@@ -564,8 +524,6 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
               LNode &Node = Own.Nodes[refLocal(Hit)];
               Node.Ways += Ways;
               Node.Lint.meet(C.Lint);
-              if (Node.Sorted)
-                Sh.SolutionDelta += Ways;
               if (Opts.FindAll)
                 Sh.Edges.push_back({refLocal(Hit), {C.Parent, C.Via}});
               continue;
@@ -587,10 +545,7 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
                 Node.Sorted = false;
                 break;
               }
-            if (Node.Sorted) {
-              Sh.FoundSorted = true;
-              Sh.SolutionDelta += Node.Ways;
-            }
+            Sh.FoundSorted |= Node.Sorted;
             // The cut observes only new unique states, exactly like the
             // sequential engine; the per-shard minimum commits with the
             // level.
@@ -608,15 +563,15 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, size_t Open,
   return endPhase(Ph, Result, StopPhase::Merge);
 }
 
-/// Commits the level in flight as level \p ChildG (phase 2): prefix-sums the shard sizes into
-/// the level's bases and, in FindAll mode, groups each shard's edges by
-/// node into its slices — work-stolen per shard, seeded by descending edge
-/// count (each shard fills only its own arrays, so scheduling cannot
-/// affect layout). The level keeps the nodes and rows phase 1 put in its
-/// shards, and the index entries are already in place. The budget check
-/// runs first, on the level in flight plus the exact size of the edge
-/// arrays, so the peak the commit records is a value the check compared.
-/// \returns false when the check stopped the run.
+/// Commits the level in flight as level \p ChildG (phase 2): prefix-sums
+/// the shard sizes into the level's bases and, in FindAll mode, groups each
+/// shard's edges by node into its slices — work-stolen per shard, seeded
+/// by descending edge count (each shard fills only its own arrays, so
+/// scheduling cannot affect layout). The level keeps the nodes and rows
+/// phase 1 put in its shards, and the index entries are already in place.
+/// The budget check runs first, on the level in flight plus the exact size
+/// of the edge arrays, so the peak the commit records is a value the check
+/// compared. \returns false when the check stopped the run.
 bool LayeredEngine::commitLevel(unsigned ChildG, SearchResult &Result,
                                 bool &FoundSorted) {
   ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);
@@ -654,7 +609,6 @@ bool LayeredEngine::commitLevel(unsigned ChildG, SearchResult &Result,
   // next level's merge starts from empty buffers.
   for (ShardMerge &Sh : Merges) {
     Result.Stats.DedupHits += Sh.DedupHits;
-    Result.SolutionCount += Sh.SolutionDelta;
     if (Sh.MinPerm != 0)
       Cuts.observe(ChildG, Sh.MinPerm);
     FoundSorted |= Sh.FoundSorted;
@@ -696,11 +650,6 @@ void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
 
 SearchResult LayeredEngine::run() {
   SearchResult Result;
-
-  // Flight and the merge's references point into Levels; reserving up
-  // front means adding a level never moves one.
-  Levels.reserve(Opts.MaxLength + 2);
-
   SearchState Init = initialState(M);
   Cuts.observe(0, permCount(M, Init));
   const uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
@@ -716,15 +665,7 @@ SearchResult LayeredEngine::run() {
   Store.shard(RootShard).insert(RootHash, packRef(0, 0));
   notePeak(Opts, residentSplit(), Result.Stats);
   Result.Stats.LevelStates.push_back(Root.size());
-
-  double NextTrace = Opts.TraceIntervalSeconds;
-  std::function<void(size_t)> MaybeTrace = [&](size_t OpenStates) {
-    if (Opts.TraceIntervalSeconds <= 0 || Timer.seconds() < NextTrace)
-      return;
-    NextTrace += Opts.TraceIntervalSeconds;
-    Result.Trace.push_back(
-        TracePoint{Timer.seconds(), OpenStates, Result.SolutionCount});
-  };
+  Result.Stats.LevelSeconds.push_back(Timer.seconds());
 
   unsigned FinalLevel = 0;
   bool Found = RootNode.Sorted;
@@ -735,27 +676,26 @@ SearchResult LayeredEngine::run() {
     if (!withinBudget(Result, residentSplit(), StopPhase::LevelCheck))
       break;
     const unsigned ChildG = G + 1;
+    // A new level may move the others: no reference into Levels is held
+    // across this, and Flight is taken again.
     Flight = &Levels.emplace_back();
     bool Merged = true;
     for (size_t Begin = 0; Merged && Begin < Size; Begin += kSliceNodes) {
       const size_t End = std::min(Size, Begin + kSliceNodes);
-      // Open outside the slice: the level's later nodes and the states
-      // its earlier slices merged.
-      const size_t Open = Size - End + mergedStates();
-      Merged = expandSlice(G, Begin, End, Open, Result, MaybeTrace) &&
-               mergeSlice(ChildG, Open, Result, MaybeTrace);
+      Merged = expandSlice(G, Begin, End, Result) && mergeSlice(ChildG, Result);
     }
     if (!Merged || !commitLevel(ChildG, Result, Found))
       break;
     Result.Stats.LevelStates.push_back(Levels[ChildG].size());
+    Result.Stats.LevelSeconds.push_back(Timer.seconds());
     FinalLevel = ChildG;
-    MaybeTrace(Levels[ChildG].size());
   }
 
+  // The run ends at the first level that holds a sorted node, so only the
+  // last level's sorted nodes count solutions.
   if (Found) {
     Result.Found = true;
     Result.OptimalLength = FinalLevel;
-    Result.SolutionCount = 0;
     const DagLevel &Last = Levels[FinalLevel];
     for (unsigned S = 0; S != kNumShards; ++S) {
       const std::vector<LNode> &Nodes = Last.Shards[S].Nodes;
@@ -770,9 +710,6 @@ SearchResult LayeredEngine::run() {
         }
       }
     }
-    if (Opts.TraceIntervalSeconds > 0)
-      Result.Trace.push_back(
-          TracePoint{Timer.seconds(), Last.size(), Result.SolutionCount});
   }
   Result.Stats.Seconds = Timer.seconds();
   return Result;

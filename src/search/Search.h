@@ -118,8 +118,6 @@ struct SearchOptions {
   /// Force the layered engine even when FindAll is off and NumThreads is
   /// 1 ("dijkstra" rows).
   bool Layered = false;
-  /// Emit a trace point every so many seconds (0 = off); for Figure 1.
-  double TraceIntervalSeconds = 0;
   /// Collect the per-stage nanosecond counters of the expansion pipeline
   /// (SearchStats::ApplyNanos and friends, reported by perfbench's profile
   /// round) and the split of the peak's bytes (SearchStats::PeakSplit);
@@ -157,13 +155,6 @@ enum class StopPhase {
 /// \returns the display name of \p P: "none", "level-check", "expand",
 /// "merge-check", "merge" or "commit".
 const char *stopPhaseName(StopPhase P);
-
-/// One Figure 1 sample.
-struct TracePoint {
-  double Seconds;
-  size_t OpenStates;
-  uint64_t SolutionsFound;
-};
 
 /// Where the resident bytes were at a budget check: the parts of the one
 /// count SearchOptions::MaxStateBytes budgets.
@@ -214,6 +205,11 @@ struct SearchStats {
   /// fixed configuration, so the equivalence tests compare it level by
   /// level. Empty for the best-first engine.
   std::vector<size_t> LevelStates;
+  /// Layered engine only: the run's clock when each level of LevelStates
+  /// committed, one read per commit, so it never decreases and ends at or
+  /// below Seconds. Figure 1 plots the two side by side. Empty for the
+  /// best-first engine.
+  std::vector<double> LevelSeconds;
   /// High-water mark of the resident bytes SearchOptions::MaxStateBytes
   /// budgets. Every value it records is one the budget check compared (the
   /// layered engine checks each level's commit, the level's shard buffers
@@ -262,7 +258,6 @@ struct SearchResult {
   /// cuts (path count over the solution DAG); 1 in best-first mode.
   uint64_t SolutionCount = 0;
   SearchStats Stats;
-  std::vector<TracePoint> Trace;
 };
 
 /// Synthesizes a sorting kernel for \p M. Dispatches to the layered engine

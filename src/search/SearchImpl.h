@@ -69,11 +69,12 @@ public:
   /// maxKept's value when nothing is cut.
   static constexpr unsigned KeepAll = std::numeric_limits<unsigned>::max();
 
-  CutTracker(const CutConfig &Cut, unsigned MaxLength)
-      : Cut(Cut), MinPerm(MaxLength + 2, 0) {}
+  explicit CutTracker(const CutConfig &Cut) : Cut(Cut) {}
 
   /// Records a surviving state of length \p Length.
   void observe(unsigned Length, unsigned PermCount) {
+    if (Length >= MinPerm.size())
+      MinPerm.resize(size_t(Length) + 1, 0);
     unsigned &Slot = MinPerm[Length];
     if (Slot == 0 || PermCount < Slot)
       Slot = PermCount;
@@ -86,7 +87,8 @@ public:
   /// k * min or min + c passes the range of unsigned. State counts are at
   /// least 1, so 0 (a negative k) discards every state.
   unsigned maxKept(unsigned Length) const {
-    if (Cut.Mode == CutConfig::Kind::None || Length == 0)
+    if (Cut.Mode == CutConfig::Kind::None || Length == 0 ||
+        Length > MinPerm.size())
       return KeepAll;
     const unsigned PrevMin = MinPerm[Length - 1];
     if (PrevMin == 0)
@@ -104,6 +106,8 @@ public:
 
 private:
   CutConfig Cut;
+  /// Per length, the least count observed; 0 = none yet. Grows on
+  /// observe, so no length bound sizes it.
   std::vector<unsigned> MinPerm;
 };
 

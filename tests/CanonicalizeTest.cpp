@@ -268,8 +268,7 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
     unsigned ChildG = 1 + static_cast<unsigned>(R.below(MaxLength + 2));
     const unsigned ParentPerm =
         referenceCount(M, Rows.data(), Rows.size(), false);
-    CutTracker Cuts(Step % 2 ? CutConfig::mult(1.0) : CutConfig::none(),
-                    MaxLength);
+    CutTracker Cuts(Step % 2 ? CutConfig::mult(1.0) : CutConfig::none());
     Cuts.observe(ChildG - 1,
                  1 + static_cast<unsigned>(R.below(ParentPerm + 1)));
     const unsigned MaxKept = Cuts.maxKept(ChildG);
@@ -504,12 +503,12 @@ TEST(CutBound, ThresholdMatchesTheFloatingPointTest) {
   for (const CutConfig &Cut : Configs) {
     SCOPED_TRACE(testing::Message() << "factor=" << Cut.Factor
                                     << " offset=" << Cut.Offset);
-    CutTracker Empty(Cut, 4);
+    CutTracker Empty(Cut);
     EXPECT_EQ(Empty.maxKept(0), CutTracker::KeepAll);
     EXPECT_EQ(Empty.maxKept(1), CutTracker::KeepAll) << "no previous length";
     size_t Mismatches = 0;
     for (unsigned PrevMin = 1; PrevMin <= 720; ++PrevMin) {
-      CutTracker Cuts(Cut, 4);
+      CutTracker Cuts(Cut);
       Cuts.observe(0, PrevMin);
       const unsigned MaxKept = Cuts.maxKept(1);
       if (Cut.Factor == 1e300 ||
@@ -529,7 +528,7 @@ TEST(CutBound, ThresholdMatchesTheFloatingPointTest) {
     }
     EXPECT_EQ(Mismatches, 0u);
   }
-  CutTracker Off(CutConfig::none(), 4);
+  CutTracker Off(CutConfig::none());
   Off.observe(0, 1);
   EXPECT_EQ(Off.maxKept(1), CutTracker::KeepAll);
 }
@@ -543,7 +542,7 @@ TEST(Canonicalize, SingleRowFastPath) {
   Opts.UseViability = true;
   Opts.Cut = CutConfig::none();
   Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  CutTracker Cuts(Opts.Cut, Opts.MaxLength);
+  CutTracker Cuts(Opts.Cut);
   CandidatePipeline Pipeline(M, Opts, &DT, Cuts);
 
   uint32_t Row = initialState(M).Rows.front();

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 using namespace sks;
 
 namespace {
@@ -197,25 +199,67 @@ TEST(SearchExtras, LayeredPeakSplitSumsToThePeakUnderThreads) {
   checkPeakSplit(/*Layered=*/true, 4);
 }
 
-TEST(SearchExtras, TraceIsMonotoneInTime) {
-  Machine M(MachineKind::Cmov, 4);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::None;
-  Opts.FindAll = true;
-  Opts.UseViability = true;
-  Opts.Cut = CutConfig::mult(1.0);
-  Opts.MaxLength = 20;
-  Opts.MaxSolutionsKept = 0;
-  Opts.TraceIntervalSeconds = 0.01;
-  Opts.Stop = StopToken().withDeadline(300);
-  SearchResult R = synthesize(M, Opts);
-  ASSERT_TRUE(R.Found);
-  ASSERT_FALSE(R.Trace.empty());
-  for (size_t I = 1; I < R.Trace.size(); ++I)
-    EXPECT_LE(R.Trace[I - 1].Seconds, R.Trace[I].Seconds);
-  // The final trace point carries the final solution count.
-  EXPECT_EQ(R.Trace.back().SolutionsFound, R.SolutionCount);
-  EXPECT_GT(R.SolutionCount, 0u);
+/// The layered engine reads its clock once per commit, next to the
+/// level's state count, so LevelSeconds has one entry per LevelStates
+/// entry, never decreases and ends at or below the run's Seconds, whether
+/// the run completes or a byte budget stops it. Figure 1 plots the pairs.
+/// Best-first commits no levels.
+TEST(SearchExtras, LevelSecondsTimeEachCommittedLevel) {
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  auto Check = [](const SearchResult &R) {
+    const std::vector<double> &Seconds = R.Stats.LevelSeconds;
+    ASSERT_EQ(Seconds.size(), R.Stats.LevelStates.size());
+    ASSERT_FALSE(Seconds.empty());
+    for (size_t L = 1; L != Seconds.size(); ++L)
+      EXPECT_LE(Seconds[L - 1], Seconds[L]) << "level " << L;
+    EXPECT_LE(Seconds.back(), R.Stats.Seconds);
+  };
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << Threads << " threads");
+    SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
+    Opts.FindAll = true;
+    Opts.NumThreads = Threads;
+    SearchResult Done = synthesize(M, Opts, &DT);
+    ASSERT_TRUE(Done.Found);
+    Check(Done);
+
+    Opts.MaxStateBytes = Done.Stats.PeakStateBytes / 2;
+    SearchResult Stopped = synthesize(M, Opts, &DT);
+    EXPECT_EQ(Stopped.Stats.Stopped, StopReason::ByteBudget);
+    Check(Stopped);
+  }
+  SearchResult BestFirst =
+      synthesize(M, bestEnumConfig(MachineKind::Cmov, 3), &DT);
+  ASSERT_TRUE(BestFirst.Found);
+  EXPECT_TRUE(BestFirst.Stats.LevelSeconds.empty());
+}
+
+/// No length bound sizes an allocation: the cut tracker grows by length
+/// and the layered engine adds a level when it starts one, so a bound at
+/// the top of unsigned's range runs like any bound that does not bind.
+/// The CLIs and the wire protocol cap the bound at kMaxLengthLimit; a
+/// library caller can pass any value.
+TEST(SearchExtras, HugeLengthBoundsRunOnBothEngines) {
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  for (unsigned Bound : {UINT_MAX - 1, UINT_MAX}) {
+    SCOPED_TRACE(testing::Message() << "MaxLength=" << Bound);
+    SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
+    Opts.MaxLength = Bound;
+    SearchResult BestFirst = synthesize(M, Opts, &DT);
+    ASSERT_TRUE(BestFirst.Found);
+    EXPECT_EQ(BestFirst.OptimalLength, 11u);
+    EXPECT_TRUE(isCorrectKernel(M, BestFirst.Solutions.front()));
+
+    // The 234 kernels cut k = 1 keeps (sks-synth --all --cut 1); the
+    // uncut 5602 take about 20 s to enumerate at a bound this loose.
+    Opts.FindAll = true;
+    SearchResult Layered = synthesize(M, Opts, &DT);
+    ASSERT_TRUE(Layered.Found);
+    EXPECT_EQ(Layered.OptimalLength, 11u);
+    EXPECT_EQ(Layered.SolutionCount, 234u);
+  }
 }
 
 TEST(SearchExtras, SharedDistanceTableGivesIdenticalResults) {
