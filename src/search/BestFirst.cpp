@@ -169,7 +169,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     for (const Candidate &C : Batch.List) {
       const uint32_t *CRows = Batch.rowsOf(C);
       IndexShard &Shard = Store.shard(StateStore::shardOf(C.Hash));
-      uint64_t Hit = Shard.find(C.Hash, [&](uint64_t P) {
+      const uint32_t Hit = Shard.find(C.Hash, [&](uint32_t P) {
         return RowStore.equals(Arena[P].Rows, CRows, C.RowLen);
       });
       if (Hit != IndexShard::kNotFound) {
@@ -183,8 +183,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
           Existing.Parent = Index;
           Existing.Via = C.Via;
           Existing.Lint = C.Lint;
-          Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG,
-                              static_cast<uint32_t>(Hit)});
+          Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG, Hit});
         }
         ++Result.Stats.DedupHits;
         continue;

@@ -16,9 +16,10 @@
 // distinct optimal kernels is a path count computed by dynamic programming
 // (Ways), and individual kernels are reconstructed by walking parent edges
 // — no kernel is ever enumerated twice the way a plain program-by-program
-// walk would. A node keeps its first parent edge; in FindAll mode each
-// shard of a level also keeps its nodes' edges in one compressed-row
-// (CSR) array (DagShard), so no node owns a heap block.
+// walk would. Each shard of a level keeps its nodes' incoming edges
+// (DagShard): in FindAll mode every edge, grouped by node in one
+// compressed-row (CSR) array, otherwise only each node's first edge, one
+// per node in node order. No node owns a heap block.
 //
 // Expansion is one node-major loop over static worker ranges: worker W
 // expands one contiguous part of a slice into its own candidate batch,
@@ -54,14 +55,23 @@
 // Figure 1 plots (bench_fig1_progress).
 //
 // Storage and parallelism (state/StateStore.h): a level is kNumShards
-// shards, each holding its nodes, their rows in one flat arena addressed
-// by (offset, len) handles and, in FindAll mode, their edges. The level's
-// kNumShards + 1 prefix-summed shard bases map a level-global node index
-// (the expansion order, Candidate::Parent, FirstParent) to its shard and
+// shards, each holding its nodes, their rows in one arena addressed by
+// (position, len) handles, and their edges. A shard's nodes, rows and
+// first edges, and merge phase 1's FindAll edge buffer, grow in
+// fixed-size chunks (ChunkedArray) rather than by doubling, so a
+// committed level holds at most one chunk per array that has room left,
+// and a shard with few nodes holds few bytes. The level's kNumShards + 1
+// prefix-summed shard bases map a level-global node index (the expansion
+// order, Candidate::Parent, an edge's parent) to its shard and
 // shard-local index. The dedup index is sharded by the same high bits of
-// the state hash. Equal canonical rows imply equal hash, hence the same
-// shard, so the per-level merge runs one worker per shard with no
-// synchronization on the node data:
+// the state hash, and its 8-byte slots hold a 32-bit tag and a 32-bit
+// payload: the node's id in its shard, which numbers the shard's nodes
+// across levels (LevelIds), so an id decodes to (level, shard-local
+// index) through the shard's per-level first ids, and a hit is at the
+// level in flight exactly when its id is at or above that level's first
+// id. Equal canonical rows imply equal hash, hence the same shard, so the
+// per-level merge runs one worker per shard with no synchronization on
+// the node data:
 //
 //   phase 0  per slice: partition the slice's candidates by shard, one
 //            partition per batch in parallel; each shard reads them
@@ -71,19 +81,21 @@
 //            index: each candidate probes its store shard once. A hit at a
 //            committed level is a rediscovery, a hit at the level in
 //            flight merges into that shard-local node, and a miss appends
-//            a node and its rows to the level's shard and inserts its
-//            entry under (level, shard-local index) at once; both levels'
-//            rows are read the same way. FindAll mode appends each edge as
-//            (shard-local node, parent, instruction).
+//            a node, its rows and its first edge to the level's shard and
+//            inserts its entry under its id at once; both levels' rows
+//            are read the same way. FindAll mode appends every edge, the
+//            first included, to the shard's phase-1 buffer as (shard-local
+//            node, parent, instruction) instead.
 //            Scheduled by work stealing with shards seeded in descending
 //            candidate-count order (deadline/limit-checked via atomics);
 //   phase 2  per level: prefix-sum shard sizes into the level's shard
-//            bases and, in FindAll mode, group each shard's edges by node
-//            with a stable counting sort into that shard's exact-size CSR,
+//            bases, close the level in each shard's ids and, in FindAll
+//            mode, group each shard's edges by node with a stable
+//            counting sort into that shard's exact-size CSR,
 //            freeing the edge buffer — work-stolen per shard, seeded by
-//            descending edge count. No node or row moves: the level keeps
-//            the buffers phase 1 filled, and the index entries need no
-//            rewrite.
+//            descending edge count. No node, row or first edge moves: the
+//            level keeps the chunks phase 1 filled, and the index entries
+//            need no rewrite.
 //
 // Work stealing preserves bit-identity for free: a shard is always
 // processed WHOLLY by one worker in the fixed batch-major candidate
@@ -132,14 +144,10 @@ struct ParentEdge {
   Instr Via;
 };
 
-/// One node of the solution DAG. Rows live in its level shard's arena; in
-/// FindAll mode the node's incoming edges live in its shard's edge slices
-/// (DagShard).
+/// One node of the solution DAG. Rows live in its level shard's arena and
+/// incoming edges in its shard's edge store (DagShard).
 struct LNode {
   RowSpan Rows;
-  /// The first incoming edge the merge met.
-  uint32_t FirstParent = UINT32_MAX;
-  Instr FirstVia{Opcode::Mov, 0, 0};
   /// Number of distinct programs of length <level> reaching this state.
   uint64_t Ways = 0;
   bool Sorted = false;
@@ -147,25 +155,32 @@ struct LNode {
   /// this node: the expansion gate refuses only what all of them refuse.
   PrefixLint Lint = PrefixLint::entry();
 };
-// A shard's nodes grow by reallocation, and no run frees per-node blocks.
-static_assert(std::is_trivially_copyable_v<LNode>);
+static_assert(sizeof(LNode) == 24, "a node is its rows, Ways, Sorted, Lint");
 
 /// One shard of a level of the solution DAG: the nodes merge phase 1
-/// created in it, in creation order, and their rows. In FindAll mode the
-/// commit adds their incoming edges grouped by node: local node I's edges
-/// are Edges[EdgeBegin[I], EdgeBegin[I + 1]), in the order the merge met
-/// them (empty at level 0 and outside FindAll mode).
+/// created in it, in creation order, their rows and their incoming edges.
+/// In FindAll mode the commit groups every edge by node: local node I's
+/// edges are Edges[EdgeBegin[I], EdgeBegin[I + 1]), in the order the merge
+/// met them. Otherwise merge phase 1 appends each new node's first edge,
+/// so local node I's one edge is Edges[I] and EdgeBegin stays empty. Level
+/// 0 has no edges.
 struct DagShard {
-  std::vector<LNode> Nodes;
+  ChunkedArray<LNode> Nodes;
   RowArena Rows;
   std::vector<uint32_t> EdgeBegin;
-  std::vector<ParentEdge> Edges;
+  ChunkedArray<ParentEdge> Edges;
 
-  /// Bytes of the node metadata: nodes and edge slices.
+  /// Local node \p I's edges, as [first, last) positions in Edges.
+  std::pair<uint32_t, uint32_t> edgeRange(uint32_t I) const {
+    if (EdgeBegin.empty())
+      return {I, I + 1};
+    return {EdgeBegin[I], EdgeBegin[I + 1]};
+  }
+
+  /// Bytes of the node metadata: nodes and edges.
   size_t nodeBytes() const {
-    return Nodes.capacity() * sizeof(LNode) +
-           EdgeBegin.capacity() * sizeof(uint32_t) +
-           Edges.capacity() * sizeof(ParentEdge);
+    return Nodes.bytesUsed() + EdgeBegin.capacity() * sizeof(uint32_t) +
+           Edges.bytesUsed();
   }
   size_t bytesUsed() const { return Rows.bytesUsed() + nodeBytes(); }
 };
@@ -204,18 +219,6 @@ struct DagLevel {
 // The engine's level vector grows by moving its levels, not copying them.
 static_assert(std::is_nothrow_move_constructible_v<DagLevel>);
 
-/// Index payload: (level << 32) | shard-local node index. The shard is
-/// implicit in which IndexShard holds the entry, and it is the node's
-/// shard in its level, so committing a merged level never rewrites
-/// payloads.
-uint64_t packRef(unsigned Level, uint32_t Local) {
-  return (static_cast<uint64_t>(Level) << 32) | Local;
-}
-unsigned refLevel(uint64_t Payload) {
-  return static_cast<unsigned>(Payload >> 32);
-}
-uint32_t refLocal(uint64_t Payload) { return static_cast<uint32_t>(Payload); }
-
 /// Shared state of one parallel phase (a slice's expansion or merge phase
 /// 1), polled by LayeredEngine::checkpoint. Workers publish their byte
 /// growth through a relaxed atomic: the budget needs a total, not a
@@ -240,12 +243,12 @@ struct ShardEdge {
 /// commit groups into the level's shard, and the shard's share of the
 /// level's results, which the commit folds.
 struct ShardMerge {
-  std::vector<ShardEdge> Edges;
+  ChunkedArray<ShardEdge> Edges;
   size_t DedupHits = 0;
   unsigned MinPerm = 0; ///< 0 = no new node observed.
   bool FoundSorted = false;
 
-  size_t bytesUsed() const { return Edges.capacity() * sizeof(ShardEdge); }
+  size_t bytesUsed() const { return Edges.bytesUsed(); }
 };
 
 /// Groups one shard's edges \p In by node into \p Shard's exact-size
@@ -253,18 +256,18 @@ struct ShardMerge {
 /// EdgeBegin, sums them into slice ends, then walks the edges backwards
 /// and fills each slice from its end, which leaves EdgeBegin at the slice
 /// starts and each node's edges in candidate order.
-void groupEdges(const std::vector<ShardEdge> &In, DagShard &Shard) {
+void groupEdges(const ChunkedArray<ShardEdge> &In, DagShard &Shard) {
   const size_t NumNodes = Shard.Nodes.size();
   Shard.EdgeBegin.assign(NumNodes + 1, 0);
-  Shard.Edges.resize(In.size());
+  Shard.Edges.allocate(In.size());
   uint32_t *Begin = Shard.EdgeBegin.data();
-  for (const ShardEdge &E : In)
-    ++Begin[E.Node];
+  for (size_t E = 0; E != In.size(); ++E)
+    ++Begin[In[E].Node];
   uint32_t End = 0;
   for (size_t I = 0; I <= NumNodes; ++I)
     Begin[I] = End += Begin[I];
-  for (auto E = In.rbegin(); E != In.rend(); ++E)
-    Shard.Edges[--Begin[E->Node]] = E->Edge;
+  for (size_t E = In.size(); E-- != 0;)
+    Shard.Edges[--Begin[In[E].Node]] = In[E].Edge;
 }
 
 class LayeredEngine {
@@ -352,6 +355,8 @@ private:
   ThreadPool Pool;
   Stopwatch Timer;
   StateStore Store;
+  /// Each index shard's node ids by level: the payload convention.
+  std::array<LevelIds, kNumShards> Ids;
   std::vector<DagLevel> Levels;
   /// The level in flight, Levels.back() from its first slice until it
   /// commits; every other level is committed.
@@ -447,7 +452,7 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, SearchResult &Result) {
   // Phase 0: partition candidate indices by shard, one partition per
   // batch so the batches split across workers. Phase 1 walks Parts
   // batch-major, so each shard still sees candidates in the exact order
-  // the sequential engine would process them and FirstParent / FirstVia
+  // the sequential engine would process them and each node's first edge
   // and the DAG are identical for any thread count.
   const uint32_t NumBatches = static_cast<uint32_t>(Batches.size());
   Pool.parallelFor(NumBatches, [&](size_t Begin, size_t End, unsigned) {
@@ -467,9 +472,9 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, SearchResult &Result) {
   // Phase 1: per-shard dedup/DAG-merge. A worker writes only its shard:
   // the level in flight's shard, its phase-1 edges, and the store's index
   // shard, which takes each new node's entry at once. Committed levels
-  // are read-only. Shards are seeded to the work-stealing deques in
-  // descending candidate-count order — LPT scheduling with stealing as the
-  // correction.
+  // and the shard's level ids are read-only. Shards are seeded to the
+  // work-stealing deques in descending candidate-count order — LPT
+  // scheduling with stealing as the correction.
   const DagLevel &Prev = Levels[ChildG - 1];
   std::array<size_t, kNumShards> ShardCount{};
   for (uint32_t BI = 0; BI != NumBatches; ++BI)
@@ -489,6 +494,8 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, SearchResult &Result) {
         DagShard &Own = Flight->Shards[S];
         ShardMerge &Sh = Merges[S];
         IndexShard &Index = Store.shard(S);
+        const LevelIds &ShardIds = Ids[S];
+        const uint32_t FlightId = ShardIds.first(ChildG);
         // Phase Ph's base holds the shard's buffers and index as they
         // were; publish their growth.
         auto Bytes = [&] {
@@ -508,37 +515,40 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, SearchResult &Result) {
             const uint32_t *CRows = B.rowsOf(C);
 
             // One probe, which reads the rows of a committed level and of
-            // the level in flight alike. A hit at a committed level is a
-            // strictly shallower rediscovery — never on a minimal kernel,
-            // so only count it; a hit at ChildG merges into that DAG node.
-            const uint64_t Hit = Index.find(C.Hash, [&](uint64_t P) {
-              const DagShard &D = Levels[refLevel(P)].Shards[S];
-              return D.Rows.equals(D.Nodes[refLocal(P)].Rows, CRows,
-                                   C.RowLen);
+            // the level in flight alike. A hit at a committed level, an id
+            // below the level in flight's first, is a strictly shallower
+            // rediscovery — never on a minimal kernel, so only count it; a
+            // hit at ChildG merges into that DAG node.
+            const uint32_t Hit = Index.find(C.Hash, [&](uint32_t Id) {
+              const unsigned L = ShardIds.levelOf(Id);
+              const DagShard &D = Levels[L].Shards[S];
+              return D.Rows.equals(D.Nodes[Id - ShardIds.first(L)].Rows,
+                                   CRows, C.RowLen);
             });
+            const ParentEdge Edge{C.Parent, C.Via};
             if (Hit != IndexShard::kNotFound) {
               ++Sh.DedupHits;
-              if (refLevel(Hit) != ChildG)
+              if (Hit < FlightId)
                 continue;
               const uint64_t Ways = Prev.node(C.Parent).Ways;
-              LNode &Node = Own.Nodes[refLocal(Hit)];
+              LNode &Node = Own.Nodes[Hit - FlightId];
               Node.Ways += Ways;
               Node.Lint.meet(C.Lint);
               if (Opts.FindAll)
-                Sh.Edges.push_back({refLocal(Hit), {C.Parent, C.Via}});
+                Sh.Edges.push_back({Hit - FlightId, Edge});
               continue;
             }
 
-            // New canonical state.
+            // New canonical state, with its first edge.
             const uint32_t Local = static_cast<uint32_t>(Own.Nodes.size());
             LNode Node;
             Node.Rows = Own.Rows.append(CRows, C.RowLen);
-            Node.FirstParent = C.Parent;
-            Node.FirstVia = C.Via;
             Node.Lint = C.Lint;
             Node.Ways = Prev.node(C.Parent).Ways;
             if (Opts.FindAll)
-              Sh.Edges.push_back({Local, {C.Parent, C.Via}});
+              Sh.Edges.push_back({Local, Edge});
+            else
+              Own.Edges.push_back(Edge);
             Node.Sorted = true;
             for (uint32_t R = 0; R != C.RowLen; ++R)
               if (!M.accepts(CRows[R])) {
@@ -551,7 +561,7 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, SearchResult &Result) {
             // level.
             if (Sh.MinPerm == 0 || C.Perm < Sh.MinPerm)
               Sh.MinPerm = C.Perm;
-            Index.insert(C.Hash, packRef(ChildG, Local));
+            Index.insert(C.Hash, FlightId + Local);
             Own.Nodes.push_back(Node);
           }
         }
@@ -564,11 +574,12 @@ bool LayeredEngine::mergeSlice(unsigned ChildG, SearchResult &Result) {
 }
 
 /// Commits the level in flight as level \p ChildG (phase 2): prefix-sums
-/// the shard sizes into the level's bases and, in FindAll mode, groups each
-/// shard's edges by node into its slices — work-stolen per shard, seeded
-/// by descending edge count (each shard fills only its own arrays, so
-/// scheduling cannot affect layout). The level keeps the nodes and rows
-/// phase 1 put in its shards, and the index entries are already in place.
+/// the shard sizes into the level's bases, closes the level in each
+/// shard's ids and, in FindAll mode, groups each shard's edges by node
+/// into its slices — work-stolen per shard, seeded by descending edge
+/// count (each shard fills only its own arrays, so scheduling cannot
+/// affect layout). The level keeps the nodes, rows and first edges phase
+/// 1 put in its shards, and the index entries are already in place.
 /// The budget check runs first, on the level in flight plus the exact size
 /// of the edge arrays, so the peak the commit records is a value the check
 /// compared. \returns false when the check stopped the run.
@@ -606,13 +617,15 @@ bool LayeredEngine::commitLevel(unsigned ChildG, SearchResult &Result,
   }
 
   // Fold per-shard results; sums and mins are order-independent. The
-  // next level's merge starts from empty buffers.
-  for (ShardMerge &Sh : Merges) {
+  // next level's merge starts from empty buffers and ids.
+  for (unsigned S = 0; S != kNumShards; ++S) {
+    ShardMerge &Sh = Merges[S];
     Result.Stats.DedupHits += Sh.DedupHits;
     if (Sh.MinPerm != 0)
       Cuts.observe(ChildG, Sh.MinPerm);
     FoundSorted |= Sh.FoundSorted;
     Sh = ShardMerge();
+    Ids[S].closeLevel(static_cast<uint32_t>(Level.Shards[S].Nodes.size()));
   }
   Flight = nullptr;
   assert(residentBytes() == Resident.total() - Released &&
@@ -631,21 +644,14 @@ void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
   const DagLevel &L = Levels[Level];
   const unsigned S = L.shardOf(Index);
   const DagShard &D = L.Shards[S];
-  const uint32_t Local = Index - L.Bases[S];
-  if (Opts.FindAll) {
-    for (uint32_t E = D.EdgeBegin[Local]; E != D.EdgeBegin[Local + 1]; ++E) {
-      Suffix.push_back(D.Edges[E].Via);
-      reconstruct(Level - 1, D.Edges[E].Parent, Suffix, Result);
-      Suffix.pop_back();
-      if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
-        return;
-    }
-    return;
+  const auto [First, Last] = D.edgeRange(Index - L.Bases[S]);
+  for (uint32_t E = First; E != Last; ++E) {
+    Suffix.push_back(D.Edges[E].Via);
+    reconstruct(Level - 1, D.Edges[E].Parent, Suffix, Result);
+    Suffix.pop_back();
+    if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
+      return;
   }
-  const LNode &Node = D.Nodes[Local];
-  Suffix.push_back(Node.FirstVia);
-  reconstruct(Level - 1, Node.FirstParent, Suffix, Result);
-  Suffix.pop_back();
 }
 
 SearchResult LayeredEngine::run() {
@@ -662,7 +668,9 @@ SearchResult LayeredEngine::run() {
   RootNode.Sorted = allSorted(M, SearchState{Init.Rows});
   Root.Shards[RootShard].Nodes.push_back(RootNode);
   Root.sumBases();
-  Store.shard(RootShard).insert(RootHash, packRef(0, 0));
+  Store.shard(RootShard).insert(RootHash, Ids[RootShard].first(0));
+  for (unsigned S = 0; S != kNumShards; ++S)
+    Ids[S].closeLevel(static_cast<uint32_t>(Root.Shards[S].Nodes.size()));
   notePeak(Opts, residentSplit(), Result.Stats);
   Result.Stats.LevelStates.push_back(Root.size());
   Result.Stats.LevelSeconds.push_back(Timer.seconds());
@@ -698,7 +706,7 @@ SearchResult LayeredEngine::run() {
     Result.OptimalLength = FinalLevel;
     const DagLevel &Last = Levels[FinalLevel];
     for (unsigned S = 0; S != kNumShards; ++S) {
-      const std::vector<LNode> &Nodes = Last.Shards[S].Nodes;
+      const ChunkedArray<LNode> &Nodes = Last.Shards[S].Nodes;
       for (uint32_t I = 0; I != Nodes.size(); ++I) {
         if (!Nodes[I].Sorted)
           continue;

@@ -162,14 +162,15 @@ struct ResidentSplit {
   /// Row data: the layered engine's committed levels, every node's for
   /// best-first.
   size_t Rows = 0;
-  /// Node metadata: the layered engine's committed nodes and, in FindAll
-  /// mode, their edges (at a commit's check, the edge arrays the commit
+  /// Node metadata: the layered engine's committed nodes and their edges
+  /// (at a commit's check, with the FindAll edge arrays the commit
   /// allocates); best-first's nodes.
   size_t Nodes = 0;
   size_t Index = 0; ///< The sharded dedup index.
   /// Layered only: the level in flight's shard buffers (its nodes, rows
-  /// and FindAll edges in candidate order), the candidate batches and the
-  /// batches' shard partitions.
+  /// and edges: first edges in node order, or FindAll's every edge in
+  /// candidate order), the candidate batches and the batches' shard
+  /// partitions.
   size_t Shards = 0, Batches = 0, Partitions = 0;
 
   size_t total() const {

@@ -1,4 +1,4 @@
-//===- state/StateStore.cpp - Arena-backed sharded state storage ----------===//
+//===- state/StateStore.cpp - Chunked, sharded state storage --------------===//
 //
 // Part of the sks project. MIT license.
 //
@@ -11,13 +11,14 @@
 using namespace sks;
 
 void IndexShard::rehash(size_t NewSize) {
+  assert(NewSize <= (size_t{1} << 32) && "a 32-bit tag picks the home slot");
   std::vector<Slot> Old = std::move(Slots);
   Slots.assign(NewSize, Slot{0, kEmpty});
-  size_t Mask = NewSize - 1;
+  const size_t Mask = NewSize - 1;
   for (const Slot &S : Old) {
     if (S.Payload == kEmpty)
       continue;
-    size_t I = S.Hash & Mask;
+    size_t I = S.Tag & Mask;
     while (Slots[I].Payload != kEmpty)
       I = (I + 1) & Mask;
     Slots[I] = S;

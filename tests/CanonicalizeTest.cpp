@@ -25,7 +25,12 @@
 //    under the walk's own prefix summaries and at budgets up to 300;
 //  - the section 3.5 cut's pre-apply bounds never exceed a child's count
 //    (random walks of every machine kind and goal family), and its integer
-//    threshold agrees with the floating-point test it replaced.
+//    threshold agrees with the floating-point test it replaced;
+//  - the state store the merge hashes into: IndexShard's 32-bit tags
+//    leave every match to the row compare, before and after growth,
+//    LevelIds decodes a layered node id to its (level, local) over empty
+//    levels, and ChunkedArray / RowArena hold exactly the chunks they
+//    allocated, with no state's rows straddling two.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +38,7 @@
 #include "machine/BatchApply.h"
 #include "search/Expansion.h"
 #include "state/Canonicalize.h"
+#include "state/StateStore.h"
 #include "support/Permutations.h"
 #include "support/Rng.h"
 
@@ -556,6 +562,143 @@ TEST(Canonicalize, SingleRowFastPath) {
   EXPECT_EQ(B.List[0].RowLen, 1u);
   EXPECT_EQ(B.List[0].Perm, 1u);
   EXPECT_EQ(B.List[0].Hash, hashWords(&Row, 1));
+}
+
+/// An IndexShard over states kept in a RowArena, probed the way both
+/// engines probe: the payload indexes the state, and the rows decide.
+struct ProbedShard {
+  IndexShard Shard;
+  RowArena Arena;
+  std::vector<RowSpan> Spans;
+
+  void insert(uint64_t Hash, const std::vector<uint32_t> &Rows) {
+    Shard.insert(Hash, static_cast<uint32_t>(Spans.size()));
+    Spans.push_back(
+        Arena.append(Rows.data(), static_cast<uint32_t>(Rows.size())));
+  }
+  uint32_t find(uint64_t Hash, const std::vector<uint32_t> &Rows) const {
+    return Shard.find(Hash, [&](uint32_t P) {
+      return Arena.equals(Spans[P], Rows.data(),
+                          static_cast<uint32_t>(Rows.size()));
+    });
+  }
+};
+
+TEST(Canonicalize, IndexShardTagCollisionsAreDecidedByRows) {
+  // Three states whose hashes share the low 32 bits, the slot's tag and
+  // home slot, and differ above them; their rows differ too. Each is found
+  // only by its own rows, and a fourth state with the same tag misses.
+  const std::vector<uint32_t> RowsA = {1, 2, 3}, RowsB = {1, 2, 4},
+                              RowsC = {7}, Absent = {1, 2, 5};
+  const uint64_t HashA = 0x1111222233334444ull, HashB = 0x5555666633334444ull,
+                 HashC = 0x0000000133334444ull;
+  ProbedShard P;
+  EXPECT_EQ(P.find(HashA, RowsA), IndexShard::kNotFound) << "empty shard";
+  P.insert(HashA, RowsA);
+  P.insert(HashB, RowsB);
+  P.insert(HashC, RowsC);
+  // 16 slots of 8 bytes: a 32-bit tag and a 32-bit payload.
+  EXPECT_EQ(P.Shard.bytesUsed(), 16u * 8u);
+  auto Check = [&] {
+    EXPECT_EQ(P.find(HashA, RowsA), 0u);
+    EXPECT_EQ(P.find(HashB, RowsB), 1u);
+    EXPECT_EQ(P.find(HashC, RowsC), 2u);
+    EXPECT_EQ(P.find(HashA, Absent), IndexShard::kNotFound);
+    EXPECT_EQ(P.find(0x9999999933334444ull, Absent), IndexShard::kNotFound);
+    EXPECT_EQ(P.find(0x1111222200000000ull, RowsA), IndexShard::kNotFound)
+        << "a different tag probes elsewhere";
+  };
+  Check();
+  // Growth rehashes from the tags alone; the colliding entries keep their
+  // payloads, and the fillers stay findable.
+  Rng R(17);
+  std::vector<uint64_t> Fillers;
+  for (uint32_t I = 0; I != 5000; ++I) {
+    Fillers.push_back(R.next() | 1); // Odd: never the tag 0x33334444.
+    P.insert(Fillers.back(), {I + 100, I + 101});
+  }
+  EXPECT_EQ(P.Shard.bytesUsed(), 8192u * 8u);
+  Check();
+  for (uint32_t I = 0; I < Fillers.size(); I += 499)
+    EXPECT_EQ(P.find(Fillers[I], {I + 100, I + 101}), I + 3);
+}
+
+TEST(Canonicalize, LevelIdsDecodeAcrossEmptyLevels) {
+  // One shard's node counts by level, with empty levels at the start of a
+  // run of them, inside one and before the open level.
+  const std::vector<uint32_t> Sizes = {1, 0, 3, 0, 0, 2, 0};
+  LevelIds Ids;
+  for (uint32_t Size : Sizes)
+    Ids.closeLevel(Size);
+  const unsigned Open = static_cast<unsigned>(Sizes.size());
+  uint32_t Next = 0;
+  for (unsigned L = 0; L != Open; ++L) {
+    ASSERT_EQ(Ids.first(L), Next) << "level " << L;
+    for (uint32_t Local = 0; Local != Sizes[L]; ++Local) {
+      const uint32_t Id = Ids.first(L) + Local;
+      EXPECT_EQ(Ids.levelOf(Id), L) << "id " << Id;
+      EXPECT_EQ(Id - Ids.first(Ids.levelOf(Id)), Local) << "id " << Id;
+    }
+    Next += Sizes[L];
+  }
+  // The open level holds every id from its first on: a hit there is
+  // exactly an id at or above it.
+  EXPECT_EQ(Ids.first(Open), 6u);
+  EXPECT_EQ(Ids.levelOf(6), Open);
+  EXPECT_EQ(Ids.levelOf(1000), Open);
+  EXPECT_EQ(Ids.levelOf(5), 5u);
+  EXPECT_EQ(Ids.levelOf(0), 0u);
+  EXPECT_EQ(Ids.levelOf(1), 2u) << "level 1 is empty";
+  EXPECT_EQ(Ids.levelOf(4), 5u) << "levels 3 and 4 are empty";
+}
+
+TEST(Canonicalize, ChunkedArraysHoldTheChunksTheyAllocate) {
+  using Array = ChunkedArray<uint64_t>;
+  static_assert(Array::kChunk * sizeof(uint64_t) == Array::kChunkBytes);
+  Array A;
+  EXPECT_EQ(A.bytesUsed(), 0u);
+  A.push_back(42);
+  EXPECT_EQ(A.bytesUsed(), 64u) << "a small array holds a small chunk";
+  // The first chunk doubles up to a whole chunk, keeping its elements;
+  // then every chunk is whole and none moves.
+  for (uint64_t I = 1; I != Array::kChunk; ++I)
+    A.push_back(42 + I);
+  EXPECT_EQ(A.bytesUsed(), Array::kChunkBytes);
+  const uint64_t *First = &A[0];
+  for (uint64_t I = Array::kChunk; I != 3 * Array::kChunk + 1; ++I)
+    A.push_back(42 + I);
+  EXPECT_EQ(A.bytesUsed(), 4 * Array::kChunkBytes);
+  EXPECT_EQ(&A[0], First);
+  ASSERT_EQ(A.size(), 3 * Array::kChunk + 1);
+  for (uint64_t I = 0; I != A.size(); ++I)
+    ASSERT_EQ(A[I], 42 + I);
+
+  // allocate() sizes an array exactly.
+  Array Exact;
+  Exact.allocate(2 * Array::kChunk + 3);
+  EXPECT_EQ(Exact.bytesUsed(), (2 * Array::kChunk + 3) * sizeof(uint64_t));
+
+  // A state's rows never straddle two chunks: a block that does not fit
+  // closes its chunk and starts the next, and the spans still read back.
+  constexpr uint32_t kWords = ChunkedArray<uint32_t>::kChunk;
+  RowArena Rows;
+  std::vector<RowSpan> Spans;
+  std::vector<std::vector<uint32_t>> States;
+  for (uint32_t I = 0; I != 200; ++I) {
+    States.emplace_back(37 + I % 90, I);
+    Spans.push_back(Rows.append(States.back().data(),
+                                static_cast<uint32_t>(States.back().size())));
+  }
+  size_t Chunks = 0;
+  for (size_t I = 0; I != Spans.size(); ++I) {
+    EXPECT_EQ(Spans[I].Offset / kWords,
+              (Spans[I].Offset + Spans[I].Len - 1) / kWords);
+    EXPECT_TRUE(Rows.equals(Spans[I], States[I].data(),
+                            static_cast<uint32_t>(States[I].size())));
+    Chunks = Spans[I].Offset / kWords + 1;
+  }
+  EXPECT_GT(Chunks, 2u);
+  EXPECT_EQ(Rows.bytesUsed(), Chunks * kWords * sizeof(uint32_t));
 }
 
 } // namespace

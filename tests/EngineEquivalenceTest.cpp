@@ -358,6 +358,26 @@ TEST(EngineEquivalence, EnumerationFitsIn80MiB) {
   }
 }
 
+TEST(EngineEquivalence, EnumerationFitsIn52MiB) {
+  // The same search under 52 MiB, the tightest whole MiB it fits at one,
+  // two and four threads. A state keeps only the bytes it uses: an index
+  // slot is 8 bytes, a DAG node 24, and a shard's nodes, rows and edges
+  // grow in fixed-size chunks, so no committed level keeps doubling slack.
+  Machine M(MachineKind::Cmov, 3);
+  DistanceTable DT(M);
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SearchOptions Opts = enumerateConfig(Threads);
+    Opts.MaxStateBytes = size_t{52} << 20;
+    SearchResult R = synthesize(M, Opts, &DT);
+    EXPECT_EQ(R.Stats.Stopped, StopReason::None) << Threads << " threads";
+    ASSERT_TRUE(R.Found) << Threads << " threads";
+    EXPECT_EQ(R.SolutionCount, 5602u) << Threads << " threads";
+    EXPECT_EQ(R.Stats.LevelStates, kLevelsAtBound11) << Threads << " threads";
+    EXPECT_LE(R.Stats.PeakStateBytes, Opts.MaxStateBytes)
+        << Threads << " threads";
+  }
+}
+
 TEST(EngineEquivalence, CmovN3LevelCountsAtBound11) {
   // sks-synth --all --max-length 11: the paper's 5602 kernels with the
   // tightest bound, whose per-level state counts are pinned exactly for

@@ -290,6 +290,27 @@ TEST(Search, SolutionOrderIsPinned) {
   EXPECT_EQ(solutionChecksum(R.Solutions), 0xd644df6e343da5b5ull);
 }
 
+TEST(Search, LayeredFirstKernelIsPinned) {
+  // Configuration (III) through the layered engine without FindAll: the
+  // run reconstructs one kernel from each level's one stored edge per
+  // node, the first edge the merge met. SolutionOrderIsPinned covers the
+  // FindAll edges only, so this kernel is pinned as text.
+  Machine M(MachineKind::Cmov, 3);
+  SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 3);
+  Opts.Layered = true;
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << Threads);
+    Opts.NumThreads = Threads;
+    SearchResult R = synthesize(M, Opts);
+    ASSERT_TRUE(R.Found);
+    ASSERT_EQ(R.Solutions.size(), 1u);
+    EXPECT_EQ(toString(R.Solutions.front(), 3),
+              "cmp r1 r2\nmov s1 r1\ncmovg r1 r2\ncmovg r2 s1\n"
+              "cmp r2 r3\ncmovg s1 r3\ncmovg r3 r2\ncmp r1 s1\n"
+              "cmovl r2 s1\ncmovg r2 r1\ncmovg r1 s1\n");
+  }
+}
+
 TEST(Search, FirstN4CountersArePinned) {
   // Configuration (III) at n = 4, the enum backend's `first`: the same
   // kernel length after the same search, counter for counter.
